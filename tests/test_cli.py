@@ -138,6 +138,10 @@ class TestDeterminism:
                      "task.shots=300")),
         ("lcu-check", ()),
         ("swapnet", ("task.rows=2", "task.cols=2")),
+        ("diagonalize", ()),
+        ("trotter-sweep", ("task.r_list=[2,4,8]",)),
+        ("ffft-check", ()),
+        ("vqe-jellium", ("task.maxiter=80", "task.restarts=2")),
     ])
     def test_identical_payload_for_same_seed(self, tmp_path, command, extra):
         overrides = SMALL + extra if command != "swapnet" else extra

@@ -1,0 +1,63 @@
+"""Golden hashes of emitted circuits and schedules.
+
+Each value is the sha256 of the text format (or of the gate kind/target
+sequence, which leaves angles out) of one construction. A refactor of the
+circuit primitives must keep every construction byte-identical; a change
+that alters a circuit on purpose updates the hash and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from pwdual.ffft import build_ffft_nd
+from pwdual.geometry import build_grid
+from pwdual.hamiltonian import build_dual, build_qubit
+from pwdual.statevector import dumps_circuit
+from pwdual.swapnet import build_full_schedule, dumps_schedule
+from pwdual.trotter import direct_jw_step, split_operator_step
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def gate_sequence(circ) -> str:
+    return sha("\n".join(f"{g.kind} {g.targets}" for g in circ.gates))
+
+
+@pytest.mark.parametrize("grid,connectivity,digest", [
+    ((1, 8, 8.0, False), None,
+     "c69ea6765c607e19a12369381c695d842184739a6e9c996dd2606596e22577e4"),
+    ((2, 4, 16.0, True), None,
+     "607ea1a4a1d50f947c96617b06184c67bc2c70fe4e0be44c41b05e041851d50a"),
+    ((2, 4, 16.0, False), ("planar", 4, 4),
+     "1a1bd7d5e75e494bb4284b4853445f142608c663ab89b68f5f960a7f69e75c78"),
+])
+def test_ffft_text(grid, connectivity, digest):
+    circ = build_ffft_nd(build_grid(*grid), connectivity=connectivity)
+    assert sha(dumps_circuit(circ)) == digest
+
+
+@pytest.mark.parametrize("side,digest", [
+    (4, "8b5e765a283fccbb9af3faa88d75b2a13c76c0fa4fe94ea234e6ce202519ddee"),
+    (8, "a3bc61c5360619246509c66f0304ea0dbecb5cf61eaa04f5340b8f243badaf4c"),
+])
+def test_schedule_text(side, digest):
+    assert sha(dumps_schedule(build_full_schedule(side, side))) == digest
+
+
+def test_planar_split_step_gates():
+    hs = build_dual(build_grid(1, 8, 8.0))
+    circ = split_operator_step(hs, 0.1, connectivity=("planar", 2, 4))
+    assert len(circ.gates) == 314
+    assert gate_sequence(circ) == \
+        "648f28b1ce58d98e5f396c1c112e24f8ca4a9dc0662d93b2d88cb5aee707f0a6"
+
+
+def test_direct_jw_step_gates():
+    hs = build_dual(build_grid(1, 8, 8.0))
+    circ = direct_jw_step(build_qubit(hs), 0.1, n_qubits=8)
+    assert len(circ.gates) == 857
+    assert gate_sequence(circ) == \
+        "d1b4fed98065b83fbdcca736c28ef09ee55e1218458fdadf6954fd9a5452052c"
