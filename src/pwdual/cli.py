@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,9 +359,8 @@ def cmd_measure(cfg, out_dir):
                           f"choose from {STRATEGIES}")
     shots = int(task.get("shots", 2000))
     hs = build_dual(grid, nuclei, truncated, constant)
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         state = prepare_reference(grid, eta)
     plan = MeasurementPlan(strategy, shots, cfg["seed"])
     estimate, stderr = estimate_energy(state, hs, plan)
@@ -388,9 +388,8 @@ def cmd_vqe_jellium(cfg, out_dir):
     spec = AnsatzSpec(layers=int(task.get("layers", 1)),
                       sharing=task.get("sharing", "full"),
                       minimal=bool(task.get("minimal", False)))
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         res = optimize(spec, hs, eta, seed=cfg["seed"],
                        restarts=int(task.get("restarts", 4)),
                        maxiter=int(task.get("maxiter", 600)))

@@ -22,45 +22,24 @@ import numpy as np
 
 from .geometry import ModeGrid
 from .statevector import Circuit, Gate, fk_gate
+from .swapnet import _is_power_of_two, transposition_phases
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+def _fswap_sort(positions, keys):
+    """Fermionic swaps (application order) moving the orbital at slot i to
+    slot ``keys[i]``; ``positions`` maps slot -> qubit. Fermionic swaps are
+    self-inverse, so the reversed list undoes the move."""
+    return [Gate("FSWAP", (positions[i], positions[i + 1]))
+            for phase in transposition_phases(keys) for i in phase]
 
 
-def _sort_layers(current, target, swap_pairs_sink=None):
-    """Odd-even transposition sort from ``current`` label order to ``target``
-    order; returns the adjacent-transposition layers (lists of positions)."""
-    rank = {label: i for i, label in enumerate(target)}
-    arr = [rank[label] for label in current]
-    n = len(arr)
-    layers = []
-    parity = 0
-    # oblivious odd-even sort: at most n phases
-    for _ in range(n):
-        layer = []
-        for i in range(parity, n - 1, 2):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                layer.append(i)
-        if layer:
-            layers.append(layer)
-        parity ^= 1
-        if arr == sorted(arr):
-            break
-    return layers
+def _even_odd_keys(m):
+    """Slots sending even labels to the left half in order, odd labels to
+    the right half."""
+    return [j // 2 + (j % 2) * (m // 2) for j in range(m)]
 
 
-def _fswap_sort(circuit_ops, positions, current, target):
-    """Emit fermionic swaps realizing the permutation; updates ``current`` in
-    place. ``positions`` maps local slot -> qubit."""
-    for layer in _sort_layers(list(current), target):
-        for i in layer:
-            circuit_ops.append(Gate("FSWAP", (positions[i], positions[i + 1])))
-            current[i], current[i + 1] = current[i + 1], current[i]
-
-
-def _ffft_1d_ops(positions, m_total=None):
+def _ffft_1d_ops(positions):
     """Gate list (application order) for one 1D transform over ``positions``.
 
     Steps follow the decimation data flow: even/odd sort, half transforms,
@@ -68,51 +47,35 @@ def _ffft_1d_ops(positions, m_total=None):
     the steps then compose right-to-left into the mode transform.
     """
     m = len(positions)
-    if m_total is None:
-        m_total = m
     if m == 1:
         return []
-    ops = []
-    labels = list(range(m))
-    # separate even samples to the left half, odd to the right
-    _fswap_sort(ops, positions, labels,
-                list(range(0, m, 2)) + list(range(1, m, 2)))
-    ops += _ffft_1d_ops(positions[: m // 2], m)
-    ops += _ffft_1d_ops(positions[m // 2:], m)
+    half = m // 2
+    ops = _fswap_sort(positions, _even_odd_keys(m))
+    ops += _ffft_1d_ops(positions[:half])
+    ops += _ffft_1d_ops(positions[half:])
     # riffle: [E0..E_{m/2-1}, O0..O_{m/2-1}] -> [E0, O0, E1, O1, ...]
-    labels = list(range(m))
-    riffle = [x for j in range(m // 2) for x in (j, m // 2 + j)]
-    _fswap_sort(ops, positions, labels, riffle)
+    ops += _fswap_sort(positions, [2 * j if j < half else 2 * (j - half) + 1
+                                   for j in range(m)])
     # one butterfly layer: pair (2j, 2j+1) combines E_j with O_j
-    for j in range(m // 2):
+    for j in range(half):
         ops.append(fk_gate(j, m, positions[2 * j], positions[2 * j + 1]))
     # outputs sit as [c_0, c_{m/2}, c_1, c_{1+m/2}, ...]; restore mode order
-    labels = [x for j in range(m // 2) for x in (j, m // 2 + j)]
-    _fswap_sort(ops, positions, labels, list(range(m)))
+    ops += _fswap_sort(positions, [x for j in range(half)
+                                   for x in (j, half + j)])
     return ops
 
 
-def _axis_permutation_ops(grid: ModeGrid, positions, axis):
-    """Fermionic sort bringing ``axis`` to the fastest-varying slot position.
-
-    Returns (ops, inverse_ops) as application-order gate lists.
-    """
-    d = grid.dimension
-    sites = grid.site_vectors()
-    axes = [a for a in range(d) if a != axis] + [axis]
-
-    def permuted_index(p):
+def _axis_keys(grid: ModeGrid, axis):
+    """Slot of each site once ``axis`` is the fastest-varying index; the
+    identity for the last axis, which already is."""
+    axes = [a for a in range(grid.dimension) if a != axis] + [axis]
+    keys = []
+    for p in grid.site_vectors():
         idx = 0
         for a in axes:
             idx = idx * grid.modes_per_axis + p[a]
-        return idx
-
-    target = sorted(range(len(sites)), key=lambda i: permuted_index(sites[i]))
-    ops = []
-    current = list(range(len(sites)))
-    _fswap_sort(ops, positions, current, target)
-    inverse = [g for g in reversed(ops)]  # fswaps are self-inverse
-    return ops, inverse, target
+        keys.append(idx)
+    return keys
 
 
 def build_ffft_1d(m: int, connectivity=None) -> Circuit:
@@ -126,55 +89,37 @@ def build_ffft_1d(m: int, connectivity=None) -> Circuit:
     return circ
 
 
-def _spin_block_sort(n_spatial):
-    """Fswaps (application order) from interleaved (0u,0d,1u,1d,...) to
-    blocked (all up, then all down), plus the inverse."""
-    ops = []
-    current = list(range(2 * n_spatial))
-    # target label at blocked position i: up-orbital i for i < n, else down
-    target = [2 * i for i in range(n_spatial)] + \
-             [2 * i + 1 for i in range(n_spatial)]
-    _fswap_sort(ops, list(range(2 * n_spatial)), current, target)
-    inverse = [g for g in reversed(ops)]
-    return ops, inverse
-
-
 def build_ffft_nd(grid: ModeGrid, connectivity=None) -> Circuit:
     """Axis-by-axis transform on a d-dimensional grid, with fermionic-swap
-    relabelings between axes; spinful grids transform each spin sector."""
+    relabelings between axes; spinful grids sort the interleaved spins into
+    blocks (all up, then all down), transform each block, and sort back."""
     m = grid.modes_per_axis
     if not _is_power_of_two(m):
         raise ValueError(f"modes per axis must be a power of two, got {m}")
     n_spatial = grid.n_spatial
-    ops = []
+    axis_keys = [_axis_keys(grid, axis)
+                 for axis in range(grid.dimension - 1, -1, -1)]
 
     def spatial_ops(offset):
         """Gates for one spin sector occupying positions
         [offset, offset + n_spatial)."""
         sector = []
         positions = list(range(offset, offset + n_spatial))
-        d = grid.dimension
-        for axis in range(d - 1, -1, -1):
-            if axis == d - 1:
-                # last axis is contiguous in lexicographic order
-                for run in range(0, n_spatial, m):
-                    sector += _ffft_1d_ops(positions[run:run + m])
-            else:
-                fwd, inv, perm = _axis_permutation_ops(grid, positions, axis)
-                sector += fwd
-                for run in range(0, n_spatial, m):
-                    sector += _ffft_1d_ops(positions[run:run + m])
-                sector += inv
+        for keys in axis_keys:
+            to_axis = _fswap_sort(positions, keys)
+            sector += to_axis
+            for run in range(0, n_spatial, m):
+                sector += _ffft_1d_ops(positions[run:run + m])
+            sector += to_axis[::-1]
         return sector
 
     if grid.cell.spinful:
-        to_blocks, from_blocks = _spin_block_sort(n_spatial)
-        ops += to_blocks
-        ops += spatial_ops(0)
-        ops += spatial_ops(n_spatial)
-        ops += from_blocks
+        to_blocks = _fswap_sort(range(2 * n_spatial),
+                                _even_odd_keys(2 * n_spatial))
+        ops = to_blocks + spatial_ops(0) + spatial_ops(n_spatial) \
+            + to_blocks[::-1]
     else:
-        ops += spatial_ops(0)
+        ops = spatial_ops(0)
 
     circ = Circuit(grid.n_qubits, connectivity=connectivity)
     circ.extend(ops)

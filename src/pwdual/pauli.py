@@ -176,8 +176,12 @@ def qubit_operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
 
 
 def apply_string(key: tuple, state: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a dense state without building the matrix."""
-    n = int(np.log2(state.size))
+    """Apply one Pauli string to a dense state without building the matrix.
+
+    The last axis is the 2^n basis index; leading axes index a batch of
+    states."""
+    dim = state.shape[-1]
+    n = int(np.log2(dim))
     flip = 0
     phase_mask = 0
     y_count = 0
@@ -190,17 +194,17 @@ def apply_string(key: tuple, state: np.ndarray) -> np.ndarray:
             phase_mask |= 1 << q
         if letter == "Y":
             y_count += 1
-    idx = np.arange(state.size, dtype=np.int64)
+    idx = np.arange(dim, dtype=np.int64)
     src = idx ^ flip
     # (-1)^{popcount(src & phase_mask)}
-    par = np.zeros(state.size, dtype=np.int64)
+    par = np.zeros(dim, dtype=np.int64)
     m = phase_mask
     while m:
         b = m & -m
         par ^= (src & b) != 0
         m ^= b
     signs = 1.0 - 2.0 * par
-    return (1j ** y_count) * signs * state[src]
+    return (1j ** y_count) * signs * state[..., src]
 
 
 def expectation_value(op: QubitOperator, state: np.ndarray) -> complex:

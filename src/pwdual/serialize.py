@@ -96,6 +96,11 @@ def loads_hamiltonian(text: str):
             header[key] = value
         elif line.startswith("["):
             current = line.strip("[]")
+            if current not in sections:
+                raise ValueError(f"unknown section [{current}]; expected "
+                                 f"one of {sorted(sections)}")
+        elif current is None:
+            raise ValueError(f"term line {line!r} before any [section]")
         else:
             sections[current].append(line)
     grid = None

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .pauli import QubitOperator, apply_string, expectation_value, \
     qubit_operator_matrix
@@ -46,16 +46,49 @@ _F0 = np.exp(-1j * np.pi / 4) * np.array(
 )
 
 
+# inverse rules: the gate itself, the same gate at minus the angle, or the
+# conjugate transpose (dagger flag)
+_SELF, _NEGATE, _DAGGER = "self", "negate", "dagger"
+
+
+class GateKind(NamedTuple):
+    arity: Optional[int]  # None: one target per PEXP letter
+    matrix: Optional[Callable]  # angle -> matrix; None for PEXP
+    inverse: str
+
+
+GATE_KINDS = {
+    "H": GateKind(1, lambda a: _H, _SELF),
+    "X": GateKind(1, lambda a: _X, _SELF),
+    "RZ": GateKind(1, lambda a: np.diag([np.exp(-0.5j * a),
+                                         np.exp(0.5j * a)]), _NEGATE),
+    "PHASEN": GateKind(1, lambda a: np.diag([1.0, np.exp(1j * a)]), _NEGATE),
+    "GPHASE": GateKind(1, lambda a: np.exp(1j * a) * np.eye(2), _NEGATE),
+    "CNOT": GateKind(2, lambda a: _CNOT, _SELF),
+    "CZ": GateKind(2, lambda a: _CZ, _SELF),
+    "SWAP": GateKind(2, lambda a: _SWAP, _SELF),
+    "FSWAP": GateKind(2, lambda a: _FSWAP, _SELF),
+    # exp(i*theta*fswap); fswap is an involution
+    "FSWAP_POW": GateKind(2, lambda a: math.cos(a) * np.eye(4)
+                          + 1j * math.sin(a) * _FSWAP, _NEGATE),
+    "CPHASE": GateKind(2, lambda a: np.diag([1, 1, 1, np.exp(1j * a)]),
+                       _NEGATE),
+    "FK": GateKind(2, lambda a: _F0 @ np.diag([1, 1, np.exp(1j * a),
+                                               np.exp(1j * a)]), _DAGGER),
+    "PEXP": GateKind(None, None, _NEGATE),
+}
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate: kind, target qubits, optional angle, optional dagger flag.
 
-    Kinds: H, X, RZ, PHASEN, CNOT, CZ, SWAP, FSWAP, FSWAP_POW, CPHASE, FK,
-    PEXP, GPHASE. PEXP carries ``letters`` (one Pauli letter per target) and
-    applies exp(-i * angle * P). PHASEN applies exp(i * angle * n_q). FK
-    carries the butterfly twiddle as its angle (2*pi*k/M). GPHASE is the
-    circuit-level global phase exp(i * angle), kept so compiled steps can be
-    compared against operator exponentials as full matrices.
+    Kinds are the keys of GATE_KINDS. PEXP carries ``letters`` (one Pauli
+    letter per target) and applies exp(-i * angle * P). PHASEN applies
+    exp(i * angle * n_q). FK carries the butterfly twiddle as its angle
+    (2*pi*k/M). GPHASE is the circuit-level global phase exp(i * angle),
+    kept so compiled steps can be compared against operator exponentials as
+    full matrices.
     """
 
     kind: str
@@ -65,52 +98,38 @@ class Gate:
     dagger: bool = False
 
     def __post_init__(self):
+        spec = GATE_KINDS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if spec.arity is None:
+            if not self.letters or set(self.letters) - set("XYZ"):
+                raise ValueError(f"PEXP needs Pauli letters X, Y, Z, got "
+                                 f"{self.letters!r}")
+            arity = len(self.letters)
+        elif self.letters:
+            raise ValueError(f"{self.kind} takes no Pauli letters")
+        else:
+            arity = spec.arity
+        if len(self.targets) != arity:
+            raise ValueError(f"{self.kind} needs {arity} targets, got "
+                             f"{len(self.targets)}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"repeated target in {self}")
 
     def inverse(self) -> "Gate":
-        if self.kind in ("H", "X", "CNOT", "CZ", "SWAP", "FSWAP"):
+        rule = GATE_KINDS[self.kind].inverse
+        if rule == _SELF:
             return self
-        if self.kind in ("RZ", "PHASEN", "CPHASE", "FSWAP_POW", "PEXP",
-                         "GPHASE"):
+        if rule == _NEGATE:
             return replace(self, angle=-self.angle)
         return replace(self, dagger=not self.dagger)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix on the gate's own targets (PEXP excluded)."""
-        if self.kind == "H":
-            m = _H
-        elif self.kind == "X":
-            m = _X
-        elif self.kind == "RZ":
-            m = np.diag([np.exp(-0.5j * self.angle),
-                         np.exp(0.5j * self.angle)])
-        elif self.kind == "PHASEN":
-            m = np.diag([1.0, np.exp(1j * self.angle)])
-        elif self.kind == "GPHASE":
-            m = np.exp(1j * self.angle) * np.eye(2)
-        elif self.kind == "CNOT":
-            m = _CNOT
-        elif self.kind == "CZ":
-            m = _CZ
-        elif self.kind == "SWAP":
-            m = _SWAP
-        elif self.kind == "FSWAP":
-            m = _FSWAP
-        elif self.kind == "FSWAP_POW":
-            # exp(i*theta*fswap); fswap is an involution
-            m = math.cos(self.angle) * np.eye(4) \
-                + 1j * math.sin(self.angle) * _FSWAP
-        elif self.kind == "CPHASE":
-            m = np.diag([1, 1, 1, np.exp(1j * self.angle)])
-        elif self.kind == "FK":
-            phase_q = np.diag([1, 1, np.exp(1j * self.angle),
-                               np.exp(1j * self.angle)])
-            m = _F0 @ phase_q
-        elif self.kind == "PEXP":
+        build = GATE_KINDS[self.kind].matrix
+        if build is None:
             raise ValueError("PEXP has no fixed-size matrix; applied directly")
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        m = build(self.angle)
         return m.conj().T if self.dagger else m
 
 
@@ -124,8 +143,8 @@ class Circuit:
     """Ordered gate list with optional planar-grid connectivity.
 
     connectivity is None (all-to-all) or ("planar", rows, cols); planar
-    qubits are laid out along a boustrophedon path so that chain-adjacent
-    qubit labels are always grid-adjacent.
+    qubits are laid out along a boustrophedon path (swapnet.snake_qubit) so
+    that chain-adjacent qubit labels are always grid-adjacent.
     """
 
     n_qubits: int
@@ -161,26 +180,19 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    # -- planar layout ------------------------------------------------------
-
-    def grid_position(self, qubit: int):
-        _, rows, cols = self.connectivity
-        r = qubit // cols
-        c = qubit % cols
-        if r % 2 == 1:
-            c = cols - 1 - c
-        return r, c
-
     def check_connectivity(self):
         """Raise if a multi-qubit gate is not lattice-adjacent (planar mode)."""
         if self.connectivity is None:
             return
+        from .swapnet import snake_position
+        cols = self.connectivity[2]
+        position = [snake_position(cols, q) for q in range(self.n_qubits)]
         for g in self.gates:
             if len(g.targets) < 2:
                 continue
             if len(g.targets) > 2:
                 raise ValueError(f"planar circuit holds >2-qubit gate {g}")
-            (r1, c1), (r2, c2) = map(self.grid_position, g.targets)
+            (r1, c1), (r2, c2) = (position[t] for t in g.targets)
             if abs(r1 - r2) + abs(c1 - c2) != 1:
                 raise ValueError(
                     f"gate {g} acts on non-adjacent grid sites "
@@ -215,20 +227,29 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, targets, n: int):
-    """Apply a 2^k x 2^k matrix on the given targets; basis order inside the
-    gate puts targets[0] on the least significant bit."""
-    k = len(targets)
-    psi = amps.reshape([2] * n)
-    # tensor axis of qubit q is n-1-q; gate index axes ordered MSB first
-    axes = [n - 1 - t for t in reversed(targets)]
-    psi = np.moveaxis(psi, axes, range(k))
+def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """Apply ``gate`` to amplitudes of shape (2^n,) or (batch, 2^n); basis
+    order inside a matrix gate puts targets[0] on the least significant bit.
+
+    Each state of a batch goes through the same matrix product as a single
+    state does, so batched and one-by-one results agree bit for bit."""
+    if gate.kind == "PEXP":
+        key = tuple(sorted(zip(gate.targets, gate.letters)))
+        theta = -gate.angle if gate.dagger else gate.angle
+        return math.cos(theta) * amps \
+            - 1j * math.sin(theta) * apply_string(key, amps)
+    k = len(gate.targets)
+    batch = amps.shape[:-1]
+    lead = len(batch)
+    psi = amps.reshape(batch + (2,) * n)
+    # tensor axis of qubit q is lead+n-1-q; gate index axes ordered MSB first
+    axes = [lead + n - 1 - t for t in reversed(gate.targets)]
+    gate_axes = range(lead, lead + k)
+    psi = np.moveaxis(psi, axes, gate_axes)
     shape = psi.shape
-    psi = psi.reshape(2 ** k, -1)
-    psi = mat @ psi
-    psi = psi.reshape(shape)
-    psi = np.moveaxis(psi, range(k), axes)
-    return psi.reshape(-1)
+    psi = gate.matrix() @ psi.reshape(batch + (2 ** k, -1))
+    psi = np.moveaxis(psi.reshape(shape), gate_axes, axes)
+    return psi.reshape(amps.shape)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -236,20 +257,10 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     for t in gate.targets:
         if not 0 <= t < n:
             raise ValueError(f"target {t} outside {n} qubits")
-    if gate.kind == "PEXP":
-        key = tuple(sorted(zip(gate.targets, gate.letters)))
-        theta = -gate.angle if gate.dagger else gate.angle
-        rotated = math.cos(theta) * state.amplitudes \
-            - 1j * math.sin(theta) * apply_string(key, state.amplitudes)
-        return Statevector(n, rotated)
-    new = _apply_matrix(state.amplitudes, gate.matrix(), gate.targets, n)
-    return Statevector(n, new)
+    return Statevector(n, _apply(state.amplitudes, gate, n))
 
 
-def apply_circuit(state: Statevector, circuit: Circuit,
-                  check_planar: bool = False) -> Statevector:
-    if check_planar:
-        circuit.check_connectivity()
+def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     out = state
     for g in circuit.gates:
         out = apply_gate(out, g)
@@ -264,20 +275,12 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > EVOLVE_QUBIT_CAP:
         raise ValueError(f"circuit matrix limited to {EVOLVE_QUBIT_CAP} qubits")
-    dim = 2 ** n
-    mat = np.eye(dim, dtype=complex)
+    # row j carries basis state j through the circuit, so it ends as
+    # column j of the unitary
+    rows = np.eye(2 ** n, dtype=complex)
     for g in circuit.gates:
-        if g.kind == "PEXP":
-            key = tuple(sorted(zip(g.targets, g.letters)))
-            theta = -g.angle if g.dagger else g.angle
-            cols = np.empty((dim, dim), dtype=complex)
-            for j in range(dim):
-                cols[:, j] = apply_string(key, mat[:, j])
-            mat = math.cos(theta) * mat - 1j * math.sin(theta) * cols
-        else:
-            for j in range(dim):
-                mat[:, j] = _apply_matrix(mat[:, j], g.matrix(), g.targets, n)
-    return mat
+        rows = _apply(rows, g, n)
+    return np.ascontiguousarray(rows.T)
 
 
 # -- evolution and measurement ------------------------------------------------
@@ -294,12 +297,6 @@ def exact_evolve(hamiltonian: QubitOperator, t: float,
     phases = np.exp(-1j * vals * t)
     amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
     return Statevector(n, amps)
-
-
-def evolution_matrix(hamiltonian: QubitOperator, t: float,
-                     n_qubits: int) -> np.ndarray:
-    mat = qubit_operator_matrix(hamiltonian, n_qubits)
-    return scipy.linalg.expm(-1j * t * mat)
 
 
 def expectation(state: Statevector, op: QubitOperator) -> float:
@@ -344,7 +341,7 @@ def dumps_circuit(circuit: Circuit) -> str:
         if g.dagger:
             name += "'"
         qubits = ",".join(str(t) for t in g.targets)
-        if g.kind in ("H", "X", "CNOT", "CZ", "SWAP", "FSWAP"):
+        if GATE_KINDS[g.kind].inverse == _SELF:
             lines.append(f"{name} {qubits}")
         else:
             lines.append(f"{name} {qubits} {fmt(g.angle)}")
@@ -381,9 +378,18 @@ def dumps_state(state: Statevector) -> str:
 def loads_state(text: str) -> Statevector:
     rows = [line for line in text.splitlines() if line and not
             line.startswith("index")]
+    if not rows or len(rows) & (len(rows) - 1):
+        raise ValueError(f"state needs a power-of-two row count, got "
+                         f"{len(rows)}")
+    n = len(rows).bit_length() - 1
     amps = np.zeros(len(rows), dtype=complex)
+    seen = set()
     for row in rows:
         idx, re, im = row.split(",")
-        amps[int(idx)] = complex(float(re), float(im))
-    n = int(round(math.log2(len(amps))))
+        idx = int(idx)
+        if idx in seen or not 0 <= idx < len(rows):
+            raise ValueError(f"state row index {idx} repeated or outside "
+                             f"0..{len(rows) - 1}")
+        seen.add(idx)
+        amps[idx] = complex(float(re), float(im))
     return Statevector(n, amps)

@@ -31,6 +31,33 @@ def snake_qubit(rows: int, cols: int, r: int, c: int) -> int:
     return r * cols + (c if r % 2 == 0 else cols - 1 - c)
 
 
+def snake_position(cols: int, qubit: int):
+    """Lattice position (r, c) of a qubit label; inverse of snake_qubit."""
+    r, c = divmod(qubit, cols)
+    return r, (c if r % 2 == 0 else cols - 1 - c)
+
+
+def transposition_phases(keys):
+    """Odd-even transposition sort of ``keys`` into nondecreasing order.
+
+    Phase k compares the adjacent pairs (i, i + 1) with i = k mod 2,
+    k mod 2 + 2, ... and swaps every pair out of order. Returns the swapped
+    positions i of each phase, up to the phase that leaves the keys sorted;
+    empty phases are kept, so phase k always has parity k mod 2. At most
+    len(keys) phases.
+    """
+    arr = list(keys)
+    goal = sorted(arr)
+    phases = []
+    while arr != goal:
+        phase = [i for i in range(len(phases) % 2, len(arr) - 1, 2)
+                 if arr[i] > arr[i + 1]]
+        for i in phase:
+            arr[i], arr[i + 1] = arr[i + 1], arr[i]
+        phases.append(phase)
+    return phases
+
+
 def _cycle_positions(r0: int, c0: int, h: int, w: int):
     """Closed loop through an h x w block, consecutive entries adjacent."""
     if h * w % 2 != 0 or h * w < 2:
@@ -108,48 +135,16 @@ class SwapSchedule:
 
     def check(self):
         """Disjointness and adjacency of every layer; raises on violation."""
+        position = [snake_position(self.cols, q) for q in range(self.n_qubits)]
         for layer in self.layers:
             seen = set()
             for qa, qb, tag in layer:
                 if qa in seen or qb in seen or qa == qb:
                     raise ValueError(f"layer reuses a qubit: {layer}")
                 seen.update((qa, qb))
-                ra, ca = self._position(qa)
-                rb, cb = self._position(qb)
+                (ra, ca), (rb, cb) = position[qa], position[qb]
                 if abs(ra - rb) + abs(ca - cb) != 1:
                     raise ValueError(f"pair ({qa},{qb}) not lattice-adjacent")
-
-    def _position(self, q):
-        r = q // self.cols
-        c = q % self.cols
-        if r % 2 == 1:
-            c = self.cols - 1 - c
-        return r, c
-
-
-def _color_sort_layers(sectors_rows, rows, cols):
-    """Odd-even transposition layers separating parity classes into half
-    sectors; ``sectors_rows`` is a list of (line positions, classes) lists.
-    Returns swap layers on qubit labels."""
-    lines = [
-        ([snake_qubit(rows, cols, r, c) for r, c in line], list(classes))
-        for line, classes in sectors_rows
-    ]
-    layers = []
-    parity = 0
-    for _ in range(max(len(line) for line, _ in lines)):
-        layer = []
-        for qubits, classes in lines:
-            for i in range(parity, len(qubits) - 1, 2):
-                if classes[i] > classes[i + 1]:
-                    classes[i], classes[i + 1] = classes[i + 1], classes[i]
-                    layer.append((qubits[i], qubits[i + 1], SWAP))
-        if layer:
-            layers.append(layer)
-        parity ^= 1
-        if all(classes == sorted(classes) for _, classes in lines):
-            break
-    return layers
 
 
 def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
@@ -200,25 +195,33 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
             step2 += 1
 
         # color division: sort each line of each sector so the even parity
-        # class fills the leading half sector
+        # class fills the leading half sector; all lines sort at once, phase
+        # k of every line sharing layer k
         lines = []
         children = []
         for sector, cycle in zip(sectors, cycles):
             r0, c0, h, w = sector
             parity = {pos: i % 2 for i, pos in enumerate(cycle)}
             if w >= h:  # vertical split, sort rows
-                for r in range(r0, r0 + h):
-                    line = [(r, c) for c in range(c0, c0 + w)]
-                    lines.append((line, [parity[p] for p in line]))
+                sector_lines = [[(r, c) for c in range(c0, c0 + w)]
+                                for r in range(r0, r0 + h)]
                 children.append((r0, c0, h, w // 2))
                 children.append((r0, c0 + w // 2, h, w // 2))
             else:  # horizontal split, sort columns
-                for c in range(c0, c0 + w):
-                    line = [(r, c) for r in range(r0, r0 + h)]
-                    lines.append((line, [parity[p] for p in line]))
+                sector_lines = [[(r, c) for r in range(r0, r0 + h)]
+                                for c in range(c0, c0 + w)]
                 children.append((r0, c0, h // 2, w))
                 children.append((r0 + h // 2, c0, h // 2, w))
-        step3_layers = _color_sort_layers(lines, rows, cols)
+            lines += [([snake_qubit(rows, cols, r, c) for r, c in line],
+                       [parity[p] for p in line]) for line in sector_lines]
+        step3_layers = []
+        for qubits, classes in lines:
+            for k, phase in enumerate(transposition_phases(classes)):
+                if k == len(step3_layers):
+                    step3_layers.append([])
+                step3_layers[k] += [(qubits[i], qubits[i + 1], SWAP)
+                                    for i in phase]
+        step3_layers = [layer for layer in step3_layers if layer]
         sched.layers.extend(step3_layers)
         sched.provenance.append({
             "level": level, "sector_shape": (h, w), "sectors": len(sectors),
@@ -289,8 +292,7 @@ def lower_diagonal_layer(pair_phases: dict, schedule: SwapSchedule):
                                       letters="ZZ"))
             circ.add(Gate("SWAP", (qa, qb)))
             label[qa], label[qb] = label[qb], label[qa]
-    missing = set(phases) - applied - {p for p in phases if not phases[p]}
-    missing = {p for p in missing if abs(phases[p]) > 0}
+    missing = {p for p in set(phases) - applied if abs(phases[p]) > 0}
     if missing:
         raise ValueError(f"schedule never covers pairs {sorted(map(tuple, missing))}")
     return circ, label

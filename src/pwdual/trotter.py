@@ -13,8 +13,9 @@ import numpy as np
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, mode_energies
 from .pauli import QubitOperator
-from .statevector import Circuit, Gate, circuit_matrix
-from .swapnet import build_full_schedule, lower_diagonal_layer
+from .statevector import Circuit, Gate
+from .swapnet import build_full_schedule, lower_diagonal_layer, \
+    transposition_phases
 
 SPLIT_OPERATOR = "split_operator"
 DIRECT_JW = "direct_jw"
@@ -26,7 +27,6 @@ class TrotterConfig:
     order: int = 2
     r: int = 1
     t: float = 1.0
-    ordering: str = "lexicographic"
 
     def __post_init__(self):
         if self.strategy not in (SPLIT_OPERATOR, DIRECT_JW):
@@ -80,24 +80,10 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
         gates.append(Gate("RZ", (q,), angle=2.0 * ang))
     circ, final_labels = lower_diagonal_layer(pair_phases, schedule)
     gates.extend(circ.gates)
-    gates.extend(_restore_permutation_gates(final_labels))
-    return gates
-
-
-def _restore_permutation_gates(labels):
-    """Adjacent-transposition sort returning every label to its home qubit."""
-    arr = list(labels)
-    n = len(arr)
-    gates = []
-    parity = 0
-    for _ in range(n + 1):
-        if arr == sorted(arr):
-            break
-        for i in range(parity, n - 1, 2):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                gates.append(Gate("SWAP", (i, i + 1)))
-        parity ^= 1
+    # chain-adjacent qubits are lattice neighbors along the snake path
+    gates.extend(Gate("SWAP", (i, i + 1))
+                 for phase in transposition_phases(final_labels)
+                 for i in phase)
     return gates
 
 

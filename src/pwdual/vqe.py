@@ -142,9 +142,6 @@ class Ansatz:
     def parameter_count(self) -> int:
         return len(self.names)
 
-    def _lookup(self, values, layer, kind, key):
-        return values[self.names.index((layer, kind, key))]
-
     def circuit(self, values) -> Circuit:
         """Instantiate the circuit at the given flat parameter vector."""
         if len(values) != len(self.names):
@@ -304,7 +301,6 @@ def layer_train(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     ansatz = Ansatz(spec, grid)
     reference = prepare_reference(grid, eta, spin_pattern)
     values = np.zeros(ansatz.parameter_count)
-    per_layer = [i for i, _ in enumerate(ansatz.names)]
     for layer in range(spec.layers):
         active = [i for i, (lay, _, _) in enumerate(ansatz.names)
                   if lay == layer]

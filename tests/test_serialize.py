@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pwdual.fermion import FermionOperator, RAISE, LOWER
 from pwdual.geometry import build_grid
@@ -65,3 +66,15 @@ def test_hamiltonian_round_trip_with_truncation():
     back = loads_hamiltonian(dumps_hamiltonian(hs))
     assert back.truncation == 1.5
     assert back.interaction.terms == hs.interaction.terms
+
+
+def test_hamiltonian_term_before_section_rejected():
+    text = "# representation dual\n# n_qubits 2\n# constant 0\n1.0 0.0 0^ 0\n"
+    with pytest.raises(ValueError, match="before any"):
+        loads_hamiltonian(text)
+
+
+def test_hamiltonian_unknown_section_rejected():
+    text = dumps_hamiltonian(build_dual(build_grid(1, 2, 4.0)))
+    with pytest.raises(ValueError, match="unknown section"):
+        loads_hamiltonian(text.replace("[external]", "[externel]"))

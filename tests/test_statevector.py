@@ -281,6 +281,15 @@ class TestRoundTrips:
         assert back.n_qubits == 3
         assert np.array_equal(back.amplitudes, state.amplitudes)
 
+    @pytest.mark.parametrize("rows", [
+        ["0,1,0", "1,0,0", "2,0,0"],            # not a power of two
+        ["0,1,0", "0,0,0"],                     # repeated index
+        ["0,1,0", "2,0,0"],                     # index out of range
+    ])
+    def test_state_csv_malformed_rejected(self, rows):
+        with pytest.raises(ValueError):
+            loads_state("\n".join(["index,re,im"] + rows) + "\n")
+
 
 def test_fk_defining_conjugation():
     """F_k pulls ladder operators through with the twiddle phase."""
