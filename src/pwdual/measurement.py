@@ -27,6 +27,7 @@ from .fermion import jordan_wigner
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, mode_energies, \
     norm_bounds
+from .pauli import PRUNE_TOL
 from .statevector import Statevector, Circuit, Gate, apply_circuit, \
     sample_bitstrings
 
@@ -74,7 +75,7 @@ def kinetic_mode_values(hs: HamiltonianSet, samples: np.ndarray):
     values = np.zeros(len(samples), dtype=float)
     for q in range(hs.n_qubits):
         e = eps[grid.qubit_site_index(q)]
-        if e:
+        if abs(e) > PRUNE_TOL:
             values += e * ((samples >> q) & 1)
     return values
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, mode_energies
-from .pauli import QubitOperator
+from .pauli import QubitOperator, PRUNE_TOL
 from .statevector import Circuit, Gate
 from .swapnet import build_full_schedule, lower_diagonal_layer, \
     transposition_phases
@@ -94,7 +94,7 @@ def _kinetic_mode_gates(hs: HamiltonianSet, tau: float):
     gates = []
     for q in range(hs.n_qubits):
         e = eps[grid.qubit_site_index(q)]
-        if e:
+        if abs(e) > PRUNE_TOL:
             gates.append(Gate("PHASEN", (q,), angle=-e * tau))
     return gates
 

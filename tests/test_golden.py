@@ -50,9 +50,11 @@ def test_schedule_text(side, digest):
 def test_planar_split_step_gates():
     hs = build_dual(build_grid(1, 8, 8.0))
     circ = split_operator_step(hs, 0.1, connectivity=("planar", 2, 4))
-    assert len(circ.gates) == 314
+    # 313, not 314: the zero mode's energy is roundoff (-2.2e-16 here), and
+    # kinetic phases below PRUNE_TOL emit no PHASEN gate.
+    assert len(circ.gates) == 313
     assert gate_sequence(circ) == \
-        "648f28b1ce58d98e5f396c1c112e24f8ca4a9dc0662d93b2d88cb5aee707f0a6"
+        "ff7c70ea956e55933f116eec5d3e3e657de7976efa5764be37fac8813b02c5d0"
 
 
 def test_direct_jw_step_gates():
