@@ -310,9 +310,10 @@ def cmd_lcu_check(cfg, out_dir):
             continue
         worst = max(worst, abs(rec.terms.get(key, 0) - qub.terms.get(key, 0)))
     prep = prepare_state(model)
+    lam = model.lam
     prep_err = float(max(
         abs(abs(prep.amplitudes[idx.encode(model.index_width)]) ** 2
-            - abs(w) / model.lam)
+            - abs(w) / lam)
         for idx, w in model.weights.items()))
     bounds = norm_bounds(hs, eta)
     failures = []
@@ -322,7 +323,7 @@ def cmd_lcu_check(cfg, out_dir):
         failures.append(f"preparation amplitude gap {prep_err:.3e}")
     t = float(task.get("t", 0.1))
     taylor = {}
-    if model.lam * t <= math.log(2.0) and grid.n_qubits <= MATRIX_CAP:
+    if lam * t <= math.log(2.0) and grid.n_qubits <= MATRIX_CAP:
         rng = np.random.default_rng(cfg["seed"])
         amps = rng.normal(size=2 ** grid.n_qubits) \
             + 1j * rng.normal(size=2 ** grid.n_qubits)
@@ -336,11 +337,11 @@ def cmd_lcu_check(cfg, out_dir):
                 "success_amplitude": success,
             }
     report = {
-        "lam": model.lam,
+        "lam": lam,
         "term_count": len(model.weights),
         "reconstruction_max_gap": worst,
         "triangle_h_bound": bounds["triangle_h"],
-        "lam_to_triangle_ratio": model.lam / bounds["triangle_h"],
+        "lam_to_triangle_ratio": lam / bounds["triangle_h"],
         "taylor": taylor,
         "failures": failures,
     }

@@ -112,9 +112,6 @@ class ModeGrid:
         """Real-space position of site ``p``."""
         return np.asarray(p, dtype=float) * self.spacing
 
-    def max_k_squared(self) -> float:
-        return max(self.k_squared(nu) for nu in self.nu_list)
-
     # -- index maps -------------------------------------------------------
 
     def wrap_mode(self, nu):
@@ -182,6 +179,14 @@ class ModeGrid:
     def modes_by_energy(self):
         """Modes sorted by k^2 with lexicographic nu tiebreak."""
         return sorted(self.nu_list, key=lambda nu: (self.k_squared(nu), nu))
+
+    def separation_index(self) -> np.ndarray:
+        """(N, N) array whose [p, q] entry is the site index of q - p,
+        wrapped componentwise into the site range."""
+        M = self.modes_per_axis
+        sites = np.array(self.site_vectors())
+        wrapped = (sites[None, :, :] - sites[:, None, :]) % M
+        return wrapped @ M ** np.arange(self.dimension - 1, -1, -1)
 
     def min_image_distance(self, p, q) -> float:
         """Minimum-image distance between sites p and q."""

@@ -84,17 +84,6 @@ class HamiltonianSet:
         return np.linalg.eigvalsh(self.matrix())
 
 
-def _spins(grid: ModeGrid):
-    return (UP, DOWN) if grid.cell.spinful else (None,)
-
-
-def _spin_orbitals(grid: ModeGrid):
-    """(qubit, spatial vector) pairs in qubit order; the vector is a site for
-    the dual representation and a mode slot for the plane-wave one."""
-    return [(q, grid.index_site(grid.qubit_site_index(q)))
-            for q in range(grid.n_qubits)]
-
-
 def _number_key(q: int):
     return ((q, RAISE), (q, LOWER))
 
@@ -102,6 +91,60 @@ def _number_key(q: int):
 def _pair_key(q1: int, q2: int):
     a, b = sorted((q1, q2))
     return ((a, RAISE), (a, LOWER), (b, RAISE), (b, LOWER))
+
+
+# -- Fourier coefficient table --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DualCoefficients:
+    """Every mode sum of one grid, as flat arrays over the M^d site grid.
+
+    Entry i of ``k2``, ``inv_k2`` and ``structure`` belongs to the mode of
+    slot i; entry i of ``t``, ``v`` and ``u`` to the site, or the wrapped
+    separation, of index i. The slot of mode nu is the site index of
+    nu mod M, so both read the same grid.
+
+    * k2: k^2; inv_k2: 1/k^2 with the zero mode dropped (stored as 0)
+    * structure: the nuclear structure factor sum_j zeta_j e^{i k . R_j}
+    * t(r) = (1/2N) sum_nu k^2 cos(k . r), the hopping
+    * v(r) = (4 pi / Omega) sum_{nu != 0} cos(k . r) / k^2, the pair term
+    * u(r) = -(4 pi / Omega) sum_{nu != 0, j} zeta_j cos(k . (R_j - r)) / k^2
+    """
+
+    k2: np.ndarray
+    inv_k2: np.ndarray
+    structure: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+
+
+def dual_coefficients(grid: ModeGrid, nuclei=None) -> DualCoefficients:
+    """The dual-basis coefficient table, one FFT per mode sum.
+
+    With r = p * L / M and nu = slot (mod M), k . r = 2 pi nu . p / M, so
+    sum_nu f(nu) cos(k . r_p) is the real part of fftn(f)[p] for real f.
+    """
+    nuclei = nuclei if isinstance(nuclei, NucleiSpec) else NucleiSpec.build(nuclei)
+    M = grid.modes_per_axis
+    axis = 2.0 * math.pi * np.fft.fftfreq(M, 1.0 / M) / grid.cell.length
+    k = np.stack(np.meshgrid(*[axis] * grid.dimension, indexing="ij"), axis=-1)
+    k2 = np.sum(k * k, axis=-1)
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    structure = np.zeros(k2.shape, dtype=complex)
+    for pos, charge in nuclei.entries:
+        structure += charge * np.exp(1j * (k @ np.asarray(pos)))
+    scale = 4.0 * math.pi / grid.cell.volume
+
+    def mode_sum(f):
+        return np.fft.fftn(f).real.ravel()
+
+    return DualCoefficients(
+        k2.ravel(), inv_k2.ravel(), structure.ravel(),
+        mode_sum(k2) / (2.0 * grid.n_spatial),
+        scale * mode_sum(inv_k2),
+        -scale * mode_sum(structure * inv_k2))
 
 
 # -- plane-wave representation ----------------------------------------------
@@ -122,19 +165,18 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
         raise ValueError("truncation distance must be positive")
     omega = grid.cell.volume
     n_spatial = grid.n_spatial
-
-    def kernel(nu) -> float:
-        k2 = grid.k_squared(nu)
-        if truncated_D is None:
-            return 1.0 / k2
-        return (1.0 - math.cos(math.sqrt(k2) * truncated_D)) / k2
+    n_spin = grid.n_spin
+    coeffs = dual_coefficients(grid, nuclei)
+    kernel = coeffs.inv_k2
+    if truncated_D is not None:
+        kernel = kernel * (1.0 - np.cos(np.sqrt(coeffs.k2) * truncated_D))
 
     kinetic = FermionOperator()
+    k2 = coeffs.k2.tolist()
     for q in range(grid.n_qubits):
-        nu = grid.slot_mode(grid.qubit_site_index(q))
-        k2 = grid.k_squared(nu)
-        if k2:
-            kinetic.terms[_number_key(q)] = 0.5 * k2
+        slot = grid.qubit_site_index(q)
+        if k2[slot]:
+            kinetic.terms[_number_key(q)] = 0.5 * k2[slot]
 
     external = FermionOperator()
     if nuclei.entries:
@@ -142,44 +184,32 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
         # self-paired mode -M/2 the two pieces coincide and this reduces to
         # the single -(4 pi / Omega) e^{i k_{q-p} . R} / k^2 amplitude; on
         # that mode they symmetrize to a cosine, keeping U Hermitian.
-        for sigma in _spins(grid):
+        amp = kernel * coeffs.structure
+        sep = grid.separation_index()
+        u_pw = (-(2.0 * math.pi / omega)
+                * (amp[sep] + amp[sep.T].conj())).tolist()
+        for spin in range(n_spin):
             for slot_p in range(n_spatial):
                 for slot_q in range(n_spatial):
-                    if slot_p == slot_q:
-                        continue
-                    nu_p = grid.slot_mode(slot_p)
-                    nu_q = grid.slot_mode(slot_q)
-                    fwd = grid.wrap_mode(np.subtract(nu_q, nu_p))
-                    rev = grid.wrap_mode(np.subtract(nu_p, nu_q))
-                    coeff = 0.0j
-                    for diff, sign in ((fwd, 1.0), (rev, -1.0)):
-                        k_diff = grid.k_vector(diff)
-                        for pos, charge in nuclei.entries:
-                            coeff += charge * kernel(diff) * np.exp(
-                                sign * 1j * float(k_diff @ np.asarray(pos)))
-                    coeff *= -(2.0 * math.pi / omega)
-                    qp = grid.qubit_index(grid.index_site(slot_p), sigma)
-                    qq = grid.qubit_index(grid.index_site(slot_q), sigma)
-                    external.terms[((qp, RAISE), (qq, LOWER))] = coeff
+                    if slot_p != slot_q:
+                        key = ((n_spin * slot_p + spin, RAISE),
+                               (n_spin * slot_q + spin, LOWER))
+                        external.terms[key] = u_pw[slot_p][slot_q]
 
     interaction = FermionOperator()
+    pair = [(nu, (2.0 * math.pi / omega) * float(kernel[grid.mode_slot(nu)]))
+            for nu in grid.nu_list if any(nu)]
     for qp in range(grid.n_qubits):
         for qq in range(grid.n_qubits):
             if qp == qq:
                 continue
             nu_p = grid.slot_mode(grid.qubit_site_index(qp))
             nu_q = grid.slot_mode(grid.qubit_site_index(qq))
-            for nu in grid.nu_list:
-                if not any(nu):
-                    continue
-                coeff = (2.0 * math.pi / omega) * kernel(nu)
+            for nu, coeff in pair:
                 slot_r = grid.mode_slot(np.add(nu_q, nu))
                 slot_s = grid.mode_slot(np.subtract(nu_p, nu))
-                if grid.cell.spinful:
-                    qr = 2 * slot_r + (qq % 2)
-                    qs = 2 * slot_s + (qp % 2)
-                else:
-                    qr, qs = slot_r, slot_s
+                qr = n_spin * slot_r + qq % n_spin
+                qs = n_spin * slot_s + qp % n_spin
                 key = ((qp, RAISE), (qq, RAISE), (qr, LOWER), (qs, LOWER))
                 interaction.terms[key] = interaction.terms.get(key, 0.0) + coeff
     return HamiltonianSet(kinetic.simplify(), external.simplify(),
@@ -188,43 +218,6 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
 
 
 # -- dual representation ------------------------------------------------------
-
-
-def dual_kinetic_coefficient(grid: ModeGrid, delta_site) -> float:
-    """(1/2N) sum_nu k^2 cos(k . r_delta) by explicit mode summation."""
-    r = grid.r_vector(delta_site)
-    acc = 0.0
-    for nu in grid.nu_list:
-        k = grid.k_vector(nu)
-        acc += float(k @ k) * math.cos(float(k @ r))
-    return acc / (2.0 * grid.n_spatial)
-
-
-def dual_pair_coefficient(grid: ModeGrid, delta_site) -> float:
-    """(4 pi / Omega) sum_{nu != 0} cos(k . r_delta) / k^2: the coefficient
-    of one unordered density-density pair."""
-    r = grid.r_vector(delta_site)
-    acc = 0.0
-    for nu in grid.nu_list:
-        if not any(nu):
-            continue
-        k = grid.k_vector(nu)
-        acc += math.cos(float(k @ r)) / float(k @ k)
-    return 4.0 * math.pi / grid.cell.volume * acc
-
-
-def dual_site_potential(grid: ModeGrid, nuclei: NucleiSpec, site) -> float:
-    """-(4 pi / Omega) sum_{nu != 0, j} zeta_j cos(k . (R_j - r_site)) / k^2."""
-    r = grid.r_vector(site)
-    acc = 0.0
-    for nu in grid.nu_list:
-        if not any(nu):
-            continue
-        k = grid.k_vector(nu)
-        k2 = float(k @ k)
-        for pos, charge in nuclei.entries:
-            acc += charge * math.cos(float(k @ (np.asarray(pos) - r))) / k2
-    return -4.0 * math.pi / grid.cell.volume * acc
 
 
 def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
@@ -236,35 +229,40 @@ def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
     nuclei.validate_inside(grid)
     if truncated_D is not None and truncated_D <= 0:
         raise ValueError("truncation distance must be positive")
-    sites = grid.site_vectors()
+    n_spatial = grid.n_spatial
+    n_spin = grid.n_spin
+    coeffs = dual_coefficients(grid, nuclei)
+    sep = grid.separation_index()
 
     kinetic = FermionOperator()
-    for sigma in _spins(grid):
-        for p in sites:
-            for q in sites:
-                t = dual_kinetic_coefficient(grid, tuple(np.subtract(q, p)))
-                if abs(t) <= PRUNE_TOL:
-                    continue
-                qp = grid.qubit_index(p, sigma)
-                qq = grid.qubit_index(q, sigma)
-                kinetic.terms[((qp, RAISE), (qq, LOWER))] = t
+    hop = coeffs.t[sep].tolist()  # hop[p][q] = t(q - p)
+    for spin in range(n_spin):
+        for p in range(n_spatial):
+            for q in range(n_spatial):
+                t = hop[p][q]
+                if abs(t) > PRUNE_TOL:
+                    key = ((n_spin * p + spin, RAISE),
+                           (n_spin * q + spin, LOWER))
+                    kinetic.terms[key] = t
 
     external = FermionOperator()
-    if nuclei.entries:
-        for sigma in _spins(grid):
-            for p in sites:
-                u = dual_site_potential(grid, nuclei, p)
-                if abs(u) > PRUNE_TOL:
-                    external.terms[_number_key(grid.qubit_index(p, sigma))] = u
+    u = coeffs.u.tolist()
+    for spin in range(n_spin):
+        for p in range(n_spatial):
+            if abs(u[p]) > PRUNE_TOL:
+                external.terms[_number_key(n_spin * p + spin)] = u[p]
 
     interaction = FermionOperator()
-    orbs = _spin_orbitals(grid)
-    for i, (q1, site1) in enumerate(orbs):
-        for q2, site2 in orbs[i + 1:]:
-            if truncated_D is not None and \
-                    grid.min_image_distance(site1, site2) > truncated_D:
-                continue
-            v = dual_pair_coefficient(grid, tuple(np.subtract(site1, site2)))
+    v_table = coeffs.v
+    if truncated_D is not None:
+        origin = grid.index_site(0)
+        far = [grid.min_image_distance(origin, grid.index_site(s))
+               > truncated_D for s in range(n_spatial)]
+        v_table = np.where(far, 0.0, v_table)
+    pair = v_table[sep].tolist()  # pair[p][q] = v(q - p)
+    for q1 in range(grid.n_qubits):
+        for q2 in range(q1 + 1, grid.n_qubits):
+            v = pair[q2 // n_spin][q1 // n_spin]
             if abs(v) > PRUNE_TOL:
                 interaction.terms[_pair_key(q1, q2)] = v
     return HamiltonianSet(kinetic, external, interaction, constant, DUAL,
@@ -391,37 +389,28 @@ def build_finite_difference(shape, h: float, nuclei=None, spinful=True,
 def mode_energies(hs: HamiltonianSet):
     """Per-mode one-body energies of a translation-invariant kinetic term.
 
-    Inverts t(delta) -> eps_nu by mode summation and verifies the hopping
-    row is reproduced; raises if the kinetic term is not diagonalized by
-    the mode rotation. For the standard dual kinetic term this returns
-    k^2/2 per mode (keyed by slot).
+    Raises ValueError unless every same-spin row of the hopping matrix is
+    qubit 0's row translated and that row is even, the conditions under
+    which the mode rotation diagonalizes the term. Returns eps[slot], the
+    FFT of the hopping row; k^2/2 for the standard dual kinetic term.
     """
     grid = hs.grid
-    t_row = {}
-    for key, coeff in hs.kinetic.items():
-        (qa, _), (qb, _) = key
-        if qa == 0:
-            t_row[grid.qubit_site_index(qb)] = coeff.real
-    eps = {}
-    for slot in range(grid.n_spatial):
-        nu = grid.slot_mode(slot)
-        k = grid.k_vector(nu)
-        acc = 0.0
-        for site, t in t_row.items():
-            r = grid.r_vector(grid.index_site(site))
-            acc += t * math.cos(float(k @ r))
-        eps[slot] = acc
-    n_spatial = grid.n_spatial
-    for site, t in t_row.items():
-        r = grid.r_vector(grid.index_site(site))
-        rebuilt = sum(
-            eps[slot] * math.cos(float(grid.k_vector(grid.slot_mode(slot)) @ r))
-            for slot in range(n_spatial)
-        ) / n_spatial
-        if abs(rebuilt - t) > 1e-9:
-            raise ValueError("kinetic term is not translation invariant; "
+    n_spin = grid.n_spin
+    hopping = np.zeros((n_spin, grid.n_spatial, grid.n_spatial))
+    for ((qa, _), (qb, _)), coeff in hs.kinetic.items():
+        if not grid.same_spin(qa, qb):
+            raise ValueError("kinetic term couples opposite spins; "
                              "mode-basis diagonalization does not apply")
-    return eps
+        hopping[qa % n_spin, qa // n_spin, qb // n_spin] = coeff.real
+    row = hopping[0, 0]
+    shape = (grid.modes_per_axis,) * grid.dimension
+    eps = np.fft.fftn(row.reshape(shape)).real
+    rebuilt = np.fft.ifftn(eps).real.ravel()
+    if np.max(np.abs(hopping - row[grid.separation_index()])) > 1e-9 \
+            or np.max(np.abs(rebuilt - row)) > 1e-9:
+        raise ValueError("kinetic term is not translation invariant; "
+                         "mode-basis diagonalization does not apply")
+    return eps.ravel().tolist()
 
 
 # -- norm bounds ---------------------------------------------------------------
@@ -441,23 +430,13 @@ def norm_bounds(hs: HamiltonianSet, eta: int) -> dict:
         raise ValueError("eta must be >= 1")
     grid = hs.grid
     omega = grid.cell.volume
-    sum_inv_k2 = sum(
-        1.0 / grid.k_squared(nu) for nu in grid.nu_list if any(nu)
-    )
+    coeffs = dual_coefficients(grid, hs.nuclei)
+    sum_inv_k2 = float(np.sum(coeffs.inv_k2))
     max_v = (2.0 * math.pi * eta ** 2 / omega) * sum_inv_k2
     max_u = (4.0 * math.pi * eta / omega) * hs.nuclei.total_charge() \
         * sum_inv_k2
-    max_t = eta * grid.max_k_squared() / 2.0
-
-    triangle_t = 0.0
-    for p in grid.site_vectors():
-        r = grid.r_vector(p)
-        acc = 0.0
-        for nu in grid.nu_list:
-            k = grid.k_vector(nu)
-            acc += float(k @ k) * math.cos(float(k @ r))
-        triangle_t += abs(acc)
-    triangle_t *= grid.n_spin / 2.0
+    max_t = eta * float(np.max(coeffs.k2)) / 2.0
+    triangle_t = hs.n_qubits * float(np.sum(np.abs(coeffs.t)))
 
     triangle_u = sum(abs(c) for c in hs.external.terms.values())
     triangle_v = sum(abs(c) for c in hs.interaction.terms.values())

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ModeGrid
-from .hamiltonian import HamiltonianSet, DUAL, build_qubit
+from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
 from .pauli import QubitOperator, string_matrix
 from .serialize import fmt
 from .statevector import Statevector
@@ -92,41 +92,14 @@ class LcuModel:
         return out.simplify()
 
 
-def _z_coefficients(hs: HamiltonianSet):
-    """Analytic single-Z coefficient per spin orbital (half goes to each
-    branch of the b doubling)."""
-    grid = hs.grid
-    omega = grid.cell.volume
-    n_spatial = grid.n_spatial
-    base = 0.0
-    for nu in grid.nu_list:
-        if not any(nu):
-            continue
-        k2 = grid.k_squared(nu)
-        base += math.pi / (omega * k2) - k2 / (4.0 * n_spatial)
-    coeffs = {}
-    for q in range(grid.n_qubits):
-        site = grid.index_site(grid.qubit_site_index(q))
-        r = grid.r_vector(site)
-        nuclear = 0.0
-        for nu in grid.nu_list:
-            if not any(nu):
-                continue
-            k = grid.k_vector(nu)
-            k2 = float(k @ k)
-            for pos, charge in hs.nuclei.entries:
-                nuclear += charge * math.cos(
-                    float(k @ (np.asarray(pos) - r))) / k2
-        coeffs[q] = base + (2.0 * math.pi / omega) * nuclear
-    return coeffs
-
-
 def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     """Signed weight table for every selection branch of a dual-basis set.
 
-    Weights derive from the analytic coefficient formulas (not from the
+    Weights are closed forms in the coefficient table (not read from the
     compiled operator), so the reconstruction identity against build_qubit
-    is a real cross-check.
+    is a real cross-check: Z_p gets (v(0)/4 - t(0)/2 - u(p)/2)/2 per
+    branch, Z_p Z_q gets v(p - q)/8 per ordering, and the hopping string
+    from p to q gets t(q - p)/2.
     """
     if hs.representation != DUAL:
         raise ValueError("selection weights are defined on the dual "
@@ -135,42 +108,22 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     if grid.n_qubits & (grid.n_qubits - 1):
         raise ValueError("selection register needs a power-of-two orbital "
                          "count")
-    omega = grid.cell.volume
-    n_spatial = grid.n_spatial
+    coeffs = dual_coefficients(grid, hs.nuclei)
+    t, v, u = coeffs.t.tolist(), coeffs.v.tolist(), coeffs.u.tolist()
+    sep = grid.separation_index().tolist()  # sep[p][q]: index of q - p
     model = LcuModel(grid, include_noop=include_noop)
-    z_half = {q: c / 2.0 for q, c in _z_coefficients(hs).items()}
-
-    def site_of(q):
-        return grid.index_site(grid.qubit_site_index(q))
-
-    def pair_cos_sum(delta):
-        r = grid.r_vector(delta)
-        acc = 0.0
-        for nu in grid.nu_list:
-            if not any(nu):
-                continue
-            k = grid.k_vector(nu)
-            acc += math.cos(float(k @ r)) / float(k @ k)
-        return acc
-
-    def hop_sum(delta):
-        r = grid.r_vector(delta)
-        acc = 0.0
-        for nu in grid.nu_list:
-            k = grid.k_vector(nu)
-            acc += float(k @ k) * math.cos(float(k @ r))
-        return acc
 
     n = grid.n_qubits
     for p in range(n):
+        sp = grid.qubit_site_index(p)
         for q in range(n):
+            sq = grid.qubit_site_index(q)
             for b in (0, 1):
                 idx = TermIndex(p, q, b)
                 if p == q:
-                    w = z_half[p]
+                    w = (v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0
                 elif b == 0:
-                    delta = np.subtract(site_of(p), site_of(q))
-                    w = (math.pi / (2.0 * omega)) * pair_cos_sum(delta)
+                    w = v[sep[sq][sp]] / 8.0
                 elif grid.cell.spinful and (p + q) % 2 == 1:
                     if not include_noop:
                         continue
@@ -178,8 +131,7 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
                 else:
                     if grid.cell.spinful and not grid.same_spin(p, q):
                         continue
-                    delta = np.subtract(site_of(q), site_of(p))
-                    w = hop_sum(delta) / (4.0 * n_spatial)
+                    w = t[sep[sp][sq]] / 2.0
                 model.weights[idx] = w
     return model
 

@@ -8,7 +8,7 @@ print with 17 significant digits, which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 from .fermion import FermionOperator, RAISE, LOWER
-from .pauli import QubitOperator
+from .pauli import QubitOperator, pauli_string
 
 
 def fmt(x: float) -> str:
@@ -134,6 +134,6 @@ def loads_qubit(text: str) -> QubitOperator:
             continue
         parts = line.split()
         coeff = complex(float(parts[0]), float(parts[1]))
-        key = tuple(sorted((int(tok[1:]), tok[0]) for tok in parts[2:]))
+        key = pauli_string((int(tok[1:]), tok[0]) for tok in parts[2:])
         op.terms[key] = op.terms.get(key, 0.0) + coeff
     return op

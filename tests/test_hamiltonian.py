@@ -8,8 +8,7 @@ from pwdual.fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
     jordan_wigner, total_number_operator
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_plane_wave, build_dual, build_qubit, \
-    build_finite_difference, norm_bounds, onsite_repulsion, \
-    dual_pair_coefficient, NucleiSpec
+    build_finite_difference, norm_bounds, onsite_repulsion, NucleiSpec
 from pwdual.pauli import qubit_operator_matrix
 
 
@@ -278,7 +277,7 @@ class TestNormBounds:
         hs = build_dual(grid)
         eta = 1
         assert norm_bounds(hs, eta)["max_t"] == pytest.approx(
-            eta * 0.5 * grid.max_k_squared())
+            eta * 0.5 * max(grid.k_squared(nu) for nu in grid.nu_list))
 
     def test_sampled_expectations_respect_bounds(self):
         grid = build_grid(1, 4, 4.0, False)

@@ -37,6 +37,15 @@ def test_qubit_round_trip_bit_exact():
     assert dumps_qubit(back) == text
 
 
+@pytest.mark.parametrize("line,match", [
+    ("1 0 Q3", "bad Pauli letter"),
+    ("1 0 X3 Z3", "duplicate qubit"),
+])
+def test_qubit_malformed_term_rejected(line, match):
+    with pytest.raises(ValueError, match=match):
+        loads_qubit(line + "\n")
+
+
 def test_fmt_round_trips_doubles():
     rng = np.random.default_rng(0)
     for _ in range(200):
