@@ -49,6 +49,7 @@ class ConfigError(Exception):
 
 SYSTEM_KEYS = {"dimension", "modes_per_axis", "volume", "r_s", "spinful",
                "eta", "nuclei", "truncated_D", "constant"}
+OUTPUT_KEYS = set()  # no command reads an output setting yet
 TOP_KEYS = {"system", "task", "output", "seed"}
 
 
@@ -87,6 +88,7 @@ def load_config(path, overrides):
             raise ConfigError(f"unknown config block {block!r}")
         cfg[block][key] = value
     _check_keys(cfg["system"], SYSTEM_KEYS, "system block")
+    _check_keys(cfg["output"], OUTPUT_KEYS, "output block")
     return cfg
 
 
@@ -161,7 +163,10 @@ def cmd_build(cfg, out_dir):
             "interaction_terms": len(hs.interaction.terms),
         }
     if DUAL in sets:
-        report["norm_bounds"] = norm_bounds(sets[DUAL], eta)
+        report["norm_bounds"] = {
+            **norm_bounds(sets[DUAL], eta),
+            "lam": build_qubit(sets[DUAL]).coefficient_norm(
+                include_identity=True)}
     failures = []
     if set(reps) >= {DUAL, PLANE_WAVE} and grid.n_qubits <= MATRIX_CAP:
         gap = float(np.max(np.abs(sets[DUAL].spectrum()

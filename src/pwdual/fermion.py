@@ -10,6 +10,7 @@ identity.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .pauli import QubitOperator, PRUNE_TOL, HERMITIAN_TOL
 
@@ -182,6 +183,33 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
 MATRIX_QUBIT_CAP = 14
 
 
+def _ladder_action(key, n_orbitals: int):
+    """Action of one ladder product on every occupation basis state.
+
+    Returns (rows, cols, signs): basis state ``cols[i]`` maps to
+    ``signs[i] * |rows[i]>``; states the product annihilates are dropped.
+    Factors act right to left; each passes the parity of the occupied
+    orbitals below it, the Jordan-Wigner sign, computed here from bits.
+    """
+    cols = np.arange(2 ** n_orbitals, dtype=np.int64)
+    rows = cols.copy()
+    parity = np.zeros(cols.size, dtype=np.uint8)
+    for q, flag in reversed(key):
+        alive = ((rows >> q) & 1) != flag  # raising needs an empty orbital
+        rows, cols, parity = rows[alive], cols[alive], parity[alive]
+        parity ^= np.bitwise_count(rows & ((1 << q) - 1)) & 1
+        rows ^= 1 << q
+    return rows, cols, np.where(parity, -1.0, 1.0)
+
+
+def _check_register(op: FermionOperator, n_orbitals: int):
+    if n_orbitals > MATRIX_QUBIT_CAP:
+        raise ValueError(f"occupation-basis matrix limited to "
+                         f"{MATRIX_QUBIT_CAP} orbitals")
+    if op.n_orbitals() > n_orbitals:
+        raise ValueError("operator acts outside the requested register")
+
+
 def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
     """Dense matrix in the occupation basis, built directly from ladder
     actions with explicit parity signs.
@@ -190,36 +218,31 @@ def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
     significant), identical to the qubit convention, so this matrix can be
     compared against the Jordan-Wigner image built through the Pauli path.
     """
-    if n_orbitals > MATRIX_QUBIT_CAP:
-        raise ValueError(f"dense matrix limited to {MATRIX_QUBIT_CAP} orbitals")
-    if op.n_orbitals() > n_orbitals:
-        raise ValueError("operator acts outside the requested register")
+    _check_register(op, n_orbitals)
     dim = 2 ** n_orbitals
     mat = np.zeros((dim, dim), dtype=complex)
     for key, coeff in op.terms.items():
-        for x in range(dim):
-            state = x
-            amp = coeff
-            dead = False
-            for q, flag in reversed(key):  # rightmost factor acts first
-                bit = (state >> q) & 1
-                if flag == RAISE:
-                    if bit:
-                        dead = True
-                        break
-                    parity = bin(state & ((1 << q) - 1)).count("1")
-                    amp *= -1 if parity % 2 else 1
-                    state |= 1 << q
-                else:
-                    if not bit:
-                        dead = True
-                        break
-                    parity = bin(state & ((1 << q) - 1)).count("1")
-                    amp *= -1 if parity % 2 else 1
-                    state &= ~(1 << q)
-            if not dead:
-                mat[state, x] += amp
+        rows, cols, signs = _ladder_action(key, n_orbitals)
+        # a product maps distinct states to distinct states: no repeats
+        mat[rows, cols] += coeff * signs
     return mat
+
+
+def fermion_sparse(op: FermionOperator,
+                   n_orbitals: int) -> scipy.sparse.csr_matrix:
+    """The matrix of ``fermion_matrix`` in compressed sparse rows."""
+    _check_register(op, n_orbitals)
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, vals = [empty], [empty], [np.zeros(0, dtype=complex)]
+    for key, coeff in op.terms.items():
+        r, c, signs = _ladder_action(key, n_orbitals)
+        rows.append(r)
+        cols.append(c)
+        vals.append(coeff * signs)
+    dim = 2 ** n_orbitals
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim)).tocsr()
 
 
 def total_number_operator(n_orbitals: int) -> FermionOperator:

@@ -160,11 +160,6 @@ class ModeGrid:
             return self.index_site(q), None
         return self.index_site(q // 2), UP if q % 2 == 0 else DOWN
 
-    def spin_of_qubit(self, q: int):
-        if not self.cell.spinful:
-            return None
-        return UP if q % 2 == 0 else DOWN
-
     def qubit_site_index(self, q: int) -> int:
         """Spatial (site or mode-slot) index carried by qubit ``q``."""
         return q // 2 if self.cell.spinful else q

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
-    jordan_wigner
+    fermion_sparse, jordan_wigner
 from .geometry import ModeGrid, UP, DOWN
 from .pauli import QubitOperator, PRUNE_TOL
 
@@ -80,8 +81,28 @@ class HamiltonianSet:
         mat = fermion_matrix(self.total(), self.n_qubits)
         return mat + self.constant * np.eye(mat.shape[0])
 
+    def blocks(self):
+        """Exact diagonalization one invariant block at a time: a list of
+        (basis indices, ascending eigenvalues) pairs, one per block.
+
+        The blocks are the connected components of the sparse matrix's
+        nonzero pattern. Entries that are exactly zero decouple, so this
+        holds for any Hermitian operator; for a Hamiltonian the blocks lie
+        inside the fixed-number sectors of each spin.
+        """
+        mat = fermion_sparse(self.total(), self.n_qubits)
+        count, labels = connected_components(mat != 0, directed=False)
+        order = np.argsort(labels, kind="stable")
+        edges = np.searchsorted(labels[order], np.arange(count + 1))
+        mat = mat[order][:, order]
+        return [(order[lo:hi],
+                 np.linalg.eigvalsh(mat[lo:hi, lo:hi].toarray())
+                 + self.constant)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix())
+        """All eigenvalues, ascending; never forms the dense matrix."""
+        return np.sort(np.concatenate([vals for _, vals in self.blocks()]))
 
 
 def _number_key(q: int):
@@ -421,8 +442,9 @@ def norm_bounds(hs: HamiltonianSet, eta: int) -> dict:
     triangle-inequality coefficient sums.
 
     max_* bound |<psi|O|psi>| over eta-electron states; triangle_* are
-    coefficient 1-norms; lam is the coefficient 1-norm of the compiled qubit
-    operator (identity included).
+    coefficient 1-norms. Every value comes from the coefficient table and
+    the term lists; nothing is compiled to qubits (the 1-norm of the qubit
+    operator is ``build_qubit(hs).coefficient_norm(include_identity=True)``).
     """
     if hs.representation != DUAL:
         raise ValueError("norm bounds are defined on the dual representation")
@@ -440,7 +462,6 @@ def norm_bounds(hs: HamiltonianSet, eta: int) -> dict:
 
     triangle_u = sum(abs(c) for c in hs.external.terms.values())
     triangle_v = sum(abs(c) for c in hs.interaction.terms.values())
-    lam = build_qubit(hs).coefficient_norm(include_identity=True)
     return {
         "max_v": max_v,
         "max_u": max_u,
@@ -448,5 +469,4 @@ def norm_bounds(hs: HamiltonianSet, eta: int) -> dict:
         "max_h": max_t + max_u + max_v,
         "triangle_t": triangle_t,
         "triangle_h": triangle_t + triangle_u + triangle_v,
-        "lam": lam,
     }

@@ -21,6 +21,7 @@ from .pauli import QubitOperator, apply_string, expectation_value, \
 
 EVOLVE_QUBIT_CAP = 14
 NORM_TOL = 1e-10
+DENSE_BYTES_LIMIT = 2 ** 30  # one 26-qubit statevector
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -200,6 +201,17 @@ class Circuit:
                 )
 
 
+def require_dense(n_qubits: int, what: str):
+    """Raise ValueError before ``what`` allocates 2^n complex amplitudes
+    (16 bytes each) past DENSE_BYTES_LIMIT."""
+    need = 16 * 2 ** n_qubits
+    if need > DENSE_BYTES_LIMIT:
+        raise ValueError(
+            f"{what} on {n_qubits} qubits needs {need} bytes of amplitudes; "
+            f"dense statevectors are limited to {DENSE_BYTES_LIMIT} bytes "
+            f"({math.log2(DENSE_BYTES_LIMIT / 16):.0f} qubits)")
+
+
 @dataclass
 class Statevector:
     n_qubits: int
@@ -207,6 +219,7 @@ class Statevector:
 
     @classmethod
     def zero_state(cls, n_qubits: int) -> "Statevector":
+        require_dense(n_qubits, "zero state")
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[0] = 1.0
         return cls(n_qubits, amps)
@@ -216,6 +229,7 @@ class Statevector:
         """bits may be an int index or an iterable of per-qubit occupations."""
         if not isinstance(bits, int):
             bits = sum(1 << q for q, b in enumerate(bits) if b)
+        require_dense(n_qubits, "basis state")
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[bits] = 1.0
         return cls(n_qubits, amps)

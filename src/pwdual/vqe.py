@@ -199,11 +199,18 @@ class OptimizeResult:
 
 
 def sector_ground_energy(hs: HamiltonianSet, eta: int) -> float:
-    """Lowest eigenvalue within the eta-electron occupation block."""
-    mat = hs.matrix()
-    idx = [i for i in range(mat.shape[0]) if bin(i).count("1") == eta]
-    block = mat[np.ix_(idx, idx)]
-    return float(np.linalg.eigvalsh(block)[0])
+    """Lowest eigenvalue within the eta-electron occupation sector, taken
+    over the invariant blocks whose basis states hold eta electrons."""
+    lowest = []
+    for states, vals in hs.blocks():
+        electrons = np.bitwise_count(states)
+        if np.any(electrons != electrons[0]):
+            raise ValueError("operator does not conserve particle number")
+        if electrons[0] == eta:
+            lowest.append(vals[0])
+    if not lowest:
+        raise ValueError(f"no {eta}-electron states in {hs.n_qubits} modes")
+    return float(min(lowest))
 
 
 def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,

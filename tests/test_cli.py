@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,15 @@ class TestConfig:
                    "system.dimension=1")
         assert code == 2
 
+    def test_output_keys_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="output block"):
+            load_config(None, ["output.format=csv"])
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"output": {"dir": "x"}}))
+        assert main(["build", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "output block" in capsys.readouterr().err
+
     def test_r_s_sets_volume(self, tmp_path):
         code = run(tmp_path, "build", "system.dimension=3",
                    "system.modes_per_axis=2", "system.r_s=1.0",
@@ -56,6 +66,20 @@ class TestExitCodes:
         run(tmp_path, "build", "system.modes_per_axis=3")
         err = capsys.readouterr().err
         assert "radix-2" in err
+
+    def test_oversized_statevector_exit_2(self, tmp_path, capsys):
+        # 40 qubits: the reference state alone would need 16 TiB
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "measure", "system.modes_per_axis=20",
+                       "system.volume=20.0", "system.spinful=true",
+                       "system.eta=2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "limited to" in capsys.readouterr().err
+        assert peak < 16 * 2 ** 20
 
     def test_failed_assertion_exit_1(self, tmp_path):
         # an impossible slope expectation forces an embedded check failure
@@ -79,6 +103,16 @@ class TestCommands:
         run(tmp_path, "build", *SMALL)
         report = read_report(tmp_path, "build_report.json")
         assert report["result"]["dual"]["interaction_terms"] == 1  # C(2,2)
+
+    def test_build_reports_qubit_lambda(self, tmp_path):
+        from pwdual.geometry import build_grid
+        from pwdual.hamiltonian import build_dual, build_qubit
+        assert run(tmp_path, "build", "system.modes_per_axis=4",
+                   "system.volume=4.0") == 0
+        bounds = read_report(tmp_path, "build_report.json")["result"][
+            "norm_bounds"]
+        qubit = build_qubit(build_dual(build_grid(1, 4, 4.0)))
+        assert bounds["lam"] == qubit.coefficient_norm(include_identity=True)
 
     def test_diagonalize(self, tmp_path):
         code = run(tmp_path, "diagonalize", *SMALL)

@@ -302,6 +302,16 @@ class TestNormBounds:
         with pytest.raises(ValueError):
             norm_bounds(jellium_pw(1, 2, 1.0, False), 1)
 
+    def test_compiles_no_qubit_operator(self, monkeypatch):
+        import pwdual.hamiltonian as ham
+
+        def refuse(*args):
+            raise AssertionError("norm_bounds compiled the JW operator")
+        monkeypatch.setattr(ham, "jordan_wigner", refuse)
+        bounds = norm_bounds(jellium_dual(1, 4, 4.0, True), 2)
+        assert set(bounds) == {"max_v", "max_u", "max_t", "max_h",
+                               "triangle_t", "triangle_h"}
+
 
 class TestSelfInverseSplit:
     def test_qubit_jellium_weights_match_coefficient_sum(self):
