@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ModeGrid
-from .statevector import Circuit, Gate, fk_gate
+from .statevector import Circuit, Gate, _apply, fk_gate, require_dense
 from .swapnet import _is_power_of_two, transposition_phases
 
 
@@ -141,20 +141,22 @@ def mode_ladder_operator(grid: ModeGrid, nu, spin=None):
 
 
 def single_particle_transform(circuit: Circuit, n_orbitals: int) -> np.ndarray:
-    """Matrix W with C^dag a^dag_p C = sum_q W[p, q] a^dag_q, extracted from
-    the circuit matrix; verification helper for number-conserving circuits."""
-    from .fermion import FermionOperator, fermion_matrix
-    from .statevector import circuit_matrix
-    u = circuit_matrix(circuit)
-    w = np.zeros((n_orbitals, n_orbitals), dtype=complex)
-    vac = np.zeros(2 ** n_orbitals, dtype=complex)
-    vac[0] = 1.0
-    for p in range(n_orbitals):
-        adag = fermion_matrix(FermionOperator.raising(p), n_orbitals)
-        vec = u.conj().T @ adag @ u @ vac
-        for q in range(n_orbitals):
-            w[p, q] = vec[1 << q]
-    return w
+    """Matrix W with C^dag a^dag_p C = sum_q W[p, q] a^dag_q for a
+    number-conserving circuit C.
+
+    The vacuum and the n one-electron basis states go through C^dag as one
+    batch, (n+1) 2^n amplitudes: C^dag|p> = e^{-i phi} sum_q W[p, q] |q>
+    where C^dag|vac> = e^{-i phi}|vac>, so dividing by the vacuum amplitude
+    leaves W.
+    """
+    require_dense(n_orbitals, "single-particle transform")
+    singles = 1 << np.arange(n_orbitals)
+    rows = np.zeros((n_orbitals + 1, 2 ** n_orbitals), dtype=complex)
+    rows[0, 0] = 1.0
+    rows[np.arange(1, n_orbitals + 1), singles] = 1.0
+    for g in circuit.inverse().gates:
+        rows = _apply(rows, g, n_orbitals)
+    return rows[1:, singles] / rows[0, 0]
 
 
 def stage_listing(circuit: Circuit):

@@ -2,22 +2,31 @@
 mode-occupation reference prepared through the Fourier circuit, layered
 phase-rotation ansatz circuits, a derivative-free optimizer loop, and
 layer-by-layer training against an interaction ramp.
+
+The optimizer runs the ansatz on the eta-electron sector (every ansatz
+gate conserves number): the site and pair phases are one phase vector, the
+mode block is the Fourier circuit's sector matrix around a phase vector,
+and the energy is two diagonals weighted by probabilities. The circuit
+form (``Ansatz.circuit``) stays as the reference it is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
 
-from .ffft import build_ffft_nd
+from .ffft import build_ffft_nd, single_particle_transform
 from .geometry import ModeGrid, UP, DOWN
-from .hamiltonian import HamiltonianSet, DUAL, build_qubit
+from .hamiltonian import HamiltonianSet, DUAL
+from .measurement import diagonal_potential_values, estimate_energy, \
+    kinetic_mode_values
 from .statevector import Statevector, Circuit, Gate, apply_circuit, \
-    expectation
+    DENSE_BYTES_LIMIT
 
 FULL = "full"
 TRANSLATION_INVARIANT = "translation_invariant"
@@ -100,6 +109,10 @@ class Ansatz:
     """Parameterized layered circuit: per layer a diagonal phase block
     (site and pair rotations) followed by kinetic phases conjugated through
     the mode rotation; the minimal variant keeps only the diagonal block.
+
+    ``layout`` holds, per layer, the parameter index of each qubit's site
+    angle, each pair's angle (pairs in ``pairs`` order) and each qubit's
+    mode angle (empty for the minimal variant).
     """
 
     def __init__(self, spec: AnsatzSpec, grid: ModeGrid):
@@ -107,20 +120,28 @@ class Ansatz:
         self.grid = grid
         self.ffft = build_ffft_nd(grid)
         self.ffft_inverse = self.ffft.inverse()
+        n = grid.n_qubits
+        self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if spec.sharing == TRANSLATION_INVARIANT:
+            site_keys = ["shared"] * n
+            pair_keys = [self.pair_class(a, b) for a, b in self.pairs]
+        else:
+            site_keys = list(range(n))
+            pair_keys = list(self.pairs)
+        mode_keys = [] if spec.minimal else list(range(n))
         self.names = []
+        self.layout = []
         for layer in range(spec.layers):
-            for key in self._site_keys():
-                self.names.append((layer, "site", key))
-            for key in self._pair_keys():
-                self.names.append((layer, "pair", key))
-            if not spec.minimal:
-                for q in range(grid.n_qubits):
-                    self.names.append((layer, "mode", q))
-
-    def _site_keys(self):
-        if self.spec.sharing == TRANSLATION_INVARIANT:
-            return ["shared"]
-        return list(range(self.grid.n_qubits))
+            blocks = []
+            for kind, keys in (("site", site_keys), ("pair", pair_keys),
+                               ("mode", mode_keys)):
+                distinct = sorted(set(keys))
+                index = {key: len(self.names) + i
+                         for i, key in enumerate(distinct)}
+                self.names.extend((layer, kind, key) for key in distinct)
+                blocks.append(np.array([index[key] for key in keys],
+                                       dtype=int))
+            self.layout.append(tuple(blocks))
 
     def pair_class(self, q1: int, q2: int):
         grid = self.grid
@@ -131,13 +152,6 @@ class Ansatz:
                         grid.wrap_mode(tuple(-x for x in delta)))
         return canonical, grid.same_spin(q1, q2)
 
-    def _pair_keys(self):
-        pairs = [(a, b) for a in range(self.grid.n_qubits)
-                 for b in range(a + 1, self.grid.n_qubits)]
-        if self.spec.sharing == TRANSLATION_INVARIANT:
-            return sorted({self.pair_class(a, b) for a, b in pairs})
-        return pairs
-
     @property
     def parameter_count(self) -> int:
         return len(self.names)
@@ -146,32 +160,22 @@ class Ansatz:
         """Instantiate the circuit at the given flat parameter vector."""
         if len(values) != len(self.names):
             raise ValueError("parameter vector length mismatch")
-        table = dict(zip(self.names, values))
-        grid = self.grid
-        circ = Circuit(grid.n_qubits)
-        for layer in range(self.spec.layers):
-            for q in range(grid.n_qubits):
-                if self.spec.sharing == TRANSLATION_INVARIANT:
-                    theta = table[(layer, "site", "shared")]
-                else:
-                    theta = table[(layer, "site", q)]
+        n = self.grid.n_qubits
+        circ = Circuit(n)
+        for site, pair, mode in self.layout:
+            for q in range(n):
                 # exp(i theta Z)
-                circ.add(Gate("RZ", (q,), angle=-2.0 * theta))
-            for a in range(grid.n_qubits):
-                for b in range(a + 1, grid.n_qubits):
-                    if self.spec.sharing == TRANSLATION_INVARIANT:
-                        theta = table[(layer, "pair", self.pair_class(a, b))]
-                    else:
-                        theta = table[(layer, "pair", (a, b))]
-                    if theta:
-                        # exp(i theta ZZ)
-                        circ.add(Gate("PEXP", (a, b), angle=-theta,
-                                      letters="ZZ"))
+                circ.add(Gate("RZ", (q,), angle=-2.0 * values[site[q]]))
+            for (a, b), i in zip(self.pairs, pair):
+                theta = values[i]
+                if theta:
+                    # exp(i theta ZZ)
+                    circ.add(Gate("PEXP", (a, b), angle=-theta,
+                                  letters="ZZ"))
             if not self.spec.minimal:
                 circ.extend(self.ffft_inverse.gates)
-                for q in range(grid.n_qubits):
-                    theta = table[(layer, "mode", q)]
-                    circ.add(Gate("RZ", (q,), angle=-2.0 * theta))
+                for q in range(n):
+                    circ.add(Gate("RZ", (q,), angle=-2.0 * values[mode[q]]))
                 circ.extend(self.ffft.gates)
         return circ
 
@@ -182,6 +186,100 @@ def build_ansatz_circuit(spec: AnsatzSpec, grid: ModeGrid,
     if values is None:
         values = np.zeros(ansatz.parameter_count)
     return ansatz.circuit(values)
+
+
+# -- the eta-electron sector -------------------------------------------------
+
+
+def sector_states(n_qubits: int, eta: int) -> np.ndarray:
+    """Ascending basis indices of the C(n, eta) states with eta electrons."""
+    return np.array(sorted(sum(1 << q for q in occupied) for occupied in
+                           itertools.combinations(range(n_qubits), eta)),
+                    dtype=np.int64)
+
+
+def sector_transform(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    """Matrix of a number-conserving circuit on basis states that all hold
+    the same number of electrons, up to the circuit's vacuum phase.
+
+    With A = conj(W) the circuit's single-particle matrix, C a^dag_q C^dag
+    = sum_p A[p, q] a^dag_p, so entry (I, J) is det(A[I, J]) over the
+    orbitals occupied in states I and J (the eta-th compound of A).
+    """
+    n = circuit.n_qubits
+    a = single_particle_transform(circuit, n).conj()
+    bits = (states[:, None] >> np.arange(n)) & 1
+    occupied = np.nonzero(bits)[1].reshape(len(states), -1)
+    dim, eta = occupied.shape
+    out = np.empty((dim, dim), dtype=complex)
+    chunk = max(1, (1 << 20) // max(1, dim * eta * eta))  # 16 MB of minors
+    for start in range(0, dim, chunk):
+        rows = occupied[start:start + chunk]
+        minors = a[rows[:, None, :, None], occupied[None, :, None, :]]
+        out[start:start + chunk] = np.linalg.det(minors)
+    return out
+
+
+class SectorModel:
+    """An ansatz and a dual-basis Hamiltonian on the eta-electron sector.
+
+    States are the C(n, eta) amplitudes on ``states``. Per layer the site
+    and pair phases multiply as one vector exp(i(z . theta_site + sum
+    theta_ab z_a z_b)), z = +-1 per qubit, and the mode block is
+    F (exp(i z . theta_mode) * F^dag psi), with F the Fourier circuit on the
+    sector. The energy is constant + |psi|^2 . d_uv + |F psi|^2 . d_t. F
+    lacks the circuit's vacuum phase, which cancels in both uses.
+    """
+
+    def __init__(self, ansatz: Ansatz, hs: HamiltonianSet, eta: int,
+                 spin_pattern="paired"):
+        n = ansatz.grid.n_qubits
+        dim = math.comb(n, eta)
+        if 16 * dim ** 2 > DENSE_BYTES_LIMIT:
+            raise ValueError(
+                f"the {eta}-electron sector of {n} qubits has {dim} states; "
+                f"its Fourier matrix needs {16 * dim ** 2} bytes, and dense "
+                f"sector matrices are limited to DENSE_BYTES_LIMIT = "
+                f"{DENSE_BYTES_LIMIT} bytes")
+        self.ansatz = ansatz
+        self.n_qubits = n
+        self.states = sector_states(n, eta)
+        self.z = 1.0 - 2.0 * ((self.states[:, None] >> np.arange(n)) & 1)
+        a, b = np.array(ansatz.pairs, dtype=int).reshape(-1, 2).T
+        self.zz = self.z[:, a] * self.z[:, b]
+        self.fourier = sector_transform(ansatz.ffft, self.states)
+        self.reference = prepare_reference(
+            ansatz.grid, eta, spin_pattern).amplitudes[self.states]
+        self.constant = hs.constant
+        self.d_uv = diagonal_potential_values(hs, self.states)
+        self.d_t = kinetic_mode_values(hs, self.states)
+
+    def state(self, values) -> np.ndarray:
+        """Sector amplitudes of the ansatz state at the parameter vector."""
+        values = np.asarray(values, dtype=float)
+        psi = self.reference
+        for site, pair, mode in self.ansatz.layout:
+            psi = psi * np.exp(1j * (self.z @ values[site]
+                                     + self.zz @ values[pair]))
+            if not self.ansatz.spec.minimal:
+                # F^dag psi as conj(psi^* F), without forming F^dag
+                rotated = (psi.conj() @ self.fourier).conj()
+                psi = self.fourier @ (np.exp(1j * (self.z @ values[mode]))
+                                      * rotated)
+        return psi
+
+    def energy(self, psi: np.ndarray, d_uv: np.ndarray) -> float:
+        """Exact energy of sector amplitudes psi, with potential diagonal
+        d_uv (``self.d_uv``, or that of a set with the same kinetic term
+        and constant)."""
+        kinetic = np.abs(self.fourier @ psi) ** 2 @ self.d_t
+        return float(self.constant + np.abs(psi) ** 2 @ d_uv + kinetic)
+
+    def embed(self, psi: np.ndarray) -> Statevector:
+        """The full 2^n statevector holding sector amplitudes psi."""
+        amps = np.zeros(2 ** self.n_qubits, dtype=complex)
+        amps[self.states] = psi
+        return Statevector(self.n_qubits, amps)
 
 
 # -- optimization -------------------------------------------------------------
@@ -228,30 +326,27 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     MeasurementPlan switches the objective from exact expectations to the
     sampled estimator (each evaluation draws fresh shots from a counter-
     derived seed, deterministic per run); exact-mode guarantees such as the
-    variational floor then hold only statistically.
+    variational floor then hold only statistically. Either way the state
+    is computed on the eta-electron sector (``SectorModel``), whose
+    Fourier matrix must fit in DENSE_BYTES_LIMIT.
     """
     if hs.representation != DUAL:
         raise ValueError("the variational loop works on the dual "
                          "representation")
-    grid = hs.grid
-    ansatz = Ansatz(spec, grid)
-    reference = prepare_reference(grid, eta, spin_pattern)
-    h_op = build_qubit(hs)
-    e_ref = expectation(reference, h_op)
+    ansatz = Ansatz(spec, hs.grid)
+    model = SectorModel(ansatz, hs, eta, spin_pattern)
+    e_ref = model.energy(model.reference, model.d_uv)
 
     trace = []
     state = {"best": math.inf, "evals": 0}
 
     def objective(values):
-        circ = ansatz.circuit(values)
-        prepared = apply_circuit(reference, circ)
+        prepared = model.state(values)
         if plan is None:
-            energy = expectation(prepared, h_op)
+            energy = model.energy(prepared, model.d_uv)
         else:
-            from dataclasses import replace
-            from .measurement import estimate_energy
             shot_plan = replace(plan, seed=plan.seed + state["evals"])
-            energy, _ = estimate_energy(prepared, hs, shot_plan)
+            energy, _ = estimate_energy(model.embed(prepared), hs, shot_plan)
         state["evals"] += 1
         state["best"] = min(state["best"], energy)
         trace.append(state["best"])
@@ -304,29 +399,25 @@ def layer_train(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
                 spin_pattern="paired", maxiter: int = 400) -> OptimizeResult:
     """Train layer m against T + U + (m/M) V with earlier layers frozen,
     then report the full-Hamiltonian energy of the assembled parameters."""
-    grid = hs.grid
-    ansatz = Ansatz(spec, grid)
-    reference = prepare_reference(grid, eta, spin_pattern)
+    ansatz = Ansatz(spec, hs.grid)
+    model = SectorModel(ansatz, hs, eta, spin_pattern)
     values = np.zeros(ansatz.parameter_count)
     for layer in range(spec.layers):
         active = [i for i, (lay, _, _) in enumerate(ansatz.names)
                   if lay == layer]
         target = interaction_ramp(hs, (layer + 1) / spec.layers)
-        h_op = build_qubit(target)
+        d_uv = diagonal_potential_values(target, model.states)
 
         def objective(sub):
             trial = values.copy()
             trial[active] = sub
-            circ = ansatz.circuit(trial)
-            return expectation(apply_circuit(reference, circ), h_op)
+            return model.energy(model.state(trial), d_uv)
 
         res = scipy.optimize.minimize(
             objective, values[active], method="Nelder-Mead",
             options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
         values[active] = res.x
-    h_full = build_qubit(hs)
-    final = expectation(apply_circuit(reference, ansatz.circuit(values)),
-                        h_full)
-    e_ref = expectation(reference, h_full)
-    return OptimizeResult(theta=values, energy=float(final),
+    final = model.energy(model.state(values), model.d_uv)
+    e_ref = model.energy(model.reference, model.d_uv)
+    return OptimizeResult(theta=values, energy=final,
                           reference_energy=e_ref, names=list(ansatz.names))

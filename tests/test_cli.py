@@ -81,6 +81,28 @@ class TestExitCodes:
         assert "limited to" in capsys.readouterr().err
         assert peak < 16 * 2 ** 20
 
+    def test_ffft_check_past_matrix_cap_exit_2(self, tmp_path, capsys):
+        # FFFT registers have power-of-two qubit counts, so past 8 qubits
+        # the next is 16, where circuit_matrix refuses before allocating
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "ffft-check", "system.modes_per_axis=8",
+                       "system.volume=8.0", "system.spinful=true")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "circuit matrix limited to 14 qubits" in capsys.readouterr().err
+        assert peak < 16 * 2 ** 20
+
+    def test_oversized_vqe_sector_exit_2(self, tmp_path, capsys):
+        # 16 qubits, 8 electrons: the sector Fourier matrix needs 2.65 GB
+        code = run(tmp_path, "vqe-jellium", "system.modes_per_axis=8",
+                   "system.volume=8.0", "system.spinful=true",
+                   "system.eta=8")
+        assert code == 2
+        assert "DENSE_BYTES_LIMIT" in capsys.readouterr().err
+
     def test_failed_assertion_exit_1(self, tmp_path):
         # an impossible slope expectation forces an embedded check failure
         code = run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
@@ -163,6 +185,13 @@ class TestCommands:
         report = read_report(tmp_path, "vqe_report.json")
         res = report["result"]
         assert res["optimized_energy"] <= res["reference_energy"] + 1e-9
+        meta = report["meta"]
+        assert meta["counts"] == {"qubits": 2, "sector_dimension": 2,
+                                  "parameters": 5,
+                                  "evaluations": res["evaluations"]}
+        assert set(meta["stages"]) == {"build", "optimize", "verify",
+                                       "exact"}
+        assert meta["checks"]["circuit_energy_gap"] < 1e-12
 
 
 class TestDeterminism:

@@ -10,6 +10,21 @@ from pwdual.hamiltonian import build_dual, build_plane_wave
 from pwdual.statevector import Circuit, circuit_matrix, fk_gate
 
 
+def reference_single_particle_transform(circuit, n_orbitals):
+    """The dense route: W[p, q] read off C^dag a^dag_p C |vac> with the full
+    circuit matrix and one occupation-basis ladder matrix per orbital."""
+    u = circuit_matrix(circuit)
+    w = np.zeros((n_orbitals, n_orbitals), dtype=complex)
+    vac = np.zeros(2 ** n_orbitals, dtype=complex)
+    vac[0] = 1.0
+    for p in range(n_orbitals):
+        adag = fermion_matrix(FermionOperator.raising(p), n_orbitals)
+        vec = u.conj().T @ adag @ u @ vac
+        for q in range(n_orbitals):
+            w[p, q] = vec[1 << q]
+    return w
+
+
 def dft_matrix(m):
     j, p = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     return np.exp(-2j * np.pi * j * p / m) / np.sqrt(m)
@@ -103,6 +118,20 @@ class TestMultiDimensional:
                 adag = fermion_matrix(FermionOperator.raising(q), n)
                 rhs = fermion_matrix(mode_ladder_operator(grid, nu, spin), n)
                 assert np.max(np.abs(u.conj().T @ adag @ u - rhs)) < 1e-9
+
+    @pytest.mark.parametrize("d,m,spinful", [
+        (1, 8, False), (1, 4, True), (2, 2, False), (2, 2, True),
+        (3, 2, False),
+    ])
+    def test_single_particle_transform_matches_dense_route(self, d, m,
+                                                            spinful):
+        grid = build_grid(d, m, 2.0 ** d, spinful=spinful)
+        circ = build_ffft_nd(grid)
+        w = single_particle_transform(circ, grid.n_qubits)
+        ref = reference_single_particle_transform(circ, grid.n_qubits)
+        assert np.max(np.abs(w - ref)) < 1e-14
+        assert np.max(np.abs(w @ w.conj().T - np.eye(grid.n_qubits))) \
+            < 1e-14
 
     def test_unitarity(self):
         grid = build_grid(2, 2, 4.0, spinful=True)

@@ -1,16 +1,24 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pwdual import vqe
+from pwdual.ffft import build_ffft_nd
 from pwdual.fermion import fermion_matrix, total_number_operator
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, DUAL
+from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, \
+    DUAL, NucleiSpec
 from pwdual.fermion import FermionOperator
-from pwdual.statevector import apply_circuit, expectation
+from pwdual.statevector import Statevector, apply_circuit, dumps_circuit, \
+    expectation
 from pwdual.vqe import AnsatzSpec, Ansatz, prepare_reference, \
     lowest_mode_occupation, build_ansatz_circuit, optimize, layer_train, \
-    sector_ground_energy, interaction_ramp, embed_parameters
+    sector_ground_energy, interaction_ramp, embed_parameters, SectorModel, \
+    sector_states, sector_transform
 
 
 def jellium_m4():
@@ -232,3 +240,149 @@ class TestLayerTrain:
         gap_trained = trained.energy - e_exact
         gap_joint = max(joint.energy - e_exact, 1e-12)
         assert gap_trained <= 2.0 * gap_joint + 1e-6
+
+
+# -- the eta-electron sector --------------------------------------------------
+
+TI = "translation_invariant"
+# (grid, eta, ansatz, nuclei): spinless and spinful, 1D and 2D, every
+# ansatz shape, one cell with nuclei and a constant
+SECTOR_CASES = [
+    ((1, 4, 4.0, False), 2, AnsatzSpec(), []),
+    ((1, 4, 4.0, False), 2, AnsatzSpec(sharing=TI), []),
+    ((1, 4, 4.0, False), 2, AnsatzSpec(minimal=True), []),
+    ((1, 4, 4.0, False), 2, AnsatzSpec(layers=2), []),
+    ((1, 4, 4.0, True), 2, AnsatzSpec(), []),
+    ((1, 4, 4.0, True), 3, AnsatzSpec(layers=2, sharing=TI), []),
+    ((2, 2, 4.0, True), 3, AnsatzSpec(), [((0.3, 1.1), 1.0)]),
+    ((1, 8, 8.0, False), 3, AnsatzSpec(sharing=TI),
+     [((2.5,), 1.0), ((6.0,), 2.0)]),
+]
+_sector_cache = {}
+
+
+def sector_case(index):
+    """(model, ansatz, reference, qubit operator) of one case, built once."""
+    if index not in _sector_cache:
+        grid_args, eta, spec, nuclei = SECTOR_CASES[index]
+        grid = build_grid(*grid_args)
+        hs = build_dual(grid, NucleiSpec.build(nuclei), constant=0.25)
+        ansatz = Ansatz(spec, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = SectorModel(ansatz, hs, eta)
+            reference = prepare_reference(grid, eta)
+        _sector_cache[index] = (model, ansatz, reference, build_qubit(hs))
+    return _sector_cache[index]
+
+
+class TestSector:
+    @settings(max_examples=60, deadline=None)
+    @given(index=st.integers(0, len(SECTOR_CASES) - 1),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(0.05, 3.0))
+    def test_energy_and_state_match_circuit_path(self, index, seed, scale):
+        model, ansatz, reference, h_op = sector_case(index)
+        values = np.random.default_rng(seed).normal(
+            scale=scale, size=ansatz.parameter_count)
+        psi = model.state(values)
+        full = apply_circuit(reference, ansatz.circuit(values))
+        e_circuit = expectation(full, h_op)
+        assert abs(model.energy(psi, model.d_uv) - e_circuit) \
+            <= 1e-12 * max(1.0, abs(e_circuit))
+        assert np.max(np.abs(model.embed(psi).amplitudes
+                             - full.amplitudes)) < 1e-12
+
+    def test_reference_energy_matches_circuit_path(self):
+        for index in range(len(SECTOR_CASES)):
+            model, _, reference, h_op = sector_case(index)
+            e_ref = expectation(reference, h_op)
+            assert abs(model.energy(model.reference, model.d_uv) - e_ref) \
+                <= 1e-12 * max(1.0, abs(e_ref))
+
+    @pytest.mark.parametrize("n,eta", [(1, 0), (4, 2), (6, 3), (8, 8)])
+    def test_sector_states_are_the_popcount_eta_indices(self, n, eta):
+        want = [i for i in range(2 ** n) if bin(i).count("1") == eta]
+        assert sector_states(n, eta).tolist() == want
+
+    @pytest.mark.parametrize("grid_args,eta", [
+        ((1, 4, 4.0, False), 2), ((1, 4, 4.0, True), 2),
+        ((2, 2, 4.0, True), 3), ((1, 8, 8.0, False), 4),
+        ((1, 2, 4.0, True), 0),
+    ])
+    def test_compound_matches_pushed_basis_states(self, grid_args, eta):
+        grid = build_grid(*grid_args)
+        n = grid.n_qubits
+        circ = build_ffft_nd(grid)
+        states = sector_states(n, eta)
+        fourier = sector_transform(circ, states)
+        vacuum_phase = apply_circuit(Statevector.zero_state(n),
+                                     circ).amplitudes[0]
+        pushed = np.array([
+            apply_circuit(Statevector.basis_state(n, int(s)),
+                          circ).amplitudes for s in states]).T
+        assert np.max(np.abs(pushed[states] - vacuum_phase * fourier)) \
+            < 1e-14
+        assert np.max(np.abs(fourier @ fourier.conj().T
+                             - np.eye(len(states)))) < 1e-13
+
+    def test_oversized_sector_raises_before_allocating(self, monkeypatch):
+        # 16 qubits, 8 electrons: C(16, 8) = 12870 states, 2.65 GB of F_S
+        hs = build_dual(build_grid(1, 8, 8.0, spinful=True))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sector allocation before the limit check")
+
+        monkeypatch.setattr(vqe, "sector_transform", forbidden)
+        monkeypatch.setattr(vqe, "prepare_reference", forbidden)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="DENSE_BYTES_LIMIT"):
+                optimize(AnsatzSpec(), hs, eta=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+# sha256 of dumps_circuit for each ansatz at fixed values (every third one
+# zero, so zero pair angles emit no gate); pinned from the dict-table build
+ANSATZ_TEXT = [
+    ((1, 4, 4.0, False), AnsatzSpec(),
+     "4d13a5823f3c69a126170ca22790a6e592da608895a722f81da54450851cc61f"),
+    ((1, 4, 4.0, False), AnsatzSpec(sharing=TI),
+     "19a5ddda7f498f79fbcd329e1044daacc4ba01cab929b2e2b3adb15284f8f10e"),
+    ((1, 4, 4.0, False), AnsatzSpec(minimal=True),
+     "98c709b28521544163f0c0c2828f23808d08188a2801cb9a77a7b09670af1fdb"),
+    ((1, 4, 4.0, False), AnsatzSpec(layers=2),
+     "23d941ed163b75ee504404c3227d5e4decc5957a6a428c1e6da532ddf38de335"),
+    ((1, 4, 4.0, False), AnsatzSpec(layers=2, sharing=TI),
+     "343e73804e9989f565cf37bdd68642372b924a27eb53bfd4d299dd04dc44c5b9"),
+    ((1, 2, 4.0, True), AnsatzSpec(),
+     "f49f45904e039cafa4372d1e25a97b85d0caef7cf03508cc2d18b30b70571f3b"),
+    ((1, 2, 4.0, True), AnsatzSpec(sharing=TI),
+     "e5c820cde7134ebe69367c688f6326c33a430b743e0f595f8072ee8097575de6"),
+    ((1, 2, 4.0, True), AnsatzSpec(layers=2),
+     "f7fbfd37249ff7565901ff29f51543c3ecf545622da0e42cf5bf5c88728a28c5"),
+    ((1, 2, 4.0, True), AnsatzSpec(layers=2, sharing=TI),
+     "8d18b36b609f7fc7a9a57bfcdad8e5205456af8145475f83a75d5bea6ccef587"),
+    ((2, 2, 4.0, True), AnsatzSpec(),
+     "a6d0dc012eb255888b5ba095dd9b5c3045e28704366d956b150f18c96cc87510"),
+    ((2, 2, 4.0, True), AnsatzSpec(sharing=TI),
+     "ea5bf1db1635b96965bf755f29f70c277978b87d7b76843ac07ec92864492485"),
+    ((2, 2, 4.0, True), AnsatzSpec(minimal=True),
+     "7aef12feaf40e8ab9b295b5b6c90cc6df6c2b284f24ebdf48d4c37a4277172e4"),
+    ((2, 2, 4.0, True), AnsatzSpec(layers=2),
+     "4918eb7f07bd360db0e646b6d469a0cf210e42c9fbedb85a73d5174f2c8eacff"),
+    ((2, 2, 4.0, True), AnsatzSpec(layers=2, sharing=TI),
+     "f360e643233f009978d5f9e6f431624a8589d7370ae6a33d85ce68a0717817da"),
+]
+
+
+@pytest.mark.parametrize("grid_args,spec,digest", ANSATZ_TEXT)
+def test_ansatz_circuit_text(grid_args, spec, digest):
+    ansatz = Ansatz(spec, build_grid(*grid_args))
+    values = np.random.default_rng(7).normal(size=ansatz.parameter_count)
+    values[::3] = 0.0
+    text = dumps_circuit(ansatz.circuit(values))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
