@@ -152,11 +152,15 @@ def cmd_build(cfg, out_dir):
     task = cfg["task"]
     _check_keys(task, {"representations"}, "task block")
     reps = task.get("representations", [DUAL])
+    stages = {}
+    start = time.perf_counter()
     sets = {}
     for rep in reps:
         hs = _build_representation(rep, grid, nuclei, truncated, constant)
         sets[rep] = hs
         _write(out_dir, f"hamiltonian_{rep}.txt", dumps_hamiltonian(hs))
+    stages["build"] = time.perf_counter() - start
+    counts = {"qubits": grid.n_qubits}
     report = {"n_qubits": grid.n_qubits}
     for rep, hs in sets.items():
         report[rep] = {
@@ -165,19 +169,26 @@ def cmd_build(cfg, out_dir):
             "interaction_terms": len(hs.interaction.terms),
         }
     if DUAL in sets:
+        start = time.perf_counter()
+        qub = build_qubit(sets[DUAL])
+        stages["compile"] = time.perf_counter() - start
+        counts["fermion_terms"] = len(sets[DUAL].total().terms)
+        counts["pauli_terms"] = len(qub.terms)
         report["norm_bounds"] = {
             **norm_bounds(sets[DUAL], eta),
-            "lam": build_qubit(sets[DUAL]).coefficient_norm(
-                include_identity=True)}
+            "lam": qub.coefficient_norm(include_identity=True)}
     failures = []
     if set(reps) >= {DUAL, PLANE_WAVE} and grid.n_qubits <= MATRIX_CAP:
+        start = time.perf_counter()
         gap = float(np.max(np.abs(sets[DUAL].spectrum()
                                   - sets[PLANE_WAVE].spectrum())))
+        stages["verify"] = time.perf_counter() - start
         report["isospectrality_max_gap"] = gap
         if gap > 1e-9:
             failures.append(f"spectra disagree by {gap:.3e}")
     report["failures"] = failures
-    _emit(out_dir, "build_report.json", report, cfg)
+    _emit(out_dir, "build_report.json", report, cfg,
+          {"counts": counts, "stages": stages})
     return 1 if failures else 0
 
 
@@ -305,11 +316,17 @@ def cmd_lcu_check(cfg, out_dir):
     grid, nuclei, truncated, constant, eta = resolve_system(cfg)
     task = cfg["task"]
     _check_keys(task, {"t", "orders", "include_noop"}, "task block")
+    stages = {}
+    start = time.perf_counter()
     hs = build_dual(grid, nuclei, truncated, constant)
     model = build_weights(hs, include_noop=bool(task.get("include_noop",
                                                          True)))
     _write(out_dir, "lcu_weights.csv", dump_weights(model))
+    stages["build"] = time.perf_counter() - start
+    start = time.perf_counter()
     qub = build_qubit(hs)
+    stages["compile"] = time.perf_counter() - start
+    start = time.perf_counter()
     rec = model.reconstruction()
     worst = 0.0
     for key in set(rec.terms) | set(qub.terms):
@@ -318,9 +335,9 @@ def cmd_lcu_check(cfg, out_dir):
         worst = max(worst, abs(rec.terms.get(key, 0) - qub.terms.get(key, 0)))
     prep = prepare_state(model)
     lam = model.lam
+    width = model.index_width
     prep_err = float(max(
-        abs(abs(prep.amplitudes[idx.encode(model.index_width)]) ** 2
-            - abs(w) / lam)
+        abs(abs(prep.amplitudes[idx.encode(width)]) ** 2 - abs(w) / lam)
         for idx, w in model.weights.items()))
     bounds = norm_bounds(hs, eta)
     failures = []
@@ -343,6 +360,7 @@ def cmd_lcu_check(cfg, out_dir):
                                               - exact.amplitudes)),
                 "success_amplitude": success,
             }
+    stages["verify"] = time.perf_counter() - start
     report = {
         "lam": lam,
         "term_count": len(model.weights),
@@ -352,7 +370,10 @@ def cmd_lcu_check(cfg, out_dir):
         "taylor": taylor,
         "failures": failures,
     }
-    _emit(out_dir, "lcu_report.json", report, cfg)
+    counts = {"qubits": grid.n_qubits, "fermion_terms": len(hs.total().terms),
+              "pauli_terms": len(qub.terms), "weights": len(model.weights)}
+    _emit(out_dir, "lcu_report.json", report, cfg,
+          {"counts": counts, "stages": stages})
     return 1 if failures else 0
 
 

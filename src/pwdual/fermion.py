@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .pauli import QubitOperator, PRUNE_TOL, HERMITIAN_TOL
+from .pauli import QubitOperator, PRUNE_TOL, HERMITIAN_TOL, _product
 
 RAISE = 1
 LOWER = 0
@@ -157,25 +157,27 @@ def normal_order(op: FermionOperator, tol=PRUNE_TOL) -> FermionOperator:
 
 # -- Jordan-Wigner ----------------------------------------------------------
 
+_HALF_X = 0.5 + 0j
+_HALF_Y = {RAISE: -0.5j, LOWER: 0.5j}
+
 
 def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
     """Encode ladder operators as Pauli strings with Z parity chains.
 
     a+_p -> (X_p - iY_p)/2 * Z_{p-1} ... Z_0 ; lowering takes the +i sign.
     """
-    out = QubitOperator()
+    out = {}
     for key, coeff in op.terms.items():
-        factor = QubitOperator.identity(coeff)
+        factor = {(0, 0): complex(coeff)}
         for q, flag in key:
             if q >= n_qubits:
                 raise ValueError(f"orbital {q} outside register of {n_qubits}")
-            sign = -1j if flag == RAISE else 1j
-            chain = tuple((j, "Z") for j in range(q))
-            half = QubitOperator({chain + ((q, "X"),): 0.5,
-                                  chain + ((q, "Y"),): 0.5 * sign})
-            factor = factor * half
-        out += factor
-    return out.simplify()
+            bit, chain = 1 << q, (1 << q) - 1
+            factor = _product(factor.items(), (
+                ((bit, chain), _HALF_X), ((bit, chain | bit), _HALF_Y[flag])))
+        for k, c in factor.items():
+            out[k] = out.get(k, 0.0) + c
+    return QubitOperator._from_masks(out).simplify()
 
 
 # -- occupation-basis matrices (independent of the Pauli path) --------------

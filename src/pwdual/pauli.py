@@ -19,13 +19,44 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# single-qubit products: (a, b) -> (phase, result letter or None for identity)
-_PAULI_PRODUCT = {
-    ("X", "X"): (1, None), ("Y", "Y"): (1, None), ("Z", "Z"): (1, None),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
+# Inside products a string is a pair of int masks (x, z): bit q of x flips
+# qubit q, bit q of z phases it, and a qubit with both bits is Y = iXZ.
+_LETTERS = "IZXY"  # indexed by 2 * x bit + z bit
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def _masks(key: tuple) -> tuple:
+    x = z = 0
+    for q, letter in key:
+        x |= (letter != "Z") << q
+        z |= (letter != "X") << q
+    return x, z
+
+
+def _string(x: int, z: int) -> tuple:
+    key, support = [], x | z
+    while support:
+        q = (support & -support).bit_length() - 1
+        key.append((q, _LETTERS[2 * (x >> q & 1) + (z >> q & 1)]))
+        support &= support - 1
+    return tuple(key)
+
+
+def _product(left, right) -> dict:
+    """Product of two sums of ((x, z), coeff) pairs, keyed by masks in the
+    order the pairs first reach each key.
+
+    With P(x, z) = i^|x&z| X^x Z^z, P(x1, z1) P(x2, z2) = i^e P(x3, z3)
+    where x3 = x1 ^ x2, z3 = z1 ^ z2 and e = |x1&z1| + |x2&z2| - |x3&z3|
+    + 2|z1&x2| (Aaronson and Gottesman, quant-ph/0406196)."""
+    acc = {}
+    for (x1, z1), ca in left:
+        for (x2, z2), cb in right:
+            x3, z3 = x1 ^ x2, z1 ^ z2
+            e = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+                 - (x3 & z3).bit_count() + 2 * (z1 & x2).bit_count())
+            acc[x3, z3] = acc.get((x3, z3), 0.0) + ca * cb * _I_POWERS[e & 3]
+    return acc
 
 
 def pauli_string(pairs) -> tuple:
@@ -42,21 +73,8 @@ def pauli_string(pairs) -> tuple:
 
 def multiply_strings(a: tuple, b: tuple):
     """Product of two Pauli strings: returns (phase, string)."""
-    da, db = dict(a), dict(b)
-    phase = 1 + 0j
-    out = {}
-    for q in sorted(set(da) | set(db)):
-        la, lb = da.get(q), db.get(q)
-        if la is None:
-            out[q] = lb
-        elif lb is None:
-            out[q] = la
-        else:
-            ph, res = _PAULI_PRODUCT[(la, lb)]
-            phase *= ph
-            if res is not None:
-                out[q] = res
-    return phase, tuple(sorted(out.items()))
+    ((x, z), phase), = _product([(_masks(a), 1)], [(_masks(b), 1)]).items()
+    return phase, _string(x, z)
 
 
 class QubitOperator:
@@ -77,6 +95,12 @@ class QubitOperator:
     @classmethod
     def identity(cls, coeff=1.0):
         return cls.from_term((), coeff)
+
+    @classmethod
+    def _from_masks(cls, terms: dict):
+        op = cls()
+        op.terms = {_string(x, z): c for (x, z), c in terms.items()}
+        return op
 
     def copy(self):
         op = QubitOperator()
@@ -102,12 +126,9 @@ class QubitOperator:
 
     def __mul__(self, other):
         if isinstance(other, QubitOperator):
-            out = QubitOperator()
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    phase, key = multiply_strings(ka, kb)
-                    out.terms[key] = out.terms.get(key, 0.0) + ca * cb * phase
-            return out
+            return QubitOperator._from_masks(_product(
+                [(_masks(k), c) for k, c in self.terms.items()],
+                [(_masks(k), c) for k, c in other.terms.items()]))
         out = self.copy()
         for key in out.terms:
             out.terms[key] *= complex(other)
@@ -181,30 +202,12 @@ def apply_string(key: tuple, state: np.ndarray) -> np.ndarray:
     The last axis is the 2^n basis index; leading axes index a batch of
     states."""
     dim = state.shape[-1]
-    n = int(np.log2(dim))
-    flip = 0
-    phase_mask = 0
-    y_count = 0
-    for q, letter in key:
-        if q >= n:
-            raise ValueError("string acts outside the register")
-        if letter in ("X", "Y"):
-            flip |= 1 << q
-        if letter in ("Y", "Z"):
-            phase_mask |= 1 << q
-        if letter == "Y":
-            y_count += 1
-    idx = np.arange(dim, dtype=np.int64)
-    src = idx ^ flip
-    # (-1)^{popcount(src & phase_mask)}
-    par = np.zeros(dim, dtype=np.int64)
-    m = phase_mask
-    while m:
-        b = m & -m
-        par ^= (src & b) != 0
-        m ^= b
-    signs = 1.0 - 2.0 * par
-    return (1j ** y_count) * signs * state[..., src]
+    flip, phase_mask = _masks(key)
+    if (flip | phase_mask) >= dim:
+        raise ValueError("string acts outside the register")
+    src = np.arange(dim, dtype=np.int64) ^ flip
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & phase_mask) & 1)
+    return (1j ** (flip & phase_mask).bit_count()) * signs * state[..., src]
 
 
 def expectation_value(op: QubitOperator, state: np.ndarray) -> complex:

@@ -339,11 +339,6 @@ def sample_bitstrings(state: Statevector, basis_rotation: Circuit = None,
     return rng.choice(len(probs), size=shots, p=probs)
 
 
-def format_bitstring(index: int, n_qubits: int) -> str:
-    """Qubit 0 first (leftmost character)."""
-    return "".join("1" if (index >> q) & 1 else "0" for q in range(n_qubits))
-
-
 # -- text formats --------------------------------------------------------------
 
 

@@ -120,6 +120,7 @@ class TestCommands:
         assert report["result"]["isospectrality_max_gap"] < 1e-9
         assert (tmp_path / "run" / "hamiltonian_dual.txt").exists()
         assert (tmp_path / "run" / "hamiltonian_plane_wave.txt").exists()
+        assert set(report["meta"]["stages"]) == {"build", "compile", "verify"}
 
     def test_build_dual_pair_count(self, tmp_path):
         run(tmp_path, "build", *SMALL)
@@ -131,10 +132,15 @@ class TestCommands:
         from pwdual.hamiltonian import build_dual, build_qubit
         assert run(tmp_path, "build", "system.modes_per_axis=4",
                    "system.volume=4.0") == 0
-        bounds = read_report(tmp_path, "build_report.json")["result"][
-            "norm_bounds"]
-        qubit = build_qubit(build_dual(build_grid(1, 4, 4.0)))
-        assert bounds["lam"] == qubit.coefficient_norm(include_identity=True)
+        report = read_report(tmp_path, "build_report.json")
+        hs = build_dual(build_grid(1, 4, 4.0))
+        qubit = build_qubit(hs)
+        assert report["result"]["norm_bounds"]["lam"] == \
+            qubit.coefficient_norm(include_identity=True)
+        assert report["meta"]["counts"] == {
+            "qubits": 4, "fermion_terms": len(hs.total().terms),
+            "pauli_terms": len(qubit.terms)}
+        assert set(report["meta"]["stages"]) == {"build", "compile"}
 
     def test_diagonalize(self, tmp_path):
         code = run(tmp_path, "diagonalize", *SMALL)
@@ -169,6 +175,12 @@ class TestCommands:
         report = read_report(tmp_path, "lcu_report.json")
         assert report["result"]["reconstruction_max_gap"] < 1e-12
         assert (tmp_path / "run" / "lcu_weights.csv").exists()
+        meta = report["meta"]
+        assert set(meta["counts"]) == {"qubits", "fermion_terms",
+                                       "pauli_terms", "weights"}
+        assert meta["counts"]["qubits"] == 2
+        assert meta["counts"]["weights"] == report["result"]["term_count"]
+        assert set(meta["stages"]) == {"build", "compile", "verify"}
 
     def test_measure(self, tmp_path):
         code = run(tmp_path, "measure", "system.modes_per_axis=4",

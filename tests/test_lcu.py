@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit, norm_bounds
+from pwdual.hamiltonian import NucleiSpec, build_dual, build_qubit, \
+    norm_bounds
 from pwdual.lcu import build_weights, select_matrix, prepare_state, \
     taylor_segment, dump_weights, TermIndex, LcuModel
 from pwdual.statevector import Statevector, exact_evolve
@@ -26,6 +27,18 @@ class TestBuildWeights:
         hs = jellium(m, spinful)
         model = build_weights(hs)
         rec = model.reconstruction()
+        qub = build_qubit(hs)
+        for key in set(rec.terms) | set(qub.terms):
+            if key == ():
+                continue
+            assert abs(rec.terms.get(key, 0) - qub.terms.get(key, 0)) < 1e-12
+
+    def test_reconstruction_identity_at_128_qubits(self):
+        # 2D M=8 spinful with a nucleus: the lcu-check identity past 64 qubits
+        grid = build_grid(2, 8, 64.0, spinful=True)
+        hs = build_dual(grid, NucleiSpec.build([((1.0, 2.5), 1.0)]))
+        assert hs.n_qubits == 128
+        rec = build_weights(hs).reconstruction()
         qub = build_qubit(hs)
         for key in set(rec.terms) | set(qub.terms):
             if key == ():
