@@ -1,15 +1,18 @@
 """Golden hashes of emitted circuits and schedules.
 
 Each value is the sha256 of the text format (or of the gate kind/target
-sequence, which leaves angles out) of one construction. A refactor of the
+sequence, which leaves angles out) of one construction, or of the sorted
+JSON ``result`` of one seeded CLI run. A refactor of the
 circuit primitives must keep every construction byte-identical; a change
 that alters a circuit on purpose updates the hash and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from pwdual.cli import main
 from pwdual.ffft import build_ffft_nd
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_qubit
@@ -63,3 +66,28 @@ def test_direct_jw_step_gates():
     assert len(circ.gates) == 857
     assert gate_sequence(circ) == \
         "d1b4fed98065b83fbdcca736c28ef09ee55e1218458fdadf6954fd9a5452052c"
+
+
+CELL_2D16 = ("system.dimension=2", "system.modes_per_axis=4",
+             "system.volume=16.0", "system.eta=4")
+CELL_SPINFUL8 = ("system.modes_per_axis=4", "system.volume=4.0",
+                 "system.spinful=true", "system.eta=2")
+
+
+@pytest.mark.parametrize("cell,strategy,shots,digest", [
+    (CELL_2D16, "per_term", 2000,
+     "26c1a789c558725e33de1242e9bee193e01d4a8d497986983a2c6630730218cd"),
+    (CELL_2D16, "diagonal_groups", 100000,
+     "2a5c6a9320b5ea6a01dd7fd44826517c2aae735047f4657dddde8cd9540ea499"),
+    (CELL_2D16, "diagonal_uv_only", 2000,
+     "da3bcedee582ade49c9984f9771421ef28287261c9081e053c210ca6746f15df"),
+    (CELL_SPINFUL8, "per_term", 2000,
+     "9ae048660eab81a78bc63c956654cc338ccd9772ebe3b582cfc2a6ce11b634ad"),
+])
+def test_measure_result(tmp_path, cell, strategy, shots, digest):
+    args = ["measure", "--out", str(tmp_path), "--set", "seed=1"]
+    for item in cell + (f"task.strategy={strategy}", f"task.shots={shots}"):
+        args += ["--set", item]
+    assert main(args) == 0
+    doc = json.loads((tmp_path / "measure_report.json").read_text())
+    assert sha(json.dumps(doc["result"], sort_keys=True)) == digest
