@@ -387,24 +387,34 @@ def cmd_measure(cfg, out_dir):
         raise ConfigError(f"unknown strategy {strategy!r}; "
                           f"choose from {STRATEGIES}")
     shots = int(task.get("shots", 2000))
+    stages = {}
+    start = time.perf_counter()
     hs = build_dual(grid, nuclei, truncated, constant)
+    stages["build"] = time.perf_counter() - start
+    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         state = prepare_reference(grid, eta)
+    stages["prepare"] = time.perf_counter() - start
+    start = time.perf_counter()
     plan = MeasurementPlan(strategy, shots, cfg["seed"])
-    estimate, stderr = estimate_energy(state, hs, plan)
-    precision = float(task.get("precision", 0.1))
+    counts = {"qubits": grid.n_qubits}
+    estimate, stderr = estimate_energy(state, hs, plan, counts)
+    stages["estimate"] = time.perf_counter() - start
+    start = time.perf_counter()
+    budget = shot_budget(hs, eta, float(task.get("precision", 0.1)),
+                         task.get("mode", "absolute"), strategy)
+    stages["budget"] = time.perf_counter() - start
     report = {
         "estimate": estimate,
         "stderr": stderr,
         "shots": shots,
         "strategy": strategy,
-        "analytic_budget": shot_budget(hs, eta, precision,
-                                       task.get("mode", "absolute"),
-                                       strategy),
+        "analytic_budget": budget,
         "failures": [],
     }
-    _emit(out_dir, "measure_report.json", report, cfg)
+    _emit(out_dir, "measure_report.json", report, cfg,
+          {"counts": counts, "stages": stages})
     return 0
 
 

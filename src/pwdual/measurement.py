@@ -10,10 +10,15 @@ Three sampling strategies:
 * ``diagonal_uv_only``: potentials as one diagonal group, kinetic term
   per-term, for hardware that wants to skip the coherent mode rotation.
 
-Group estimators evaluate the full diagonal polynomial on each sampled
-bitstring rather than per-term Bernoulli trials. Batch seeds derive from
-the master seed by fixed offsets (seed * 2^16 + counter), so runs are
-reproducible and groups are independent.
+Group estimators evaluate the diagonal polynomial once per distinct
+sampled bitstring. Per-term sampling groups terms by measurement basis
+(their X/Y letters): each basis is rotated once, reusing the gates it
+shares with the previous basis in sorted order, and its terms draw from
+one distribution, each with its own seed. Seeds are master * 2^16 +
+counter: counter 0 (diagonal) and 1 (kinetic modes) of the plan seed, or
+a term's index among the sorted terms under the plan seed (``per_term``)
+or plan seed + 1 (``diagonal_uv_only``). ``phase_estimation`` is a
+budget-only mode (``BUDGET_MODES``) with no sampled estimator.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ DIAGONAL_UV_ONLY = "diagonal_uv_only"
 PHASE_ESTIMATION = "phase_estimation"
 
 STRATEGIES = (PER_TERM, DIAGONAL_GROUPS, DIAGONAL_UV_ONLY)
+BUDGET_MODES = STRATEGIES + (PHASE_ESTIMATION,)
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ class MeasurementPlan:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            kind = "budget-only" if self.strategy in BUDGET_MODES else "unknown"
+            raise ValueError(f"{kind} strategy {self.strategy!r}")
         if self.shots < 2:
             raise ValueError("need at least 2 shots for a variance estimate")
 
@@ -57,15 +64,16 @@ def _batch_seed(master: int, counter: int) -> int:
 
 
 def diagonal_potential_values(hs: HamiltonianSet, samples: np.ndarray):
-    """Classical diagonal energy of U + V on each sampled bitstring."""
-    values = np.zeros(len(samples), dtype=float)
+    """Diagonal U + V energy of each sampled bitstring, once per distinct one."""
+    states, inverse = np.unique(samples, return_inverse=True)
+    values = np.zeros(len(states), dtype=float)
     for key, coeff in hs.external.items():
         q = key[0][0]
-        values += coeff.real * ((samples >> q) & 1)
+        values += coeff.real * ((states >> q) & 1)
     for key, coeff in hs.interaction.items():
         q1, q2 = key[0][0], key[2][0]
-        values += coeff.real * ((samples >> q1) & 1) * ((samples >> q2) & 1)
-    return values
+        values += coeff.real * ((states >> q1) & 1) * ((states >> q2) & 1)
+    return values[inverse]
 
 
 def kinetic_mode_values(hs: HamiltonianSet, samples: np.ndarray):
@@ -80,15 +88,11 @@ def kinetic_mode_values(hs: HamiltonianSet, samples: np.ndarray):
     return values
 
 
-def _pauli_basis_rotation(key, n_qubits: int) -> Circuit:
-    """Rotation R with R P R^dag diagonal: H for X, exp(-i pi/4 X) for Y."""
-    circ = Circuit(n_qubits)
-    for q, letter in key:
-        if letter == "X":
-            circ.add(Gate("H", (q,)))
-        elif letter == "Y":
-            circ.add(Gate("PEXP", (q,), angle=math.pi / 4, letters="X"))
-    return circ
+def _basis_gate(q: int, letter: str) -> Gate:
+    """Rotation R with R P R^dag = Z: H for X, exp(-i pi/4 X) for Y."""
+    if letter == "X":
+        return Gate("H", (q,))
+    return Gate("PEXP", (q,), angle=math.pi / 4, letters="X")
 
 
 def _pauli_term_values(key, samples: np.ndarray):
@@ -98,21 +102,38 @@ def _pauli_term_values(key, samples: np.ndarray):
     return values
 
 
-def _per_term_samples(state, op, shots, seed):
-    """(coefficient, per-shot eigenvalues) for each non-identity term."""
-    out = []
-    for counter, (key, coeff) in enumerate(op.items()):
-        if key == ():
-            continue
-        rot = _pauli_basis_rotation(key, state.n_qubits)
-        samples = sample_bitstrings(state, basis_rotation=rot, shots=shots,
-                                    seed=_batch_seed(seed, counter))
-        out.append((coeff.real, _pauli_term_values(key, samples)))
+def _per_term_samples(state, op, shots, seed, counts):
+    """Coefficient times per-shot eigenvalue of each non-identity term, in
+    operator order."""
+    terms = [(key, coeff.real, _batch_seed(seed, counter))
+             for counter, (key, coeff) in enumerate(op.items()) if key != ()]
+    by_basis = {}
+    for i, (key, _, _) in enumerate(terms):
+        by_basis.setdefault(tuple(f for f in key if f[1] != "Z"), []).append(i)
+    out = [None] * len(terms)
+    # levels[j] is the state after the first j gates of the previous basis
+    levels, bases = [state], sorted(by_basis)
+    for previous, basis in zip([()] + bases, bases):
+        shared = len(previous)
+        while basis[:shared] != previous[:shared]:
+            shared -= 1
+        del levels[shared + 1:]
+        for q, letter in basis[shared:]:
+            gate = Circuit(state.n_qubits, [_basis_gate(q, letter)])
+            levels.append(apply_circuit(levels[-1], gate))
+        rows = sample_bitstrings(levels[-1], shots=shots,
+                                 seed=[terms[i][2] for i in by_basis[basis]])
+        for i, row in zip(by_basis[basis], rows):
+            key, coeff, _ = terms[i]
+            out[i] = coeff * _pauli_term_values(key, row)
+    counts["pauli_terms"] += len(terms)
+    counts["bases"] += len(bases)
     return out
 
 
-def _group_samples(state, hs, plan):
+def _group_samples(state, hs, plan, counts=None):
     """Per-shot values of each sampled group plus the exact offset."""
+    counts = {} if counts is None else counts
     groups = []
     offset = hs.constant
     if plan.strategy in (DIAGONAL_GROUPS, DIAGONAL_UV_ONLY):
@@ -125,31 +146,32 @@ def _group_samples(state, hs, plan):
         t_samples = sample_bitstrings(rotated, shots=plan.shots,
                                       seed=_batch_seed(plan.seed, 1))
         groups.append(kinetic_mode_values(hs, t_samples))
-    elif plan.strategy == DIAGONAL_UV_ONLY:
+    counts.update(pauli_terms=0, bases=len(groups))
+    if plan.strategy == DIAGONAL_UV_ONLY:
         kin = jordan_wigner(hs.kinetic, hs.n_qubits)
         offset += kin.constant().real
-        for coeff, values in _per_term_samples(state, kin, plan.shots,
-                                               plan.seed + 1):
-            groups.append(coeff * values)
+        groups += _per_term_samples(state, kin, plan.shots, plan.seed + 1,
+                                    counts)
     elif plan.strategy == PER_TERM:
         op = build_qubit(hs)
         offset += op.constant().real - hs.constant  # constant already counted
-        for coeff, values in _per_term_samples(state, op, plan.shots,
-                                               plan.seed):
-            groups.append(coeff * values)
+        groups += _per_term_samples(state, op, plan.shots, plan.seed, counts)
+    counts["shots_drawn"] = plan.shots * len(groups)
     return groups, offset
 
 
 def estimate_energy(state: Statevector, hs: HamiltonianSet,
-                    plan: MeasurementPlan):
+                    plan: MeasurementPlan, counts: dict = None):
     """Unbiased energy estimate and its standard error.
 
     Groups are sampled independently; the estimate is the sum of group
     means plus exact constants, the standard error adds group variances.
+    A ``counts`` dict receives ``pauli_terms`` sampled one by one, ``bases``
+    (one distribution per distinct basis of each group) and ``shots_drawn``.
     """
     if hs.representation != DUAL:
         raise ValueError("estimators are defined on the dual representation")
-    groups, offset = _group_samples(state, hs, plan)
+    groups, offset = _group_samples(state, hs, plan, counts)
     estimate = offset + sum(float(np.mean(g)) for g in groups)
     variance = sum(float(np.var(g, ddof=1)) / len(g) for g in groups)
     return estimate, math.sqrt(variance)
@@ -160,10 +182,7 @@ def empirical_variance(state: Statevector, hs: HamiltonianSet,
     """Sample variance of the single-shot estimator (summed over groups)."""
     plan = MeasurementPlan(strategy, shots, seed)
     groups, _ = _group_samples(state, hs, plan)
-    total = np.zeros(shots, dtype=float)
-    for g in groups:
-        total += g
-    return float(np.var(total, ddof=1))
+    return float(np.var(np.sum(groups, axis=0), ddof=1))
 
 
 def empirical_shot_requirement(state: Statevector, hs: HamiltonianSet,
@@ -189,13 +208,16 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
 
     ``absolute`` reads ``precision`` as the energy tolerance; ``relative``
     reads it as tolerance per electron (the allowed absolute error grows
-    with eta, dividing the budget by eta^2). The phase-estimation-style
-    entry scales linearly in 1/precision instead of quadratically.
+    with eta, dividing the budget by eta^2). ``strategy`` is one of
+    BUDGET_MODES; the budget-only ``phase_estimation`` scales linearly in
+    1/precision instead of quadratically.
     """
     if precision <= 0:
         raise ValueError("precision must be positive")
     if mode not in ("absolute", "relative"):
         raise ValueError(f"unknown mode {mode!r}")
+    if strategy not in BUDGET_MODES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     bounds = norm_bounds(hs, eta)
     coeff_sum = build_qubit(hs).coefficient_norm(include_identity=False)
     if strategy == PER_TERM:
@@ -206,10 +228,8 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
     elif strategy == DIAGONAL_UV_ONLY:
         budget = (bounds["triangle_t"] ** 2
                   + (bounds["max_u"] + bounds["max_v"]) ** 2) / precision ** 2
-    elif strategy == PHASE_ESTIMATION:
-        budget = coeff_sum / precision
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        budget = coeff_sum / precision
     if mode == "relative":
         budget /= eta ** 2
     return budget

@@ -173,6 +173,8 @@ class QubitOperator:
 def string_matrix(key: tuple, n_qubits: int) -> np.ndarray:
     """Dense matrix of a single Pauli string; qubit 0 is the least
     significant bit of the basis index."""
+    if any(q >= n_qubits for q, _ in key):
+        raise ValueError("string acts outside the register")
     mat = np.ones((1, 1), dtype=complex)
     letters = dict(key)
     for q in range(n_qubits):

@@ -328,15 +328,23 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_bitstrings(state: Statevector, basis_rotation: Circuit = None,
-                      shots: int = 1, seed: int = 0) -> np.ndarray:
-    """Draw basis-state indices from |<x|R|psi>|^2; deterministic per seed."""
+                      shots: int = 1, seed=0) -> np.ndarray:
+    """Draw basis-state indices from |<x|R|psi>|^2; deterministic per seed.
+
+    The draw inverts the CDF as Generator.choice(p=...) does. A sequence of
+    seeds gives one row of shots per seed from the one distribution."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     psi = state if basis_rotation is None else apply_circuit(state, basis_rotation)
     probs = np.abs(psi.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = make_rng(seed)
-    return rng.choice(len(probs), size=shots, p=probs)
+    total = probs.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(f"probabilities sum to {total}; need finite and > 0")
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    rows = [cdf.searchsorted(make_rng(s).random(shots), side="right")
+            for s in (seed if np.ndim(seed) else [seed])]
+    return np.array(rows) if np.ndim(seed) else rows[0]
 
 
 # -- text formats --------------------------------------------------------------

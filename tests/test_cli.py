@@ -67,6 +67,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "radix-2" in err
 
+    def test_budget_only_strategy_exit_2(self, tmp_path, capsys):
+        assert run(tmp_path, "measure", *SMALL,
+                   "task.strategy=phase_estimation") == 2
+        assert "unknown strategy 'phase_estimation'" in capsys.readouterr().err
+
     def test_oversized_statevector_exit_2(self, tmp_path, capsys):
         # 40 qubits: the reference state alone would need 16 TiB
         tracemalloc.start()
@@ -189,6 +194,25 @@ class TestCommands:
         report = read_report(tmp_path, "measure_report.json")
         assert {"estimate", "stderr", "shots", "strategy",
                 "analytic_budget"} <= set(report["result"])
+        meta = report["meta"]
+        assert set(meta["stages"]) == {"build", "prepare", "estimate",
+                                       "budget"}
+        # diagonal groups: the computational and the mode basis
+        assert meta["counts"] == {"qubits": 4, "pauli_terms": 0, "bases": 2,
+                                  "shots_drawn": 800}
+
+    def test_measure_per_term_bases(self, tmp_path):
+        # the 16-qubit 2D cell of the variational benchmark: 232 Pauli
+        # terms measured in 97 distinct bases
+        code = run(tmp_path, "measure", "system.dimension=2",
+                   "system.modes_per_axis=4", "system.volume=16.0",
+                   "system.eta=4", "task.strategy=per_term",
+                   "task.shots=100")
+        assert code == 0
+        counts = read_report(tmp_path, "measure_report.json")["meta"][
+            "counts"]
+        assert counts == {"qubits": 16, "pauli_terms": 232, "bases": 97,
+                          "shots_drawn": 23200}
 
     def test_vqe_jellium(self, tmp_path):
         code = run(tmp_path, "vqe-jellium", *SMALL, "system.eta=1",

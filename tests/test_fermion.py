@@ -6,7 +6,8 @@ import pytest
 from pwdual.fermion import FermionOperator, RAISE, LOWER, normal_order, \
     jordan_wigner, fermion_matrix, total_number_operator
 from pwdual.pauli import QubitOperator, qubit_operator_matrix, \
-    self_inverse_decompose, multiply_strings, pauli_string
+    self_inverse_decompose, multiply_strings, pauli_string, apply_string, \
+    string_matrix
 
 
 def op(spec, coeff=1.0):
@@ -162,6 +163,14 @@ class TestPauliAlgebra:
             lhs = qubit_operator_matrix(a * b, n)
             rhs = qubit_operator_matrix(a, n) @ qubit_operator_matrix(b, n)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+    @pytest.mark.parametrize("key", [((3, "X"),), ((0, "Z"), (2, "Y"))])
+    def test_string_outside_register_rejected(self, key):
+        with pytest.raises(ValueError, match="outside the register"):
+            string_matrix(key, 2)
+        with pytest.raises(ValueError, match="outside the register"):
+            apply_string(key, np.ones(4, dtype=complex))
 
 
 class TestSelfInverseDecompose:

@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pwdual.fermion import fermion_matrix
+from pwdual.fermion import fermion_matrix, jordan_wigner
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_qubit
 from pwdual.measurement import MeasurementPlan, estimate_energy, \
     empirical_variance, empirical_shot_requirement, shot_budget, \
     exact_group_variances, diagonal_potential_values, PER_TERM, \
-    DIAGONAL_GROUPS, DIAGONAL_UV_ONLY, PHASE_ESTIMATION
-from pwdual.statevector import Statevector, expectation
+    DIAGONAL_GROUPS, DIAGONAL_UV_ONLY, PHASE_ESTIMATION, _batch_seed, \
+    _group_samples, _pauli_term_values, _per_term_samples
+from pwdual.pauli import QubitOperator
+from pwdual.statevector import Statevector, Circuit, Gate, expectation, \
+    sample_bitstrings
 
 
 def jellium(m=4, spinful=False, omega=4.0):
@@ -87,6 +93,10 @@ class TestEstimateEnergy:
         with pytest.raises(ValueError):
             MeasurementPlan("guess", 10, 0)
 
+    def test_rejects_budget_only_mode(self):
+        with pytest.raises(ValueError, match="budget-only"):
+            MeasurementPlan(PHASE_ESTIMATION, 10, 0)
+
 
 class TestDiagonalExactness:
     @pytest.mark.parametrize("m,spinful", [(2, True), (4, False)])
@@ -147,6 +157,10 @@ class TestShotBudget:
         b2 = shot_budget(hs, 2, 0.1, strategy=PHASE_ESTIMATION)
         assert b2 == pytest.approx(2 * b1)
 
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            shot_budget(jellium(), 2, 0.1, strategy="guess")
+
     def test_relative_mode_divides_by_eta_squared(self):
         hs = jellium()
         eta = 2
@@ -167,3 +181,111 @@ class TestShotBudget:
             need = empirical_shot_requirement(state, hs, DIAGONAL_GROUPS,
                                               target, seed)
             assert need <= budget
+
+
+# -- references: the estimators before grouping and deduplication -------------
+
+
+def reference_per_term(state, op, shots, seed):
+    """One basis rotation and one sample_bitstrings call per term."""
+    out = []
+    for counter, (key, coeff) in enumerate(op.items()):
+        if key == ():
+            continue
+        rot = Circuit(state.n_qubits)
+        for q, letter in key:
+            if letter == "X":
+                rot.add(Gate("H", (q,)))
+            elif letter == "Y":
+                rot.add(Gate("PEXP", (q,), angle=math.pi / 4, letters="X"))
+        samples = sample_bitstrings(state, basis_rotation=rot, shots=shots,
+                                    seed=_batch_seed(seed, counter))
+        out.append(coeff.real * _pauli_term_values(key, samples))
+    return out
+
+
+def reference_potential_values(hs, samples):
+    """U + V energy evaluated on every sample, repeats included."""
+    values = np.zeros(len(samples), dtype=float)
+    for key, coeff in hs.external.items():
+        q = key[0][0]
+        values += coeff.real * ((samples >> q) & 1)
+    for key, coeff in hs.interaction.items():
+        q1, q2 = key[0][0], key[2][0]
+        values += coeff.real * ((samples >> q1) & 1) * ((samples >> q2) & 1)
+    return values
+
+
+def reference_groups(state, hs, plan):
+    if plan.strategy == PER_TERM:
+        return reference_per_term(state, build_qubit(hs), plan.shots,
+                                  plan.seed)
+    uv = sample_bitstrings(state, shots=plan.shots,
+                           seed=_batch_seed(plan.seed, 0))
+    kin = jordan_wigner(hs.kinetic, hs.n_qubits)
+    return [reference_potential_values(hs, uv)] + reference_per_term(
+        state, kin, plan.shots, plan.seed + 1)
+
+
+def state_from(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.25] = 0.0
+    amps[0] += 0.1
+    return Statevector(n, amps / np.linalg.norm(amps))
+
+
+@st.composite
+def grouped_operators(draw):
+    """A real-weighted Pauli sum on 2-8 qubits with an identity term and
+    several terms (extra Z letters) per X/Y measurement basis."""
+    n = draw(st.integers(2, 8))
+    weights = st.floats(-2.0, 2.0, allow_nan=False)
+    qubits = st.lists(st.integers(0, n - 1), max_size=3, unique=True)
+    terms = {(): draw(weights)}
+    for _ in range(draw(st.integers(1, 5))):
+        basis = {q: draw(st.sampled_from("XY")) for q in draw(qubits)}
+        for _ in range(draw(st.integers(1, 3))):
+            letters = {**{q: "Z" for q in draw(qubits)}, **basis}
+            terms[tuple(sorted(letters.items()))] = draw(weights)
+    return n, QubitOperator(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_operators(), st.integers(0, 2 ** 32), st.integers(0, 1000),
+       st.integers(1, 300))
+def test_grouped_per_term_equals_reference(case, state_seed, seed, shots):
+    n, op = case
+    state = state_from(n, state_seed)
+    counts = {"pauli_terms": 0, "bases": 0}
+    got = _per_term_samples(state, op, shots, seed, counts)
+    want = reference_per_term(state, op, shots, seed)
+    assert len(got) == len(want) == counts["pauli_terms"]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert counts["bases"] == len({tuple(f for f in key if f[1] != "Z")
+                                   for key in op.terms if key})
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(1, 2, 4.0, True), (1, 4, 4.0, False),
+                        (2, 2, 4.0, False), (1, 4, 4.0, True)]),
+       st.sampled_from([PER_TERM, DIAGONAL_UV_ONLY]),
+       st.integers(0, 2 ** 32), st.integers(0, 1000))
+def test_grouped_strategies_equal_reference(grid, strategy, state_seed, seed):
+    hs = build_dual(build_grid(*grid))
+    state = state_from(hs.n_qubits, state_seed)
+    plan = MeasurementPlan(strategy, 200, seed)
+    groups, _ = _group_samples(state, hs, plan)
+    want = reference_groups(state, hs, plan)
+    assert len(groups) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(groups, want))
+
+
+@pytest.mark.parametrize("m,spinful", [(2, True), (4, False), (4, True)])
+def test_potential_values_equal_per_sample_evaluation(m, spinful):
+    hs = jellium(m, spinful)
+    state = state_from(hs.n_qubits, m)
+    samples = sample_bitstrings(state, shots=5000, seed=3)
+    assert len(np.unique(samples)) < len(samples)
+    assert np.array_equal(diagonal_potential_values(hs, samples),
+                          reference_potential_values(hs, samples))

@@ -219,6 +219,31 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_bitstrings(Statevector.zero_state(1), shots=0)
 
+    @pytest.mark.parametrize("amps", [[0.5, np.nan, 0.5, 0.5],
+                                      [0.5, np.inf, 0.5, 0.5], [0, 0, 0, 0]])
+    def test_rejects_unnormalizable_amplitudes(self, amps):
+        state = Statevector(2, np.array(amps, dtype=complex))
+        with pytest.raises(ValueError, match="finite and > 0"):
+            sample_bitstrings(state, shots=10, seed=1)
+
+    def test_seed_sequence_rows_equal_single_seeds_and_choice(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 7):
+            amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            amps[rng.random(2 ** n) < 0.3] = 0.0
+            amps[0] = 0.7
+            state = Statevector(n, amps / np.linalg.norm(amps))
+            seeds = [int(s) for s in rng.integers(0, 2 ** 40, size=5)]
+            rows = sample_bitstrings(state, shots=300, seed=seeds)
+            probs = np.abs(state.amplitudes) ** 2
+            probs = probs / probs.sum()
+            assert rows.shape == (5, 300)
+            for seed, row in zip(seeds, rows):
+                assert np.array_equal(
+                    row, sample_bitstrings(state, shots=300, seed=seed))
+                assert np.array_equal(row, make_rng(seed).choice(
+                    len(probs), size=300, p=probs))
+
 
 class TestCaps:
     def test_exact_evolve_cap(self):
