@@ -7,7 +7,7 @@ schedules, selection/preparation oracles), and verifies every construction
 against an exact statevector engine at small qubit counts.
 """
 
-from .geometry import Cell, ModeGrid, build_grid, wrap_mode, k_squared
+from .geometry import Cell, ModeGrid, build_grid
 from .fermion import FermionOperator, normal_order, jordan_wigner, \
     fermion_matrix
 from .pauli import QubitOperator, qubit_operator_matrix, \

@@ -109,10 +109,7 @@ def resolve_system(cfg):
     else:
         volume = float(sysblock.get("volume", float(m ** d)))
     spinful = bool(sysblock.get("spinful", False))
-    try:
-        grid = build_grid(d, m, volume, spinful)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = build_grid(d, m, volume, spinful)
     nuclei = NucleiSpec.build(
         [(tuple(pos), charge) for pos, charge in sysblock.get("nuclei", [])])
     truncated = sysblock.get("truncated_D")
@@ -288,10 +285,7 @@ def cmd_swapnet(cfg, out_dir):
     _check_keys(task, {"rows", "cols"}, "task block")
     rows = int(task.get("rows", 4))
     cols = int(task.get("cols", 4))
-    try:
-        sched = build_full_schedule(rows, cols)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sched = build_full_schedule(rows, cols)
     n = rows * cols
     covered = sched.interact_pairs()
     want = n * (n - 1) // 2
@@ -501,11 +495,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         return COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        failure = {"error": str(exc)}
-        print(json.dumps(failure), file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

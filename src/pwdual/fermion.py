@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .pauli import QubitOperator, PRUNE_TOL, HERMITIAN_TOL, _product
+from .pauli import QubitOperator, PRUNE_TOL, HERMITIAN_TOL, \
+    MATRIX_QUBIT_CAP, _product
 
 RAISE = 1
 LOWER = 0
@@ -181,8 +182,6 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
 
 
 # -- occupation-basis matrices (independent of the Pauli path) --------------
-
-MATRIX_QUBIT_CAP = 14
 
 
 def _ladder_action(key, n_orbitals: int):

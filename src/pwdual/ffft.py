@@ -21,8 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ModeGrid
-from .statevector import Circuit, Gate, _apply, fk_gate, require_dense
+from .statevector import Circuit, Gate, fk_gate
 from .swapnet import _is_power_of_two, transposition_phases
+
+# entries of a two-qubit matrix that mix the 0-, 1- and 2-particle blocks
+_OUTSIDE_BLOCKS = np.array([[0, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1],
+                            [1, 1, 1, 0]], dtype=bool)
 
 
 def _fswap_sort(positions, keys):
@@ -141,22 +145,30 @@ def mode_ladder_operator(grid: ModeGrid, nu, spin=None):
 
 
 def single_particle_transform(circuit: Circuit, n_orbitals: int) -> np.ndarray:
-    """Matrix W with C^dag a^dag_p C = sum_q W[p, q] a^dag_q for a
-    number-conserving circuit C.
+    """Matrix W with C^dag a^dag_p C = sum_q W[p, q] a^dag_q for a circuit C
+    of number-conserving Gaussian two-mode gates on adjacent orbitals.
 
-    The vacuum and the n one-electron basis states go through C^dag as one
-    batch, (n+1) 2^n amplitudes: C^dag|p> = e^{-i phi} sum_q W[p, q] |q>
-    where C^dag|vac> = e^{-i phi}|vac>, so dividing by the vacuum amplitude
-    leaves W.
+    A gate with matrix m sends a^dag on its two orbitals through the 2x2
+    block B = m[1:3, 1:3] on {|01>, |10>}, relative to its vacuum amplitude
+    m[0, 0]; no Jordan-Wigner string lies between adjacent orbitals. So W is
+    the ordered product of conj(B / m[0, 0]), O(gates * n) with no 2^n state
+    (Terhal and DiVincenzo, quant-ph/0108010). Any other gate raises
+    ValueError.
     """
-    require_dense(n_orbitals, "single-particle transform")
-    singles = 1 << np.arange(n_orbitals)
-    rows = np.zeros((n_orbitals + 1, 2 ** n_orbitals), dtype=complex)
-    rows[0, 0] = 1.0
-    rows[np.arange(1, n_orbitals + 1), singles] = 1.0
-    for g in circuit.inverse().gates:
-        rows = _apply(rows, g, n_orbitals)
-    return rows[1:, singles] / rows[0, 0]
+    w = np.eye(n_orbitals, dtype=complex)
+    for g in circuit.gates:
+        if len(g.targets) != 2 or g.kind == "PEXP" \
+                or abs(g.targets[0] - g.targets[1]) != 1:
+            raise ValueError(f"{g} is not a two-mode gate on adjacent "
+                             f"orbitals")
+        m = g.matrix()
+        block = m[1:3, 1:3]
+        det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+        if m[_OUTSIDE_BLOCKS].any() or abs(m[3, 3] * m[0, 0] - det) > 1e-12:
+            raise ValueError(f"{g} is not a number-conserving Gaussian gate")
+        rows = list(g.targets)
+        w[rows] = np.conj(block / m[0, 0]) @ w[rows]
+    return w
 
 
 def stage_listing(circuit: Circuit):

@@ -204,11 +204,3 @@ def build_grid(dimension: int, modes_per_axis: int, volume: float,
     nonpositive volume.
     """
     return ModeGrid(Cell(dimension, volume, spinful), modes_per_axis)
-
-
-def wrap_mode(grid: ModeGrid, nu):
-    return grid.wrap_mode(nu)
-
-
-def k_squared(grid: ModeGrid, nu) -> float:
-    return grid.k_squared(nu)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import ModeGrid
 from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
-from .pauli import QubitOperator, string_matrix
+from .pauli import MATRIX_QUBIT_CAP, QubitOperator, string_matrix
 from .serialize import fmt
 from .statevector import Statevector
 
@@ -136,15 +136,15 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     return model
 
 
-def select_matrix(model: LcuModel, max_qubits: int = 14) -> np.ndarray:
+def select_matrix(model: LcuModel) -> np.ndarray:
     """Block-diagonal selection unitary |l><l| (x) sign_l H_l over
     (selection (x) system); self-inverse by construction."""
     width = model.index_width
     n_sys = model.n_system
     total_qubits = model.selection_width + n_sys
-    if total_qubits > max_qubits:
+    if total_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(f"selection + system needs {total_qubits} qubits, "
-                         f"cap is {max_qubits}")
+                         f"cap is {MATRIX_QUBIT_CAP}")
     dim_sel = 2 ** model.selection_width
     dim_sys = 2 ** n_sys
     out = np.zeros((dim_sel * dim_sys, dim_sel * dim_sys), dtype=complex)

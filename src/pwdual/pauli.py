@@ -12,6 +12,7 @@ import numpy as np
 
 PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
+MATRIX_QUBIT_CAP = 14  # largest register any dense 2^n x 2^n matrix takes
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -181,9 +182,6 @@ def string_matrix(key: tuple, n_qubits: int) -> np.ndarray:
         factor = _PAULI_MATS.get(letters.get(q), np.eye(2, dtype=complex))
         mat = np.kron(factor, mat)
     return mat
-
-
-MATRIX_QUBIT_CAP = 14
 
 
 def qubit_operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:

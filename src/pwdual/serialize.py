@@ -28,21 +28,23 @@ def dumps_fermion(op: FermionOperator) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _term_lines(text: str):
+    """(coefficient, factor tokens) per term line; blank and # lines are skipped."""
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) < 2:
+            raise ValueError(f"term line {line.strip()!r} needs a real and "
+                             f"an imaginary part")
+        yield complex(float(parts[0]), float(parts[1])), parts[2:]
+
+
 def loads_fermion(text: str) -> FermionOperator:
     op = FermionOperator()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        coeff = complex(float(parts[0]), float(parts[1]))
-        key = []
-        for tok in parts[2:]:
-            if tok.endswith("^"):
-                key.append((int(tok[:-1]), RAISE))
-            else:
-                key.append((int(tok), LOWER))
-        key = tuple(key)
+    for coeff, tokens in _term_lines(text):
+        key = tuple((int(tok[:-1]), RAISE) if tok.endswith("^")
+                    else (int(tok), LOWER) for tok in tokens)
         op.terms[key] = op.terms.get(key, 0.0) + coeff
     return op
 
@@ -128,12 +130,7 @@ def dumps_qubit(op: QubitOperator) -> str:
 
 def loads_qubit(text: str) -> QubitOperator:
     op = QubitOperator()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        coeff = complex(float(parts[0]), float(parts[1]))
-        key = pauli_string((int(tok[1:]), tok[0]) for tok in parts[2:])
+    for coeff, tokens in _term_lines(text):
+        key = pauli_string((int(tok[1:]), tok[0]) for tok in tokens)
         op.terms[key] = op.terms.get(key, 0.0) + coeff
     return op

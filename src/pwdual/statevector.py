@@ -16,10 +16,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .pauli import QubitOperator, apply_string, expectation_value, \
-    qubit_operator_matrix
+from .pauli import MATRIX_QUBIT_CAP, QubitOperator, apply_string, \
+    expectation_value, qubit_operator_matrix
 
-EVOLVE_QUBIT_CAP = 14
 NORM_TOL = 1e-10
 DENSE_BYTES_LIMIT = 2 ** 30  # one 26-qubit statevector
 
@@ -287,8 +286,8 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Full unitary of the circuit (small registers only)."""
     n = circuit.n_qubits
-    if n > EVOLVE_QUBIT_CAP:
-        raise ValueError(f"circuit matrix limited to {EVOLVE_QUBIT_CAP} qubits")
+    if n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"circuit matrix limited to {MATRIX_QUBIT_CAP} qubits")
     # row j carries basis state j through the circuit, so it ends as
     # column j of the unitary
     rows = np.eye(2 ** n, dtype=complex)
@@ -304,8 +303,8 @@ def exact_evolve(hamiltonian: QubitOperator, t: float,
                  state: Statevector) -> Statevector:
     """Reference exp(-iHt) by dense eigendecomposition."""
     n = state.n_qubits
-    if n > EVOLVE_QUBIT_CAP:
-        raise ValueError(f"exact evolution limited to {EVOLVE_QUBIT_CAP} qubits")
+    if n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"exact evolution limited to {MATRIX_QUBIT_CAP} qubits")
     mat = qubit_operator_matrix(hamiltonian, n)
     vals, vecs = np.linalg.eigh(mat)
     phases = np.exp(-1j * vals * t)
@@ -372,11 +371,17 @@ def loads_circuit(text: str, n_qubits: int) -> Circuit:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ValueError(f"circuit line {line!r} is not <gate> "
+                             f"<targets> [<angle>]")
         name = parts[0]
         dagger = name.endswith("'")
         if dagger:
             name = name[:-1]
         kind, _, letters = name.partition(":")
+        if len(parts) == 3 and kind in GATE_KINDS \
+                and GATE_KINDS[kind].inverse == _SELF:
+            raise ValueError(f"{kind} takes no angle: {line!r}")
         targets = tuple(int(x) for x in parts[1].split(","))
         angle = float(parts[2]) if len(parts) > 2 else 0.0
         circ.add(Gate(kind, targets, angle=angle, letters=letters,

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pwdual.fermion import FermionOperator, fermion_matrix, \
+from pwdual.fermion import RAISE, FermionOperator, fermion_matrix, \
     total_number_operator
 from pwdual.ffft import build_ffft_1d, build_ffft_nd, mode_ladder_operator, \
     single_particle_transform, fswap_properties_report
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_plane_wave
-from pwdual.statevector import Circuit, circuit_matrix, fk_gate
+from pwdual.statevector import Circuit, Gate, circuit_matrix, fk_gate
 
 
 def reference_single_particle_transform(circuit, n_orbitals):
@@ -144,6 +147,61 @@ class TestMultiDimensional:
         n_op = fermion_matrix(total_number_operator(grid.n_qubits),
                               grid.n_qubits)
         assert np.max(np.abs(u @ n_op - n_op @ u)) < 1e-10
+
+
+# (dimension, modes per axis, spinful) with at most 128 qubits
+grids = st.sampled_from([
+    (d, m, spinful)
+    for d, m_max in ((1, 64), (2, 8), (3, 4))
+    for m in (2, 4, 8, 16, 32, 64) if m <= m_max
+    for spinful in (False, True) if (1 + spinful) * m ** d <= 128])
+
+
+class TestSingleParticleTransform:
+    @settings(max_examples=25, deadline=None)
+    @given(grids)
+    def test_unitary_and_spin_blocked(self, cell):
+        d, m, spinful = cell
+        grid = build_grid(d, m, 2.0 ** d, spinful=spinful)
+        w = single_particle_transform(build_ffft_nd(grid), grid.n_qubits)
+        assert np.max(np.abs(w @ w.conj().T - np.eye(grid.n_qubits))) \
+            < 1e-13
+        if spinful:
+            parity = np.arange(grid.n_qubits) % 2
+            assert not np.any(w[parity[:, None] != parity[None, :]])
+
+    @pytest.mark.parametrize("d,m,spinful", [(3, 4, False), (2, 8, True)])
+    def test_rows_are_mode_ladder_operators(self, d, m, spinful):
+        grid = build_grid(d, m, 2.0 ** d, spinful=spinful)
+        circ = build_ffft_nd(grid)
+        tracemalloc.start()
+        try:
+            w = single_particle_transform(circ, grid.n_qubits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        for nu in grid.nu_list:
+            for spin in (("up", "down") if spinful else (None,)):
+                p = grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
+                row = np.zeros(grid.n_qubits, dtype=complex)
+                for ((q, flag),), c in mode_ladder_operator(grid, nu,
+                                                           spin).terms.items():
+                    assert flag == RAISE
+                    row[q] = c
+                assert np.max(np.abs(w[p] - row)) < 1e-12
+
+    @pytest.mark.parametrize("gate", [
+        Gate("CNOT", (0, 1)), Gate("SWAP", (0, 1)),
+        Gate("CPHASE", (0, 1), angle=0.3), Gate("RZ", (0,), angle=0.3),
+        Gate("PEXP", (0, 1), angle=0.3, letters="XY"),
+        Gate("FSWAP", (0, 2)),
+    ])
+    def test_rejects_other_gates(self, gate):
+        circ = Circuit(3)
+        circ.add(gate)
+        with pytest.raises(ValueError, match=gate.kind):
+            single_particle_transform(circ, 3)
 
 
 class TestKineticDiagonalization:

@@ -46,6 +46,13 @@ def test_qubit_malformed_term_rejected(line, match):
         loads_qubit(line + "\n")
 
 
+@pytest.mark.parametrize("loads", [loads_fermion, loads_qubit])
+@pytest.mark.parametrize("text", ["1", "1 0\n2"])
+def test_term_line_without_imaginary_part_rejected(loads, text):
+    with pytest.raises(ValueError, match="imaginary part"):
+        loads(text + "\n")
+
+
 def test_fmt_round_trips_doubles():
     rng = np.random.default_rng(0)
     for _ in range(200):
