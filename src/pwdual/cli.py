@@ -19,6 +19,7 @@ import math
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,8 @@ from .serialize import fmt, dumps_hamiltonian
 from .statevector import Statevector, apply_circuit, circuit_matrix, \
     dumps_circuit, exact_evolve, expectation
 from .swapnet import build_full_schedule, dumps_schedule
-from .trotter import TrotterConfig, split_operator_step, direct_jw_step, \
-    measure_error_scaling, estimate_r
+from .trotter import TrotterConfig, measure_error_scaling, estimate_r, \
+    trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
 
@@ -117,6 +118,14 @@ def resolve_system(cfg):
     return grid, nuclei, truncated, constant, eta
 
 
+@contextmanager
+def _stage(stages: dict, name: str):
+    """Time the block in wall seconds as ``stages[name]``."""
+    start = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - start
+
+
 def _emit(out_dir: Path, name: str, payload: dict, cfg: dict,
           meta: dict = None) -> Path:
     doc = {
@@ -150,13 +159,12 @@ def cmd_build(cfg, out_dir):
     _check_keys(task, {"representations"}, "task block")
     reps = task.get("representations", [DUAL])
     stages = {}
-    start = time.perf_counter()
-    sets = {}
-    for rep in reps:
-        hs = _build_representation(rep, grid, nuclei, truncated, constant)
-        sets[rep] = hs
-        _write(out_dir, f"hamiltonian_{rep}.txt", dumps_hamiltonian(hs))
-    stages["build"] = time.perf_counter() - start
+    with _stage(stages, "build"):
+        sets = {}
+        for rep in reps:
+            hs = _build_representation(rep, grid, nuclei, truncated, constant)
+            sets[rep] = hs
+            _write(out_dir, f"hamiltonian_{rep}.txt", dumps_hamiltonian(hs))
     counts = {"qubits": grid.n_qubits}
     report = {"n_qubits": grid.n_qubits}
     for rep, hs in sets.items():
@@ -166,9 +174,8 @@ def cmd_build(cfg, out_dir):
             "interaction_terms": len(hs.interaction.terms),
         }
     if DUAL in sets:
-        start = time.perf_counter()
-        qub = build_qubit(sets[DUAL])
-        stages["compile"] = time.perf_counter() - start
+        with _stage(stages, "compile"):
+            qub = build_qubit(sets[DUAL])
         counts["fermion_terms"] = len(sets[DUAL].total().terms)
         counts["pauli_terms"] = len(qub.terms)
         report["norm_bounds"] = {
@@ -176,10 +183,9 @@ def cmd_build(cfg, out_dir):
             "lam": qub.coefficient_norm(include_identity=True)}
     failures = []
     if set(reps) >= {DUAL, PLANE_WAVE} and grid.n_qubits <= MATRIX_CAP:
-        start = time.perf_counter()
-        gap = float(np.max(np.abs(sets[DUAL].spectrum()
-                                  - sets[PLANE_WAVE].spectrum())))
-        stages["verify"] = time.perf_counter() - start
+        with _stage(stages, "verify"):
+            gap = float(np.max(np.abs(sets[DUAL].spectrum()
+                                      - sets[PLANE_WAVE].spectrum())))
         report["isospectrality_max_gap"] = gap
         if gap > 1e-9:
             failures.append(f"spectra disagree by {gap:.3e}")
@@ -214,25 +220,26 @@ def cmd_trotter_sweep(cfg, out_dir):
                        "slope_tolerance", "epsilon"}, "task block")
     if grid.n_qubits > MATRIX_CAP:
         raise ConfigError(f"error sweeps are capped at {MATRIX_CAP} qubits")
-    hs = build_dual(grid, nuclei, truncated, constant)
     r_list = [int(r) for r in task.get("r_list", [2, 4, 8, 16, 32])]
     t = float(task.get("t", 1.0))
     order = int(task.get("order", 2))
     strategy = task.get("strategy", "split_operator")
-    h_mat = hs.matrix()
-    vals, vecs = np.linalg.eigh(h_mat)
-    exact = vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
+    stages = {}
+    with _stage(stages, "build"):
+        hs = build_dual(grid, nuclei, truncated, constant)
+    with _stage(stages, "matrix"):
+        h_mat = hs.matrix()
+        vals, vecs = np.linalg.eigh(h_mat)
+        exact = vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
+    counts = {"qubits": grid.n_qubits, "matrix_bytes": h_mat.nbytes}
 
-    if strategy == "split_operator":
-        step_fn = lambda tau: circuit_matrix(
-            split_operator_step(hs, tau, order=order))
-    elif strategy == "direct_jw":
-        qop = build_qubit(hs)
-        step_fn = lambda tau: circuit_matrix(
-            direct_jw_step(qop, tau, order=order, n_qubits=hs.n_qubits))
-    else:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    rows, slope = measure_error_scaling(step_fn, exact, r_list, t)
+    def step_fn(tau):
+        step = trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
+        counts["gates"] = step.gate_count()  # the same for every r
+        return circuit_matrix(step)
+
+    with _stage(stages, "verify"):
+        rows, slope = measure_error_scaling(step_fn, exact, r_list, t)
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]
     _write(out_dir, "trotter_sweep.csv", "\n".join(lines) + "\n")
     expected = task.get("expected_slope", -float(order))
@@ -249,7 +256,8 @@ def cmd_trotter_sweep(cfg, out_dir):
                                   float(task.get("epsilon", 1e-3))),
         "failures": failures,
     }
-    _emit(out_dir, "trotter_report.json", report, cfg)
+    _emit(out_dir, "trotter_report.json", report, cfg,
+          {"counts": counts, "stages": stages})
     return 1 if failures else 0
 
 
@@ -258,25 +266,30 @@ def cmd_ffft_check(cfg, out_dir):
     task = cfg["task"]
     _check_keys(task, {"tolerance"}, "task block")
     tolerance = float(task.get("tolerance", 1e-9))
-    circ = build_ffft_nd(grid)
-    u = circuit_matrix(circ)
-    worst = 0.0
-    spins = ("up", "down") if grid.cell.spinful else (None,)
-    for nu in grid.nu_list:
-        for spin in spins:
-            q = grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
-            adag = fermion_matrix(FermionOperator.raising(q), grid.n_qubits)
-            rhs = fermion_matrix(mode_ladder_operator(grid, nu, spin),
-                                 grid.n_qubits)
-            err = float(np.max(np.abs(u.conj().T @ adag @ u - rhs)))
-            worst = max(worst, err)
+    stages = {}
+    with _stage(stages, "build"):
+        circ = build_ffft_nd(grid)
+    with _stage(stages, "matrix"):
+        u = circuit_matrix(circ)
+    counts = {"qubits": grid.n_qubits, "gates": circ.gate_count(),
+              "matrix_bytes": u.nbytes}
+    with _stage(stages, "verify"):
+        worst, n = 0.0, grid.n_qubits
+        spins = ("up", "down") if grid.cell.spinful else (None,)
+        for nu in grid.nu_list:
+            for spin in spins:
+                q = grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
+                adag = fermion_matrix(FermionOperator.raising(q), n)
+                rhs = fermion_matrix(mode_ladder_operator(grid, nu, spin), n)
+                err = float(np.max(np.abs(u.conj().T @ adag @ u - rhs)))
+                worst = max(worst, err)
     _write(out_dir, "ffft_circuit.txt", dumps_circuit(circ))
     failures = [] if worst < tolerance else [
         f"conjugation error {worst:.3e} above {tolerance}"]
     _emit(out_dir, "ffft_report.json",
           {"conjugation_max_error": worst, "gates": circ.gate_count(),
            "depth": circ.depth(), "plan": stage_listing(circ),
-           "failures": failures}, cfg)
+           "failures": failures}, cfg, {"counts": counts, "stages": stages})
     return 1 if failures else 0
 
 
@@ -311,50 +324,48 @@ def cmd_lcu_check(cfg, out_dir):
     task = cfg["task"]
     _check_keys(task, {"t", "orders", "include_noop"}, "task block")
     stages = {}
-    start = time.perf_counter()
-    hs = build_dual(grid, nuclei, truncated, constant)
-    model = build_weights(hs, include_noop=bool(task.get("include_noop",
-                                                         True)))
-    _write(out_dir, "lcu_weights.csv", dump_weights(model))
-    stages["build"] = time.perf_counter() - start
-    start = time.perf_counter()
-    qub = build_qubit(hs)
-    stages["compile"] = time.perf_counter() - start
-    start = time.perf_counter()
-    rec = model.reconstruction()
-    worst = 0.0
-    for key in set(rec.terms) | set(qub.terms):
-        if key == ():
-            continue
-        worst = max(worst, abs(rec.terms.get(key, 0) - qub.terms.get(key, 0)))
-    prep = prepare_state(model)
-    lam = model.lam
-    width = model.index_width
-    prep_err = float(max(
-        abs(abs(prep.amplitudes[idx.encode(width)]) ** 2 - abs(w) / lam)
-        for idx, w in model.weights.items()))
-    bounds = norm_bounds(hs, eta)
-    failures = []
-    if worst > 1e-12:
-        failures.append(f"reconstruction gap {worst:.3e}")
-    if prep_err > 1e-12:
-        failures.append(f"preparation amplitude gap {prep_err:.3e}")
-    t = float(task.get("t", 0.1))
-    taylor = {}
-    if lam * t <= math.log(2.0) and grid.n_qubits <= MATRIX_CAP:
-        rng = np.random.default_rng(cfg["seed"])
-        amps = rng.normal(size=2 ** grid.n_qubits) \
-            + 1j * rng.normal(size=2 ** grid.n_qubits)
-        psi = Statevector(grid.n_qubits, amps / np.linalg.norm(amps))
-        exact = exact_evolve(rec, t, psi)
-        for order in task.get("orders", [2, 4]):
-            out, success = taylor_segment(model, t, int(order), psi)
-            taylor[str(order)] = {
-                "error": float(np.linalg.norm(out.amplitudes
-                                              - exact.amplitudes)),
-                "success_amplitude": success,
-            }
-    stages["verify"] = time.perf_counter() - start
+    with _stage(stages, "build"):
+        hs = build_dual(grid, nuclei, truncated, constant)
+        model = build_weights(hs, include_noop=bool(task.get("include_noop",
+                                                             True)))
+        _write(out_dir, "lcu_weights.csv", dump_weights(model))
+    with _stage(stages, "compile"):
+        qub = build_qubit(hs)
+    with _stage(stages, "verify"):
+        rec = model.reconstruction()
+        worst = 0.0
+        for key in set(rec.terms) | set(qub.terms):
+            if key == ():
+                continue
+            worst = max(worst, abs(rec.terms.get(key, 0)
+                                   - qub.terms.get(key, 0)))
+        prep = prepare_state(model)
+        lam = model.lam
+        width = model.index_width
+        prep_err = float(max(
+            abs(abs(prep.amplitudes[idx.encode(width)]) ** 2 - abs(w) / lam)
+            for idx, w in model.weights.items()))
+        bounds = norm_bounds(hs, eta)
+        failures = []
+        if worst > 1e-12:
+            failures.append(f"reconstruction gap {worst:.3e}")
+        if prep_err > 1e-12:
+            failures.append(f"preparation amplitude gap {prep_err:.3e}")
+        t = float(task.get("t", 0.1))
+        taylor = {}
+        if lam * t <= math.log(2.0) and grid.n_qubits <= MATRIX_CAP:
+            rng = np.random.default_rng(cfg["seed"])
+            amps = rng.normal(size=2 ** grid.n_qubits) \
+                + 1j * rng.normal(size=2 ** grid.n_qubits)
+            psi = Statevector(grid.n_qubits, amps / np.linalg.norm(amps))
+            exact = exact_evolve(rec, t, psi)
+            for order in task.get("orders", [2, 4]):
+                out, success = taylor_segment(model, t, int(order), psi)
+                taylor[str(order)] = {
+                    "error": float(np.linalg.norm(out.amplitudes
+                                                  - exact.amplitudes)),
+                    "success_amplitude": success,
+                }
     report = {
         "lam": lam,
         "term_count": len(model.weights),
@@ -382,23 +393,18 @@ def cmd_measure(cfg, out_dir):
                           f"choose from {STRATEGIES}")
     shots = int(task.get("shots", 2000))
     stages = {}
-    start = time.perf_counter()
-    hs = build_dual(grid, nuclei, truncated, constant)
-    stages["build"] = time.perf_counter() - start
-    start = time.perf_counter()
-    with warnings.catch_warnings():
+    with _stage(stages, "build"):
+        hs = build_dual(grid, nuclei, truncated, constant)
+    with _stage(stages, "prepare"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         state = prepare_reference(grid, eta)
-    stages["prepare"] = time.perf_counter() - start
-    start = time.perf_counter()
-    plan = MeasurementPlan(strategy, shots, cfg["seed"])
-    counts = {"qubits": grid.n_qubits}
-    estimate, stderr = estimate_energy(state, hs, plan, counts)
-    stages["estimate"] = time.perf_counter() - start
-    start = time.perf_counter()
-    budget = shot_budget(hs, eta, float(task.get("precision", 0.1)),
-                         task.get("mode", "absolute"), strategy)
-    stages["budget"] = time.perf_counter() - start
+    with _stage(stages, "estimate"):
+        plan = MeasurementPlan(strategy, shots, cfg["seed"])
+        counts = {"qubits": grid.n_qubits}
+        estimate, stderr = estimate_energy(state, hs, plan, counts)
+    with _stage(stages, "budget"):
+        budget = shot_budget(hs, eta, float(task.get("precision", 0.1)),
+                             task.get("mode", "absolute"), strategy)
     report = {
         "estimate": estimate,
         "stderr": stderr,
@@ -418,26 +424,23 @@ def cmd_vqe_jellium(cfg, out_dir):
     _check_keys(task, {"layers", "sharing", "minimal", "restarts", "maxiter"},
                 "task block")
     stages = {}
-    start = time.perf_counter()
-    hs = build_dual(grid, nuclei, truncated, constant)
-    spec = AnsatzSpec(layers=int(task.get("layers", 1)),
-                      sharing=task.get("sharing", "full"),
-                      minimal=bool(task.get("minimal", False)))
-    stages["build"] = time.perf_counter() - start
-    start = time.perf_counter()
-    with warnings.catch_warnings():
+    with _stage(stages, "build"):
+        hs = build_dual(grid, nuclei, truncated, constant)
+        spec = AnsatzSpec(layers=int(task.get("layers", 1)),
+                          sharing=task.get("sharing", "full"),
+                          minimal=bool(task.get("minimal", False)))
+    with warnings.catch_warnings(), _stage(stages, "optimize"):
         warnings.simplefilter("ignore")
         res = optimize(spec, hs, eta, seed=cfg["seed"],
                        restarts=int(task.get("restarts", 4)),
                        maxiter=int(task.get("maxiter", 600)))
-        stages["optimize"] = time.perf_counter() - start
-        # the optimizer runs on the eta-electron sector; the gate-by-gate
-        # circuit and the Pauli-term energy check its best point
-        start = time.perf_counter()
+    # the optimizer runs on the eta-electron sector; the gate-by-gate
+    # circuit and the Pauli-term energy check its best point
+    with _stage(stages, "verify"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         prepared = apply_circuit(prepare_reference(grid, eta),
                                  Ansatz(spec, grid).circuit(res.theta))
-    circuit_gap = abs(expectation(prepared, build_qubit(hs)) - res.energy)
-    stages["verify"] = time.perf_counter() - start
+        circuit_gap = abs(expectation(prepared, build_qubit(hs)) - res.energy)
     report = {
         "reference_energy": res.reference_energy,
         "optimized_energy": res.energy,
@@ -450,9 +453,8 @@ def cmd_vqe_jellium(cfg, out_dir):
             f"sector energy differs from the circuit path by "
             f"{circuit_gap:.3e}")
     if grid.n_qubits <= MATRIX_CAP:
-        start = time.perf_counter()
-        exact = sector_ground_energy(hs, eta)
-        stages["exact"] = time.perf_counter() - start
+        with _stage(stages, "exact"):
+            exact = sector_ground_energy(hs, eta)
         report["exact_energy"] = exact
         if not (exact - 1e-9 <= res.energy
                 <= res.reference_energy + 1e-9):

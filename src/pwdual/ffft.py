@@ -157,8 +157,7 @@ def single_particle_transform(circuit: Circuit, n_orbitals: int) -> np.ndarray:
     """
     w = np.eye(n_orbitals, dtype=complex)
     for g in circuit.gates:
-        if len(g.targets) != 2 or g.kind == "PEXP" \
-                or abs(g.targets[0] - g.targets[1]) != 1:
+        if len(g.targets) != 2 or abs(g.targets[0] - g.targets[1]) != 1:
             raise ValueError(f"{g} is not a two-mode gate on adjacent "
                              f"orbitals")
         m = g.matrix()

@@ -14,12 +14,6 @@ PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 MATRIX_QUBIT_CAP = 14  # largest register any dense 2^n x 2^n matrix takes
 
-_PAULI_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Inside products a string is a pair of int masks (x, z): bit q of x flips
 # qubit q, bit q of z phases it, and a qubit with both bits is Y = iXZ.
 _LETTERS = "IZXY"  # indexed by 2 * x bit + z bit
@@ -171,43 +165,42 @@ class QubitOperator:
         return " + ".join(parts) if parts else "0"
 
 
+def _permutation(key: tuple, dim: int) -> tuple:
+    """Row r of P(x, z) holds i^|x&z| (-1)^|(r^x)&z| in column r ^ x."""
+    flip, phase_mask = _masks(key)
+    if (flip | phase_mask) >= dim:
+        raise ValueError("string acts outside the register")
+    cols = np.arange(dim) ^ flip
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & phase_mask) & 1)
+    return cols, _I_POWERS[(flip & phase_mask).bit_count() & 3] * signs
+
+
 def string_matrix(key: tuple, n_qubits: int) -> np.ndarray:
     """Dense matrix of a single Pauli string; qubit 0 is the least
     significant bit of the basis index."""
     if any(q >= n_qubits for q, _ in key):
         raise ValueError("string acts outside the register")
-    mat = np.ones((1, 1), dtype=complex)
-    letters = dict(key)
-    for q in range(n_qubits):
-        factor = _PAULI_MATS.get(letters.get(q), np.eye(2, dtype=complex))
-        mat = np.kron(factor, mat)
-    return mat
+    return qubit_operator_matrix(QubitOperator.from_term(key), n_qubits)
 
 
 def qubit_operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
+    """Dense matrix of ``op``, writing only each term's 2^n entries."""
     if n_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(f"dense matrix limited to {MATRIX_QUBIT_CAP} qubits")
     if op.n_qubits() > n_qubits:
         raise ValueError("operator acts outside the requested register")
-    dim = 2 ** n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(2 ** n_qubits)
+    mat = np.zeros((len(rows), len(rows)), dtype=complex)
     for key, coeff in op.items():
-        mat += coeff * string_matrix(key, n_qubits)
+        cols, values = _permutation(key, len(rows))
+        mat[rows, cols] += coeff * values
     return mat
 
 
 def apply_string(key: tuple, state: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a dense state without building the matrix.
-
-    The last axis is the 2^n basis index; leading axes index a batch of
-    states."""
-    dim = state.shape[-1]
-    flip, phase_mask = _masks(key)
-    if (flip | phase_mask) >= dim:
-        raise ValueError("string acts outside the register")
-    src = np.arange(dim, dtype=np.int64) ^ flip
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & phase_mask) & 1)
-    return (1j ** (flip & phase_mask).bit_count()) * signs * state[..., src]
+    """Apply one Pauli string to dense states on the last axis, matrix-free."""
+    cols, values = _permutation(key, state.shape[-1])
+    return values * state[..., cols]
 
 
 def expectation_value(op: QubitOperator, state: np.ndarray) -> complex:

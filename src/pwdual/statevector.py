@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, QubitOperator, apply_string, \
-    expectation_value, qubit_operator_matrix
+from .pauli import MATRIX_QUBIT_CAP, QubitOperator, expectation_value, \
+    qubit_operator_matrix, string_matrix
 
 NORM_TOL = 1e-10
 DENSE_BYTES_LIMIT = 2 ** 30  # one 26-qubit statevector
@@ -53,29 +53,31 @@ _SELF, _NEGATE, _DAGGER = "self", "negate", "dagger"
 
 class GateKind(NamedTuple):
     arity: Optional[int]  # None: one target per PEXP letter
-    matrix: Optional[Callable]  # angle -> matrix; None for PEXP
+    matrix: Callable  # (angle, letters) -> matrix
     inverse: str
 
 
 GATE_KINDS = {
-    "H": GateKind(1, lambda a: _H, _SELF),
-    "X": GateKind(1, lambda a: _X, _SELF),
-    "RZ": GateKind(1, lambda a: np.diag([np.exp(-0.5j * a),
-                                         np.exp(0.5j * a)]), _NEGATE),
-    "PHASEN": GateKind(1, lambda a: np.diag([1.0, np.exp(1j * a)]), _NEGATE),
-    "GPHASE": GateKind(1, lambda a: np.exp(1j * a) * np.eye(2), _NEGATE),
-    "CNOT": GateKind(2, lambda a: _CNOT, _SELF),
-    "CZ": GateKind(2, lambda a: _CZ, _SELF),
-    "SWAP": GateKind(2, lambda a: _SWAP, _SELF),
-    "FSWAP": GateKind(2, lambda a: _FSWAP, _SELF),
+    "H": GateKind(1, lambda a, _: _H, _SELF),
+    "X": GateKind(1, lambda a, _: _X, _SELF),
+    "RZ": GateKind(1, lambda a, _: np.diag([np.exp(-0.5j * a),
+                                            np.exp(0.5j * a)]), _NEGATE),
+    "PHASEN": GateKind(1, lambda a, _: np.diag([1, np.exp(1j * a)]), _NEGATE),
+    "GPHASE": GateKind(1, lambda a, _: np.exp(1j * a) * np.eye(2), _NEGATE),
+    "CNOT": GateKind(2, lambda a, _: _CNOT, _SELF),
+    "CZ": GateKind(2, lambda a, _: _CZ, _SELF),
+    "SWAP": GateKind(2, lambda a, _: _SWAP, _SELF),
+    "FSWAP": GateKind(2, lambda a, _: _FSWAP, _SELF),
     # exp(i*theta*fswap); fswap is an involution
-    "FSWAP_POW": GateKind(2, lambda a: math.cos(a) * np.eye(4)
+    "FSWAP_POW": GateKind(2, lambda a, _: math.cos(a) * np.eye(4)
                           + 1j * math.sin(a) * _FSWAP, _NEGATE),
-    "CPHASE": GateKind(2, lambda a: np.diag([1, 1, 1, np.exp(1j * a)]),
+    "CPHASE": GateKind(2, lambda a, _: np.diag([1, 1, 1, np.exp(1j * a)]),
                        _NEGATE),
-    "FK": GateKind(2, lambda a: _F0 @ np.diag([1, 1, np.exp(1j * a),
-                                               np.exp(1j * a)]), _DAGGER),
-    "PEXP": GateKind(None, None, _NEGATE),
+    "FK": GateKind(2, lambda a, _: _F0 @ np.diag([1, 1, np.exp(1j * a),
+                                                  np.exp(1j * a)]), _DAGGER),
+    "PEXP": GateKind(None, lambda a, p: math.cos(a) * np.eye(2 ** len(p))
+                     - 1j * math.sin(a) * string_matrix(tuple(enumerate(p)),
+                                                        len(p)), _NEGATE),
 }
 
 
@@ -125,11 +127,8 @@ class Gate:
         return replace(self, dagger=not self.dagger)
 
     def matrix(self) -> np.ndarray:
-        """Dense matrix on the gate's own targets (PEXP excluded)."""
-        build = GATE_KINDS[self.kind].matrix
-        if build is None:
-            raise ValueError("PEXP has no fixed-size matrix; applied directly")
-        m = build(self.angle)
+        """Dense matrix on the gate's own targets."""
+        m = GATE_KINDS[self.kind].matrix(self.angle, self.letters)
         return m.conj().T if self.dagger else m
 
 
@@ -218,10 +217,7 @@ class Statevector:
 
     @classmethod
     def zero_state(cls, n_qubits: int) -> "Statevector":
-        require_dense(n_qubits, "zero state")
-        amps = np.zeros(2 ** n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
+        return cls.basis_state(n_qubits, 0)
 
     @classmethod
     def basis_state(cls, n_qubits: int, bits) -> "Statevector":
@@ -241,28 +237,36 @@ class Statevector:
 
 
 def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply ``gate`` to amplitudes of shape (2^n,) or (batch, 2^n); basis
-    order inside a matrix gate puts targets[0] on the least significant bit.
+    """Apply ``gate`` to amplitudes of shape (2^n,) or (2^n, batch);
+    targets[0] is the least significant bit of the gate's matrix.
 
-    Each state of a batch goes through the same matrix product as a single
-    state does, so batched and one-by-one results agree bit for bit."""
-    if gate.kind == "PEXP":
-        key = tuple(sorted(zip(gate.targets, gate.letters)))
-        theta = -gate.angle if gate.dagger else gate.angle
-        return math.cos(theta) * amps \
-            - 1j * math.sin(theta) * apply_string(key, amps)
-    k = len(gate.targets)
-    batch = amps.shape[:-1]
-    lead = len(batch)
-    psi = amps.reshape(batch + (2,) * n)
-    # tensor axis of qubit q is lead+n-1-q; gate index axes ordered MSB first
-    axes = [lead + n - 1 - t for t in reversed(gate.targets)]
-    gate_axes = range(lead, lead + k)
-    psi = np.moveaxis(psi, axes, gate_axes)
-    shape = psi.shape
-    psi = gate.matrix() @ psi.reshape(batch + (2 ** k, -1))
-    psi = np.moveaxis(psi.reshape(shape), gate_axes, axes)
-    return psi.reshape(amps.shape)
+    On the view (2,) * n + (batch,), block r fixes target j's axis to bit
+    j of r. Output block r is the sum over nonzero m[r, c] of m[r, c] times
+    input block c, written with ufunc ``out=``: no copies and no full-size
+    temporary. A trailing batch makes contiguous runs span the batch; for
+    a single state it is a unit axis that keeps a block an array when all
+    qubits are targets (a numpy scalar takes no ``out=`` and its complex
+    arithmetic differs in the last bit), so batches agree bit for bit."""
+    m = gate.matrix()
+    psi = amps.reshape((2,) * n + (-1,))
+    out = np.empty_like(psi)
+    blocks = []
+    for r in range(len(m)):
+        at = [slice(None)] * (n + 1)
+        for j, t in enumerate(gate.targets):
+            at[n - 1 - t] = r >> j & 1  # view axis of qubit q is n-1-q
+        blocks.append(tuple(at))
+    term = np.empty_like(psi[blocks[0]])
+    for row, at in zip(m, blocks):
+        first, *rest = np.flatnonzero(row)
+        if row[first] == 1:
+            np.copyto(out[at], psi[blocks[first]])
+        else:
+            np.multiply(psi[blocks[first]], row[first], out=out[at])
+        for c in rest:
+            np.multiply(psi[blocks[c]], row[c], out=term)
+            np.add(out[at], term, out=out[at])
+    return out.reshape(amps.shape)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -288,12 +292,11 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > MATRIX_QUBIT_CAP:
         raise ValueError(f"circuit matrix limited to {MATRIX_QUBIT_CAP} qubits")
-    # row j carries basis state j through the circuit, so it ends as
-    # column j of the unitary
-    rows = np.eye(2 ** n, dtype=complex)
+    # column j carries basis state j through the circuit
+    cols = np.eye(2 ** n, dtype=complex)
     for g in circuit.gates:
-        rows = _apply(rows, g, n)
-    return np.ascontiguousarray(rows.T)
+        cols = _apply(cols, g, n)
+    return cols
 
 
 # -- evolution and measurement ------------------------------------------------
@@ -379,11 +382,13 @@ def loads_circuit(text: str, n_qubits: int) -> Circuit:
         if dagger:
             name = name[:-1]
         kind, _, letters = name.partition(":")
-        if len(parts) == 3 and kind in GATE_KINDS \
-                and GATE_KINDS[kind].inverse == _SELF:
-            raise ValueError(f"{kind} takes no angle: {line!r}")
+        angled = len(parts) == 3
+        if kind in GATE_KINDS \
+                and angled != (GATE_KINDS[kind].inverse != _SELF):
+            raise ValueError(f"{kind} {'takes no' if angled else 'needs an'}"
+                             f" angle: {line!r}")
         targets = tuple(int(x) for x in parts[1].split(","))
-        angle = float(parts[2]) if len(parts) > 2 else 0.0
+        angle = float(parts[2]) if angled else 0.0
         circ.add(Gate(kind, targets, angle=angle, letters=letters,
                       dagger=dagger))
     return circ

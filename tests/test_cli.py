@@ -159,6 +159,11 @@ class TestCommands:
         assert code == 0
         report = read_report(tmp_path, "ffft_report.json")
         assert report["result"]["conjugation_max_error"] < 1e-9
+        meta = report["meta"]
+        assert meta["counts"] == {"qubits": 4,
+                                  "gates": report["result"]["gates"],
+                                  "matrix_bytes": 16 * 4 ** 4}
+        assert set(meta["stages"]) == {"build", "matrix", "verify"}
 
     def test_swapnet_coverage(self, tmp_path):
         code = run(tmp_path, "swapnet", "task.rows=4", "task.cols=4")
@@ -173,6 +178,12 @@ class TestCommands:
         assert code == 0
         report = read_report(tmp_path, "trotter_report.json")
         assert abs(report["result"]["slope"] + 2.0) < 0.1
+        meta = report["meta"]
+        assert set(meta["counts"]) == {"qubits", "gates", "matrix_bytes"}
+        assert meta["counts"]["qubits"] == 4
+        assert meta["counts"]["gates"] > 0
+        assert meta["counts"]["matrix_bytes"] == 16 * 4 ** 4
+        assert set(meta["stages"]) == {"build", "matrix", "verify"}
 
     def test_lcu_check(self, tmp_path):
         code = run(tmp_path, "lcu-check", *SMALL)

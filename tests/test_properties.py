@@ -52,9 +52,8 @@ def test_gate_times_inverse_is_identity(gate):
     n = len(gate.targets)
     product = circuit_matrix(Circuit(n, [gate, gate.inverse()]))
     assert np.allclose(product, np.eye(2 ** n), atol=1e-12)
-    if gate.kind != "PEXP":
-        assert np.allclose(gate.matrix() @ gate.inverse().matrix(),
-                           np.eye(2 ** n), atol=1e-12)
+    assert np.allclose(gate.matrix() @ gate.inverse().matrix(),
+                       np.eye(2 ** n), atol=1e-12)
 
 
 @settings(max_examples=200)
@@ -99,7 +98,8 @@ def test_malformed_gate_rejected(kind, targets, letters):
 
 @pytest.mark.parametrize("line", ["FOO 0", "CNOT 1", "PEXP:ZZ 0 0.1",
                                   "H 0,1", "H", "H 0 1 2", "H 0 0.5",
-                                  "FSWAP 0,1 0.5"])
+                                  "FSWAP 0,1 0.5", "RZ 0", "FK 0,1",
+                                  "PEXP:X 0", "GPHASE 0"])
 def test_malformed_circuit_text_rejected(line):
     with pytest.raises(ValueError):
         loads_circuit(line, 2)
