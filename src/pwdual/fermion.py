@@ -12,19 +12,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .pauli import QubitOperator, PRUNE_TOL, HERMITIAN_TOL, \
+from .pauli import QubitOperator, TermSum, PRUNE_TOL, HERMITIAN_TOL, \
     MATRIX_QUBIT_CAP, _product
 
 RAISE = 1
 LOWER = 0
 
 
-class FermionOperator:
+class FermionOperator(TermSum):
     """Weighted sum of ladder-operator products, kept in normal order."""
 
     def __init__(self, terms=None):
         # raw storage; canonical form is produced by normal_order()
-        self.terms = {}
+        super().__init__()
         if terms:
             for key, coeff in dict(terms).items():
                 key = tuple((int(q), int(f)) for q, f in key)
@@ -50,45 +50,13 @@ class FermionOperator:
     def number(cls, orbital, coeff=1.0):
         return cls({((orbital, RAISE), (orbital, LOWER)): coeff})
 
-    def copy(self):
+    def _product_with(self, other):
         out = FermionOperator()
-        out.terms = dict(self.terms)
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = ka + kb
+                out.terms[key] = out.terms.get(key, 0.0) + ca * cb
         return out
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __add__(self, other):
-        out = self.copy()
-        out += other
-        return out
-
-    def __iadd__(self, other):
-        for key, coeff in other.terms.items():
-            self.terms[key] = self.terms.get(key, 0.0) + coeff
-        return self
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, FermionOperator):
-            out = FermionOperator()
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    key = ka + kb
-                    out.terms[key] = out.terms.get(key, 0.0) + ca * cb
-            return out
-        out = self.copy()
-        for key in out.terms:
-            out.terms[key] *= complex(other)
-        return out
-
-    __rmul__ = __mul__
-
-    def simplify(self, tol=PRUNE_TOL):
-        self.terms = {k: c for k, c in self.terms.items() if abs(c) > tol}
-        return self
 
     def hermitian_conjugate(self):
         out = FermionOperator()
@@ -102,16 +70,12 @@ class FermionOperator:
         diff.simplify(tol)
         return not diff.terms
 
-    def n_orbitals(self) -> int:
-        orbs = [q for key in self.terms for q, _ in key]
-        return max(orbs) + 1 if orbs else 0
+    n_orbitals = TermSum._extent
 
-    def __repr__(self):
-        parts = []
-        for key, coeff in self.items():
-            label = " ".join(f"{q}^" if f else f"{q}" for q, f in key) or "1"
-            parts.append(f"({coeff:.6g}) [{label}]")
-        return " + ".join(parts) if parts else "0"
+    @staticmethod
+    def _label(key) -> str:
+        return "[" + (" ".join(f"{q}^" if f else f"{q}" for q, f in key)
+                      or "1") + "]"
 
 
 def _normal_order_term(key, coeff, out):

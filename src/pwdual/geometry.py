@@ -186,7 +186,6 @@ class ModeGrid:
     def min_image_distance(self, p, q) -> float:
         """Minimum-image distance between sites p and q."""
         M = self.modes_per_axis
-        half = M // 2
         d2 = 0.0
         for a, b in zip(p, q):
             delta = abs(int(a) - int(b)) % M

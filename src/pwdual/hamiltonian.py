@@ -434,6 +434,26 @@ def mode_energies(hs: HamiltonianSet):
     return eps.ravel().tolist()
 
 
+def mode_phases(hs: HamiltonianSet):
+    """[(q, eps)] in qubit order for every orbital whose mode energy
+    exceeds PRUNE_TOL in magnitude: the diagonal of the kinetic term once
+    the mode rotation has been applied."""
+    eps = mode_energies(hs)
+    phases = [(q, eps[hs.grid.qubit_site_index(q)])
+              for q in range(hs.n_qubits)]
+    return [(q, e) for q, e in phases if abs(e) > PRUNE_TOL]
+
+
+def diagonal_terms(hs: HamiltonianSet):
+    """Real coefficients of the diagonal dual potentials, in ``items()``
+    order: [(q, u)] for the n_q terms of U and [((q1, q2), v)] for the
+    n_q1 n_q2 terms of V, q1 < q2."""
+    external = [(key[0][0], coeff.real) for key, coeff in hs.external.items()]
+    interaction = [((key[0][0], key[2][0]), coeff.real)
+                   for key, coeff in hs.interaction.items()]
+    return external, interaction
+
+
 # -- norm bounds ---------------------------------------------------------------
 
 

@@ -76,7 +76,7 @@ class LcuModel:
             return sign, ((p, "Z"),)
         if b == 0:
             return sign, tuple(sorted(((p, "Z"), (q, "Z"))))
-        if self.grid.cell.spinful and (p + q) % 2 == 1:
+        if not self.grid.same_spin(p, q):
             return 1, ()
         lo, hi = min(p, q), max(p, q)
         end = "X" if p > q else "Y"
@@ -124,13 +124,11 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
                     w = (v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0
                 elif b == 0:
                     w = v[sep[sq][sp]] / 8.0
-                elif grid.cell.spinful and (p + q) % 2 == 1:
+                elif not grid.same_spin(p, q):
                     if not include_noop:
                         continue
                     w = 1.0
                 else:
-                    if grid.cell.spinful and not grid.same_spin(p, q):
-                        continue
                     w = t[sep[sp][sq]] / 2.0
                 model.weights[idx] = w
     return model

@@ -30,9 +30,8 @@ import numpy as np
 
 from .fermion import jordan_wigner
 from .ffft import build_ffft_nd
-from .hamiltonian import HamiltonianSet, DUAL, build_qubit, mode_energies, \
-    norm_bounds
-from .pauli import PRUNE_TOL
+from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
+    mode_phases, norm_bounds
 from .statevector import Statevector, Circuit, Gate, apply_circuit, \
     sample_bitstrings
 
@@ -67,24 +66,20 @@ def diagonal_potential_values(hs: HamiltonianSet, samples: np.ndarray):
     """Diagonal U + V energy of each sampled bitstring, once per distinct one."""
     states, inverse = np.unique(samples, return_inverse=True)
     values = np.zeros(len(states), dtype=float)
-    for key, coeff in hs.external.items():
-        q = key[0][0]
-        values += coeff.real * ((states >> q) & 1)
-    for key, coeff in hs.interaction.items():
-        q1, q2 = key[0][0], key[2][0]
-        values += coeff.real * ((states >> q1) & 1) * ((states >> q2) & 1)
+    external, interaction = diagonal_terms(hs)
+    for q, u in external:
+        values += u * ((states >> q) & 1)
+    for (q1, q2), v in interaction:
+        values += v * ((states >> q1) & 1) * ((states >> q2) & 1)
     return values[inverse]
 
 
 def kinetic_mode_values(hs: HamiltonianSet, samples: np.ndarray):
-    """Mode-basis kinetic energy of each bitstring sampled after rotation."""
-    grid = hs.grid
-    eps = mode_energies(hs)
+    """Mode-basis kinetic energy of each bitstring sampled after rotation,
+    weighting the orbitals that ``mode_phases`` keeps."""
     values = np.zeros(len(samples), dtype=float)
-    for q in range(hs.n_qubits):
-        e = eps[grid.qubit_site_index(q)]
-        if abs(e) > PRUNE_TOL:
-            values += e * ((samples >> q) & 1)
+    for q, e in mode_phases(hs):
+        values += e * ((samples >> q) & 1)
     return values
 
 

@@ -2,8 +2,9 @@
 
 A PauliString is a sorted tuple of (qubit, letter) pairs with letter in
 {X, Y, Z}; identity factors are omitted, the empty tuple is the identity.
-QubitOperator is a dict from PauliString to complex coefficient with
-deterministic iteration order.
+QubitOperator is a TermSum, a dict from PauliString to complex coefficient
+with deterministic iteration order; fermion.FermionOperator shares the
+same base.
 """
 
 from __future__ import annotations
@@ -72,11 +73,71 @@ def multiply_strings(a: tuple, b: tuple):
     return phase, _string(x, z)
 
 
-class QubitOperator:
+class TermSum:
+    """Sparse sum of terms: a dict from term keys to complex coefficients.
+
+    Owns the dict algebra both operator types share. A subclass supplies
+    its constructors, the product of two sums (``_product_with``) and the
+    printed label of one key (``_label``); keys are tuples of
+    (index, letter or flag) pairs.
+    """
+
+    def __init__(self):
+        self.terms = {}
+
+    def copy(self):
+        out = type(self)()
+        out.terms = dict(self.terms)
+        return out
+
+    def items(self):
+        """Deterministic (key, coeff) iteration, sorted by key."""
+        return sorted(self.terms.items())
+
+    def __add__(self, other):
+        out = self.copy()
+        out += other
+        return out
+
+    def __iadd__(self, other):
+        for key, coeff in other.terms.items():
+            self.terms[key] = self.terms.get(key, 0.0) + coeff
+        return self
+
+    def __sub__(self, other):
+        return self + (other * -1.0)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product_with(other)
+        out = self.copy()
+        for key in out.terms:
+            out.terms[key] *= complex(other)
+        return out
+
+    __rmul__ = __mul__
+
+    def simplify(self, tol=PRUNE_TOL):
+        """Drop terms with |coefficient| below tol (in place); returns self."""
+        self.terms = {k: c for k, c in self.terms.items() if abs(c) > tol}
+        return self
+
+    def _extent(self) -> int:
+        """One past the largest index any term touches; 0 when none does."""
+        indices = [q for key in self.terms for q, _ in key]
+        return max(indices) + 1 if indices else 0
+
+    def __repr__(self):
+        parts = [f"({coeff:.6g}) {self._label(key)}"
+                 for key, coeff in self.items()]
+        return " + ".join(parts) if parts else "0"
+
+
+class QubitOperator(TermSum):
     """Weighted sum of Pauli strings."""
 
     def __init__(self, terms=None):
-        self.terms = {}
+        super().__init__()
         if terms:
             for key, coeff in dict(terms).items():
                 self.terms[pauli_string(key)] = complex(coeff)
@@ -97,48 +158,12 @@ class QubitOperator:
         op.terms = {_string(x, z): c for (x, z), c in terms.items()}
         return op
 
-    def copy(self):
-        op = QubitOperator()
-        op.terms = dict(self.terms)
-        return op
+    def _product_with(self, other):
+        return QubitOperator._from_masks(_product(
+            [(_masks(k), c) for k, c in self.terms.items()],
+            [(_masks(k), c) for k, c in other.terms.items()]))
 
-    def items(self):
-        """Deterministic (string, coeff) iteration, sorted by key."""
-        return sorted(self.terms.items())
-
-    def __add__(self, other):
-        out = self.copy()
-        out += other
-        return out
-
-    def __iadd__(self, other):
-        for key, coeff in other.terms.items():
-            self.terms[key] = self.terms.get(key, 0.0) + coeff
-        return self
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, QubitOperator):
-            return QubitOperator._from_masks(_product(
-                [(_masks(k), c) for k, c in self.terms.items()],
-                [(_masks(k), c) for k, c in other.terms.items()]))
-        out = self.copy()
-        for key in out.terms:
-            out.terms[key] *= complex(other)
-        return out
-
-    __rmul__ = __mul__
-
-    def simplify(self, tol=PRUNE_TOL):
-        """Drop terms with |coefficient| below tol (in place); returns self."""
-        self.terms = {k: c for k, c in self.terms.items() if abs(c) > tol}
-        return self
-
-    def n_qubits(self) -> int:
-        qubits = [q for key in self.terms for q, _ in key]
-        return max(qubits) + 1 if qubits else 0
+    n_qubits = TermSum._extent
 
     def is_hermitian(self, tol=HERMITIAN_TOL) -> bool:
         return all(abs(c.imag) <= tol for c in self.terms.values())
@@ -157,12 +182,9 @@ class QubitOperator:
             abs(c) for k, c in self.terms.items() if include_identity or k != ()
         )
 
-    def __repr__(self):
-        parts = []
-        for key, coeff in self.items():
-            label = " ".join(f"{letter}{q}" for q, letter in key) or "I"
-            parts.append(f"({coeff:.6g}) {label}")
-        return " + ".join(parts) if parts else "0"
+    @staticmethod
+    def _label(key) -> str:
+        return " ".join(f"{letter}{q}" for q, letter in key) or "I"
 
 
 def _permutation(key: tuple, dim: int) -> tuple:

@@ -26,7 +26,7 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-def snake_qubit(rows: int, cols: int, r: int, c: int) -> int:
+def snake_qubit(cols: int, r: int, c: int) -> int:
     """Qubit label at lattice position (r, c) under boustrophedon layout."""
     return r * cols + (c if r % 2 == 0 else cols - 1 - c)
 
@@ -83,7 +83,7 @@ def hamiltonian_cycle(rows: int, cols: int):
     """Cyclic qubit ordering with consecutive (and first/last) entries
     lattice-adjacent."""
     positions = _cycle_positions(0, 0, rows, cols)
-    return [snake_qubit(rows, cols, r, c) for r, c in positions]
+    return [snake_qubit(cols, r, c) for r, c in positions]
 
 
 def stagger_rounds(cycle):
@@ -120,25 +120,37 @@ class SwapSchedule:
         lev = self.provenance[0]
         return lev["step2_layers"] + lev["step3_layers"]
 
-    def interact_pairs(self):
-        """Label pairs brought adjacent by interact-tagged layers, tracking
-        the swaps; returns a set of frozensets."""
+    def replay(self):
+        """Follow the labels through the swaps, qubit q starting with label
+        q. Returns (layers, final_labels): ``layers`` yields, per layer, one
+        (qa, qb, tag, labels) entry per swap with ``labels`` the label pair
+        on (qa, qb) before it; ``final_labels`` holds the label on each
+        qubit once ``layers`` is exhausted. Layers stream, so a replay
+        holds one layer's entries at a time."""
         label = list(range(self.n_qubits))
-        pos_of = list(range(self.n_qubits))
-        covered = set()
-        for layer in self.layers:
-            for qa, qb, tag in layer:
-                if tag == INTERACT_SWAP:
-                    covered.add(frozenset((label[qa], label[qb])))
-                label[qa], label[qb] = label[qb], label[qa]
-        return covered
+
+        def layers():
+            for layer in self.layers:
+                entries = []
+                for qa, qb, tag in layer:
+                    entries.append((qa, qb, tag, (label[qa], label[qb])))
+                    label[qa], label[qb] = label[qb], label[qa]
+                yield entries
+        return layers(), label
+
+    def interact_pairs(self):
+        """Label pairs brought adjacent by interact-tagged layers; returns a
+        set of frozensets."""
+        layers, _ = self.replay()
+        return {frozenset(labels) for layer in layers
+                for _, _, tag, labels in layer if tag == INTERACT_SWAP}
 
     def check(self):
         """Disjointness and adjacency of every layer; raises on violation."""
         position = [snake_position(self.cols, q) for q in range(self.n_qubits)]
         for layer in self.layers:
             seen = set()
-            for qa, qb, tag in layer:
+            for qa, qb, _ in layer:
                 if qa in seen or qb in seen or qa == qb:
                     raise ValueError(f"layer reuses a qubit: {layer}")
                 seen.update((qa, qb))
@@ -170,8 +182,8 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
         if size == 2:
             layer = []
             for r0, c0, hh, ww in sectors:
-                qa = snake_qubit(rows, cols, r0, c0)
-                qb = snake_qubit(rows, cols, r0 + hh - 1, c0 + ww - 1)
+                qa = snake_qubit(cols, r0, c0)
+                qb = snake_qubit(cols, r0 + hh - 1, c0 + ww - 1)
                 layer.append((qa, qb, INTERACT_SWAP))
             sched.layers.append(layer)
             sched.provenance.append({
@@ -187,8 +199,8 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
             for cyc_layer in round_layers:
                 for (ra, ca), (rb, cb) in cyc_layer:
                     layer.append((
-                        snake_qubit(rows, cols, ra, ca),
-                        snake_qubit(rows, cols, rb, cb),
+                        snake_qubit(cols, ra, ca),
+                        snake_qubit(cols, rb, cb),
                         INTERACT_SWAP,
                     ))
             sched.layers.append(layer)
@@ -212,7 +224,7 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
                                 for c in range(c0, c0 + w)]
                 children.append((r0, c0, h // 2, w))
                 children.append((r0 + h // 2, c0, h // 2, w))
-            lines += [([snake_qubit(rows, cols, r, c) for r, c in line],
+            lines += [([snake_qubit(cols, r, c) for r, c in line],
                        [parity[p] for p in line]) for line in sector_lines]
         step3_layers = []
         for qubits, classes in lines:
@@ -233,29 +245,34 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
     return sched
 
 
+def _merged_phases(pair_phases: dict) -> dict:
+    """Sum the phases given for each unordered label pair; raises on an
+    entry that names one label twice."""
+    phases = {}
+    for (a, b), phi in pair_phases.items():
+        key = frozenset((a, b))
+        if len(key) != 2:
+            raise ValueError(f"pair {a, b} is not a pair")
+        phases[key] = phases.get(key, 0.0) + phi
+    return phases
+
+
 def dumps_schedule(schedule: SwapSchedule, pair_phases: dict = None) -> str:
     """One layer per line of ``(a,b)`` pairs; interact-tagged pairs carry
     ``:phase`` when a label-pair phase map is given, ``:interact`` otherwise.
     """
-    phases = {}
-    for (a, b), phi in (pair_phases or {}).items():
-        phases[frozenset((a, b))] = phases.get(frozenset((a, b)), 0.0) + phi
     from .serialize import fmt
-    label = list(range(schedule.n_qubits))
+    phases = _merged_phases(pair_phases or {})
     lines = []
-    for layer in schedule.layers:
+    layers, _ = schedule.replay()
+    for layer in layers:
         entries = []
-        for qa, qb, tag in layer:
+        for qa, qb, tag, labels in layer:
+            suffix = ""
             if tag == INTERACT_SWAP:
-                if pair_phases is None:
-                    suffix = ":interact"
-                else:
-                    phi = phases.get(frozenset((label[qa], label[qb])), 0.0)
-                    suffix = f":{fmt(phi)}"
-            else:
-                suffix = ""
+                suffix = ":interact" if pair_phases is None else \
+                    f":{fmt(phases.get(frozenset(labels), 0.0))}"
             entries.append(f"({qa},{qb}){suffix}")
-            label[qa], label[qb] = label[qb], label[qa]
         lines.append(" ".join(entries))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -267,32 +284,24 @@ def lower_diagonal_layer(pair_phases: dict, schedule: SwapSchedule):
     pair's rotation is applied exactly once, at the moment the schedule
     brings the labels adjacent, interleaved with the swap layers. Returns
     (circuit, final_labels) where final_labels[q] is the label sitting on
-    qubit q afterwards; the circuit equals the diagonal exponential up to
-    that relabeling.
+    qubit q afterwards (``SwapSchedule.replay``); the circuit equals the
+    diagonal exponential up to that relabeling.
     """
-    phases = {}
-    for (a, b), phi in pair_phases.items():
-        key = frozenset((a, b))
-        if len(key) != 2:
-            raise ValueError(f"pair {a, b} is not a pair")
-        phases[key] = phases.get(key, 0.0) + phi
+    phases = _merged_phases(pair_phases)
     circ = Circuit(schedule.n_qubits,
                    connectivity=("planar", schedule.rows, schedule.cols))
-    label = list(range(schedule.n_qubits))
+    layers, final_labels = schedule.replay()
     applied = set()
-    for layer in schedule.layers:
-        for qa, qb, tag in layer:
-            if tag == INTERACT_SWAP:
-                pair = frozenset((label[qa], label[qb]))
-                if pair not in applied:
-                    applied.add(pair)
-                    phi = phases.get(pair, 0.0)
-                    if phi:
-                        circ.add(Gate("PEXP", (qa, qb), angle=phi,
-                                      letters="ZZ"))
+    for layer in layers:
+        for qa, qb, tag, labels in layer:
+            pair = frozenset(labels)
+            if tag == INTERACT_SWAP and pair not in applied:
+                applied.add(pair)
+                phi = phases.get(pair, 0.0)
+                if phi:
+                    circ.add(Gate("PEXP", (qa, qb), angle=phi, letters="ZZ"))
             circ.add(Gate("SWAP", (qa, qb)))
-            label[qa], label[qb] = label[qb], label[qa]
     missing = {p for p in set(phases) - applied if abs(phases[p]) > 0}
     if missing:
         raise ValueError(f"schedule never covers pairs {sorted(map(tuple, missing))}")
-    return circ, label
+    return circ, final_labels

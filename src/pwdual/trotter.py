@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffft import build_ffft_nd
-from .hamiltonian import HamiltonianSet, DUAL, build_qubit, mode_energies
-from .pauli import QubitOperator, PRUNE_TOL
+from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
+    mode_phases
+from .pauli import QubitOperator
 from .statevector import Circuit, Gate
 from .swapnet import build_full_schedule, lower_diagonal_layer, \
     transposition_phases
@@ -39,14 +40,9 @@ class TrotterConfig:
 
 def _diagonal_potential_gates(hs: HamiltonianSet, tau: float):
     """Exact gates for exp(-i (U + V) tau): number phases and pair phases."""
-    gates = []
-    for key, coeff in hs.external.items():
-        (q, _), _ = key
-        gates.append(Gate("PHASEN", (q,), angle=-coeff.real * tau))
-    for key, coeff in hs.interaction.items():
-        q1, q2 = key[0][0], key[2][0]
-        gates.append(Gate("CPHASE", (q1, q2), angle=-coeff.real * tau))
-    return gates
+    external, interaction = diagonal_terms(hs)
+    return [Gate("PHASEN", (q,), angle=-u * tau) for q, u in external] \
+        + [Gate("CPHASE", pair, angle=-v * tau) for pair, v in interaction]
 
 
 def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
@@ -61,14 +57,13 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
     z_angle = {}      # coefficient of Z_q in (U + V) tau
     global_phase = 0.0
     pair_phases = {}
-    for key, coeff in hs.external.items():
-        q = key[0][0]
+    external, interaction = diagonal_terms(hs)
+    for q, u in external:
         # n = (I - Z)/2
-        z_angle[q] = z_angle.get(q, 0.0) - coeff.real * tau / 2.0
-        global_phase += -coeff.real * tau / 2.0
-    for key, coeff in hs.interaction.items():
-        q1, q2 = key[0][0], key[2][0]
-        theta = coeff.real * tau
+        z_angle[q] = z_angle.get(q, 0.0) - u * tau / 2.0
+        global_phase += -u * tau / 2.0
+    for (q1, q2), v in interaction:
+        theta = v * tau
         # n n = (I - Z - Z + ZZ)/4
         global_phase += -theta / 4.0
         z_angle[q1] = z_angle.get(q1, 0.0) - theta / 4.0
@@ -88,15 +83,9 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
 
 
 def _kinetic_mode_gates(hs: HamiltonianSet, tau: float):
-    """exp(-i T_diag tau) in the momentum frame: one phase per orbital."""
-    grid = hs.grid
-    eps = mode_energies(hs)
-    gates = []
-    for q in range(hs.n_qubits):
-        e = eps[grid.qubit_site_index(q)]
-        if abs(e) > PRUNE_TOL:
-            gates.append(Gate("PHASEN", (q,), angle=-e * tau))
-    return gates
+    """exp(-i T_diag tau) in the momentum frame: one phase per orbital
+    that ``mode_phases`` keeps."""
+    return [Gate("PHASEN", (q,), angle=-e * tau) for q, e in mode_phases(hs)]
 
 
 def split_operator_step(hs: HamiltonianSet, tau: float, order: int = 2,
@@ -157,16 +146,17 @@ def group_qubit_terms(op: QubitOperator):
     zz_terms = []
     hops = {}
     for key, coeff in op.items():
+        qubits = [q for q, _ in key]
         letters = [letter for _, letter in key]
         if not key:
             identity = coeff.real
         elif letters == ["Z"]:
-            z_terms.append((key[0][0], coeff.real))
-        elif len(key) == 2 and letters == ["Z", "Z"]:
-            zz_terms.append(((key[0][0], key[1][0]), coeff.real))
+            z_terms.append((qubits[0], coeff.real))
+        elif letters == ["Z", "Z"]:
+            zz_terms.append((tuple(qubits), coeff.real))
         elif letters[0] in "XY" and letters[-1] == letters[0] and \
                 all(l == "Z" for l in letters[1:-1]):
-            pair = (key[0][0], key[-1][0])
+            pair = (qubits[0], qubits[-1])
             hops.setdefault(pair, {})[letters[0]] = coeff.real
         else:
             raise ValueError(f"unsupported Pauli pattern {key}")

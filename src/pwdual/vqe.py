@@ -395,7 +395,7 @@ def interaction_ramp(hs: HamiltonianSet, fraction: float) -> HamiltonianSet:
                           hs.grid, hs.n_qubits, hs.nuclei, hs.truncation)
 
 
-def layer_train(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
+def layer_train(spec: AnsatzSpec, hs: HamiltonianSet, eta: int,
                 spin_pattern="paired", maxiter: int = 400) -> OptimizeResult:
     """Train layer m against T + U + (m/M) V with earlier layers frozen,
     then report the full-Hamiltonian energy of the assembled parameters."""

@@ -173,6 +173,39 @@ class TestPauliAlgebra:
             apply_string(key, np.ones(4, dtype=complex))
 
 
+@pytest.mark.parametrize("cls,key_a,key_b", [
+    (QubitOperator, ((0, "X"),), ((1, "Z"), (2, "Y"))),
+    (FermionOperator, ((1, RAISE), (0, LOWER)), ((2, RAISE),)),
+], ids=["qubit", "fermion"])
+class TestTermSum:
+    """The dict algebra both operator types inherit from pauli.TermSum."""
+
+    def test_algebra_keeps_subclass(self, cls, key_a, key_b):
+        a, b = cls.from_term(key_a, 0.5), cls.from_term(key_b, 1j)
+        for out in (a.copy(), a + b, a - b, a * 2.0, 2.0 * a):
+            assert type(out) is cls
+        assert (a - b).terms == {key_a: 0.5, key_b: -1j}
+        assert (a * 2.0).terms == (2.0 * a).terms == {key_a: 1.0}
+
+    def test_copies_are_independent(self, cls, key_a, key_b):
+        a = cls.from_term(key_a, 0.5)
+        c = a.copy()
+        c += cls.from_term(key_b, 1.0)
+        c.terms[key_a] = 3.0
+        assert a.terms == {key_a: 0.5}
+        assert c.terms == {key_a: 3.0, key_b: 1.0}
+
+    def test_simplify_prunes_in_place(self, cls, key_a, key_b):
+        a = cls.from_term(key_a, 1.0) + cls.from_term(key_b, 1e-14)
+        assert a.simplify() is a
+        assert a.terms == {key_a: 1.0}
+
+    def test_difference_with_self_simplifies_to_empty(self, cls, key_a, key_b):
+        a = cls.from_term(key_a, 0.3) + cls.from_term(key_b, -1.5j)
+        diff = (a - a).simplify()
+        assert type(diff) is cls and diff.terms == {} and repr(diff) == "0"
+
+
 class TestSelfInverseDecompose:
     def test_two_terms(self):
         h = QubitOperator({(((0, "Z")),): 0.5})

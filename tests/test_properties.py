@@ -29,7 +29,7 @@ def test_transposition_phases_sort(keys):
 def test_snake_position_inverts_snake_qubit(rows, cols, data):
     r = data.draw(st.integers(0, rows - 1))
     c = data.draw(st.integers(0, cols - 1))
-    assert snake_position(cols, snake_qubit(rows, cols, r, c)) == (r, c)
+    assert snake_position(cols, snake_qubit(cols, r, c)) == (r, c)
 
 
 def gate_of(kind, angle, dagger, letters):

@@ -7,8 +7,8 @@ import scipy.linalg
 from pwdual.pauli import QubitOperator, qubit_operator_matrix
 from pwdual.statevector import circuit_matrix
 from pwdual.swapnet import build_full_schedule, hamiltonian_cycle, \
-    stagger_rounds, lower_diagonal_layer, snake_qubit, SwapSchedule, \
-    INTERACT_SWAP
+    stagger_rounds, lower_diagonal_layer, dumps_schedule, snake_qubit, \
+    SwapSchedule, INTERACT_SWAP
 
 
 def positions_adjacent(rows, cols, qa, qb):
@@ -161,6 +161,14 @@ class TestLowerDiagonalLayer:
         phases = {(0, 15): 0.3, (2, 9): -0.2}
         circ, _ = lower_diagonal_layer(phases, sched)
         circ.check_connectivity()
+
+    @pytest.mark.parametrize("compile_phases", [
+        lambda sched, phases: dumps_schedule(sched, phases),
+        lambda sched, phases: lower_diagonal_layer(phases, sched),
+    ], ids=["dumps_schedule", "lower_diagonal_layer"])
+    def test_repeated_label_rejected(self, compile_phases):
+        with pytest.raises(ValueError, match="not a pair"):
+            compile_phases(build_full_schedule(2, 2), {(0, 0): 1.0})
 
     def test_uncovered_pair_rejected(self):
         sched = SwapSchedule(2, 2)  # empty schedule covers nothing

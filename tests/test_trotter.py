@@ -4,8 +4,11 @@ import scipy.linalg
 
 from pwdual.fermion import FermionOperator, fermion_matrix
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, DUAL
-from pwdual.pauli import QubitOperator, string_matrix, qubit_operator_matrix
+from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, DUAL, \
+    mode_energies
+from pwdual.measurement import kinetic_mode_values
+from pwdual.pauli import QubitOperator, string_matrix, \
+    qubit_operator_matrix, PRUNE_TOL
 from pwdual.statevector import Circuit, circuit_matrix, Statevector, \
     apply_circuit, expectation
 from pwdual.trotter import TrotterConfig, split_operator_step, \
@@ -35,6 +38,20 @@ class TestSplitOperatorStep:
             @ scipy.linalg.expm(-1j * uv * tau / 2)
         step = circuit_matrix(split_operator_step(hs, tau))
         assert np.max(np.abs(step - sym)) < 1e-10
+
+    @pytest.mark.parametrize("d,m,omega", [(1, 8, 8.0), (2, 4, 16.0)])
+    def test_kinetic_phases_cover_the_weighted_modes(self, d, m, omega):
+        # the zero mode's energy is roundoff (-2.2e-16 or exactly 0 on 1D
+        # M=8, depending on the FFT build; 4.4e-16 on 2D M=4), so the step
+        # and the sampled kinetic estimator must both skip qubit 0
+        hs = build_dual(build_grid(d, m, omega))
+        assert abs(mode_energies(hs)[0]) <= PRUNE_TOL
+        assert not hs.external.terms  # every PHASEN below is kinetic
+        phased = {g.targets[0] for g in split_operator_step(hs, 0.1).gates
+                  if g.kind == "PHASEN"}
+        one_hot = 1 << np.arange(hs.n_qubits)
+        weighted = set(np.flatnonzero(kinetic_mode_values(hs, one_hot)))
+        assert phased == weighted == set(range(1, hs.n_qubits))
 
     def test_free_theory_exact_for_any_tau(self):
         grid = build_grid(1, 4, 4.0)

@@ -220,7 +220,7 @@ class TestSampledObjective:
 class TestLayerTrain:
     def test_single_layer_matches_optimize_target(self):
         hs = jellium_m4()
-        res = layer_train(AnsatzSpec(layers=1), hs, eta=2, seed=2)
+        res = layer_train(AnsatzSpec(layers=1), hs, eta=2)
         assert res.energy <= res.reference_energy + 1e-12
 
     def test_ramp_endpoints(self):
@@ -234,7 +234,7 @@ class TestLayerTrain:
     def test_layered_beats_half_of_random_baseline(self):
         hs = jellium_m4()
         e_exact = sector_ground_energy(hs, 2)
-        trained = layer_train(AnsatzSpec(layers=2), hs, eta=2, seed=2)
+        trained = layer_train(AnsatzSpec(layers=2), hs, eta=2)
         joint = optimize(AnsatzSpec(layers=2), hs, eta=2, seed=2, restarts=2,
                          maxiter=300)
         gap_trained = trained.energy - e_exact
