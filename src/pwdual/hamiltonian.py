@@ -447,7 +447,11 @@ def mode_phases(hs: HamiltonianSet):
 def diagonal_terms(hs: HamiltonianSet):
     """Real coefficients of the diagonal dual potentials, in ``items()``
     order: [(q, u)] for the n_q terms of U and [((q1, q2), v)] for the
-    n_q1 n_q2 terms of V, q1 < q2."""
+    n_q1 n_q2 terms of V, q1 < q2. Only the dual potentials are
+    diagonal, so any other representation raises ValueError."""
+    if hs.representation != DUAL:
+        raise ValueError(f"diagonal potentials are defined on the dual "
+                         f"representation, not {hs.representation!r}")
     external = [(key[0][0], coeff.real) for key, coeff in hs.external.items()]
     interaction = [((key[0][0], key[2][0]), coeff.real)
                    for key, coeff in hs.interaction.items()]

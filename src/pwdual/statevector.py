@@ -10,6 +10,7 @@ fixed seed reproduces shot sequences across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -46,6 +47,15 @@ _F0 = np.exp(-1j * np.pi / 4) * np.array(
 )
 
 
+@functools.lru_cache(maxsize=256)
+def _letters_matrix(letters: str) -> np.ndarray:
+    """Read-only matrix of the Pauli string with one letter per PEXP
+    target, built once per letters string."""
+    m = string_matrix(tuple(enumerate(letters)), len(letters))
+    m.flags.writeable = False
+    return m
+
+
 # inverse rules: the gate itself, the same gate at minus the angle, or the
 # conjugate transpose (dagger flag)
 _SELF, _NEGATE, _DAGGER = "self", "negate", "dagger"
@@ -76,8 +86,7 @@ GATE_KINDS = {
     "FK": GateKind(2, lambda a, _: _F0 @ np.diag([1, 1, np.exp(1j * a),
                                                   np.exp(1j * a)]), _DAGGER),
     "PEXP": GateKind(None, lambda a, p: math.cos(a) * np.eye(2 ** len(p))
-                     - 1j * math.sin(a) * string_matrix(tuple(enumerate(p)),
-                                                        len(p)), _NEGATE),
+                     - 1j * math.sin(a) * _letters_matrix(p), _NEGATE),
 }
 
 
@@ -236,26 +245,33 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply ``gate`` to amplitudes of shape (2^n,) or (2^n, batch);
-    targets[0] is the least significant bit of the gate's matrix.
+def _blocks(targets, n: int) -> list:
+    """Index of each gate-local block on the view (2,) * n + (batch,):
+    block r fixes target j's axis to bit j of r."""
+    blocks = []
+    for r in range(2 ** len(targets)):
+        at = [slice(None)] * (n + 1)
+        for j, t in enumerate(targets):
+            at[n - 1 - t] = r >> j & 1  # view axis of qubit q is n-1-q
+        blocks.append(tuple(at))
+    return blocks
 
-    On the view (2,) * n + (batch,), block r fixes target j's axis to bit
-    j of r. Output block r is the sum over nonzero m[r, c] of m[r, c] times
-    input block c, written with ufunc ``out=``: no copies and no full-size
+
+def _apply(amps: np.ndarray, m: np.ndarray, targets, n: int,
+           out: np.ndarray = None) -> np.ndarray:
+    """Apply the gate matrix ``m`` on ``targets`` to amplitudes of shape
+    (2^n,) or (2^n, batch), into ``out`` (a new array by default);
+    targets[0] is the least significant bit of the matrix.
+
+    Output block r is the sum over nonzero m[r, c] of m[r, c] times input
+    block c, written with ufunc ``out=``: no copies and no full-size
     temporary. A trailing batch makes contiguous runs span the batch; for
     a single state it is a unit axis that keeps a block an array when all
     qubits are targets (a numpy scalar takes no ``out=`` and its complex
     arithmetic differs in the last bit), so batches agree bit for bit."""
-    m = gate.matrix()
     psi = amps.reshape((2,) * n + (-1,))
-    out = np.empty_like(psi)
-    blocks = []
-    for r in range(len(m)):
-        at = [slice(None)] * (n + 1)
-        for j, t in enumerate(gate.targets):
-            at[n - 1 - t] = r >> j & 1  # view axis of qubit q is n-1-q
-        blocks.append(tuple(at))
+    out = np.empty_like(psi) if out is None else out.reshape(psi.shape)
+    blocks = _blocks(targets, n)
     term = np.empty_like(psi[blocks[0]])
     for row, at in zip(m, blocks):
         first, *rest = np.flatnonzero(row)
@@ -274,7 +290,8 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     for t in gate.targets:
         if not 0 <= t < n:
             raise ValueError(f"target {t} outside {n} qubits")
-    return Statevector(n, _apply(state.amplitudes, gate, n))
+    return Statevector(n, _apply(state.amplitudes, gate.matrix(),
+                                 gate.targets, n))
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
@@ -287,16 +304,79 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     return out
 
 
+def _monomial(m: np.ndarray):
+    """(source column, entry) of each row when ``m`` has exactly one nonzero
+    per row and per column, else None."""
+    nonzero = m != 0
+    if (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
+        return None
+    cols = nonzero.argmax(axis=1)
+    return cols, m[np.arange(len(m)), cols]
+
+
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Full unitary of the circuit (small registers only)."""
+    """Full unitary of the circuit (small registers only).
+
+    Column j carries basis state j through the circuit. A run of monomial
+    gates (one nonzero per row and column) moves no data gate by gate: its
+    permutation and its +-1 entries compose into one pending (source row,
+    sign) pair, applied with one row gather into a reused buffer when the
+    run meets a gate that mixes rows or ends. Every other entry is a phase,
+    multiplied in place on its strided block in gate order. Each amplitude
+    thus sees the same multiplications as on the gate-by-gate path (a sign
+    commutes exactly with rounding), and the columns stay bit-identical to
+    ``apply_circuit`` on basis states."""
     n = circuit.n_qubits
     if n > MATRIX_QUBIT_CAP:
         raise ValueError(f"circuit matrix limited to {MATRIX_QUBIT_CAP} qubits")
-    # column j carries basis state j through the circuit
-    cols = np.eye(2 ** n, dtype=complex)
+    cur = np.eye(2 ** n, dtype=complex)
+    spare = np.empty_like(cur)
+    index = np.arange(2 ** n)
+    # the pending run: row x so far is sign[x] * cur[source[x]], and a
+    # sign of None is +1 everywhere
+    source, sign = index, None
+
+    def flush():
+        nonlocal cur, spare, source, sign
+        if source is index and sign is None:
+            return
+        np.take(cur, source, axis=0, out=spare, mode="clip")
+        if sign is not None:
+            np.multiply(spare, sign[:, None], out=spare)
+        cur, spare = spare, cur
+        source, sign = index, None
+
     for g in circuit.gates:
-        cols = _apply(cols, g, n)
-    return cols
+        m = g.matrix()
+        mono = _monomial(m)
+        if mono is None:
+            flush()
+            cur, spare = _apply(cur, m, g.targets, n, out=spare), cur
+            continue
+        cols, entries = mono
+        moves = (cols != np.arange(len(cols))).any()
+        flips = entries == -1
+        if moves or flips.any():
+            # gate-local basis index of every row
+            local = sum((index >> t & 1) << j for j, t in enumerate(g.targets))
+        if moves:
+            spread = np.array([sum((c >> j & 1) << t for j, t in
+                                   enumerate(g.targets)) for c in cols])
+            step = (index & ~sum(1 << t for t in g.targets)) | spread[local]
+            source = source[step]
+            sign = None if sign is None else sign[step]
+        if flips.any():
+            flipped = np.where(flips, -1.0, 1.0)[local]
+            sign = flipped if sign is None else sign * flipped
+        phases = [r for r, e in enumerate(entries) if e != 1 and e != -1]
+        if phases:
+            flush()
+            view = cur.reshape((2,) * n + (-1,))
+            blocks = _blocks(g.targets, n)
+            for r in phases:
+                np.multiply(view[blocks[r]], entries[r], out=view[blocks[r]])
+    flush()
+    return cur
 
 
 # -- evolution and measurement ------------------------------------------------

@@ -20,6 +20,8 @@ from .swapnet import build_full_schedule, lower_diagonal_layer, \
 
 SPLIT_OPERATOR = "split_operator"
 DIRECT_JW = "direct_jw"
+# largest bound on how far a block-wise error may sit from the full-space one
+LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -250,15 +252,50 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
     return circ
 
 
+def number_blocks(n_qubits: int) -> list:
+    """Basis indices of each particle-number block: block k holds the
+    C(n, k) states with k ones, ascending."""
+    count = np.bitwise_count(np.arange(2 ** n_qubits))
+    order = np.argsort(count, kind="stable")
+    sizes = np.bincount(count, minlength=n_qubits + 1)
+    return np.split(order, np.cumsum(sizes)[:-1])
+
+
 def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
-                          r_list, t: float):
-    """Table of (r, ||step(t/r)^r - exact||_2) with a log-log slope fit."""
-    rows = []
+                          r_list, t: float, counts: dict = None):
+    """Table of (r, ||step(t/r)^r - exact||_2) with a log-log slope fit.
+
+    Both matrices conserve particle number, so the 2-norm is the largest
+    over the number blocks of ||S_b^r - U_b||_2. The entries that join
+    different numbers bound how far that answer can sit from the
+    full-space one, by leak = r ||off(S)||_F + ||off(U)||_F; a leak above
+    LEAK_TOL raises ValueError. A ``counts`` dict receives ``blocks``,
+    ``largest_block`` and the largest ``leak`` over r.
+    """
+    n = len(exact_matrix).bit_length() - 1
+    blocks = number_blocks(n)
+    count = np.bitwise_count(np.arange(2 ** n))
+    off = count[:, None] != count[None, :]
+    exact_leak = float(np.linalg.norm(exact_matrix[off]))
+    exact_blocks = [exact_matrix[np.ix_(b, b)] for b in blocks]
+    rows, worst_leak = [], exact_leak
     for r in r_list:
         step = step_matrix_fn(t / r)
-        total = np.linalg.matrix_power(step, r)
-        err = float(np.linalg.norm(total - exact_matrix, 2))
+        leak = r * float(np.linalg.norm(step[off])) + exact_leak
+        if leak > LEAK_TOL:
+            raise ValueError(
+                f"particle-number leak {leak:.3e} at r={r} is above "
+                f"{LEAK_TOL:g}: the step or the exact propagator joins "
+                f"different particle numbers")
+        worst_leak = max(worst_leak, leak)
+        err = max(float(np.linalg.norm(
+            np.linalg.matrix_power(step[np.ix_(b, b)], r) - u, 2))
+            for b, u in zip(blocks, exact_blocks))
         rows.append((int(r), err))
+    if counts is not None:
+        counts.update(blocks=len(blocks),
+                      largest_block=max(len(b) for b in blocks),
+                      leak=worst_leak)
     if len(rows) < 2:
         return rows, float("nan")
     logs = [(math.log(r), math.log(max(err, 1e-300))) for r, err in rows]

@@ -179,8 +179,12 @@ class TestCommands:
         report = read_report(tmp_path, "trotter_report.json")
         assert abs(report["result"]["slope"] + 2.0) < 0.1
         meta = report["meta"]
-        assert set(meta["counts"]) == {"qubits", "gates", "matrix_bytes"}
+        assert set(meta["counts"]) == {"qubits", "gates", "matrix_bytes",
+                                       "blocks", "largest_block", "leak"}
         assert meta["counts"]["qubits"] == 4
+        assert meta["counts"]["blocks"] == 5
+        assert meta["counts"]["largest_block"] == 6
+        assert meta["counts"]["leak"] == 0.0
         assert meta["counts"]["gates"] > 0
         assert meta["counts"]["matrix_bytes"] == 16 * 4 ** 4
         assert set(meta["stages"]) == {"build", "matrix", "verify"}

@@ -14,10 +14,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit
-from pwdual.pauli import QubitOperator, apply_string, qubit_operator_matrix
-from pwdual.statevector import GATE_KINDS, Circuit, Gate, circuit_matrix
-from pwdual.trotter import direct_jw_step
+from pwdual.hamiltonian import NucleiSpec, build_dual, build_qubit
+from pwdual.pauli import QubitOperator, apply_string, \
+    qubit_operator_matrix, string_matrix
+from pwdual.statevector import GATE_KINDS, Circuit, Gate, Statevector, \
+    apply_circuit, circuit_matrix
+from pwdual.trotter import direct_jw_step, split_operator_step
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -130,6 +132,49 @@ def test_every_gate_kind_matches_matmul_reference():
                 assert np.max(np.abs(circuit_matrix(circ)
                                      - reference_circuit_matrix(circ))) \
                     <= 1e-14, circ.gates[0]
+
+
+def test_long_monomial_runs_match_matmul_reference():
+    """Fused runs over many gates: the 8-qubit split-operator step, whose
+    potential and FSWAP layers are long monomial runs, and a 40-gate mix
+    of every kind. Columns stay bit-identical to the gate-by-gate path."""
+    grid = build_grid(1, 4, 4.0, spinful=True)
+    hs = build_dual(grid, NucleiSpec.build([((1.3,), 1.0)]))
+    rng = np.random.default_rng(11)
+    kinds = sorted(GATE_KINDS)
+    mix = []
+    for _ in range(40):
+        kind = kinds[rng.integers(len(kinds))]
+        letters = "".join(rng.choice(list("XYZ"), size=rng.integers(1, 4))) \
+            if GATE_KINDS[kind].arity is None else ""
+        arity = GATE_KINDS[kind].arity or len(letters)
+        mix.append(Gate(kind, tuple(int(t) for t in
+                                    rng.permutation(6)[:arity]),
+                        angle=float(rng.uniform(-4, 4)), letters=letters,
+                        dagger=bool(rng.integers(2))))
+    for circ in (split_operator_step(hs, 0.1), Circuit(6, mix)):
+        u = circuit_matrix(circ)
+        assert np.max(np.abs(u - reference_circuit_matrix(circ))) <= 1e-14
+        for j in range(0, 2 ** circ.n_qubits, 13):
+            column = apply_circuit(Statevector.basis_state(circ.n_qubits, j),
+                                   circ)
+            assert np.array_equal(u[:, j], column.amplitudes)
+
+
+def test_pexp_matrix_is_bit_identical_to_uncached_build():
+    rng = np.random.default_rng(5)
+    for letters in ("X", "Y", "Z", "XY", "ZZ", "YZX", "XXYZ"):
+        key = tuple(enumerate(letters))
+        for dagger in (False, True):
+            angle = float(rng.uniform(-4, 4))
+            want = math.cos(angle) * np.eye(2 ** len(letters)) \
+                - 1j * math.sin(angle) * string_matrix(key, len(letters))
+            if dagger:
+                want = want.conj().T
+            gate = Gate("PEXP", tuple(range(len(letters))), angle=angle,
+                        letters=letters, dagger=dagger)
+            for _ in range(2):  # a cold and a warm cache
+                assert np.array_equal(gate.matrix(), want)
 
 
 def test_circuit_matrix_peak_memory():

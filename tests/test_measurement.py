@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual.fermion import fermion_matrix, jordan_wigner
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit
+from pwdual.hamiltonian import build_dual, build_plane_wave, build_qubit
 from pwdual.measurement import MeasurementPlan, estimate_energy, \
     empirical_variance, empirical_shot_requirement, shot_budget, \
     exact_group_variances, diagonal_potential_values, PER_TERM, \
@@ -289,3 +289,11 @@ def test_potential_values_equal_per_sample_evaluation(m, spinful):
     assert len(np.unique(samples)) < len(samples)
     assert np.array_equal(diagonal_potential_values(hs, samples),
                           reference_potential_values(hs, samples))
+
+
+def test_potential_values_reject_plane_wave_set():
+    """The plane-wave set's external and interaction keys are not number
+    or pair terms; reading them as such would be a silent wrong answer."""
+    hs = build_plane_wave(build_grid(1, 4, 4.0), nuclei=[([1.0], 1.0)])
+    with pytest.raises(ValueError, match="dual"):
+        diagonal_potential_values(hs, np.array([3, 5]))

@@ -5,15 +5,15 @@ import scipy.linalg
 from pwdual.fermion import FermionOperator, fermion_matrix
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, DUAL, \
-    mode_energies
+    NucleiSpec, mode_energies
 from pwdual.measurement import kinetic_mode_values
 from pwdual.pauli import QubitOperator, string_matrix, \
     qubit_operator_matrix, PRUNE_TOL
-from pwdual.statevector import Circuit, circuit_matrix, Statevector, \
+from pwdual.statevector import Circuit, Gate, circuit_matrix, Statevector, \
     apply_circuit, expectation
 from pwdual.trotter import TrotterConfig, split_operator_step, \
     direct_jw_step, measure_error_scaling, estimate_r, trotter_circuit, \
-    hopping_template_gates, group_qubit_terms, _zz_gates
+    hopping_template_gates, group_qubit_terms, number_blocks, _zz_gates
 
 
 def spinful_jellium(omega=4.0):
@@ -196,6 +196,49 @@ class TestErrorScaling:
             lambda tau: circuit_matrix(split_operator_step(diag, tau)),
             exact, [1], 1.0)
         assert rows[0][1] < 1e-12
+
+    @pytest.mark.parametrize("strategy", ["split_operator", "direct_jw"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_block_errors_equal_full_space_norm(self, strategy, order):
+        grid = build_grid(1, 4, 4.0, spinful=True)
+        hs = build_dual(grid, NucleiSpec.build([((1.3,), 1.0)]))
+        exact = exact_unitary(hs, 1.0)
+        steps = {}
+
+        def step_fn(tau):
+            config = TrotterConfig(strategy, order, 1, tau)
+            steps[tau] = circuit_matrix(trotter_circuit(hs, config))
+            return steps[tau]
+
+        counts = {}
+        rows, _ = measure_error_scaling(step_fn, exact, [2, 8, 32], 1.0,
+                                        counts)
+        assert counts["blocks"] == 9 and counts["largest_block"] == 70
+        assert counts["leak"] < 1e-12
+        for r, err in rows:
+            full = np.linalg.norm(
+                np.linalg.matrix_power(steps[1.0 / r], r) - exact, 2)
+            assert err == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    def test_rejects_step_that_changes_particle_number(self):
+        hs = spinful_jellium()
+        exact = exact_unitary(hs, 1.0)
+
+        def step_fn(tau):
+            circ = split_operator_step(hs, tau)
+            circ.add(Gate("H", (0,)))
+            return circuit_matrix(circ)
+
+        with pytest.raises(ValueError, match="leak"):
+            measure_error_scaling(step_fn, exact, [2, 4], 1.0)
+
+    def test_number_blocks_partition_by_popcount(self):
+        blocks = number_blocks(5)
+        assert [len(b) for b in blocks] == [1, 5, 10, 10, 5, 1]
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(32))
+        for k, block in enumerate(blocks):
+            assert all(bin(int(x)).count("1") == k for x in block)
+            assert list(block) == sorted(block)
 
 
 class TestEstimateR:
