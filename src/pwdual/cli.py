@@ -8,7 +8,8 @@ config under "config" and segregates volatile fields (timestamp) under
 "meta" so the payload is byte-stable for a fixed config and seed.
 
 Exit codes: 0 all embedded assertions pass, 1 an assertion failed,
-2 invalid configuration or arguments.
+2 invalid configuration or arguments, or dense work past the memory
+budget (``pauli.DENSE_BYTES_LIMIT``).
 """
 
 from __future__ import annotations
@@ -29,19 +30,18 @@ from .fermion import fermion_matrix, fermion_sparse, FermionOperator
 from .geometry import build_grid
 from .hamiltonian import build_dual, build_plane_wave, build_qubit, \
     norm_bounds, NucleiSpec, DUAL, PLANE_WAVE
-from .lcu import build_weights, prepare_state, taylor_segment, dump_weights
+from .lcu import build_weights, prepare_state, taylor_errors, dump_weights
 from .measurement import MeasurementPlan, estimate_energy, shot_budget, \
     STRATEGIES, DIAGONAL_GROUPS
+from .pauli import DenseLimitError
 from .serialize import fmt, dumps_hamiltonian
-from .statevector import Statevector, apply_circuit, circuit_matrix, \
-    dumps_circuit, exact_evolve, expectation
+from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
+    expectation
 from .swapnet import build_full_schedule, dumps_schedule
 from .trotter import TrotterConfig, measure_error_scaling, estimate_r, \
-    number_blocks, trotter_circuit
+    number_block_propagator, trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
-
-MATRIX_CAP = 12
 
 
 class ConfigError(Exception):
@@ -182,16 +182,20 @@ def cmd_build(cfg, out_dir):
             **norm_bounds(sets[DUAL], eta),
             "lam": qub.coefficient_norm(include_identity=True)}
     failures = []
-    if set(reps) >= {DUAL, PLANE_WAVE} and grid.n_qubits <= MATRIX_CAP:
-        with _stage(stages, "verify"):
-            gap = float(np.max(np.abs(sets[DUAL].spectrum()
-                                      - sets[PLANE_WAVE].spectrum())))
-        report["isospectrality_max_gap"] = gap
-        if gap > 1e-9:
-            failures.append(f"spectra disagree by {gap:.3e}")
+    meta = {"counts": counts, "stages": stages}
+    if set(reps) >= {DUAL, PLANE_WAVE}:
+        try:
+            with _stage(stages, "verify"):
+                gap = float(np.max(np.abs(sets[DUAL].spectrum()
+                                          - sets[PLANE_WAVE].spectrum())))
+        except DenseLimitError as exc:
+            meta["caps"] = {"isospectrality": str(exc)}
+        else:
+            report["isospectrality_max_gap"] = gap
+            if gap > 1e-9:
+                failures.append(f"spectra disagree by {gap:.3e}")
     report["failures"] = failures
-    _emit(out_dir, "build_report.json", report, cfg,
-          {"counts": counts, "stages": stages})
+    _emit(out_dir, "build_report.json", report, cfg, meta)
     return 1 if failures else 0
 
 
@@ -200,16 +204,18 @@ def cmd_diagonalize(cfg, out_dir):
     task = cfg["task"]
     _check_keys(task, {"representation"}, "task block")
     rep = task.get("representation", DUAL)
-    if grid.n_qubits > MATRIX_CAP:
-        raise ConfigError(f"diagonalization capped at {MATRIX_CAP} qubits")
-    hs = _build_representation(rep, grid, nuclei, truncated, constant)
-    spectrum = hs.spectrum()
+    stages, counts = {}, {"qubits": grid.n_qubits}
+    with _stage(stages, "build"):
+        hs = _build_representation(rep, grid, nuclei, truncated, constant)
+    with _stage(stages, "spectrum"):
+        spectrum = hs.spectrum(counts)
     lines = ["index,energy"] + [
         f"{i},{fmt(e)}" for i, e in enumerate(spectrum)]
     _write(out_dir, "spectrum.csv", "\n".join(lines) + "\n")
     _emit(out_dir, "diagonalize_report.json",
           {"representation": rep, "ground_energy": float(spectrum[0]),
-           "levels": len(spectrum), "failures": []}, cfg)
+           "levels": len(spectrum), "failures": []}, cfg,
+          {"counts": counts, "stages": stages})
     return 0
 
 
@@ -218,8 +224,6 @@ def cmd_trotter_sweep(cfg, out_dir):
     task = cfg["task"]
     _check_keys(task, {"r_list", "t", "strategy", "order", "expected_slope",
                        "slope_tolerance", "epsilon"}, "task block")
-    if grid.n_qubits > MATRIX_CAP:
-        raise ConfigError(f"error sweeps are capped at {MATRIX_CAP} qubits")
     r_list = [int(r) for r in task.get("r_list", [2, 4, 8, 16, 32])]
     t = float(task.get("t", 1.0))
     order = int(task.get("order", 2))
@@ -227,23 +231,18 @@ def cmd_trotter_sweep(cfg, out_dir):
     stages = {}
     with _stage(stages, "build"):
         hs = build_dual(grid, nuclei, truncated, constant)
+        # the first r's step checks the strategy and the grid before any
+        # dense work, and serves that r
+        pending = [trotter_circuit(hs, TrotterConfig(strategy, order, 1,
+                                                     t / r))
+                   for r in r_list[:1]]
     with _stage(stages, "matrix"):
-        # the propagator, one particle-number block of H at a time
-        h_mat = hs.matrix()
-        exact = np.zeros_like(h_mat)
-        kept = 0
-        for block in number_blocks(grid.n_qubits):
-            at = np.ix_(block, block)
-            kept += np.count_nonzero(h_mat[at])
-            vals, vecs = np.linalg.eigh(h_mat[at])
-            exact[at] = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-        if kept != np.count_nonzero(h_mat):
-            raise ValueError("the Hamiltonian joins different particle "
-                             "numbers")
-    counts = {"qubits": grid.n_qubits, "matrix_bytes": h_mat.nbytes}
+        exact = number_block_propagator(hs, t)
+    counts = {"qubits": grid.n_qubits, "matrix_bytes": exact.nbytes}
 
     def step_fn(tau):
-        step = trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
+        step = pending.pop() if pending else \
+            trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
         counts["gates"] = step.gate_count()  # the same for every r
         return circuit_matrix(step)
 
@@ -309,9 +308,12 @@ def cmd_swapnet(cfg, out_dir):
     _check_keys(task, {"rows", "cols"}, "task block")
     rows = int(task.get("rows", 4))
     cols = int(task.get("cols", 4))
-    sched = build_full_schedule(rows, cols)
+    stages = {}
+    with _stage(stages, "build"):
+        sched = build_full_schedule(rows, cols)
     n = rows * cols
-    covered = sched.interact_pairs()
+    with _stage(stages, "verify"):
+        covered = sched.interact_pairs()
     want = n * (n - 1) // 2
     _write(out_dir, "swap_schedule.txt", dumps_schedule(sched))
     failures = []
@@ -326,7 +328,9 @@ def cmd_swapnet(cfg, out_dir):
         "provenance": sched.provenance,
         "failures": failures,
     }
-    _emit(out_dir, "swapnet_report.json", report, cfg)
+    _emit(out_dir, "swapnet_report.json", report, cfg,
+          {"counts": {"qubits": n, "layers": sched.depth()},
+           "stages": stages})
     return 1 if failures else 0
 
 
@@ -335,6 +339,7 @@ def cmd_lcu_check(cfg, out_dir):
     task = cfg["task"]
     _check_keys(task, {"t", "orders", "include_noop"}, "task block")
     stages = {}
+    meta = {"stages": stages}
     with _stage(stages, "build"):
         hs = build_dual(grid, nuclei, truncated, constant)
         model = build_weights(hs, include_noop=bool(task.get("include_noop",
@@ -364,19 +369,13 @@ def cmd_lcu_check(cfg, out_dir):
             failures.append(f"preparation amplitude gap {prep_err:.3e}")
         t = float(task.get("t", 0.1))
         taylor = {}
-        if lam * t <= math.log(2.0) and grid.n_qubits <= MATRIX_CAP:
-            rng = np.random.default_rng(cfg["seed"])
-            amps = rng.normal(size=2 ** grid.n_qubits) \
-                + 1j * rng.normal(size=2 ** grid.n_qubits)
-            psi = Statevector(grid.n_qubits, amps / np.linalg.norm(amps))
-            exact = exact_evolve(rec, t, psi)
-            for order in task.get("orders", [2, 4]):
-                out, success = taylor_segment(model, t, int(order), psi)
-                taylor[str(order)] = {
-                    "error": float(np.linalg.norm(out.amplitudes
-                                                  - exact.amplitudes)),
-                    "success_amplitude": success,
-                }
+        if lam * t <= math.log(2.0):
+            try:
+                taylor = taylor_errors(model, rec, t,
+                                       task.get("orders", [2, 4]),
+                                       cfg["seed"])
+            except DenseLimitError as exc:
+                meta["caps"] = {"taylor": str(exc)}
     report = {
         "lam": lam,
         "term_count": len(model.weights),
@@ -388,8 +387,7 @@ def cmd_lcu_check(cfg, out_dir):
     }
     counts = {"qubits": grid.n_qubits, "fermion_terms": len(hs.total().terms),
               "pauli_terms": len(qub.terms), "weights": len(model.weights)}
-    _emit(out_dir, "lcu_report.json", report, cfg,
-          {"counts": counts, "stages": stages})
+    _emit(out_dir, "lcu_report.json", report, cfg, {**meta, "counts": counts})
     return 1 if failures else 0
 
 
@@ -463,19 +461,22 @@ def cmd_vqe_jellium(cfg, out_dir):
         report["failures"].append(
             f"sector energy differs from the circuit path by "
             f"{circuit_gap:.3e}")
-    if grid.n_qubits <= MATRIX_CAP:
-        with _stage(stages, "exact"):
-            exact = sector_ground_energy(hs, eta)
-        report["exact_energy"] = exact
-        if not (exact - 1e-9 <= res.energy
-                <= res.reference_energy + 1e-9):
-            report["failures"].append("variational ordering violated")
     meta = {"counts": {"qubits": grid.n_qubits,
                        "sector_dimension": math.comb(grid.n_qubits, eta),
                        "parameters": len(res.names),
                        "evaluations": res.evaluations},
             "stages": stages,
             "checks": {"circuit_energy_gap": circuit_gap}}
+    try:
+        with _stage(stages, "exact"):
+            exact = sector_ground_energy(hs, eta)
+    except DenseLimitError as exc:
+        meta["caps"] = {"exact_energy": str(exc)}
+    else:
+        report["exact_energy"] = exact
+        if not (exact - 1e-9 <= res.energy
+                <= res.reference_energy + 1e-9):
+            report["failures"].append("variational ordering violated")
     _emit(out_dir, "vqe_report.json", report, cfg, meta)
     return 1 if report["failures"] else 0
 

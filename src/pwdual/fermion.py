@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse
 
 from .pauli import QubitOperator, TermSum, PRUNE_TOL, HERMITIAN_TOL, \
-    MATRIX_QUBIT_CAP, _product
+    _product, require_bytes
 
 RAISE = 1
 LOWER = 0
@@ -167,10 +167,11 @@ def _ladder_action(key, n_orbitals: int):
     return rows, cols, np.where(parity, -1.0, 1.0)
 
 
+# bytes of the 2^n int64 and uint8 vectors one _ladder_action call holds
+_LADDER_BYTES = 64
+
+
 def _check_register(op: FermionOperator, n_orbitals: int):
-    if n_orbitals > MATRIX_QUBIT_CAP:
-        raise ValueError(f"occupation-basis matrix limited to "
-                         f"{MATRIX_QUBIT_CAP} orbitals")
     if op.n_orbitals() > n_orbitals:
         raise ValueError("operator acts outside the requested register")
 
@@ -185,6 +186,9 @@ def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
     """
     _check_register(op, n_orbitals)
     dim = 2 ** n_orbitals
+    # the matrix, one ladder action and its signed values
+    require_bytes(16 * dim * dim + (_LADDER_BYTES + 48) * dim,
+                  f"a {n_orbitals}-orbital occupation-basis matrix")
     mat = np.zeros((dim, dim), dtype=complex)
     for key, coeff in op.terms.items():
         rows, cols, signs = _ladder_action(key, n_orbitals)
@@ -197,17 +201,26 @@ def fermion_sparse(op: FermionOperator,
                    n_orbitals: int) -> scipy.sparse.csr_matrix:
     """The matrix of ``fermion_matrix`` in compressed sparse rows."""
     _check_register(op, n_orbitals)
-    empty = np.zeros(0, dtype=np.int64)
-    rows, cols, vals = [empty], [empty], [np.zeros(0, dtype=complex)]
+    # a term on k distinct orbitals fixes their occupations, so it keeps at
+    # most 2^(n-k) states; each entry is a row, a column and a value (32
+    # bytes) as a triplet, and under twice that again through the scipy
+    # conversion to compressed rows
+    entries = sum(2 ** (n_orbitals - len({q for q, _ in key}))
+                  for key in op.terms)
+    require_bytes(_LADDER_BYTES * 2 ** n_orbitals + 3 * 32 * entries,
+                  f"a {n_orbitals}-orbital sparse matrix")
+    rows = np.empty(entries, dtype=np.int64)
+    cols = np.empty(entries, dtype=np.int64)
+    vals = np.empty(entries, dtype=complex)
+    end = 0
     for key, coeff in op.terms.items():
         r, c, signs = _ladder_action(key, n_orbitals)
-        rows.append(r)
-        cols.append(c)
-        vals.append(coeff * signs)
+        at = slice(end, end + len(r))
+        rows[at], cols[at], vals[at] = r, c, coeff * signs
+        end = at.stop
     dim = 2 ** n_orbitals
     return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim)).tocsr()
+        (vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
 
 
 def total_number_operator(n_orbitals: int) -> FermionOperator:

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from .fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
     fermion_sparse, jordan_wigner
 from .geometry import ModeGrid, UP, DOWN
-from .pauli import QubitOperator, PRUNE_TOL
+from .pauli import QubitOperator, PRUNE_TOL, require_bytes
 
 PLANE_WAVE = "plane_wave"
 DUAL = "dual"
@@ -79,11 +79,13 @@ class HamiltonianSet:
     def matrix(self) -> np.ndarray:
         """Dense occupation-basis matrix (built without the Pauli path)."""
         mat = fermion_matrix(self.total(), self.n_qubits)
-        return mat + self.constant * np.eye(mat.shape[0])
+        mat[np.diag_indices_from(mat)] += self.constant
+        return mat
 
-    def blocks(self):
+    def blocks(self, electrons: int = None):
         """Exact diagonalization one invariant block at a time: a list of
-        (basis indices, ascending eigenvalues) pairs, one per block.
+        (basis indices, ascending eigenvalues) pairs, one per block, or
+        only for the blocks holding a state with ``electrons`` electrons.
 
         The blocks are the connected components of the sparse matrix's
         nonzero pattern. Entries that are exactly zero decouple, so this
@@ -94,15 +96,32 @@ class HamiltonianSet:
         count, labels = connected_components(mat != 0, directed=False)
         order = np.argsort(labels, kind="stable")
         edges = np.searchsorted(labels[order], np.arange(count + 1))
+        spans = list(zip(edges[:-1], edges[1:]))
+        if electrons is not None:
+            numbers = np.bitwise_count(order)
+            spans = [(lo, hi) for lo, hi in spans
+                     if np.any(numbers[lo:hi] == electrons)]
+        largest = max((hi - lo for lo, hi in spans), default=0)
+        # the sparse matrix while it is permuted (three copies), and the
+        # largest dense block with the copy eigvalsh takes of it
+        sparse = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        require_bytes(3 * sparse + 32 * largest ** 2,
+                      f"a spectrum with {largest}-state blocks")
         mat = mat[order][:, order]
         return [(order[lo:hi],
                  np.linalg.eigvalsh(mat[lo:hi, lo:hi].toarray())
                  + self.constant)
-                for lo, hi in zip(edges[:-1], edges[1:])]
+                for lo, hi in spans]
 
-    def spectrum(self) -> np.ndarray:
-        """All eigenvalues, ascending; never forms the dense matrix."""
-        return np.sort(np.concatenate([vals for _, vals in self.blocks()]))
+    def spectrum(self, counts: dict = None) -> np.ndarray:
+        """All eigenvalues, ascending; never forms the dense matrix. A
+        ``counts`` dict receives the number of ``blocks`` and the size of
+        the ``largest_block``."""
+        blocks = self.blocks()
+        if counts is not None:
+            counts.update(blocks=len(blocks),
+                          largest_block=max(len(s) for s, _ in blocks))
+        return np.sort(np.concatenate([vals for _, vals in blocks]))
 
 
 def _number_key(q: int):

@@ -27,9 +27,9 @@ import numpy as np
 
 from .geometry import ModeGrid
 from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
-from .pauli import MATRIX_QUBIT_CAP, QubitOperator, string_matrix
+from .pauli import QubitOperator, require_bytes, string_matrix
 from .serialize import fmt
-from .statevector import Statevector
+from .statevector import Statevector, evolve_bytes, exact_evolve
 
 SEGMENT_LIMIT = math.log(2.0)
 
@@ -139,12 +139,11 @@ def select_matrix(model: LcuModel) -> np.ndarray:
     (selection (x) system); self-inverse by construction."""
     width = model.index_width
     n_sys = model.n_system
-    total_qubits = model.selection_width + n_sys
-    if total_qubits > MATRIX_QUBIT_CAP:
-        raise ValueError(f"selection + system needs {total_qubits} qubits, "
-                         f"cap is {MATRIX_QUBIT_CAP}")
     dim_sel = 2 ** model.selection_width
     dim_sys = 2 ** n_sys
+    # the unitary, and one term's system matrix with its scaled copy
+    require_bytes(16 * (dim_sel * dim_sys) ** 2 + 32 * dim_sys ** 2
+                  + 96 * dim_sys, "the selection unitary")
     out = np.zeros((dim_sel * dim_sys, dim_sel * dim_sys), dtype=complex)
     for sel in range(dim_sel):
         b = sel & 1
@@ -201,6 +200,28 @@ def taylor_segment(model: LcuModel, t: float, order: int,
     if norm == 0.0:
         raise ValueError("truncated series annihilated the state")
     return Statevector(n, acc / norm), success
+
+
+def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
+                  orders, seed: int) -> dict:
+    """{str(order): {"error", "success_amplitude"}}: each segment's
+    distance from exact evolution under ``hamiltonian`` on one random
+    state drawn from ``seed``, checked against the budget of exact
+    evolution before the state is drawn."""
+    n = model.n_system
+    require_bytes(evolve_bytes(n), f"exact evolution on {n} qubits")
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    psi = Statevector(n, amps / np.linalg.norm(amps))
+    exact = exact_evolve(hamiltonian, t, psi)
+    errors = {}
+    for order in orders:
+        out, success = taylor_segment(model, t, int(order), psi)
+        errors[str(order)] = {
+            "error": float(np.linalg.norm(out.amplitudes - exact.amplitudes)),
+            "success_amplitude": success,
+        }
+    return errors
 
 
 def dump_weights(model: LcuModel) -> str:

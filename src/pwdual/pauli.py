@@ -13,7 +13,23 @@ import numpy as np
 
 PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
-MATRIX_QUBIT_CAP = 14  # largest register any dense 2^n x 2^n matrix takes
+# the most any one dense kernel call may hold at its peak: one 13-qubit
+# matrix or one 26-qubit statevector
+DENSE_BYTES_LIMIT = 2 ** 30
+
+
+class DenseLimitError(ValueError):
+    """A dense kernel would hold more than DENSE_BYTES_LIMIT bytes."""
+
+
+def require_bytes(nbytes: int, what: str):
+    """Raise DenseLimitError before ``what`` allocates, when the ``nbytes``
+    it holds at its peak pass DENSE_BYTES_LIMIT."""
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise DenseLimitError(
+            f"{what} needs {nbytes} bytes; dense work is limited to "
+            f"DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT} bytes")
+
 
 # Inside products a string is a pair of int masks (x, z): bit q of x flips
 # qubit q, bit q of z phases it, and a qubit with both bits is Y = iXZ.
@@ -207,10 +223,11 @@ def string_matrix(key: tuple, n_qubits: int) -> np.ndarray:
 
 def qubit_operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
     """Dense matrix of ``op``, writing only each term's 2^n entries."""
-    if n_qubits > MATRIX_QUBIT_CAP:
-        raise ValueError(f"dense matrix limited to {MATRIX_QUBIT_CAP} qubits")
     if op.n_qubits() > n_qubits:
         raise ValueError("operator acts outside the requested register")
+    # the matrix, and one term's index, sign and value vectors
+    require_bytes(16 * 4 ** n_qubits + 96 * 2 ** n_qubits,
+                  f"a {n_qubits}-qubit operator matrix")
     rows = np.arange(2 ** n_qubits)
     mat = np.zeros((len(rows), len(rows)), dtype=complex)
     for key, coeff in op.items():

@@ -17,11 +17,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .pauli import MATRIX_QUBIT_CAP, QubitOperator, expectation_value, \
-    qubit_operator_matrix, string_matrix
+from .pauli import QubitOperator, expectation_value, qubit_operator_matrix, \
+    require_bytes, string_matrix
 
 NORM_TOL = 1e-10
-DENSE_BYTES_LIMIT = 2 ** 30  # one 26-qubit statevector
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -208,17 +207,6 @@ class Circuit:
                 )
 
 
-def require_dense(n_qubits: int, what: str):
-    """Raise ValueError before ``what`` allocates 2^n complex amplitudes
-    (16 bytes each) past DENSE_BYTES_LIMIT."""
-    need = 16 * 2 ** n_qubits
-    if need > DENSE_BYTES_LIMIT:
-        raise ValueError(
-            f"{what} on {n_qubits} qubits needs {need} bytes of amplitudes; "
-            f"dense statevectors are limited to {DENSE_BYTES_LIMIT} bytes "
-            f"({math.log2(DENSE_BYTES_LIMIT / 16):.0f} qubits)")
-
-
 @dataclass
 class Statevector:
     n_qubits: int
@@ -233,7 +221,7 @@ class Statevector:
         """bits may be an int index or an iterable of per-qubit occupations."""
         if not isinstance(bits, int):
             bits = sum(1 << q for q, b in enumerate(bits) if b)
-        require_dense(n_qubits, "basis state")
+        require_bytes(16 * 2 ** n_qubits, f"a {n_qubits}-qubit basis state")
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[bits] = 1.0
         return cls(n_qubits, amps)
@@ -327,8 +315,11 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     commutes exactly with rounding), and the columns stay bit-identical to
     ``apply_circuit`` on basis states."""
     n = circuit.n_qubits
-    if n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"circuit matrix limited to {MATRIX_QUBIT_CAP} qubits")
+    width = max((len(g.targets) for g in circuit.gates), default=0)
+    # two matrices, a half-matrix block of scratch, index vectors, and the
+    # widest gate's matrix with the temporaries that build it
+    require_bytes(40 * 4 ** n + 128 * 2 ** n + 64 * 4 ** width,
+                  f"a {n}-qubit circuit matrix")
     cur = np.eye(2 ** n, dtype=complex)
     spare = np.empty_like(cur)
     index = np.arange(2 ** n)
@@ -382,12 +373,16 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
 # -- evolution and measurement ------------------------------------------------
 
 
+def evolve_bytes(n_qubits: int) -> int:
+    """Peak bytes of ``exact_evolve``: three matrices and a few states."""
+    return 48 * 4 ** n_qubits + 64 * 2 ** n_qubits
+
+
 def exact_evolve(hamiltonian: QubitOperator, t: float,
                  state: Statevector) -> Statevector:
     """Reference exp(-iHt) by dense eigendecomposition."""
     n = state.n_qubits
-    if n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"exact evolution limited to {MATRIX_QUBIT_CAP} qubits")
+    require_bytes(evolve_bytes(n), f"exact evolution on {n} qubits")
     mat = qubit_operator_matrix(hamiltonian, n)
     vals, vecs = np.linalg.eigh(mat)
     phases = np.exp(-1j * vals * t)

@@ -13,7 +13,7 @@ import numpy as np
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     mode_phases
-from .pauli import QubitOperator
+from .pauli import QubitOperator, require_bytes
 from .statevector import Circuit, Gate
 from .swapnet import build_full_schedule, lower_diagonal_layer, \
     transposition_phases
@@ -261,6 +261,28 @@ def number_blocks(n_qubits: int) -> list:
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
+def number_block_propagator(hs: HamiltonianSet, t: float) -> np.ndarray:
+    """Dense exp(-iHt), from one eigh per particle-number block of H's
+    dense matrix; raises ValueError if H joins different particle
+    numbers."""
+    n = hs.n_qubits
+    largest = math.comb(n, n // 2)
+    # H and the propagator, and one block's eigh and products
+    require_bytes(32 * 4 ** n + 112 * largest ** 2 + 32 * 2 ** n,
+                  f"the exact {n}-qubit propagator")
+    h_mat = hs.matrix()
+    exact = np.zeros_like(h_mat)
+    kept = 0
+    for block in number_blocks(n):
+        at = np.ix_(block, block)
+        kept += np.count_nonzero(h_mat[at])
+        vals, vecs = np.linalg.eigh(h_mat[at])
+        exact[at] = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    if kept != np.count_nonzero(h_mat):
+        raise ValueError("the Hamiltonian joins different particle numbers")
+    return exact
+
+
 def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
                           r_list, t: float, counts: dict = None):
     """Table of (r, ||step(t/r)^r - exact||_2) with a log-log slope fit.
@@ -274,6 +296,11 @@ def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
     """
     n = len(exact_matrix).bit_length() - 1
     blocks = number_blocks(n)
+    largest = max(len(b) for b in blocks)
+    # the off-block mask, the off-block entries and the exact blocks (one
+    # matrix together), and one block's power, difference and SVD
+    require_bytes(17 * 4 ** n + 112 * largest ** 2,
+                  f"{n}-qubit Trotter errors on particle-number blocks")
     count = np.bitwise_count(np.arange(2 ** n))
     off = count[:, None] != count[None, :]
     exact_leak = float(np.linalg.norm(exact_matrix[off]))
@@ -292,6 +319,7 @@ def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
             np.linalg.matrix_power(step[np.ix_(b, b)], r) - u, 2))
             for b, u in zip(blocks, exact_blocks))
         rows.append((int(r), err))
+        del step  # the next step is built without this one alive
     if counts is not None:
         counts.update(blocks=len(blocks),
                       largest_block=max(len(b) for b in blocks),

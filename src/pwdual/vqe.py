@@ -25,8 +25,8 @@ from .geometry import ModeGrid, UP, DOWN
 from .hamiltonian import HamiltonianSet, DUAL
 from .measurement import diagonal_potential_values, estimate_energy, \
     kinetic_mode_values
-from .statevector import Statevector, Circuit, Gate, apply_circuit, \
-    DENSE_BYTES_LIMIT
+from .pauli import require_bytes
+from .statevector import Statevector, Circuit, Gate, apply_circuit
 
 FULL = "full"
 TRANSLATION_INVARIANT = "translation_invariant"
@@ -198,6 +198,12 @@ def sector_states(n_qubits: int, eta: int) -> np.ndarray:
                     dtype=np.int64)
 
 
+def _minor_rows(dim: int, eta: int) -> int:
+    """Rows of a dim-state sector matrix whose eta x eta minors are taken
+    at once, about 16 MB of minors."""
+    return min(dim, max(1, (1 << 20) // max(1, dim * eta * eta)))
+
+
 def sector_transform(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     """Matrix of a number-conserving circuit on basis states that all hold
     the same number of electrons, up to the circuit's vacuum phase.
@@ -212,7 +218,7 @@ def sector_transform(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     occupied = np.nonzero(bits)[1].reshape(len(states), -1)
     dim, eta = occupied.shape
     out = np.empty((dim, dim), dtype=complex)
-    chunk = max(1, (1 << 20) // max(1, dim * eta * eta))  # 16 MB of minors
+    chunk = _minor_rows(dim, eta)
     for start in range(0, dim, chunk):
         rows = occupied[start:start + chunk]
         minors = a[rows[:, None, :, None], occupied[None, :, None, :]]
@@ -235,12 +241,13 @@ class SectorModel:
                  spin_pattern="paired"):
         n = ansatz.grid.n_qubits
         dim = math.comb(n, eta)
-        if 16 * dim ** 2 > DENSE_BYTES_LIMIT:
-            raise ValueError(
-                f"the {eta}-electron sector of {n} qubits has {dim} states; "
-                f"its Fourier matrix needs {16 * dim ** 2} bytes, and dense "
-                f"sector matrices are limited to DENSE_BYTES_LIMIT = "
-                f"{DENSE_BYTES_LIMIT} bytes")
+        # the Fourier matrix, one chunk of minors with the copy det takes,
+        # the z and zz tables as they are built, and the 2^n reference
+        minors = _minor_rows(dim, eta) * dim * eta * eta
+        require_bytes(16 * dim ** 2 + 32 * minors
+                      + 12 * dim * (2 * n + n * (n - 1)) + 48 * 2 ** n,
+                      f"the {eta}-electron sector of {n} qubits "
+                      f"({dim} states)")
         self.ansatz = ansatz
         self.n_qubits = n
         self.states = sector_states(n, eta)
@@ -298,14 +305,13 @@ class OptimizeResult:
 
 def sector_ground_energy(hs: HamiltonianSet, eta: int) -> float:
     """Lowest eigenvalue within the eta-electron occupation sector, taken
-    over the invariant blocks whose basis states hold eta electrons."""
+    over the invariant blocks that hold an eta-electron state; only those
+    blocks are diagonalized."""
     lowest = []
-    for states, vals in hs.blocks():
-        electrons = np.bitwise_count(states)
-        if np.any(electrons != electrons[0]):
+    for states, vals in hs.blocks(eta):
+        if np.any(np.bitwise_count(states) != eta):
             raise ValueError("operator does not conserve particle number")
-        if electrons[0] == eta:
-            lowest.append(vals[0])
+        lowest.append(vals[0])
     if not lowest:
         raise ValueError(f"no {eta}-electron states in {hs.n_qubits} modes")
     return float(min(lowest))

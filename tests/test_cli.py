@@ -97,7 +97,9 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "circuit matrix limited to 14 qubits" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "16-qubit circuit matrix needs" in err
+        assert "limited to DENSE_BYTES_LIMIT" in err
         assert peak < 16 * 2 ** 20
 
     def test_oversized_vqe_sector_exit_2(self, tmp_path, capsys):
@@ -114,6 +116,88 @@ class TestExitCodes:
                    "task.r_list=[2,4,8]", "task.expected_slope=-7.0",
                    "task.slope_tolerance=0.01")
         assert code == 1
+
+
+def run_traced(tmp_path, command, *overrides):
+    """(exit code, tracemalloc peak in bytes) of one CLI run."""
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, command, *overrides)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+SPINFUL_12 = ("system.modes_per_axis=6", "system.volume=6.0",
+              "system.spinful=true")
+
+
+class TestDenseBudget:
+    """Mandatory dense work exits 2 before allocating; optional
+    verification stages are skipped and named under meta.caps."""
+
+    def test_diagonalize_past_budget_exit_2(self, tmp_path, capsys):
+        # 40 qubits: the sparse build alone would hold 2^40-entry vectors
+        code, peak = run_traced(tmp_path, "diagonalize",
+                                "system.modes_per_axis=20",
+                                "system.volume=20.0", "system.spinful=true")
+        assert code == 2
+        assert "limited to DENSE_BYTES_LIMIT" in capsys.readouterr().err
+        assert peak < 16 * 2 ** 20
+
+    def test_trotter_sweep_past_budget_exit_2(self, tmp_path, capsys):
+        # 16 qubits: the step builds, the exact propagator is refused
+        code, peak = run_traced(tmp_path, "trotter-sweep",
+                                "system.modes_per_axis=8",
+                                "system.volume=8.0", "system.spinful=true")
+        assert code == 2
+        assert "16-qubit propagator needs" in capsys.readouterr().err
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("overrides,message", [
+        (SPINFUL_12, "modes per axis must be a power of two"),
+        (SPINFUL_12 + ("task.strategy=bogus",), "unknown strategy"),
+    ])
+    def test_trotter_sweep_rejects_config_before_dense_work(
+            self, tmp_path, capsys, overrides, message):
+        # on 12 qubits H and its propagator alone would take 537 MB
+        code, peak = run_traced(tmp_path, "trotter-sweep", *overrides)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("command,overrides,report,stage,kept", [
+        ("build", ("task.representations=[\"dual\",\"plane_wave\"]",),
+         "build_report.json", "isospectrality", "isospectrality_max_gap"),
+        ("lcu-check", ("task.t=0.01",), "lcu_report.json", "taylor", None),
+        ("vqe-jellium", ("system.eta=1", "task.restarts=1",
+                         "task.maxiter=20"),
+         "vqe_report.json", "exact_energy", "exact_energy"),
+    ])
+    def test_optional_stage_skipped_past_budget(
+            self, tmp_path, monkeypatch, command, overrides, report, stage,
+            kept):
+        cell = ("system.modes_per_axis=2", "system.volume=4.0",
+                "system.spinful=true", *overrides)
+        assert run(tmp_path, command, *cell, out="full") in (0, 1)
+        full = read_report(tmp_path, report, out="full")
+        assert "caps" not in full["meta"]
+        # 4 KiB admits the 4-state sector and the 4-qubit basis state,
+        # not the sparse Hamiltonian or exact evolution
+        monkeypatch.setattr("pwdual.pauli.DENSE_BYTES_LIMIT", 4096)
+        assert run(tmp_path, command, *cell, out="capped") == 0
+        capped = read_report(tmp_path, report, out="capped")
+        assert "limited to" in capped["meta"]["caps"][stage]
+        # the result is the full run's without the skipped stage's key;
+        # the Taylor table stays, empty
+        want = {k: v for k, v in full["result"].items() if k != kept}
+        if kept is None:
+            assert full["result"]["taylor"]
+            want["taylor"] = {}
+        else:
+            assert kept in full["result"]
+        assert capped["result"] == want
 
 
 class TestCommands:
@@ -152,6 +236,11 @@ class TestCommands:
         assert code == 0
         text = (tmp_path / "run" / "spectrum.csv").read_text()
         assert text.startswith("index,energy")
+        meta = read_report(tmp_path, "diagonalize_report.json")["meta"]
+        # 2 spinless orbitals: blocks of 0, 1 and 2 electrons
+        assert meta["counts"] == {"qubits": 2, "blocks": 3,
+                                  "largest_block": 2}
+        assert set(meta["stages"]) == {"build", "spectrum"}
 
     def test_ffft_check(self, tmp_path):
         code = run(tmp_path, "ffft-check", "system.modes_per_axis=4",
@@ -171,6 +260,10 @@ class TestCommands:
         report = read_report(tmp_path, "swapnet_report.json")
         assert report["result"]["pairs_covered"] == 120
         assert report["result"]["first_level_layers"] == 18
+        meta = report["meta"]
+        assert meta["counts"] == {"qubits": 16,
+                                  "layers": report["result"]["depth"]}
+        assert set(meta["stages"]) == {"build", "verify"}
 
     def test_trotter_sweep_slope(self, tmp_path):
         code = run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",

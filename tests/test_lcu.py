@@ -127,12 +127,6 @@ class TestSelectMatrix:
         sel = select_matrix(model)
         assert np.max(np.abs(sel @ sel.conj().T - np.eye(sel.shape[0]))) < 1e-12
 
-    def test_width_cap(self):
-        hs = jellium(4, spinful=True)  # 8 system + 7 selection qubits
-        model = build_weights(hs)
-        with pytest.raises(ValueError):
-            select_matrix(model)
-
 
 class TestPrepareState:
     def test_two_equal_weights(self):

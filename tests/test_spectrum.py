@@ -15,7 +15,7 @@ from pwdual.fermion import FermionOperator, RAISE, fermion_matrix, \
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import HamiltonianSet, build_dual, \
     build_finite_difference, build_plane_wave
-from pwdual.vqe import sector_ground_energy
+from pwdual.vqe import sector_ground_energy, sector_states
 
 
 def reference_fermion_matrix(op, n_orbitals):
@@ -176,6 +176,31 @@ def test_sector_ground_energy_matches_popcount_slice(cell, nuclei, eta):
     want = reference_sector_ground_energy(hs, eta)
     assert abs(sector_ground_energy(hs, eta) - want) \
         <= 1e-12 * max(1.0, abs(want))
+
+
+def test_sector_ground_energy_at_16_qubits():
+    # only the three 2-electron blocks are diagonalized; the reference is
+    # one dense eigvalsh on the popcount slice of the sparse matrix
+    hs = build_dual(build_grid(1, 8, 8.0, True), [((2.9,), 1.0)], None, 0.5)
+    states = sector_states(16, 2)
+    sector = fermion_sparse(hs.total(), 16)[states][:, states].toarray()
+    want = np.linalg.eigvalsh(sector)[0] + hs.constant
+    assert abs(sector_ground_energy(hs, 2) - want) \
+        <= 1e-12 * max(1.0, abs(want))
+    assert sorted(len(s) for s, _ in hs.blocks(2)) == [28, 28, 64]
+
+
+def test_blocks_keep_those_holding_the_electron_count():
+    hs = build_dual(build_grid(1, 4, 4.0, True), [((1.3,), 1.0)])
+    every = hs.blocks()
+    for electrons in range(9):
+        want = [(s, v) for s, v in every
+                if np.bitwise_count(s[0]) == electrons]
+        kept = hs.blocks(electrons)
+        assert len(kept) == len(want)
+        for (states, vals), (want_states, want_vals) in zip(kept, want):
+            assert np.array_equal(states, want_states)
+            assert np.array_equal(vals, want_vals)
 
 
 def test_sector_ground_energy_rejects_empty_sector():

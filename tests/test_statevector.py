@@ -245,20 +245,6 @@ class TestSampling:
                     len(probs), size=300, p=probs))
 
 
-class TestCaps:
-    def test_exact_evolve_cap(self):
-        h = QubitOperator({((0, "Z"),): 1.0})
-        with pytest.raises(ValueError):
-            exact_evolve(h, 0.1, Statevector.zero_state(15))
-
-    def test_operator_matrix_cap(self):
-        from pwdual.fermion import FermionOperator, fermion_matrix
-        with pytest.raises(ValueError):
-            fermion_matrix(FermionOperator.number(0), 15)
-        with pytest.raises(ValueError):
-            qubit_operator_matrix(QubitOperator.identity(), 15)
-
-
 class TestDepthAndConnectivity:
     def test_greedy_depth(self):
         circ = Circuit(3)

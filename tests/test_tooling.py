@@ -72,3 +72,54 @@ def test_unread_name_scan_sees_parameters_locals_and_loop_targets():
         "    return g\n")
     assert sorted(name for _, _, name in unread_names(tree)) == \
         ["b", "tmp", "unused"]
+
+
+def reads_limit(node) -> bool:
+    """Whether ``node`` reads or imports DENSE_BYTES_LIMIT."""
+    if isinstance(node, ast.Name):
+        return node.id == "DENSE_BYTES_LIMIT" and \
+            not isinstance(node.ctx, ast.Store)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "DENSE_BYTES_LIMIT"
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "DENSE_BYTES_LIMIT" for a in node.names)
+    return False
+
+
+def budget_violations(tree):
+    """(line, what) for each module-level ``*_CAP`` assignment, and for
+    each read or import of DENSE_BYTES_LIMIT outside ``require_bytes``."""
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        found += [(node.lineno, f"module-level {t.id}") for t in targets
+                  if isinstance(t, ast.Name) and t.id.endswith("_CAP")]
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and fn.name == "require_bytes" for node in ast.walk(fn)}
+    found += [(node.lineno, "DENSE_BYTES_LIMIT read")
+              for node in ast.walk(tree)
+              if id(node) not in inside and reads_limit(node)]
+    return found
+
+
+def test_one_dense_budget():
+    found = [f"{path.name}:{line} {what}"
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))
+             for line, what in budget_violations(ast.parse(path.read_text()))]
+    assert not found, "\n".join(found)
+
+
+def test_budget_scan_sees_caps_reads_and_imports():
+    tree = ast.parse(
+        "from .pauli import DENSE_BYTES_LIMIT\n"
+        "MATRIX_CAP = 12\n"
+        "DENSE_BYTES_LIMIT = 2 ** 30\n"
+        "def require_bytes(n):\n"
+        "    return n > DENSE_BYTES_LIMIT\n"
+        "def other(n, pauli):\n"
+        "    return n > pauli.DENSE_BYTES_LIMIT\n")
+    assert budget_violations(tree) == [
+        (2, "module-level MATRIX_CAP"), (1, "DENSE_BYTES_LIMIT read"),
+        (7, "DENSE_BYTES_LIMIT read")]
