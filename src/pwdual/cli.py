@@ -1,11 +1,16 @@
 """Command-line surface: builders, checkers, sweeps, and the variational
 run, all driven by one JSON config.
 
-Config layout: {"system": {...}, "task": {...}, "output": {...}, "seed": n}.
-Unknown keys are rejected. ``--set block.key=value`` flags override file
-values (flag wins). Every emitted JSON document echoes the fully resolved
-config under "config" and segregates volatile fields (timestamp) under
-"meta" so the payload is byte-stable for a fixed config and seed.
+Config layout: {"system": {...}, "task": {...}, "seed": n}. ``COMMANDS``
+declares, for each command, every task key it reads with its default and
+whether it reads the system block (keys and defaults in
+``SYSTEM_DEFAULTS``); unknown keys are rejected. ``--set block.key=value``
+flags override file values (flag wins). Every command writes
+``<name>_report.json``, which echoes the resolved config (every key the
+command read, defaults filled in) under "config" and segregates volatile
+fields (timestamp, stage times, sizes, warnings) under "meta", so the
+payload is byte-stable for a fixed config and seed and the echo, fed back
+through ``--config``, reproduces it.
 
 Exit codes: 0 all embedded assertions pass, 1 an assertion failed,
 2 invalid configuration or arguments, or dense work past the memory
@@ -15,6 +20,7 @@ budget (``pauli.DENSE_BYTES_LIMIT``).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -22,6 +28,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,10 +55,11 @@ class ConfigError(Exception):
     pass
 
 
-SYSTEM_KEYS = {"dimension", "modes_per_axis", "volume", "r_s", "spinful",
-               "eta", "nuclei", "truncated_D", "constant"}
-OUTPUT_KEYS = set()  # no command reads an output setting yet
-TOP_KEYS = {"system", "task", "output", "seed"}
+# None marks a derived default: volume is modes_per_axis ** dimension, or
+# comes from r_s, which is accepted as input and echoed as the volume
+SYSTEM_DEFAULTS = {"dimension": 1, "modes_per_axis": 2, "volume": None,
+                   "r_s": None, "spinful": False, "eta": 1, "nuclei": [],
+                   "truncated_D": None, "constant": 0.0}
 
 
 def _check_keys(block: dict, allowed, where: str):
@@ -63,14 +71,17 @@ def _check_keys(block: dict, allowed, where: str):
 
 
 def load_config(path, overrides):
-    cfg = {"system": {}, "task": {}, "output": {}, "seed": 0}
+    """The config as given: file values, then ``--set`` overrides."""
+    cfg = {"system": {}, "task": {}, "seed": 0}
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        _check_keys(data, TOP_KEYS, "config root")
-        for key in ("system", "task", "output"):
-            cfg[key].update(data.get(key, {}))
-        cfg["seed"] = data.get("seed", 0)
+        if not isinstance(data, dict):
+            raise ConfigError("the config must be a JSON object")
+        _check_keys(data, cfg, "config root")
+        cfg.update(data)
+    if not all(isinstance(cfg[block], dict) for block in ("system", "task")):
+        raise ConfigError("the system and task blocks must be JSON objects")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not block.key=value")
@@ -80,209 +91,222 @@ def load_config(path, overrides):
         except json.JSONDecodeError:
             value = raw
         if dotted == "seed":
-            cfg["seed"] = int(value)
+            cfg["seed"] = value
             continue
         if "." not in dotted:
             raise ConfigError(f"override {item!r} is not block.key=value")
         block, key = dotted.split(".", 1)
-        if block not in ("system", "task", "output"):
+        if block not in ("system", "task"):
             raise ConfigError(f"unknown config block {block!r}")
         cfg[block][key] = value
-    _check_keys(cfg["system"], SYSTEM_KEYS, "system block")
-    _check_keys(cfg["output"], OUTPUT_KEYS, "output block")
+    _check_keys(cfg["system"], SYSTEM_DEFAULTS, "system block")
     return cfg
 
 
-def resolve_system(cfg):
-    """Grid, nuclei, truncation, constant, eta from the system block."""
-    sysblock = dict(cfg["system"])
-    d = int(sysblock.get("dimension", 1))
-    m = int(sysblock.get("modes_per_axis", 2))
-    eta = int(sysblock.get("eta", 1))
-    if "volume" in sysblock and "r_s" in sysblock:
-        raise ConfigError("give either volume or r_s, not both")
-    if "r_s" in sysblock:
-        if d != 3:
+def _fill(block: dict, defaults: dict, where: str) -> dict:
+    """``block`` over ``defaults``; a value whose default is a number is
+    converted to the default's type, and one whose default is a flag must
+    be true or false."""
+    _check_keys(block, defaults, where)
+    out = copy.deepcopy(defaults)
+    for key, value in block.items():
+        default = defaults[key]
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise ConfigError(f"{key} in {where} must be true or false, "
+                              f"got {value!r}")
+        try:
+            out[key] = type(default)(value) \
+                if isinstance(default, (int, float)) else value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} in {where}: {exc}") from None
+    return out
+
+
+def _resolve_system(block: dict) -> dict:
+    system = _fill(block, SYSTEM_DEFAULTS, "system block")
+    r_s = system.pop("r_s")
+    if r_s is not None:
+        if system["volume"] is not None:
+            raise ConfigError("give either volume or r_s, not both")
+        if system["dimension"] != 3:
             raise ConfigError("the density parameter r_s is defined for "
                               "dimension 3 only; give volume directly")
-        r_s = float(sysblock["r_s"])
-        volume = (4.0 * math.pi / 3.0) * r_s ** 3 * eta
-    else:
-        volume = float(sysblock.get("volume", float(m ** d)))
-    spinful = bool(sysblock.get("spinful", False))
-    grid = build_grid(d, m, volume, spinful)
-    nuclei = NucleiSpec.build(
-        [(tuple(pos), charge) for pos, charge in sysblock.get("nuclei", [])])
-    truncated = sysblock.get("truncated_D")
-    constant = float(sysblock.get("constant", 0.0))
-    return grid, nuclei, truncated, constant, eta
+        system["volume"] = (4.0 * math.pi / 3.0) * float(r_s) ** 3 \
+            * system["eta"]
+    elif system["volume"] is None:
+        system["volume"] = system["modes_per_axis"] ** system["dimension"]
+    system["volume"] = float(system["volume"])
+    return system
 
 
-@contextmanager
-def _stage(stages: dict, name: str):
-    """Time the block in wall seconds as ``stages[name]``."""
-    start = time.perf_counter()
-    yield
-    stages[name] = time.perf_counter() - start
+def resolve(cfg: dict, name: str) -> dict:
+    """The config command ``name`` runs: every key it reads, with its
+    value or its default."""
+    command = COMMANDS[name]
+    task = _fill(cfg["task"], command.task, "task block")
+    if "expected_slope" in task and task["expected_slope"] is None:
+        task["expected_slope"] = -float(task["order"])
+    resolved = _fill({"seed": cfg["seed"]}, {"seed": 0}, "config root")
+    resolved["task"] = task
+    if command.system:
+        resolved["system"] = _resolve_system(cfg["system"])
+    elif cfg["system"]:
+        raise ConfigError(f"{name} reads no system block; got keys "
+                          f"{sorted(cfg['system'])}")
+    return resolved
 
 
-def _emit(out_dir: Path, name: str, payload: dict, cfg: dict,
-          meta: dict = None) -> Path:
-    doc = {
-        "meta": {"created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                 **(meta or {})},
-        "config": cfg,
-        "result": payload,
-    }
-    path = out_dir / name
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+class Run:
+    """One command run: the resolved config, the system it describes,
+    and what goes under the report's ``meta``: wall seconds per stage,
+    sizes, and the optional stages the dense budget refused."""
+
+    def __init__(self, cfg: dict, out_dir: Path):
+        self.cfg, self.out_dir = cfg, out_dir
+        self.task, self.seed = cfg["task"], cfg["seed"]
+        self.stages, self.counts = {}, {}
+        self.meta = {"stages": self.stages, "counts": self.counts}
+        if "system" in cfg:
+            system = cfg["system"]
+            self.eta = system["eta"]
+            self.grid = build_grid(system["dimension"],
+                                   system["modes_per_axis"],
+                                   system["volume"], system["spinful"])
+            self.nuclei = NucleiSpec.build(
+                [(tuple(pos), charge) for pos, charge in system["nuclei"]])
+            self.counts["qubits"] = self.grid.n_qubits
+
+    def hamiltonian(self, rep: str = DUAL):
+        # the builders are looked up at each call, so that a profiler that
+        # rebinds them sees the calls
+        builders = {DUAL: build_dual, PLANE_WAVE: build_plane_wave}
+        if rep not in builders:
+            raise ConfigError(f"unknown representation {rep!r}")
+        system = self.cfg["system"]
+        return builders[rep](self.grid, self.nuclei, system["truncated_D"],
+                             system["constant"])
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time the block in wall seconds as ``meta.stages[name]``."""
+        start = time.perf_counter()
+        yield
+        self.stages[name] = time.perf_counter() - start
+
+    @contextmanager
+    def caps(self, name: str):
+        """Skip the rest of an optional stage that the dense budget
+        refuses, keeping the refusal as ``meta.caps[name]``."""
+        try:
+            yield
+        except DenseLimitError as exc:
+            self.meta.setdefault("caps", {})[name] = str(exc)
+
+    def write(self, name: str, text: str):
+        (self.out_dir / name).write_text(text)
+
+    def report(self, name: str, result: dict, warned: list):
+        meta = {"created": time.strftime("%Y-%m-%dT%H:%M:%S"), **self.meta}
+        if warned:
+            meta["warnings"] = warned
+        doc = {"meta": meta, "config": self.cfg, "result": result}
+        self.write(f"{name}_report.json",
+                   json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    path = out_dir / name
-    path.write_text(text)
-    return path
-
-
-def _build_representation(rep, grid, nuclei, truncated, constant):
-    if rep == DUAL:
-        return build_dual(grid, nuclei, truncated, constant)
-    if rep == PLANE_WAVE:
-        return build_plane_wave(grid, nuclei, truncated, constant)
-    raise ConfigError(f"unknown representation {rep!r}")
-
-
-def cmd_build(cfg, out_dir):
-    grid, nuclei, truncated, constant, eta = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"representations"}, "task block")
-    reps = task.get("representations", [DUAL])
-    stages = {}
-    with _stage(stages, "build"):
+def cmd_build(run: Run) -> dict:
+    reps = run.task["representations"]
+    with run.stage("build"):
         sets = {}
         for rep in reps:
-            hs = _build_representation(rep, grid, nuclei, truncated, constant)
-            sets[rep] = hs
-            _write(out_dir, f"hamiltonian_{rep}.txt", dumps_hamiltonian(hs))
-    counts = {"qubits": grid.n_qubits}
-    report = {"n_qubits": grid.n_qubits}
+            sets[rep] = run.hamiltonian(rep)
+            run.write(f"hamiltonian_{rep}.txt", dumps_hamiltonian(sets[rep]))
+    result = {"n_qubits": run.grid.n_qubits, "failures": []}
     for rep, hs in sets.items():
-        report[rep] = {
+        result[rep] = {
             "kinetic_terms": len(hs.kinetic.terms),
             "external_terms": len(hs.external.terms),
             "interaction_terms": len(hs.interaction.terms),
         }
     if DUAL in sets:
-        with _stage(stages, "compile"):
+        with run.stage("compile"):
             qub = build_qubit(sets[DUAL])
-        counts["fermion_terms"] = len(sets[DUAL].total().terms)
-        counts["pauli_terms"] = len(qub.terms)
-        report["norm_bounds"] = {
-            **norm_bounds(sets[DUAL], eta),
+        run.counts["fermion_terms"] = len(sets[DUAL].total().terms)
+        run.counts["pauli_terms"] = len(qub.terms)
+        result["norm_bounds"] = {
+            **norm_bounds(sets[DUAL], run.eta),
             "lam": qub.coefficient_norm(include_identity=True)}
-    failures = []
-    meta = {"counts": counts, "stages": stages}
     if set(reps) >= {DUAL, PLANE_WAVE}:
-        try:
-            with _stage(stages, "verify"):
-                gap = float(np.max(np.abs(sets[DUAL].spectrum()
-                                          - sets[PLANE_WAVE].spectrum())))
-        except DenseLimitError as exc:
-            meta["caps"] = {"isospectrality": str(exc)}
-        else:
-            report["isospectrality_max_gap"] = gap
+        with run.caps("isospectrality"), run.stage("verify"):
+            gap = float(np.max(np.abs(sets[DUAL].spectrum()
+                                      - sets[PLANE_WAVE].spectrum())))
+            result["isospectrality_max_gap"] = gap
             if gap > 1e-9:
-                failures.append(f"spectra disagree by {gap:.3e}")
-    report["failures"] = failures
-    _emit(out_dir, "build_report.json", report, cfg, meta)
-    return 1 if failures else 0
+                result["failures"].append(f"spectra disagree by {gap:.3e}")
+    return result
 
 
-def cmd_diagonalize(cfg, out_dir):
-    grid, nuclei, truncated, constant, _ = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"representation"}, "task block")
-    rep = task.get("representation", DUAL)
-    stages, counts = {}, {"qubits": grid.n_qubits}
-    with _stage(stages, "build"):
-        hs = _build_representation(rep, grid, nuclei, truncated, constant)
-    with _stage(stages, "spectrum"):
-        spectrum = hs.spectrum(counts)
+def cmd_diagonalize(run: Run) -> dict:
+    rep = run.task["representation"]
+    with run.stage("build"):
+        hs = run.hamiltonian(rep)
+    with run.stage("spectrum"):
+        spectrum = hs.spectrum(run.counts)
     lines = ["index,energy"] + [
         f"{i},{fmt(e)}" for i, e in enumerate(spectrum)]
-    _write(out_dir, "spectrum.csv", "\n".join(lines) + "\n")
-    _emit(out_dir, "diagonalize_report.json",
-          {"representation": rep, "ground_energy": float(spectrum[0]),
-           "levels": len(spectrum), "failures": []}, cfg,
-          {"counts": counts, "stages": stages})
-    return 0
+    run.write("spectrum.csv", "\n".join(lines) + "\n")
+    return {"representation": rep, "ground_energy": float(spectrum[0]),
+            "levels": len(spectrum), "failures": []}
 
 
-def cmd_trotter_sweep(cfg, out_dir):
-    grid, nuclei, truncated, constant, eta = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"r_list", "t", "strategy", "order", "expected_slope",
-                       "slope_tolerance", "epsilon"}, "task block")
-    r_list = [int(r) for r in task.get("r_list", [2, 4, 8, 16, 32])]
-    t = float(task.get("t", 1.0))
-    order = int(task.get("order", 2))
-    strategy = task.get("strategy", "split_operator")
-    stages = {}
-    with _stage(stages, "build"):
-        hs = build_dual(grid, nuclei, truncated, constant)
+def cmd_trotter_sweep(run: Run) -> dict:
+    task = run.task
+    r_list = [int(r) for r in task["r_list"]]
+    t, order, strategy = task["t"], task["order"], task["strategy"]
+    with run.stage("build"):
+        hs = run.hamiltonian()
         # the first r's step checks the strategy and the grid before any
         # dense work, and serves that r
         pending = [trotter_circuit(hs, TrotterConfig(strategy, order, 1,
                                                      t / r))
                    for r in r_list[:1]]
-    with _stage(stages, "matrix"):
+    with run.stage("matrix"):
         exact = number_block_propagator(hs, t)
-    counts = {"qubits": grid.n_qubits, "matrix_bytes": exact.nbytes}
+    run.counts["matrix_bytes"] = exact.nbytes
 
     def step_fn(tau):
         step = pending.pop() if pending else \
             trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
-        counts["gates"] = step.gate_count()  # the same for every r
+        run.counts["gates"] = step.gate_count()  # the same for every r
         return circuit_matrix(step)
 
-    with _stage(stages, "verify"):
+    with run.stage("verify"):
         rows, slope = measure_error_scaling(step_fn, exact, r_list, t,
-                                            counts)
+                                            run.counts)
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]
-    _write(out_dir, "trotter_sweep.csv", "\n".join(lines) + "\n")
-    expected = task.get("expected_slope", -float(order))
-    tolerance = float(task.get("slope_tolerance", 0.1))
+    run.write("trotter_sweep.csv", "\n".join(lines) + "\n")
+    expected, tolerance = task["expected_slope"], task["slope_tolerance"]
     failures = []
     if abs(slope - expected) > tolerance:
         failures.append(
             f"slope {slope:.3f} outside {expected} +- {tolerance}")
-    report = {
+    return {
         "rows": [[r, e] for r, e in rows],
         "slope": slope,
-        "suggested_r": estimate_r(eta, grid.n_spatial,
-                                  grid.cell.volume, t,
-                                  float(task.get("epsilon", 1e-3))),
+        "suggested_r": estimate_r(run.eta, run.grid.n_spatial,
+                                  run.grid.cell.volume, t, task["epsilon"]),
         "failures": failures,
     }
-    _emit(out_dir, "trotter_report.json", report, cfg,
-          {"counts": counts, "stages": stages})
-    return 1 if failures else 0
 
 
-def cmd_ffft_check(cfg, out_dir):
-    grid, _, _, _, _ = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"tolerance"}, "task block")
-    tolerance = float(task.get("tolerance", 1e-9))
-    stages = {}
-    with _stage(stages, "build"):
+def cmd_ffft_check(run: Run) -> dict:
+    grid, tolerance = run.grid, run.task["tolerance"]
+    with run.stage("build"):
         circ = build_ffft_nd(grid)
-    with _stage(stages, "matrix"):
+    with run.stage("matrix"):
         u = circuit_matrix(circ)
-    counts = {"qubits": grid.n_qubits, "gates": circ.gate_count(),
-              "matrix_bytes": u.nbytes}
-    with _stage(stages, "verify"):
+    run.counts.update(gates=circ.gate_count(), matrix_bytes=u.nbytes)
+    with run.stage("verify"):
         worst, n = 0.0, grid.n_qubits
         u_dag = u.conj().T
         spins = ("up", "down") if grid.cell.spinful else (None,)
@@ -293,33 +317,28 @@ def cmd_ffft_check(cfg, out_dir):
                 rhs = fermion_matrix(mode_ladder_operator(grid, nu, spin), n)
                 err = float(np.max(np.abs(u_dag @ (adag @ u) - rhs)))
                 worst = max(worst, err)
-    _write(out_dir, "ffft_circuit.txt", dumps_circuit(circ))
+    run.write("ffft_circuit.txt", dumps_circuit(circ))
     failures = [] if worst < tolerance else [
         f"conjugation error {worst:.3e} above {tolerance}"]
-    _emit(out_dir, "ffft_report.json",
-          {"conjugation_max_error": worst, "gates": circ.gate_count(),
-           "depth": circ.depth(), "plan": stage_listing(circ),
-           "failures": failures}, cfg, {"counts": counts, "stages": stages})
-    return 1 if failures else 0
+    return {"conjugation_max_error": worst, "gates": circ.gate_count(),
+            "depth": circ.depth(), "plan": stage_listing(circ),
+            "failures": failures}
 
 
-def cmd_swapnet(cfg, out_dir):
-    task = cfg["task"]
-    _check_keys(task, {"rows", "cols"}, "task block")
-    rows = int(task.get("rows", 4))
-    cols = int(task.get("cols", 4))
-    stages = {}
-    with _stage(stages, "build"):
+def cmd_swapnet(run: Run) -> dict:
+    rows, cols = run.task["rows"], run.task["cols"]
+    with run.stage("build"):
         sched = build_full_schedule(rows, cols)
     n = rows * cols
-    with _stage(stages, "verify"):
+    with run.stage("verify"):
         covered = sched.interact_pairs()
     want = n * (n - 1) // 2
-    _write(out_dir, "swap_schedule.txt", dumps_schedule(sched))
+    run.write("swap_schedule.txt", dumps_schedule(sched))
+    run.counts.update(qubits=n, layers=sched.depth())
     failures = []
     if len(covered) != want:
         failures.append(f"coverage {len(covered)}/{want}")
-    report = {
+    return {
         "pairs_covered": len(covered),
         "pairs_total": want,
         "depth": sched.depth(),
@@ -328,26 +347,17 @@ def cmd_swapnet(cfg, out_dir):
         "provenance": sched.provenance,
         "failures": failures,
     }
-    _emit(out_dir, "swapnet_report.json", report, cfg,
-          {"counts": {"qubits": n, "layers": sched.depth()},
-           "stages": stages})
-    return 1 if failures else 0
 
 
-def cmd_lcu_check(cfg, out_dir):
-    grid, nuclei, truncated, constant, eta = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"t", "orders", "include_noop"}, "task block")
-    stages = {}
-    meta = {"stages": stages}
-    with _stage(stages, "build"):
-        hs = build_dual(grid, nuclei, truncated, constant)
-        model = build_weights(hs, include_noop=bool(task.get("include_noop",
-                                                             True)))
-        _write(out_dir, "lcu_weights.csv", dump_weights(model))
-    with _stage(stages, "compile"):
+def cmd_lcu_check(run: Run) -> dict:
+    task = run.task
+    with run.stage("build"):
+        hs = run.hamiltonian()
+        model = build_weights(hs, include_noop=task["include_noop"])
+        run.write("lcu_weights.csv", dump_weights(model))
+    with run.stage("compile"):
         qub = build_qubit(hs)
-    with _stage(stages, "verify"):
+    with run.stage("verify"):
         rec = model.reconstruction()
         worst = 0.0
         for key in set(rec.terms) | set(qub.terms):
@@ -361,22 +371,20 @@ def cmd_lcu_check(cfg, out_dir):
         prep_err = float(max(
             abs(abs(prep.amplitudes[idx.encode(width)]) ** 2 - abs(w) / lam)
             for idx, w in model.weights.items()))
-        bounds = norm_bounds(hs, eta)
+        bounds = norm_bounds(hs, run.eta)
         failures = []
         if worst > 1e-12:
             failures.append(f"reconstruction gap {worst:.3e}")
         if prep_err > 1e-12:
             failures.append(f"preparation amplitude gap {prep_err:.3e}")
-        t = float(task.get("t", 0.1))
         taylor = {}
-        if lam * t <= math.log(2.0):
-            try:
-                taylor = taylor_errors(model, rec, t,
-                                       task.get("orders", [2, 4]),
-                                       cfg["seed"])
-            except DenseLimitError as exc:
-                meta["caps"] = {"taylor": str(exc)}
-    report = {
+        if lam * task["t"] <= math.log(2.0):
+            with run.caps("taylor"):
+                taylor = taylor_errors(model, rec, task["t"], task["orders"],
+                                       run.seed)
+    run.counts.update(fermion_terms=len(hs.total().terms),
+                      pauli_terms=len(qub.terms), weights=len(model.weights))
+    return {
         "lam": lam,
         "term_count": len(model.weights),
         "reconstruction_max_gap": worst,
@@ -385,72 +393,50 @@ def cmd_lcu_check(cfg, out_dir):
         "taylor": taylor,
         "failures": failures,
     }
-    counts = {"qubits": grid.n_qubits, "fermion_terms": len(hs.total().terms),
-              "pauli_terms": len(qub.terms), "weights": len(model.weights)}
-    _emit(out_dir, "lcu_report.json", report, cfg, {**meta, "counts": counts})
-    return 1 if failures else 0
 
 
-def cmd_measure(cfg, out_dir):
-    grid, nuclei, truncated, constant, eta = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"strategy", "shots", "precision", "mode"},
-                "task block")
-    strategy = task.get("strategy", DIAGONAL_GROUPS)
+def cmd_measure(run: Run) -> dict:
+    task = run.task
+    strategy = task["strategy"]
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; "
                           f"choose from {STRATEGIES}")
-    shots = int(task.get("shots", 2000))
-    stages = {}
-    with _stage(stages, "build"):
-        hs = build_dual(grid, nuclei, truncated, constant)
-    with _stage(stages, "prepare"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        state = prepare_reference(grid, eta)
-    with _stage(stages, "estimate"):
-        plan = MeasurementPlan(strategy, shots, cfg["seed"])
-        counts = {"qubits": grid.n_qubits}
-        estimate, stderr = estimate_energy(state, hs, plan, counts)
-    with _stage(stages, "budget"):
-        budget = shot_budget(hs, eta, float(task.get("precision", 0.1)),
-                             task.get("mode", "absolute"), strategy)
-    report = {
+    with run.stage("build"):
+        hs = run.hamiltonian()
+    with run.stage("prepare"):
+        state = prepare_reference(run.grid, run.eta)
+    with run.stage("estimate"):
+        plan = MeasurementPlan(strategy, task["shots"], run.seed)
+        estimate, stderr = estimate_energy(state, hs, plan, run.counts)
+    with run.stage("budget"):
+        budget = shot_budget(hs, run.eta, task["precision"], task["mode"],
+                             strategy)
+    return {
         "estimate": estimate,
         "stderr": stderr,
-        "shots": shots,
+        "shots": task["shots"],
         "strategy": strategy,
         "analytic_budget": budget,
         "failures": [],
     }
-    _emit(out_dir, "measure_report.json", report, cfg,
-          {"counts": counts, "stages": stages})
-    return 0
 
 
-def cmd_vqe_jellium(cfg, out_dir):
-    grid, nuclei, truncated, constant, eta = resolve_system(cfg)
-    task = cfg["task"]
-    _check_keys(task, {"layers", "sharing", "minimal", "restarts", "maxiter"},
-                "task block")
-    stages = {}
-    with _stage(stages, "build"):
-        hs = build_dual(grid, nuclei, truncated, constant)
-        spec = AnsatzSpec(layers=int(task.get("layers", 1)),
-                          sharing=task.get("sharing", "full"),
-                          minimal=bool(task.get("minimal", False)))
-    with warnings.catch_warnings(), _stage(stages, "optimize"):
-        warnings.simplefilter("ignore")
-        res = optimize(spec, hs, eta, seed=cfg["seed"],
-                       restarts=int(task.get("restarts", 4)),
-                       maxiter=int(task.get("maxiter", 600)))
+def cmd_vqe_jellium(run: Run) -> dict:
+    task, grid, eta = run.task, run.grid, run.eta
+    with run.stage("build"):
+        hs = run.hamiltonian()
+        spec = AnsatzSpec(layers=task["layers"], sharing=task["sharing"],
+                          minimal=task["minimal"])
+    with run.stage("optimize"):
+        res = optimize(spec, hs, eta, seed=run.seed,
+                       restarts=task["restarts"], maxiter=task["maxiter"])
     # the optimizer runs on the eta-electron sector; the gate-by-gate
     # circuit and the Pauli-term energy check its best point
-    with _stage(stages, "verify"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with run.stage("verify"):
         prepared = apply_circuit(prepare_reference(grid, eta),
                                  Ansatz(spec, grid).circuit(res.theta))
         circuit_gap = abs(expectation(prepared, build_qubit(hs)) - res.energy)
-    report = {
+    result = {
         "reference_energy": res.reference_energy,
         "optimized_energy": res.energy,
         "evaluations": res.evaluations,
@@ -458,38 +444,44 @@ def cmd_vqe_jellium(cfg, out_dir):
         "failures": [],
     }
     if circuit_gap > 1e-9 * max(1.0, abs(res.energy)):
-        report["failures"].append(
+        result["failures"].append(
             f"sector energy differs from the circuit path by "
             f"{circuit_gap:.3e}")
-    meta = {"counts": {"qubits": grid.n_qubits,
-                       "sector_dimension": math.comb(grid.n_qubits, eta),
-                       "parameters": len(res.names),
-                       "evaluations": res.evaluations},
-            "stages": stages,
-            "checks": {"circuit_energy_gap": circuit_gap}}
-    try:
-        with _stage(stages, "exact"):
-            exact = sector_ground_energy(hs, eta)
-    except DenseLimitError as exc:
-        meta["caps"] = {"exact_energy": str(exc)}
-    else:
-        report["exact_energy"] = exact
+    run.counts.update(sector_dimension=math.comb(grid.n_qubits, eta),
+                      parameters=len(res.names), evaluations=res.evaluations)
+    run.meta["checks"] = {"circuit_energy_gap": circuit_gap}
+    with run.caps("exact_energy"), run.stage("exact"):
+        exact = sector_ground_energy(hs, eta)
+        result["exact_energy"] = exact
         if not (exact - 1e-9 <= res.energy
                 <= res.reference_energy + 1e-9):
-            report["failures"].append("variational ordering violated")
-    _emit(out_dir, "vqe_report.json", report, cfg, meta)
-    return 1 if report["failures"] else 0
+            result["failures"].append("variational ordering violated")
+    return result
+
+
+class Command(NamedTuple):
+    fn: Callable  # (Run) -> result dict
+    task: dict  # every task key it reads, with its default (None: derived)
+    system: bool = True  # whether it reads the system block
 
 
 COMMANDS = {
-    "build": cmd_build,
-    "diagonalize": cmd_diagonalize,
-    "trotter-sweep": cmd_trotter_sweep,
-    "ffft-check": cmd_ffft_check,
-    "swapnet": cmd_swapnet,
-    "lcu-check": cmd_lcu_check,
-    "measure": cmd_measure,
-    "vqe-jellium": cmd_vqe_jellium,
+    "build": Command(cmd_build, {"representations": [DUAL]}),
+    "diagonalize": Command(cmd_diagonalize, {"representation": DUAL}),
+    "trotter-sweep": Command(cmd_trotter_sweep, {
+        "r_list": [2, 4, 8, 16, 32], "t": 1.0, "strategy": "split_operator",
+        "order": 2, "expected_slope": None, "slope_tolerance": 0.1,
+        "epsilon": 1e-3}),
+    "ffft-check": Command(cmd_ffft_check, {"tolerance": 1e-9}),
+    "swapnet": Command(cmd_swapnet, {"rows": 4, "cols": 4}, system=False),
+    "lcu-check": Command(cmd_lcu_check, {
+        "t": 0.1, "orders": [2, 4], "include_noop": True}),
+    "measure": Command(cmd_measure, {
+        "strategy": DIAGONAL_GROUPS, "shots": 2000, "precision": 0.1,
+        "mode": "absolute"}),
+    "vqe-jellium": Command(cmd_vqe_jellium, {
+        "layers": 1, "sharing": "full", "minimal": False, "restarts": 4,
+        "maxiter": 600}),
 }
 
 
@@ -507,11 +499,17 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = load_config(args.config, args.overrides)
-        return COMMANDS[args.command](cfg, out_dir)
+        run = Run(resolve(load_config(args.config, args.overrides),
+                          args.command), out_dir)
+        # warnings (an open-shell reference, say) go to the report
+        with warnings.catch_warnings(record=True) as caught:
+            result = COMMANDS[args.command].fn(run)
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    run.report(args.command.split("-")[0], result,
+               list(dict.fromkeys(str(w.message) for w in caught)))
+    return 1 if result["failures"] else 0
 
 
 if __name__ == "__main__":

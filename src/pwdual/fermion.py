@@ -9,6 +9,8 @@ identity.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse
 
@@ -174,6 +176,13 @@ _LADDER_BYTES = 64
 def _check_register(op: FermionOperator, n_orbitals: int):
     if op.n_orbitals() > n_orbitals:
         raise ValueError("operator acts outside the requested register")
+
+
+def sector_states(n_orbitals: int, eta: int) -> np.ndarray:
+    """Ascending basis indices of the C(n, eta) states with eta electrons."""
+    return np.array(sorted(sum(1 << q for q in occupied) for occupied in
+                           itertools.combinations(range(n_orbitals), eta)),
+                    dtype=np.int64)
 
 
 def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:

@@ -10,7 +10,6 @@ fixed seed reproduces shot sequences across platforms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -46,15 +45,6 @@ _F0 = np.exp(-1j * np.pi / 4) * np.array(
 )
 
 
-@functools.lru_cache(maxsize=256)
-def _letters_matrix(letters: str) -> np.ndarray:
-    """Read-only matrix of the Pauli string with one letter per PEXP
-    target, built once per letters string."""
-    m = string_matrix(tuple(enumerate(letters)), len(letters))
-    m.flags.writeable = False
-    return m
-
-
 # inverse rules: the gate itself, the same gate at minus the angle, or the
 # conjugate transpose (dagger flag)
 _SELF, _NEGATE, _DAGGER = "self", "negate", "dagger"
@@ -85,7 +75,8 @@ GATE_KINDS = {
     "FK": GateKind(2, lambda a, _: _F0 @ np.diag([1, 1, np.exp(1j * a),
                                                   np.exp(1j * a)]), _DAGGER),
     "PEXP": GateKind(None, lambda a, p: math.cos(a) * np.eye(2 ** len(p))
-                     - 1j * math.sin(a) * _letters_matrix(p), _NEGATE),
+                     - 1j * math.sin(a)
+                     * string_matrix(tuple(enumerate(p)), len(p)), _NEGATE),
 }
 
 

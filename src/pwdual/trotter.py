@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fermion import sector_states
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     mode_phases
@@ -255,10 +256,7 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
 def number_blocks(n_qubits: int) -> list:
     """Basis indices of each particle-number block: block k holds the
     C(n, k) states with k ones, ascending."""
-    count = np.bitwise_count(np.arange(2 ** n_qubits))
-    order = np.argsort(count, kind="stable")
-    sizes = np.bincount(count, minlength=n_qubits + 1)
-    return np.split(order, np.cumsum(sizes)[:-1])
+    return [sector_states(n_qubits, k) for k in range(n_qubits + 1)]
 
 
 def number_block_propagator(hs: HamiltonianSet, t: float) -> np.ndarray:

@@ -12,7 +12,6 @@ form (``Ansatz.circuit``) stays as the reference it is checked against.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.optimize
 
+from .fermion import sector_states
 from .ffft import build_ffft_nd, single_particle_transform
 from .geometry import ModeGrid, UP, DOWN
 from .hamiltonian import HamiltonianSet, DUAL
@@ -189,13 +189,6 @@ def build_ansatz_circuit(spec: AnsatzSpec, grid: ModeGrid,
 
 
 # -- the eta-electron sector -------------------------------------------------
-
-
-def sector_states(n_qubits: int, eta: int) -> np.ndarray:
-    """Ascending basis indices of the C(n, eta) states with eta electrons."""
-    return np.array(sorted(sum(1 << q for q in occupied) for occupied in
-                           itertools.combinations(range(n_qubits), eta)),
-                    dtype=np.int64)
 
 
 def _minor_rows(dim: int, eta: int) -> int:

@@ -231,3 +231,16 @@ def test_budget_covers_peak(name, budgets):
     peak = traced_peak(call)
     assert budgets, "no require_bytes call"
     assert peak <= max(budgets) + UNBUDGETED
+
+
+def test_gate_matrix_held_by_nothing_after_the_call():
+    # a 10-letter PEXP matrix is 16 MB, budget-checked when built; a
+    # cache would keep it past the budget for the life of the process
+    gate = Gate("PEXP", tuple(range(10)), 0.3, letters="XZZZZZZZZY")
+    tracemalloc.start()
+    try:
+        gate.matrix()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20

@@ -1,9 +1,11 @@
 import json
+import math
 import tracemalloc
 
 import pytest
 
-from pwdual.cli import main, load_config, ConfigError
+from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
+    load_config, main
 
 
 def run(tmp_path, command, *overrides, out="run"):
@@ -43,13 +45,23 @@ class TestConfig:
         assert code == 2
 
     def test_output_keys_rejected(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="output block"):
+        with pytest.raises(ConfigError, match="'output'"):
             load_config(None, ["output.format=csv"])
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"output": {"dir": "x"}}))
         assert main(["build", "--config", str(cfg_file),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "output block" in capsys.readouterr().err
+        assert "'output'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item,message", [
+        ("system.spinful=False", "spinful in system block must be true"),
+        ("task.shots=many", "shots in task block"),
+        ("seed=null", "seed in config root"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, item, message):
+        # "False" is not JSON, so it arrives as a string
+        assert run(tmp_path, "measure", item) == 2
+        assert message in capsys.readouterr().err
 
     def test_r_s_sets_volume(self, tmp_path):
         code = run(tmp_path, "build", "system.dimension=3",
@@ -321,6 +333,10 @@ class TestCommands:
             "counts"]
         assert counts == {"qubits": 16, "pauli_terms": 232, "bases": 97,
                           "shots_drawn": 23200}
+        # eta = 4 stops inside the |k| = 1 shell of the 4 x 4 grid
+        assert read_report(tmp_path, "measure_report.json")["meta"][
+            "warnings"] == ["degenerate mode shell at the boundary; "
+                            "filling by lexicographic tiebreak"]
 
     def test_vqe_jellium(self, tmp_path):
         code = run(tmp_path, "vqe-jellium", *SMALL, "system.eta=1",
@@ -336,31 +352,97 @@ class TestCommands:
         assert set(meta["stages"]) == {"build", "optimize", "verify",
                                        "exact"}
         assert meta["checks"]["circuit_energy_gap"] < 1e-12
+        assert "warnings" not in meta  # one electron: a closed shell
+
+
+# one small cell per command; swapnet reads no system block
+CELLS = [
+    ("build", ()),
+    ("measure", ("system.modes_per_axis=4", "system.eta=2",
+                 "task.shots=300")),
+    ("lcu-check", ()),
+    ("swapnet", ("task.rows=2", "task.cols=2")),
+    ("diagonalize", ()),
+    ("trotter-sweep", ("task.r_list=[2,4,8]",)),
+    ("ffft-check", ()),
+    ("vqe-jellium", ("task.maxiter=80", "task.restarts=2")),
+]
+
+
+def assert_same_outputs(dir_a, dir_b):
+    """Every artifact byte for byte and every report's config and result;
+    ``meta`` holds timings and may differ."""
+    assert sorted(p.name for p in dir_a.iterdir()) == \
+        sorted(p.name for p in dir_b.iterdir())
+    for path_a in dir_a.iterdir():
+        path_b = dir_b / path_a.name
+        if path_a.suffix == ".json":
+            doc_a = json.loads(path_a.read_text())
+            doc_b = json.loads(path_b.read_text())
+            doc_a.pop("meta")
+            doc_b.pop("meta")
+            assert json.dumps(doc_a, sort_keys=True) == \
+                json.dumps(doc_b, sort_keys=True)
+        else:
+            assert path_a.read_bytes() == path_b.read_bytes()
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command,extra", [
-        ("build", ()),
-        ("measure", ("system.modes_per_axis=4", "system.eta=2",
-                     "task.shots=300")),
-        ("lcu-check", ()),
-        ("swapnet", ("task.rows=2", "task.cols=2")),
-        ("diagonalize", ()),
-        ("trotter-sweep", ("task.r_list=[2,4,8]",)),
-        ("ffft-check", ()),
-        ("vqe-jellium", ("task.maxiter=80", "task.restarts=2")),
-    ])
+    @pytest.mark.parametrize("command,extra", CELLS)
     def test_identical_payload_for_same_seed(self, tmp_path, command, extra):
         overrides = SMALL + extra if command != "swapnet" else extra
         run(tmp_path, command, *overrides, out="a")
         run(tmp_path, command, *overrides, out="b")
-        for path_a in (tmp_path / "a").iterdir():
-            path_b = tmp_path / "b" / path_a.name
-            if path_a.suffix == ".json":
-                doc_a = json.loads(path_a.read_text())
-                doc_b = json.loads(path_b.read_text())
-                doc_a.pop("meta")
-                doc_b.pop("meta")
-                assert doc_a == doc_b
-            else:
-                assert path_a.read_bytes() == path_b.read_bytes()
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+
+class TestResolvedEcho:
+    """The report's config holds every key the command read, with the
+    value it used; fed back through --config it reproduces the run."""
+
+    @pytest.mark.parametrize("command,overrides", [
+        (command, SMALL + extra if command != "swapnet" else extra)
+        for command, extra in CELLS] + [
+        ("build", ("system.dimension=3", "system.modes_per_axis=2",
+                   "system.r_s=1.0", "system.eta=2"))],
+        ids=[command for command, _ in CELLS] + ["build-r_s"])
+    def test_echo_reproduces_itself(self, tmp_path, command, overrides):
+        code = run(tmp_path, command, *overrides, out="a")
+        (report,) = (tmp_path / "a").glob("*_report.json")
+        echo = json.loads(report.read_text())["config"]
+        assert set(echo["task"]) == set(COMMANDS[command].task)
+        if COMMANDS[command].system:
+            # r_s is input only; the echo carries the volume it gives
+            assert set(echo["system"]) == set(SYSTEM_DEFAULTS) - {"r_s"}
+        else:
+            assert set(echo) == {"task", "seed"}
+        cfg_file = tmp_path / "echo.json"
+        cfg_file.write_text(json.dumps(echo))
+        assert main([command, "--config", str(cfg_file),
+                     "--out", str(tmp_path / "b")]) == code
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+    def test_r_s_echoed_as_volume(self, tmp_path):
+        run(tmp_path, "build", "system.dimension=3",
+            "system.modes_per_axis=2", "system.r_s=1.0", "system.eta=2")
+        system = read_report(tmp_path, "build_report.json")["config"][
+            "system"]
+        assert system["volume"] == (4.0 * math.pi / 3.0) * 2
+
+    def test_defaults_filled(self, tmp_path):
+        run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
+            "task.order=1", "task.r_list=[2,4]")
+        config = read_report(tmp_path, "trotter_report.json")["config"]
+        assert config["task"] == {
+            "r_list": [2, 4], "t": 1.0, "strategy": "split_operator",
+            "order": 1, "expected_slope": -1.0, "slope_tolerance": 0.1,
+            "epsilon": 1e-3}
+        assert config["system"] == {
+            "dimension": 1, "modes_per_axis": 2, "volume": 4.0,
+            "spinful": True, "eta": 1, "nuclei": [], "truncated_D": None,
+            "constant": 0.0}
+        assert config["seed"] == 0
+
+    def test_swapnet_rejects_system_keys(self, tmp_path, capsys):
+        assert run(tmp_path, "swapnet", "system.modes_per_axis=2") == 2
+        assert "swapnet reads no system block" in capsys.readouterr().err

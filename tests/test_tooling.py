@@ -123,3 +123,48 @@ def test_budget_scan_sees_caps_reads_and_imports():
     assert budget_violations(tree) == [
         (2, "module-level MATRIX_CAP"), (1, "DENSE_BYTES_LIMIT read"),
         (7, "DENSE_BYTES_LIMIT read")]
+
+
+# what the CLI config and its blocks are called in cli.py
+CONFIG_NAMES = {"cfg", "config", "data", "system", "sysblock", "task",
+                "block"}
+
+
+def config_default_reads(tree):
+    """Lines of each ``.get(key, default)`` whose receiver is the config
+    or one of its blocks: a name in CONFIG_NAMES, or a subscript or an
+    attribute chain that holds one (``cfg["task"]``, ``run.task``)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and len(node.args) >= 2):
+            continue
+        receiver, names = node.func.value, set()
+        while isinstance(receiver, (ast.Attribute, ast.Subscript)):
+            names.add(getattr(receiver, "attr", None))
+            receiver = receiver.value
+        names.add(getattr(receiver, "id", None))
+        if names & CONFIG_NAMES:
+            found.append(node.lineno)
+    return found
+
+
+def test_cli_defaults_come_from_the_command_table():
+    """Defaults live in ``cli.COMMANDS`` and ``cli.SYSTEM_DEFAULTS``,
+    which the report echoes; a default read elsewhere would not be."""
+    path = ROOT / "src" / "pwdual" / "cli.py"
+    found = config_default_reads(ast.parse(path.read_text()))
+    assert not found, f"cli.py lines {found} read a config default"
+
+
+def test_config_default_scan_sees_blocks_and_attributes():
+    tree = ast.parse(
+        "def f(cfg, run, rec):\n"
+        "    a = cfg.get('seed', 0)\n"
+        "    b = cfg['task'].get('t', 1.0)\n"
+        "    c = run.task.get('order', 2)\n"
+        "    d = rec.terms.get('k', 0)\n"
+        "    e = run.task['order']\n"
+        "    g = cfg.get('seed')\n")
+    assert config_default_reads(tree) == [2, 3, 4]
