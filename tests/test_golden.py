@@ -91,3 +91,41 @@ def test_measure_result(tmp_path, cell, strategy, shots, digest):
     assert main(args) == 0
     doc = json.loads((tmp_path / "measure_report.json").read_text())
     assert sha(json.dumps(doc["result"], sort_keys=True)) == digest
+
+
+@pytest.mark.filterwarnings("ignore:degenerate")
+def test_sampled_vqe_objective():
+    """A seeded VQE run whose objective is the sampled energy estimate:
+    every evaluation embeds the sector state and draws fresh shots, so the
+    trace pins the draws of both diagonal groups."""
+    from pwdual.measurement import MeasurementPlan
+    from pwdual.vqe import AnsatzSpec, optimize
+    hs = build_dual(build_grid(1, 4, 4.0, True))
+    plan = MeasurementPlan("diagonal_groups", 500, 7)
+    res = optimize(AnsatzSpec(), hs, eta=2, seed=3, restarts=2, maxiter=30,
+                   plan=plan)
+    doc = {"energy": res.energy, "evaluations": res.evaluations,
+           "theta": res.theta.tolist(), "trace": res.trace}
+    assert sha(json.dumps(doc)) == \
+        "6ae8f1fcb1245554616f6919e5506b769b2aeeb0b96609cbcddffa8dba744a71"
+
+
+def test_sample_bitstrings_rows():
+    """Three seeded rows of shots from a sparse 10-qubit state: three
+    electrons spread by number-conserving two-qubit gates over the 120
+    three-electron basis states, drawn as it is and after a basis rotation
+    that leaves the sector."""
+    from pwdual.statevector import Circuit, Gate, Statevector, \
+        apply_circuit, sample_bitstrings
+    spread = Circuit(10)
+    for layer in range(4):
+        for q in range(layer % 2, 9, 2):
+            spread.add(Gate("FK", (q, q + 1), angle=0.3 * q + layer))
+            spread.add(Gate("CPHASE", (q, q + 1), angle=0.7 + q))
+    state = apply_circuit(Statevector.basis_state(10, 0b0010010001), spread)
+    rotation = Circuit(10, [Gate("H", (2,)),
+                            Gate("PEXP", (5,), angle=0.25, letters="X")])
+    rows = [sample_bitstrings(state, shots=300, seed=[1, 2, 3]),
+            sample_bitstrings(state, rotation, shots=300, seed=[1, 2, 3])]
+    assert sha(json.dumps([r.tolist() for r in rows])) == \
+        "42d2b1f8314526b891ce34ccb95132f5c1af6c4cfaebc71fe1a1048413fc606a"
