@@ -103,10 +103,17 @@ def load_config(path, overrides):
     return cfg
 
 
+def _require_integral(value, what: str):
+    """Refuse a non-integral number where an integer is read, which int()
+    would truncate without a word; an integral float such as 2.0 passes."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _fill(block: dict, defaults: dict, where: str) -> dict:
     """``block`` over ``defaults``; a value whose default is a number is
-    converted to the default's type, and one whose default is a flag must
-    be true or false."""
+    converted to the default's type (an integer only from an integral
+    value), and one whose default is a flag must be true or false."""
     _check_keys(block, defaults, where)
     out = copy.deepcopy(defaults)
     for key, value in block.items():
@@ -114,6 +121,8 @@ def _fill(block: dict, defaults: dict, where: str) -> dict:
         if isinstance(default, bool) and not isinstance(value, bool):
             raise ConfigError(f"{key} in {where} must be true or false, "
                               f"got {value!r}")
+        if type(default) is int:
+            _require_integral(value, f"{key} in {where}")
         try:
             out[key] = type(default)(value) \
                 if isinstance(default, (int, float)) else value
@@ -261,6 +270,8 @@ def cmd_diagonalize(run: Run) -> dict:
 
 def cmd_trotter_sweep(run: Run) -> dict:
     task = run.task
+    for r in task["r_list"]:
+        _require_integral(r, "each r_list entry in task block")
     r_list = [int(r) for r in task["r_list"]]
     t, order, strategy = task["t"], task["order"], task["strategy"]
     with run.stage("build"):
@@ -351,6 +362,8 @@ def cmd_swapnet(run: Run) -> dict:
 
 def cmd_lcu_check(run: Run) -> dict:
     task = run.task
+    for order in task["orders"]:
+        _require_integral(order, "each orders entry in task block")
     with run.stage("build"):
         hs = run.hamiltonian()
         model = build_weights(hs, include_noop=task["include_noop"])
@@ -408,6 +421,8 @@ def cmd_measure(run: Run) -> dict:
     with run.stage("estimate"):
         plan = MeasurementPlan(strategy, task["shots"], run.seed)
         estimate, stderr = estimate_energy(state, hs, plan, run.counts)
+    if not run.counts.get("dense_draws"):
+        run.meta["fast_paths"] = ["support"]
     with run.stage("budget"):
         budget = shot_budget(hs, run.eta, task["precision"], task["mode"],
                              strategy)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .geometry import ModeGrid
 from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
-from .pauli import QubitOperator, require_bytes, string_matrix
+from .pauli import QubitOperator, qubit_operator_matrix, require_bytes, \
+    string_matrix
 from .serialize import fmt
 from .statevector import Statevector, evolve_bytes, exact_evolve
 
@@ -168,8 +169,8 @@ def prepare_state(model: LcuModel) -> Statevector:
     return Statevector(model.selection_width, amps)
 
 
-def taylor_segment(model: LcuModel, t: float, order: int,
-                   state: Statevector, constant: float = 0.0):
+def taylor_segment(model: LcuModel, t: float, order, state: Statevector,
+                   constant: float = 0.0):
     """Apply the order-truncated series of exp(-i H t) assembled from the
     decomposition, renormalized.
 
@@ -177,29 +178,38 @@ def taylor_segment(model: LcuModel, t: float, order: int,
     by a constant, a global phase under evolution) plus ``constant``.
     Returns (state, success_amplitude) where the amplitude is the idealized
     post-selection amplitude |truncated psi| / sum_k (Lambda t)^k / k!.
+    ``order`` may be a list of orders instead: one matrix of H and one pass
+    of the series to the highest order then serve them all, and a list of
+    (state, success_amplitude), one per order, comes back.
     """
+    orders = list(order) if np.ndim(order) else [order]
     lam = model.lam
     if lam * t > SEGMENT_LIMIT + 1e-12:
         raise ValueError(
             f"single-segment regime needs Lambda*t <= ln 2, got {lam * t:.4f}")
+    if min(orders, default=0) < 0:
+        raise ValueError(f"Taylor orders must be >= 0, got {orders}")
     n = state.n_qubits
     h = model.reconstruction()
     if constant:
         h += QubitOperator.identity(constant)
-    from .pauli import qubit_operator_matrix
     h_mat = qubit_operator_matrix(h, n)
     psi = state.amplitudes.astype(complex)
     acc = psi.copy()
     term = psi.copy()
-    for k in range(1, order + 1):
+    partial = [acc]  # partial[k]: the sum through order k
+    for k in range(1, max(orders, default=0) + 1):
         term = (-1j * t / k) * (h_mat @ term)
         acc = acc + term
-    norm = float(np.linalg.norm(acc))
-    scale = sum((lam * t) ** k / math.factorial(k) for k in range(order + 1))
-    success = norm / scale
-    if norm == 0.0:
-        raise ValueError("truncated series annihilated the state")
-    return Statevector(n, acc / norm), success
+        partial.append(acc)
+    out = []
+    for k in orders:
+        norm = float(np.linalg.norm(partial[k]))
+        scale = sum((lam * t) ** j / math.factorial(j) for j in range(k + 1))
+        if norm == 0.0:
+            raise ValueError("truncated series annihilated the state")
+        out.append((Statevector(n, partial[k] / norm), norm / scale))
+    return out if np.ndim(order) else out[0]
 
 
 def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
@@ -207,21 +217,19 @@ def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
     """{str(order): {"error", "success_amplitude"}}: each segment's
     distance from exact evolution under ``hamiltonian`` on one random
     state drawn from ``seed``, checked against the budget of exact
-    evolution before the state is drawn."""
+    evolution before the state is drawn. The segments of every order come
+    from one pass of the series."""
     n = model.n_system
     require_bytes(evolve_bytes(n), f"exact evolution on {n} qubits")
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     psi = Statevector(n, amps / np.linalg.norm(amps))
     exact = exact_evolve(hamiltonian, t, psi)
-    errors = {}
-    for order in orders:
-        out, success = taylor_segment(model, t, int(order), psi)
-        errors[str(order)] = {
-            "error": float(np.linalg.norm(out.amplitudes - exact.amplitudes)),
-            "success_amplitude": success,
-        }
-    return errors
+    segments = taylor_segment(model, t, [int(o) for o in orders], psi)
+    return {str(order): {
+        "error": float(np.linalg.norm(out.amplitudes - exact.amplitudes)),
+        "success_amplitude": success,
+    } for order, (out, success) in zip(orders, segments)}
 
 
 def dump_weights(model: LcuModel) -> str:

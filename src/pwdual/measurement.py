@@ -97,6 +97,18 @@ def _pauli_term_values(key, samples: np.ndarray):
     return values
 
 
+def _sample(state: Statevector, counts: dict, shots: int, seed):
+    """``sample_bitstrings``, noting in ``counts`` the basis states of the
+    largest distribution drawn from (``support``: its support's length, or
+    2^n for a state without one) and the distributions drawn without a
+    support (``dense_draws``)."""
+    dense = state.support is None
+    size = 2 ** state.n_qubits if dense else len(state.support)
+    counts["support"] = max(counts.get("support", 0), size)
+    counts["dense_draws"] = counts.get("dense_draws", 0) + dense
+    return sample_bitstrings(state, shots=shots, seed=seed)
+
+
 def _per_term_samples(state, op, shots, seed, counts):
     """Coefficient times per-shot eigenvalue of each non-identity term, in
     operator order."""
@@ -116,8 +128,8 @@ def _per_term_samples(state, op, shots, seed, counts):
         for q, letter in basis[shared:]:
             gate = Circuit(state.n_qubits, [_basis_gate(q, letter)])
             levels.append(apply_circuit(levels[-1], gate))
-        rows = sample_bitstrings(levels[-1], shots=shots,
-                                 seed=[terms[i][2] for i in by_basis[basis]])
+        rows = _sample(levels[-1], counts, shots,
+                       [terms[i][2] for i in by_basis[basis]])
         for i, row in zip(by_basis[basis], rows):
             key, coeff, _ = terms[i]
             out[i] = coeff * _pauli_term_values(key, row)
@@ -132,14 +144,13 @@ def _group_samples(state, hs, plan, counts=None):
     groups = []
     offset = hs.constant
     if plan.strategy in (DIAGONAL_GROUPS, DIAGONAL_UV_ONLY):
-        uv = sample_bitstrings(state, shots=plan.shots,
-                               seed=_batch_seed(plan.seed, 0))
+        uv = _sample(state, counts, plan.shots, _batch_seed(plan.seed, 0))
         groups.append(diagonal_potential_values(hs, uv))
     if plan.strategy == DIAGONAL_GROUPS:
         rotation = build_ffft_nd(hs.grid)
         rotated = apply_circuit(state, rotation)
-        t_samples = sample_bitstrings(rotated, shots=plan.shots,
-                                      seed=_batch_seed(plan.seed, 1))
+        t_samples = _sample(rotated, counts, plan.shots,
+                            _batch_seed(plan.seed, 1))
         groups.append(kinetic_mode_values(hs, t_samples))
     counts.update(pauli_terms=0, bases=len(groups))
     if plan.strategy == DIAGONAL_UV_ONLY:
@@ -162,7 +173,9 @@ def estimate_energy(state: Statevector, hs: HamiltonianSet,
     Groups are sampled independently; the estimate is the sum of group
     means plus exact constants, the standard error adds group variances.
     A ``counts`` dict receives ``pauli_terms`` sampled one by one, ``bases``
-    (one distribution per distinct basis of each group) and ``shots_drawn``.
+    (one distribution per distinct basis of each group), ``shots_drawn``,
+    ``support`` (basis states of the largest distribution drawn from) and
+    ``dense_draws`` (distributions drawn from a state without a support).
     """
     if hs.representation != DUAL:
         raise ValueError("estimators are defined on the dual representation")

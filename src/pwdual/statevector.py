@@ -200,8 +200,13 @@ class Circuit:
 
 @dataclass
 class Statevector:
+    """Amplitudes of an n-qubit state. ``support``, when known, is the
+    sorted int64 array of basis states that may hold a nonzero amplitude:
+    every amplitude outside it is exactly zero. None means unknown."""
+
     n_qubits: int
     amplitudes: np.ndarray
+    support: Optional[np.ndarray] = None
 
     @classmethod
     def zero_state(cls, n_qubits: int) -> "Statevector":
@@ -215,13 +220,16 @@ class Statevector:
         require_bytes(16 * 2 ** n_qubits, f"a {n_qubits}-qubit basis state")
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[bits] = 1.0
-        return cls(n_qubits, amps)
+        return cls(n_qubits, amps, np.array([bits], dtype=np.int64))
 
     def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
+        return Statevector(self.n_qubits, self.amplitudes.copy(),
+                           self.support)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        amps = self.amplitudes
+        return float(np.linalg.norm(
+            amps if self.support is None else amps[self.support]))
 
 
 def _blocks(targets, n: int) -> list:
@@ -236,32 +244,64 @@ def _blocks(targets, n: int) -> list:
     return blocks
 
 
+def _combine(m: np.ndarray, inputs, outputs, term: np.ndarray):
+    """outputs[r] = sum over nonzero m[r, c] of m[r, c] * inputs[c], with
+    ufunc ``out=`` into ``term`` and no other temporary: a copy for an entry
+    of 1, a multiply for the first nonzero entry, then multiply-and-add."""
+    for row, out in zip(m, outputs):
+        first, *rest = np.flatnonzero(row)
+        if row[first] == 1:
+            np.copyto(out, inputs[first])
+        else:
+            np.multiply(inputs[first], row[first], out=out)
+        for c in rest:
+            np.multiply(inputs[c], row[c], out=term)
+            np.add(out, term, out=out)
+
+
 def _apply(amps: np.ndarray, m: np.ndarray, targets, n: int,
            out: np.ndarray = None) -> np.ndarray:
     """Apply the gate matrix ``m`` on ``targets`` to amplitudes of shape
     (2^n,) or (2^n, batch), into ``out`` (a new array by default);
     targets[0] is the least significant bit of the matrix.
 
-    Output block r is the sum over nonzero m[r, c] of m[r, c] times input
-    block c, written with ufunc ``out=``: no copies and no full-size
-    temporary. A trailing batch makes contiguous runs span the batch; for
-    a single state it is a unit axis that keeps a block an array when all
-    qubits are targets (a numpy scalar takes no ``out=`` and its complex
-    arithmetic differs in the last bit), so batches agree bit for bit."""
+    Output block r combines the input blocks (``_combine``) as strided
+    views: no copies and no full-size temporary. A trailing batch makes
+    contiguous runs span the batch; for a single state it is a unit axis
+    that keeps a block an array when all qubits are targets (a numpy scalar
+    takes no ``out=`` and its complex arithmetic differs in the last bit),
+    so batches agree bit for bit."""
     psi = amps.reshape((2,) * n + (-1,))
     out = np.empty_like(psi) if out is None else out.reshape(psi.shape)
     blocks = _blocks(targets, n)
-    term = np.empty_like(psi[blocks[0]])
-    for row, at in zip(m, blocks):
-        first, *rest = np.flatnonzero(row)
-        if row[first] == 1:
-            np.copyto(out[at], psi[blocks[first]])
-        else:
-            np.multiply(psi[blocks[first]], row[first], out=out[at])
-        for c in rest:
-            np.multiply(psi[blocks[c]], row[c], out=term)
-            np.add(out[at], term, out=out[at])
+    _combine(m, [psi[at] for at in blocks], [out[at] for at in blocks],
+             np.empty_like(psi[blocks[0]]))
     return out.reshape(amps.shape)
+
+
+def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
+                      support: np.ndarray):
+    """``_apply`` for a single state that is zero outside ``support``:
+    (amplitudes, support) of the result. Only the blocks whose base (the
+    non-target bits) occurs in the support are gathered, combined and
+    scattered, with the same arithmetic as ``_apply``, so every nonzero
+    amplitude is bit-identical to the dense path. When the active bases
+    are more than half of the 2^(n-k) blocks, the strided dense kernel
+    runs instead and the support is dropped."""
+    mask = sum(1 << t for t in targets)
+    base = np.sort(support & ~mask)
+    base = base[np.diff(base, prepend=-1) != 0]  # drop repeats
+    if 2 * len(base) > 2 ** (n - len(targets)):
+        return _apply(amps, m, targets, n), None
+    # basis index of gate-local state c on each base
+    index = base | np.array([sum((c >> j & 1) << t for j, t in
+                                 enumerate(targets)) for c in range(len(m))],
+                            dtype=np.int64)[:, None]
+    rows = np.empty(index.shape, dtype=amps.dtype)
+    _combine(m, amps[index], rows, np.empty_like(rows[0]))
+    out = np.zeros(amps.shape, dtype=amps.dtype)
+    out[index] = rows
+    return out, np.sort(index[rows != 0])
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -269,8 +309,11 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     for t in gate.targets:
         if not 0 <= t < n:
             raise ValueError(f"target {t} outside {n} qubits")
-    return Statevector(n, _apply(state.amplitudes, gate.matrix(),
-                                 gate.targets, n))
+    if state.support is None:
+        return Statevector(n, _apply(state.amplitudes, gate.matrix(),
+                                     gate.targets, n))
+    return Statevector(n, *_apply_on_support(
+        state.amplitudes, gate.matrix(), gate.targets, n, state.support))
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
@@ -400,18 +443,37 @@ def sample_bitstrings(state: Statevector, basis_rotation: Circuit = None,
     """Draw basis-state indices from |<x|R|psi>|^2; deterministic per seed.
 
     The draw inverts the CDF as Generator.choice(p=...) does. A sequence of
-    seeds gives one row of shots per seed from the one distribution."""
+    seeds gives one row of shots per seed from the one distribution. On a
+    state with a support the CDF runs over the support only: the sum that
+    normalizes it still runs over all 2^n probabilities, so its rounding is
+    unchanged, the CDF at each support index is the full CDF there (adding
+    0.0 is exact), and a zero-probability index is never drawn, so every
+    draw equals the full CDF's."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     psi = state if basis_rotation is None else apply_circuit(state, basis_rotation)
-    probs = np.abs(psi.amplitudes) ** 2
+    support = psi.support
+    if support is None:
+        probs = on = np.abs(psi.amplitudes) ** 2
+    else:
+        on = np.abs(psi.amplitudes[support]) ** 2
+        probs = np.zeros(len(psi.amplitudes))
+        probs[support] = on
     total = probs.sum()
     if not (np.isfinite(total) and total > 0):
         raise ValueError(f"probabilities sum to {total}; need finite and > 0")
-    cdf = np.cumsum(probs / total)
+    cdf = np.cumsum(on / total)
     cdf /= cdf[-1]
-    rows = [cdf.searchsorted(make_rng(s).random(shots), side="right")
-            for s in (seed if np.ndim(seed) else [seed])]
+
+    def draw(s):
+        # sorted keys walk the CDF once; the picks go back in draw order
+        keys = make_rng(s).random(shots)
+        order = np.argsort(keys)
+        pick = np.empty(shots, dtype=np.intp)
+        pick[order] = cdf.searchsorted(keys[order], side="right")
+        return pick if support is None else support[pick]
+
+    rows = [draw(s) for s in (seed if np.ndim(seed) else [seed])]
     return np.array(rows) if np.ndim(seed) else rows[0]
 
 

@@ -276,10 +276,11 @@ class SectorModel:
         return float(self.constant + np.abs(psi) ** 2 @ d_uv + kinetic)
 
     def embed(self, psi: np.ndarray) -> Statevector:
-        """The full 2^n statevector holding sector amplitudes psi."""
+        """The full 2^n statevector holding sector amplitudes psi, with
+        the sector's states as its support."""
         amps = np.zeros(2 ** self.n_qubits, dtype=complex)
         amps[self.states] = psi
-        return Statevector(self.n_qubits, amps)
+        return Statevector(self.n_qubits, amps, self.states)
 
 
 # -- optimization -------------------------------------------------------------

@@ -63,6 +63,36 @@ class TestConfig:
         assert run(tmp_path, "measure", item) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,item,message", [
+        ("measure", "task.shots=2.7", "shots in task block must be an "
+                                      "integer, got 2.7"),
+        ("measure", "seed=1.5", "seed in config root must be an integer"),
+        ("build", "system.modes_per_axis=4.5", "modes_per_axis in system "
+                                               "block must be an integer"),
+        ("trotter-sweep", "task.r_list=[2, 4.5, 8]",
+         "each r_list entry in task block must be an integer, got 4.5"),
+        ("lcu-check", "task.orders=[2, 3.5]",
+         "each orders entry in task block must be an integer, got 3.5"),
+    ])
+    def test_non_integral_integer_exit_2(self, tmp_path, capsys, command,
+                                         item, message):
+        """int() would truncate these without a word."""
+        assert run(tmp_path, command, *SMALL, item) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        assert run(tmp_path, "measure", *SMALL, "system.eta=1",
+                   "task.shots=40.0") == 0
+        report = read_report(tmp_path, "measure_report.json")
+        assert report["config"]["task"]["shots"] == 40
+        assert report["result"]["shots"] == 40
+        assert run(tmp_path, "trotter-sweep", *SMALL, "system.eta=1",
+                   "task.r_list=[2.0, 4.0]", "task.slope_tolerance=100.0",
+                   out="sweep") == 0
+        rows = read_report(tmp_path, "trotter_report.json", out="sweep")[
+            "result"]["rows"]
+        assert [r for r, _ in rows] == [2, 4]
+
     def test_r_s_sets_volume(self, tmp_path):
         code = run(tmp_path, "build", "system.dimension=3",
                    "system.modes_per_axis=2", "system.r_s=1.0",
@@ -317,9 +347,13 @@ class TestCommands:
         meta = report["meta"]
         assert set(meta["stages"]) == {"build", "prepare", "estimate",
                                        "budget"}
-        # diagonal groups: the computational and the mode basis
+        # diagonal groups: the computational and the mode basis; on 4
+        # qubits a two-qubit gate meets more than half of the 4 blocks, so
+        # the states drop their support and both draws run over 2^4 states
         assert meta["counts"] == {"qubits": 4, "pauli_terms": 0, "bases": 2,
-                                  "shots_drawn": 800}
+                                  "shots_drawn": 800, "support": 16,
+                                  "dense_draws": 2}
+        assert "fast_paths" not in meta
 
     def test_measure_per_term_bases(self, tmp_path):
         # the 16-qubit 2D cell of the variational benchmark: 232 Pauli
@@ -329,10 +363,13 @@ class TestCommands:
                    "system.eta=4", "task.strategy=per_term",
                    "task.shots=100")
         assert code == 0
-        counts = read_report(tmp_path, "measure_report.json")["meta"][
-            "counts"]
-        assert counts == {"qubits": 16, "pauli_terms": 232, "bases": 97,
-                          "shots_drawn": 23200}
+        meta = read_report(tmp_path, "measure_report.json")["meta"]
+        # every basis rotation keeps its state's support; the largest
+        # holds 5478 of the 2^16 basis states
+        assert meta["counts"] == {"qubits": 16, "pauli_terms": 232,
+                                  "bases": 97, "shots_drawn": 23200,
+                                  "support": 5478, "dense_draws": 0}
+        assert meta["fast_paths"] == ["support"]
         # eta = 4 stops inside the |k| = 1 shell of the 4 x 4 grid
         assert read_report(tmp_path, "measure_report.json")["meta"][
             "warnings"] == ["degenerate mode shell at the boundary; "

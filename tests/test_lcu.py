@@ -6,8 +6,10 @@ import pytest
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import NucleiSpec, build_dual, build_qubit, \
     norm_bounds
+from pwdual import lcu, statevector
 from pwdual.lcu import build_weights, select_matrix, prepare_state, \
-    taylor_segment, dump_weights, TermIndex, LcuModel
+    taylor_errors, taylor_segment, dump_weights, TermIndex, LcuModel
+from pwdual.pauli import qubit_operator_matrix
 from pwdual.statevector import Statevector, exact_evolve
 
 
@@ -181,6 +183,36 @@ class TestTaylorSegment:
             out, _ = taylor_segment(model, t, order, psi)
             errs[order] = np.linalg.norm(out.amplitudes - exact.amplitudes)
         assert errs[4] / errs[2] < 0.05
+
+    def test_one_pass_serves_every_order(self):
+        hs = jellium(4)
+        model = build_weights(hs)
+        psi = random_state(4, 11)
+        together = taylor_segment(model, 0.02, [4, 0, 2], psi)
+        for order, (out, success) in zip([4, 0, 2], together):
+            alone, alone_success = taylor_segment(model, 0.02, order, psi)
+            assert np.array_equal(out.amplitudes, alone.amplitudes)
+            assert success == alone_success
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            taylor_segment(model, 0.02, [2, -1], psi)
+
+    def test_taylor_errors_builds_two_matrices(self, monkeypatch):
+        """One matrix for exact evolution and one for the whole series,
+        whatever the number of orders (the 8-qubit cell of lcu-check)."""
+        calls = []
+
+        def counted(op, n):
+            calls.append(n)
+            return qubit_operator_matrix(op, n)
+
+        monkeypatch.setattr(lcu, "qubit_operator_matrix", counted)
+        monkeypatch.setattr(statevector, "qubit_operator_matrix", counted)
+        model = build_weights(jellium(8, omega=8.0))
+        errors = taylor_errors(model, model.reconstruction(), 0.01, [2, 4],
+                               0)
+        assert calls == [8, 8]
+        assert set(errors) == {"2", "4"}
+        assert errors["4"]["error"] < errors["2"]["error"]
 
     def test_segment_condition_enforced(self):
         hs = jellium(2, spinful=True)  # Lambda ~ 11
