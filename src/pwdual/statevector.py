@@ -290,7 +290,9 @@ def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
     runs instead and the support is dropped."""
     mask = sum(1 << t for t in targets)
     base = np.sort(support & ~mask)
-    base = base[np.diff(base, prepend=-1) != 0]  # drop repeats
+    distinct = np.ones(len(base), dtype=bool)
+    distinct[1:] = base[1:] != base[:-1]
+    base = base[distinct]
     if 2 * len(base) > 2 ** (n - len(targets)):
         return _apply(amps, m, targets, n), None
     # basis index of gate-local state c on each base
