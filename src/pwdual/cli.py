@@ -45,7 +45,8 @@ from .serialize import fmt, dumps_hamiltonian
 from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
 from .swapnet import build_full_schedule, dumps_schedule
-from .trotter import TrotterConfig, measure_error_scaling, estimate_r, \
+from .trotter import SATURATED_ERROR, TrotterConfig, fit_slope, \
+    local_slopes, measure_error_scaling, estimate_r, \
     number_block_propagator, trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
@@ -297,13 +298,24 @@ def cmd_trotter_sweep(run: Run) -> dict:
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]
     run.write("trotter_sweep.csv", "\n".join(lines) + "\n")
     expected, tolerance = task["expected_slope"], task["slope_tolerance"]
+    # the pass/fail fit leaves out saturated points, whatever the outcome
+    fitted = [(r, e) for r, e in rows if e < SATURATED_ERROR]
+    asymptotic = fit_slope(fitted)
     failures = []
-    if abs(slope - expected) > tolerance:
+    if len(fitted) < 2:
         failures.append(
-            f"slope {slope:.3f} outside {expected} +- {tolerance}")
+            f"{len(fitted)} of {len(rows)} points have error below "
+            f"{SATURATED_ERROR:g}; the slope fit leaves out saturated points "
+            f"(error >= {SATURATED_ERROR:g}) and needs two")
+    elif abs(asymptotic - expected) > tolerance:
+        failures.append(
+            f"slope {asymptotic:.3f} over the points with error below "
+            f"{SATURATED_ERROR:g} outside {expected} +- {tolerance}")
     return {
         "rows": [[r, e] for r, e in rows],
         "slope": slope,
+        "local_slopes": local_slopes(rows),
+        "asymptotic_slope": asymptotic,
         "suggested_r": estimate_r(run.eta, run.grid.n_spatial,
                                   run.grid.cell.volume, t, task["epsilon"]),
         "failures": failures,

@@ -23,6 +23,9 @@ SPLIT_OPERATOR = "split_operator"
 DIRECT_JW = "direct_jw"
 # largest bound on how far a block-wise error may sit from the full-space one
 LEAK_TOL = 1e-12
+# ||U - S^r||_2 <= 2 for unitaries, so an error of 1 or more is saturation,
+# not the r^(-order) regime; the pass/fail fit leaves such points out
+SATURATED_ERROR = 1.0
 
 
 @dataclass(frozen=True)
@@ -322,11 +325,28 @@ def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
         counts.update(blocks=len(blocks),
                       largest_block=max(len(b) for b in blocks),
                       leak=worst_leak)
+    return rows, fit_slope(rows)
+
+
+def _logs(rows):
+    return [(math.log(r), math.log(max(err, 1e-300))) for r, err in rows]
+
+
+def fit_slope(rows) -> float:
+    """Least-squares slope of log error against log r over (r, error) rows;
+    nan below two rows."""
     if len(rows) < 2:
-        return rows, float("nan")
-    logs = [(math.log(r), math.log(max(err, 1e-300))) for r, err in rows]
-    slope = float(np.polyfit([x for x, _ in logs], [y for _, y in logs], 1)[0])
-    return rows, slope
+        return float("nan")
+    logs = _logs(rows)
+    return float(np.polyfit([x for x, _ in logs], [y for _, y in logs], 1)[0])
+
+
+def local_slopes(rows) -> list:
+    """Slope of log error against log r between each pair of neighbouring
+    rows."""
+    logs = _logs(rows)
+    return [(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in
+            zip(logs, logs[1:])]
 
 
 def estimate_r(eta: int, n_orbitals: int, omega: float, t: float,

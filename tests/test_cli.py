@@ -324,6 +324,36 @@ class TestCommands:
         assert meta["counts"]["matrix_bytes"] == 16 * 4 ** 4
         assert set(meta["stages"]) == {"build", "matrix", "verify"}
 
+    # the 8-qubit spinful cell: its r=2 error (1.447) is saturated
+    EIGHT = ("system.modes_per_axis=4", "system.volume=4.0",
+             "system.spinful=true")
+
+    def test_trotter_fit_leaves_out_saturated_points(self, tmp_path):
+        assert run(tmp_path, "trotter-sweep", *self.EIGHT) == 0
+        result = read_report(tmp_path, "trotter_report.json")["result"]
+        # the fit over every row is reported unchanged
+        assert result["slope"] == -2.112922384739501
+        assert result["asymptotic_slope"] == pytest.approx(-2.042, abs=5e-4)
+        assert result["local_slopes"] == pytest.approx(
+            [-2.368, -2.103, -2.024, -2.006], abs=5e-4)
+        assert result["rows"][0][1] > 1.0
+        assert result["failures"] == []
+
+    def test_trotter_first_order_against_second_order_fails(self, tmp_path):
+        assert run(tmp_path, "trotter-sweep", *self.EIGHT, "task.order=1",
+                   "task.expected_slope=-2") == 1
+        result = read_report(tmp_path, "trotter_report.json")["result"]
+        assert abs(result["asymptotic_slope"] + 1.0) < 0.1
+
+    def test_trotter_fit_needs_two_unsaturated_points(self, tmp_path):
+        assert run(tmp_path, "trotter-sweep", *self.EIGHT,
+                   "task.r_list=[2,4]") == 1
+        result = read_report(tmp_path, "trotter_report.json")["result"]
+        assert len(result["rows"]) == 2
+        assert math.isnan(result["asymptotic_slope"])
+        assert "saturated points (error >= 1)" in result["failures"][0]
+        assert "needs two" in result["failures"][0]
+
     def test_lcu_check(self, tmp_path):
         code = run(tmp_path, "lcu-check", *SMALL)
         assert code == 0
