@@ -217,10 +217,18 @@ class Statevector:
         """bits may be an int index or an iterable of per-qubit occupations."""
         if not isinstance(bits, int):
             bits = sum(1 << q for q, b in enumerate(bits) if b)
-        require_bytes(16 * 2 ** n_qubits, f"a {n_qubits}-qubit basis state")
+        return cls.on_support(n_qubits, [bits], [1.0])
+
+    @classmethod
+    def on_support(cls, n_qubits: int, support, values) -> "Statevector":
+        """The state holding ``values`` on the distinct basis states
+        ``support`` and zero elsewhere, with that support: the one
+        constructor that sets a support. Values may be zero."""
+        require_bytes(16 * 2 ** n_qubits, f"a {n_qubits}-qubit state")
+        support = np.asarray(support, dtype=np.int64)
         amps = np.zeros(2 ** n_qubits, dtype=complex)
-        amps[bits] = 1.0
-        return cls(n_qubits, amps, np.array([bits], dtype=np.int64))
+        amps[support] = values
+        return cls(n_qubits, amps, np.sort(support))
 
     def copy(self) -> "Statevector":
         return Statevector(self.n_qubits, self.amplitudes.copy(),

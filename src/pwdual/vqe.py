@@ -1,5 +1,6 @@
 """Variational ground-state search for the dual-basis Hamiltonian: a
-mode-occupation reference prepared through the Fourier circuit, layered
+mode-occupation reference rotated by the Fourier circuit (its amplitudes are
+determinants of the circuit's single-particle matrix), layered
 phase-rotation ansatz circuits, a derivative-free optimizer loop, and
 layer-by-layer training against an interaction ramp.
 
@@ -26,7 +27,7 @@ from .hamiltonian import HamiltonianSet, DUAL
 from .measurement import diagonal_potential_values, estimate_energy, \
     kinetic_mode_values
 from .pauli import require_bytes
-from .statevector import Statevector, Circuit, Gate, apply_circuit
+from .statevector import Statevector, Circuit, Gate
 
 FULL = "full"
 TRANSLATION_INVARIANT = "translation_invariant"
@@ -93,13 +94,19 @@ def lowest_mode_occupation(grid: ModeGrid, eta: int, spin_pattern="paired"):
 
 def prepare_reference(grid: ModeGrid, eta: int,
                       spin_pattern="paired") -> Statevector:
-    """Occupy the eta lowest modes as a product state and rotate to the
-    site basis; the result is a kinetic-term eigenstate."""
+    """C^dag|J> for the Fourier circuit C and the state J that occupies the
+    eta lowest modes: a kinetic-term eigenstate on the site basis. Its
+    amplitudes <I|C^dag|J> = conj(<J|C|I>) are row J of
+    ``sector_transform``, with no gate applied; its support is the sector."""
     qubits, _ = lowest_mode_occupation(grid, eta, spin_pattern)
-    bits = [1 if q in set(qubits) else 0 for q in range(grid.n_qubits)]
-    product = Statevector.basis_state(grid.n_qubits, bits)
-    rotation = build_ffft_nd(grid).inverse()
-    return apply_circuit(product, rotation)
+    n, dim = grid.n_qubits, math.comb(grid.n_qubits, eta)
+    # the state, the sector's bit table, one row of minors and det's copy
+    require_bytes(16 * 2 ** n + 24 * dim * n + 32 * dim * eta ** 2,
+                  f"the {eta}-electron reference on {n} qubits")
+    states = sector_states(n, eta)
+    occupation = np.array([sum(1 << q for q in qubits)])
+    row = sector_transform(build_ffft_nd(grid), occupation, states)[0]
+    return Statevector.on_support(n, states, row.conj())
 
 
 # -- ansatz -------------------------------------------------------------------
@@ -197,25 +204,32 @@ def _minor_rows(dim: int, eta: int) -> int:
     return min(dim, max(1, (1 << 20) // max(1, dim * eta * eta)))
 
 
-def sector_transform(circuit: Circuit, states: np.ndarray) -> np.ndarray:
-    """Matrix of a number-conserving circuit on basis states that all hold
-    the same number of electrons, up to the circuit's vacuum phase.
+def _occupied(states: np.ndarray, n: int) -> np.ndarray:
+    """Orbitals occupied in each state, one row per state."""
+    bits = (states[:, None] >> np.arange(n)) & 1
+    return np.nonzero(bits)[1].reshape(len(states), -1)
+
+
+def sector_transform(circuit: Circuit, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """<I|C|J> for a number-conserving circuit C and the occupation states
+    I in ``rows`` and J in ``cols``, which all hold eta electrons.
 
     With A = conj(W) the circuit's single-particle matrix, C a^dag_q C^dag
-    = sum_p A[p, q] a^dag_p, so entry (I, J) is det(A[I, J]) over the
-    orbitals occupied in states I and J (the eta-th compound of A).
+    = sum_p A[p, q] a^dag_p, and C|vac> = v|vac> with v the product of each
+    gate's m[0, 0]. So entry (I, J) is v det(A[I, J]) over the orbitals
+    occupied in I and J: v times the eta-th compound of A.
     """
     n = circuit.n_qubits
     a = single_particle_transform(circuit, n).conj()
-    bits = (states[:, None] >> np.arange(n)) & 1
-    occupied = np.nonzero(bits)[1].reshape(len(states), -1)
-    dim, eta = occupied.shape
-    out = np.empty((dim, dim), dtype=complex)
-    chunk = _minor_rows(dim, eta)
-    for start in range(0, dim, chunk):
-        rows = occupied[start:start + chunk]
-        minors = a[rows[:, None, :, None], occupied[None, :, None, :]]
-        out[start:start + chunk] = np.linalg.det(minors)
+    vacuum = np.prod([g.matrix()[0, 0] for g in circuit.gates])
+    occupied, occupied_cols = _occupied(rows, n), _occupied(cols, n)
+    out = np.empty((len(rows), len(cols)), dtype=complex)
+    chunk = _minor_rows(len(cols), occupied.shape[1])
+    for start in range(0, len(rows), chunk):
+        block = occupied[start:start + chunk]
+        minors = a[block[:, None, :, None], occupied_cols[None, :, None, :]]
+        out[start:start + chunk] = vacuum * np.linalg.det(minors)
     return out
 
 
@@ -226,8 +240,9 @@ class SectorModel:
     and pair phases multiply as one vector exp(i(z . theta_site + sum
     theta_ab z_a z_b)), z = +-1 per qubit, and the mode block is
     F (exp(i z . theta_mode) * F^dag psi), with F the Fourier circuit on the
-    sector. The energy is constant + |psi|^2 . d_uv + |F psi|^2 . d_t. F
-    lacks the circuit's vacuum phase, which cancels in both uses.
+    sector. The energy is constant + |psi|^2 . d_uv + |F psi|^2 . d_t.
+    The reference is C^dag|J> for the mode-occupation state J: the
+    conjugate of F's row J (``prepare_reference``), with no 2^n vector.
     """
 
     def __init__(self, ansatz: Ansatz, hs: HamiltonianSet, eta: int,
@@ -235,21 +250,23 @@ class SectorModel:
         n = ansatz.grid.n_qubits
         dim = math.comb(n, eta)
         # the Fourier matrix, one chunk of minors with the copy det takes,
-        # the z and zz tables as they are built, and the 2^n reference
+        # and the z and zz tables as they are built
         minors = _minor_rows(dim, eta) * dim * eta * eta
         require_bytes(16 * dim ** 2 + 32 * minors
-                      + 12 * dim * (2 * n + n * (n - 1)) + 48 * 2 ** n,
+                      + 12 * dim * (2 * n + n * (n - 1)),
                       f"the {eta}-electron sector of {n} qubits "
                       f"({dim} states)")
+        qubits, _ = lowest_mode_occupation(ansatz.grid, eta, spin_pattern)
         self.ansatz = ansatz
         self.n_qubits = n
         self.states = sector_states(n, eta)
         self.z = 1.0 - 2.0 * ((self.states[:, None] >> np.arange(n)) & 1)
         a, b = np.array(ansatz.pairs, dtype=int).reshape(-1, 2).T
         self.zz = self.z[:, a] * self.z[:, b]
-        self.fourier = sector_transform(ansatz.ffft, self.states)
-        self.reference = prepare_reference(
-            ansatz.grid, eta, spin_pattern).amplitudes[self.states]
+        self.fourier = sector_transform(ansatz.ffft, self.states,
+                                        self.states)
+        j = self.states.searchsorted(sum(1 << q for q in qubits))
+        self.reference = self.fourier[j].conj()
         self.constant = hs.constant
         self.d_uv = diagonal_potential_values(hs, self.states)
         self.d_t = kinetic_mode_values(hs, self.states)
@@ -274,13 +291,6 @@ class SectorModel:
         and constant)."""
         kinetic = np.abs(self.fourier @ psi) ** 2 @ self.d_t
         return float(self.constant + np.abs(psi) ** 2 @ d_uv + kinetic)
-
-    def embed(self, psi: np.ndarray) -> Statevector:
-        """The full 2^n statevector holding sector amplitudes psi, with
-        the sector's states as its support."""
-        amps = np.zeros(2 ** self.n_qubits, dtype=complex)
-        amps[self.states] = psi
-        return Statevector(self.n_qubits, amps, self.states)
 
 
 # -- optimization -------------------------------------------------------------
@@ -346,7 +356,9 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
             energy = model.energy(prepared, model.d_uv)
         else:
             shot_plan = replace(plan, seed=plan.seed + state["evals"])
-            energy, _ = estimate_energy(model.embed(prepared), hs, shot_plan)
+            sampled = Statevector.on_support(model.n_qubits, model.states,
+                                             prepared)
+            energy, _ = estimate_energy(sampled, hs, shot_plan)
         state["evals"] += 1
         state["best"] = min(state["best"], energy)
         trace.append(state["best"])

@@ -21,7 +21,8 @@ from pwdual.statevector import Circuit, Gate, Statevector, circuit_matrix, \
     exact_evolve
 from pwdual.trotter import TrotterConfig, measure_error_scaling, \
     number_block_propagator, trotter_circuit
-from pwdual.vqe import Ansatz, AnsatzSpec, SectorModel
+from pwdual.vqe import Ansatz, AnsatzSpec, SectorModel, \
+    prepare_reference
 
 # Python objects and numpy's ufunc buffers (8192 elements per strided
 # operand) are not budgeted; they do not grow with the register
@@ -104,6 +105,9 @@ def past_limit_cases():
         "select_matrix": select_15,
         "blocks": blocks_15,
         "sector_model": sector_16_8,
+        # 40 qubits: 780 two-electron states, but a 16 TiB state
+        "prepare_reference": lambda: lambda: prepare_reference(
+            build_grid(1, 20, 20.0, True), 2),
         "number_block_propagator": propagator_14,
         "measure_error_scaling": scaling_13,
         "taylor_errors": taylor_16,
@@ -214,6 +218,9 @@ def small_cases():
         "select_matrix": select_9,
         "blocks": blocks_12,
         "sector_model": sector_16_3,
+        # 16 qubits, 1820 four-electron states
+        "prepare_reference": lambda: lambda: prepare_reference(
+            build_grid(2, 4, 4.0), 4),
         "number_block_propagator": propagator_10,
         "measure_error_scaling": scaling_10,
         "taylor_errors": taylor_8,

@@ -377,12 +377,14 @@ class TestCommands:
         meta = report["meta"]
         assert set(meta["stages"]) == {"build", "prepare", "estimate",
                                        "budget"}
-        # diagonal groups: the computational and the mode basis; on 4
-        # qubits a two-qubit gate meets more than half of the 4 blocks, so
-        # the states drop their support and both draws run over 2^4 states
+        # diagonal groups: the computational and the mode basis. The
+        # reference holds the 6 two-electron states, so the computational
+        # draw runs on them; on 4 qubits a two-qubit gate meets more than
+        # half of the 4 blocks, so the rotated state drops its support and
+        # that draw runs over 2^4 states
         assert meta["counts"] == {"qubits": 4, "pauli_terms": 0, "bases": 2,
                                   "shots_drawn": 800, "support": 16,
-                                  "dense_draws": 2}
+                                  "dense_draws": 1}
         assert "fast_paths" not in meta
 
     def test_measure_per_term_bases(self, tmp_path):
@@ -395,10 +397,10 @@ class TestCommands:
         assert code == 0
         meta = read_report(tmp_path, "measure_report.json")["meta"]
         # every basis rotation keeps its state's support; the largest
-        # holds 5478 of the 2^16 basis states
+        # holds 5416 of the 2^16 basis states
         assert meta["counts"] == {"qubits": 16, "pauli_terms": 232,
                                   "bases": 97, "shots_drawn": 23200,
-                                  "support": 5478, "dense_draws": 0}
+                                  "support": 5416, "dense_draws": 0}
         assert meta["fast_paths"] == ["support"]
         # eta = 4 stops inside the |k| = 1 shell of the 4 x 4 grid
         assert read_report(tmp_path, "measure_report.json")["meta"][

@@ -160,6 +160,7 @@ def test_sources_of_a_support():
     assert Statevector(2, np.ones(4, dtype=complex) / 2).norm() == 1.0
     hs = build_dual(build_grid(1, 4, 4.0))
     model = SectorModel(Ansatz(AnsatzSpec(), hs.grid), hs, 2)
-    embedded = model.embed(model.reference)
+    embedded = Statevector.on_support(model.n_qubits, model.states,
+                                      model.reference)
     assert np.array_equal(embedded.support, model.states)
     assert_support_invariant(embedded)

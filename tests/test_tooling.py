@@ -125,6 +125,47 @@ def test_budget_scan_sees_caps_reads_and_imports():
         (7, "DENSE_BYTES_LIMIT read")]
 
 
+def support_constructions(tree):
+    """Lines of each ``Statevector(...)`` call that may pass a support: a
+    third positional argument, a ``support=`` keyword, or a ``*`` or
+    ``**`` argument that may hold one."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            getattr(func, "attr", None)
+        if name == "Statevector" and (
+                len(node.args) > 2
+                or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg in ("support", None) for k in node.keywords)):
+            found.append(node.lineno)
+    return found
+
+
+def test_one_support_constructor():
+    """Outside statevector.py a state with a support comes from
+    ``Statevector.on_support``, the one place that sets one."""
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))
+             if path.name != "statevector.py"
+             for line in support_constructions(ast.parse(path.read_text()))]
+    assert not found, "Statevector(...) given a support:\n" + \
+        "\n".join(found)
+
+
+def test_support_scan_sees_positional_keyword_and_unpacked():
+    tree = ast.parse(
+        "a = Statevector(n, amps)\n"
+        "b = Statevector(n, amps, states)\n"
+        "c = sv.Statevector(n, amps, support=states)\n"
+        "d = Statevector(n, *pair)\n"
+        "e = Statevector(**fields)\n"
+        "f = Statevector.on_support(n, states, values)\n")
+    assert support_constructions(tree) == [2, 3, 4, 5]
+
+
 # what the CLI config and its blocks are called in cli.py
 CONFIG_NAMES = {"cfg", "config", "data", "system", "sysblock", "task",
                 "block"}

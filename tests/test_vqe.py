@@ -25,6 +25,16 @@ def jellium_m4():
     return build_dual(build_grid(1, 4, 4.0))
 
 
+def pushed_reference(grid, eta, spin_pattern="paired"):
+    """The reference built gate by gate: the mode-occupation product state
+    pushed through every gate of the inverse Fourier circuit."""
+    qubits, _ = lowest_mode_occupation(grid, eta, spin_pattern)
+    bits = [1 if q in set(qubits) else 0 for q in range(grid.n_qubits)]
+    product = Statevector.basis_state(grid.n_qubits, bits)
+    rotation = build_ffft_nd(grid).inverse()
+    return apply_circuit(product, rotation)
+
+
 class TestReference:
     def test_vacuum(self):
         grid = build_grid(1, 2, 4.0)
@@ -78,6 +88,39 @@ class TestReference:
         grid = build_grid(1, 2, 4.0)
         with pytest.raises(ValueError):
             prepare_reference(grid, 3)
+
+    # 1D and 2D, spinless and spinful, a degenerate shell (1D M=4 with two
+    # electrons), eta = 0 and eta = n, and both spin patterns
+    @pytest.mark.filterwarnings("ignore:degenerate")
+    @pytest.mark.parametrize("grid_args,eta,pattern", [
+        ((1, 4, 4.0, False), 2, "paired"),
+        ((1, 4, 4.0, True), 3, "paired"),
+        ((1, 4, 4.0, True), 3, "polarized"),
+        ((2, 2, 4.0, True), 3, "paired"),
+        ((2, 2, 4.0, False), 0, "paired"),
+        ((1, 8, 8.0, False), 8, "paired"),
+        ((1, 2, 4.0, True), 4, "paired"),
+        ((2, 4, 4.0, False), 4, "paired"),
+        ((1, 8, 8.0, True), 4, "paired"),
+    ])
+    def test_equals_the_gate_by_gate_reference(self, grid_args, eta,
+                                               pattern):
+        grid = build_grid(*grid_args)
+        state = prepare_reference(grid, eta, pattern)
+        pushed = pushed_reference(grid, eta, pattern)
+        # the vacuum phase included: no global phase is divided out
+        assert np.max(np.abs(state.amplitudes - pushed.amplitudes)) < 1e-14
+        assert np.array_equal(state.support,
+                              sector_states(grid.n_qubits, eta))
+
+    def test_runs_no_gates(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate was applied")
+
+        monkeypatch.setattr("pwdual.statevector.apply_gate", forbidden)
+        monkeypatch.setattr("pwdual.statevector.apply_circuit", forbidden)
+        grid = build_grid(2, 2, 4.0, spinful=True)
+        assert prepare_reference(grid, 2).norm() == pytest.approx(1.0)
 
 
 class TestAnsatz:
@@ -271,7 +314,7 @@ def sector_case(index):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = SectorModel(ansatz, hs, eta)
-            reference = prepare_reference(grid, eta)
+            reference = pushed_reference(grid, eta)
         _sector_cache[index] = (model, ansatz, reference, build_qubit(hs))
     return _sector_cache[index]
 
@@ -290,8 +333,8 @@ class TestSector:
         e_circuit = expectation(full, h_op)
         assert abs(model.energy(psi, model.d_uv) - e_circuit) \
             <= 1e-12 * max(1.0, abs(e_circuit))
-        assert np.max(np.abs(model.embed(psi).amplitudes
-                             - full.amplitudes)) < 1e-12
+        embedded = Statevector.on_support(model.n_qubits, model.states, psi)
+        assert np.max(np.abs(embedded.amplitudes - full.amplitudes)) < 1e-12
 
     def test_reference_energy_matches_circuit_path(self):
         for index in range(len(SECTOR_CASES)):
@@ -315,14 +358,11 @@ class TestSector:
         n = grid.n_qubits
         circ = build_ffft_nd(grid)
         states = sector_states(n, eta)
-        fourier = sector_transform(circ, states)
-        vacuum_phase = apply_circuit(Statevector.zero_state(n),
-                                     circ).amplitudes[0]
+        fourier = sector_transform(circ, states, states)
         pushed = np.array([
             apply_circuit(Statevector.basis_state(n, int(s)),
                           circ).amplitudes for s in states]).T
-        assert np.max(np.abs(pushed[states] - vacuum_phase * fourier)) \
-            < 1e-14
+        assert np.max(np.abs(pushed[states] - fourier)) < 1e-14
         assert np.max(np.abs(fourier @ fourier.conj().T
                              - np.eye(len(states)))) < 1e-13
 
@@ -343,6 +383,21 @@ class TestSector:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.filterwarnings("ignore:degenerate")
+    def test_optimize_holds_no_full_register(self):
+        # 1D M=32 spinless, two electrons: 496 states and 560 parameters;
+        # a 2^32-amplitude state would be 64 GiB
+        hs = build_dual(build_grid(1, 32, 32.0))
+        tracemalloc.start()
+        try:
+            res = optimize(AnsatzSpec(), hs, eta=2, restarts=1, maxiter=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.names) == 560
+        assert res.energy <= res.reference_energy + 1e-9
+        assert peak < 64 * 2 ** 20
 
 
 # sha256 of dumps_circuit for each ansatz at fixed values (every third one
