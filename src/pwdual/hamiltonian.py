@@ -40,6 +40,9 @@ class NucleiSpec:
 
     @classmethod
     def build(cls, entries) -> "NucleiSpec":
+        """A spec from (position, charge) pairs; a spec comes back as is."""
+        if isinstance(entries, cls):
+            return entries
         norm = []
         for pos, charge in entries or ():
             if charge <= 0:
@@ -166,7 +169,7 @@ def dual_coefficients(grid: ModeGrid, nuclei=None) -> DualCoefficients:
     With r = p * L / M and nu = slot (mod M), k . r = 2 pi nu . p / M, so
     sum_nu f(nu) cos(k . r_p) is the real part of fftn(f)[p] for real f.
     """
-    nuclei = nuclei if isinstance(nuclei, NucleiSpec) else NucleiSpec.build(nuclei)
+    nuclei = NucleiSpec.build(nuclei)
     M = grid.modes_per_axis
     axis = 2.0 * math.pi * np.fft.fftfreq(M, 1.0 / M) / grid.cell.length
     k = np.stack(np.meshgrid(*[axis] * grid.dimension, indexing="ij"), axis=-1)
@@ -199,7 +202,7 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
     zero mode is excluded from both potentials; with a truncation distance D
     every 1/k^2 kernel picks up a (1 - cos|k|D) factor.
     """
-    nuclei = nuclei if isinstance(nuclei, NucleiSpec) else NucleiSpec.build(nuclei)
+    nuclei = NucleiSpec.build(nuclei)
     nuclei.validate_inside(grid)
     if truncated_D is not None and truncated_D <= 0:
         raise ValueError("truncation distance must be positive")
@@ -265,7 +268,7 @@ def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
     """Hamiltonian with lattice-site orbitals: hopping kinetic term, diagonal
     potentials. With a truncation distance D, density pairs farther apart
     than D (minimum image) are dropped."""
-    nuclei = nuclei if isinstance(nuclei, NucleiSpec) else NucleiSpec.build(nuclei)
+    nuclei = NucleiSpec.build(nuclei)
     nuclei.validate_inside(grid)
     if truncated_D is not None and truncated_D <= 0:
         raise ValueError("truncation distance must be positive")
@@ -364,7 +367,7 @@ def build_finite_difference(shape, h: float, nuclei=None, spinful=True,
     if not shape or any(s < 1 for s in shape):
         raise ValueError(f"bad grid shape {shape}")
     d = len(shape)
-    nuclei = nuclei if isinstance(nuclei, NucleiSpec) else NucleiSpec.build(nuclei)
+    nuclei = NucleiSpec.build(nuclei)
     lam_value = onsite_repulsion(h) if lam is None else float(lam)
 
     sites = list(itertools.product(*(range(s) for s in shape)))

@@ -169,13 +169,12 @@ def prepare_state(model: LcuModel) -> Statevector:
     return Statevector(model.selection_width, amps)
 
 
-def taylor_segment(model: LcuModel, t: float, order, state: Statevector,
-                   constant: float = 0.0):
+def taylor_segment(model: LcuModel, t: float, order, state: Statevector):
     """Apply the order-truncated series of exp(-i H t) assembled from the
     decomposition, renormalized.
 
     H here is the decomposition's reconstruction (identity no-ops shift it
-    by a constant, a global phase under evolution) plus ``constant``.
+    by a constant, a global phase under evolution).
     Returns (state, success_amplitude) where the amplitude is the idealized
     post-selection amplitude |truncated psi| / sum_k (Lambda t)^k / k!.
     ``order`` may be a list of orders instead: one matrix of H and one pass
@@ -190,10 +189,7 @@ def taylor_segment(model: LcuModel, t: float, order, state: Statevector,
     if min(orders, default=0) < 0:
         raise ValueError(f"Taylor orders must be >= 0, got {orders}")
     n = state.n_qubits
-    h = model.reconstruction()
-    if constant:
-        h += QubitOperator.identity(constant)
-    h_mat = qubit_operator_matrix(h, n)
+    h_mat = qubit_operator_matrix(model.reconstruction(), n)
     psi = state.amplitudes.astype(complex)
     acc = psi.copy()
     term = psi.copy()

@@ -227,17 +227,17 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
     if strategy not in BUDGET_MODES:
         raise ValueError(f"unknown strategy {strategy!r}")
     bounds = norm_bounds(hs, eta)
-    coeff_sum = build_qubit(hs).coefficient_norm(include_identity=False)
-    if strategy == PER_TERM:
-        budget = (coeff_sum / precision) ** 2
-    elif strategy == DIAGONAL_GROUPS:
+    if strategy == DIAGONAL_GROUPS:
         budget = (bounds["max_t"] ** 2
                   + (bounds["max_u"] + bounds["max_v"]) ** 2) / precision ** 2
     elif strategy == DIAGONAL_UV_ONLY:
         budget = (bounds["triangle_t"] ** 2
                   + (bounds["max_u"] + bounds["max_v"]) ** 2) / precision ** 2
-    else:
+    else:  # per_term and phase_estimation read the compiled operator
+        coeff_sum = build_qubit(hs).coefficient_norm(include_identity=False)
         budget = coeff_sum / precision
+        if strategy == PER_TERM:
+            budget = budget ** 2
     if mode == "relative":
         budget /= eta ** 2
     return budget

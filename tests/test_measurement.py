@@ -157,6 +157,21 @@ class TestShotBudget:
         b2 = shot_budget(hs, 2, 0.1, strategy=PHASE_ESTIMATION)
         assert b2 == pytest.approx(2 * b1)
 
+    def test_diagonal_budgets_compile_nothing(self, monkeypatch):
+        hs = jellium(4, spinful=True)
+        want = {(s, mode): shot_budget(hs, 2, 0.1, mode, s)
+                for s in (DIAGONAL_GROUPS, DIAGONAL_UV_ONLY)
+                for mode in ("absolute", "relative")}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the qubit operator was compiled")
+
+        monkeypatch.setattr("pwdual.measurement.build_qubit", forbidden)
+        for (s, mode), budget in want.items():
+            assert shot_budget(hs, 2, 0.1, mode, s) == budget
+        with pytest.raises(AssertionError, match="compiled"):
+            shot_budget(hs, 2, 0.1, strategy=PER_TERM)
+
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             shot_budget(jellium(), 2, 0.1, strategy="guess")
