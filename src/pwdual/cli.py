@@ -46,8 +46,8 @@ from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
 from .swapnet import build_full_schedule, dumps_schedule
 from .trotter import SATURATED_ERROR, TrotterConfig, fit_slope, \
-    local_slopes, measure_error_scaling, estimate_r, \
-    number_block_propagator, trotter_circuit
+    measure_error_scaling, estimate_r, number_block_propagator, \
+    trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
 
@@ -309,12 +309,12 @@ def cmd_trotter_sweep(run: Run) -> dict:
             f"(error >= {SATURATED_ERROR:g}) and needs two")
     elif abs(asymptotic - expected) > tolerance:
         failures.append(
-            f"slope {asymptotic:.3f} over the points with error below "
-            f"{SATURATED_ERROR:g} outside {expected} +- {tolerance}")
+            f"asymptotic slope {asymptotic:.3f} outside {expected} +- "
+            f"{tolerance}")
     return {
         "rows": [[r, e] for r, e in rows],
         "slope": slope,
-        "local_slopes": local_slopes(rows),
+        "local_slopes": [fit_slope(pair) for pair in zip(rows, rows[1:])],
         "asymptotic_slope": asymptotic,
         "suggested_r": estimate_r(run.eta, run.grid.n_spatial,
                                   run.grid.cell.volume, t, task["epsilon"]),

@@ -328,25 +328,13 @@ def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
     return rows, fit_slope(rows)
 
 
-def _logs(rows):
-    return [(math.log(r), math.log(max(err, 1e-300))) for r, err in rows]
-
-
 def fit_slope(rows) -> float:
     """Least-squares slope of log error against log r over (r, error) rows;
     nan below two rows."""
     if len(rows) < 2:
         return float("nan")
-    logs = _logs(rows)
+    logs = [(math.log(r), math.log(max(err, 1e-300))) for r, err in rows]
     return float(np.polyfit([x for x, _ in logs], [y for _, y in logs], 1)[0])
-
-
-def local_slopes(rows) -> list:
-    """Slope of log error against log r between each pair of neighbouring
-    rows."""
-    logs = _logs(rows)
-    return [(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in
-            zip(logs, logs[1:])]
 
 
 def estimate_r(eta: int, n_orbitals: int, omega: float, t: float,
