@@ -8,16 +8,19 @@ that alters a circuit on purpose updates the hash and says why.
 """
 
 import hashlib
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from pwdual.cli import main
 from pwdual.ffft import build_ffft_nd
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit
+from pwdual.hamiltonian import NucleiSpec, build_dual, build_qubit
 from pwdual.statevector import dumps_circuit
-from pwdual.swapnet import build_full_schedule, dumps_schedule
+from pwdual.swapnet import build_full_schedule, dumps_schedule, \
+    lower_diagonal_layer
 from pwdual.trotter import direct_jw_step, split_operator_step
 
 
@@ -48,6 +51,51 @@ def test_ffft_text(grid, connectivity, digest):
 ])
 def test_schedule_text(side, digest):
     assert sha(dumps_schedule(build_full_schedule(side, side))) == digest
+
+
+# 2x8 splits vertically at every level, 8x2 horizontally at every level;
+# 8x16 and 16x16 alternate, and 16x16 is the benchmark's schedule
+@pytest.mark.parametrize("rows,cols,digest", [
+    (16, 16,
+     "7a2320da730bdd3e6cfa2827a07f60487289453e4276a1d0eb0aca76ab697968"),
+    (2, 8, "b6e0e6957344444d7dadd60c609d6b27b879a96464e452fc5511544b88577046"),
+    (8, 2, "1736bcd53f3778ec22595626655f8dbe2f7b93d6ff37d59ea088c93c274839fb"),
+    (8, 16,
+     "e879e5f713923c5f436348961529ab91f660d7198cbef6d6d09a31d4fb8c4ec3"),
+])
+def test_rectangular_schedule_text(rows, cols, digest):
+    assert sha(dumps_schedule(build_full_schedule(rows, cols))) == digest
+
+
+def seeded_pair_phases(n, seed):
+    rng = np.random.default_rng(seed)
+    return {pair: float(rng.uniform(-1, 1))
+            for pair in itertools.combinations(range(n), 2)}
+
+
+def test_phase_annotated_schedule_text():
+    text = dumps_schedule(build_full_schedule(4, 4),
+                          seeded_pair_phases(16, 41))
+    assert sha(text) == \
+        "23e8594c46123057d7cecc5b11fc81bd68a936ec693fd4f36f1333ce64bce9ee"
+
+
+def test_lowered_diagonal_layer():
+    circ, final = lower_diagonal_layer(seeded_pair_phases(64, 42),
+                                       build_full_schedule(8, 8))
+    text = dumps_circuit(circ) + json.dumps([int(x) for x in final])
+    assert sha(text) == \
+        "68057149cff1cc2065e8129c8db5ddfb557e41926dc5f179cbefffa1441f6443"
+
+
+def test_planar_split_step_text():
+    """The construct benchmark's planar step, angles included."""
+    hs = build_dual(build_grid(1, 64, 64.0),
+                    NucleiSpec.build([((17.3,), 1.0)]))
+    circ = split_operator_step(hs, 0.1, connectivity=("planar", 8, 8))
+    assert len(circ.gates) == 20705
+    assert sha(dumps_circuit(circ)) == \
+        "0e06a6e3f023215975a2ec2985d412c4c2dca7f4c69b4c745d3886193d98ec70"
 
 
 def test_planar_split_step_gates():
