@@ -39,7 +39,7 @@ from .hamiltonian import build_dual, build_plane_wave, build_qubit, \
     norm_bounds, NucleiSpec, DUAL, PLANE_WAVE
 from .lcu import build_weights, prepare_state, taylor_errors, dump_weights
 from .measurement import MeasurementPlan, estimate_energy, shot_budget, \
-    STRATEGIES, DIAGONAL_GROUPS
+    STRATEGIES, DIAGONAL_GROUPS, PER_TERM
 from .pauli import DenseLimitError
 from .serialize import fmt, dumps_hamiltonian
 from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
@@ -431,13 +431,16 @@ def cmd_measure(run: Run) -> dict:
     with run.stage("prepare"):
         state = prepare_reference(run.grid, run.eta)
     with run.stage("estimate"):
+        # per_term samples the compiled operator and its budget reads its
+        # coefficient norm: compile it once for both
+        qubit = build_qubit(hs) if strategy == PER_TERM else None
         plan = MeasurementPlan(strategy, task["shots"], run.seed)
-        estimate, stderr = estimate_energy(state, hs, plan, run.counts)
+        estimate, stderr = estimate_energy(state, hs, plan, run.counts, qubit)
     if not run.counts.get("dense_draws"):
         run.meta["fast_paths"] = ["support"]
     with run.stage("budget"):
         budget = shot_budget(hs, run.eta, task["precision"], task["mode"],
-                             strategy)
+                             strategy, qubit)
     return {
         "estimate": estimate,
         "stderr": stderr,

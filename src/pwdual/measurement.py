@@ -32,6 +32,7 @@ from .fermion import jordan_wigner
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     mode_phases, norm_bounds
+from .pauli import QubitOperator
 from .statevector import Statevector, Circuit, Gate, apply_circuit, \
     sample_bitstrings
 
@@ -138,8 +139,9 @@ def _per_term_samples(state, op, shots, seed, counts):
     return out
 
 
-def _group_samples(state, hs, plan, counts=None):
-    """Per-shot values of each sampled group plus the exact offset."""
+def _group_samples(state, hs, plan, counts=None, qubit=None):
+    """Per-shot values of each sampled group plus the exact offset;
+    ``qubit`` is the compiled ``build_qubit(hs)`` when the caller holds it."""
     counts = {} if counts is None else counts
     groups = []
     offset = hs.constant
@@ -159,7 +161,7 @@ def _group_samples(state, hs, plan, counts=None):
         groups += _per_term_samples(state, kin, plan.shots, plan.seed + 1,
                                     counts)
     elif plan.strategy == PER_TERM:
-        op = build_qubit(hs)
+        op = build_qubit(hs) if qubit is None else qubit
         offset += op.constant().real - hs.constant  # constant already counted
         groups += _per_term_samples(state, op, plan.shots, plan.seed, counts)
     counts["shots_drawn"] = plan.shots * len(groups)
@@ -167,7 +169,8 @@ def _group_samples(state, hs, plan, counts=None):
 
 
 def estimate_energy(state: Statevector, hs: HamiltonianSet,
-                    plan: MeasurementPlan, counts: dict = None):
+                    plan: MeasurementPlan, counts: dict = None,
+                    qubit: QubitOperator = None):
     """Unbiased energy estimate and its standard error.
 
     Groups are sampled independently; the estimate is the sum of group
@@ -176,10 +179,12 @@ def estimate_energy(state: Statevector, hs: HamiltonianSet,
     (one distribution per distinct basis of each group), ``shots_drawn``,
     ``support`` (basis states of the largest distribution drawn from) and
     ``dense_draws`` (distributions drawn from a state without a support).
+    ``per_term`` reads ``qubit``, the compiled ``build_qubit(hs)``, and
+    compiles it when it is None.
     """
     if hs.representation != DUAL:
         raise ValueError("estimators are defined on the dual representation")
-    groups, offset = _group_samples(state, hs, plan, counts)
+    groups, offset = _group_samples(state, hs, plan, counts, qubit)
     estimate = offset + sum(float(np.mean(g)) for g in groups)
     variance = sum(float(np.var(g, ddof=1)) / len(g) for g in groups)
     return estimate, math.sqrt(variance)
@@ -211,14 +216,16 @@ def empirical_shot_requirement(state: Statevector, hs: HamiltonianSet,
 
 def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
                 mode: str = "absolute",
-                strategy: str = DIAGONAL_GROUPS) -> float:
+                strategy: str = DIAGONAL_GROUPS,
+                qubit: QubitOperator = None) -> float:
     """Analytic repetition bound for the strategy at the given precision.
 
     ``absolute`` reads ``precision`` as the energy tolerance; ``relative``
     reads it as tolerance per electron (the allowed absolute error grows
     with eta, dividing the budget by eta^2). ``strategy`` is one of
     BUDGET_MODES; the budget-only ``phase_estimation`` scales linearly in
-    1/precision instead of quadratically.
+    1/precision instead of quadratically. Those two read ``qubit``, the
+    compiled ``build_qubit(hs)``, and compile it when it is None.
     """
     if precision <= 0:
         raise ValueError("precision must be positive")
@@ -234,7 +241,9 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
         budget = (bounds["triangle_t"] ** 2
                   + (bounds["max_u"] + bounds["max_v"]) ** 2) / precision ** 2
     else:  # per_term and phase_estimation read the compiled operator
-        coeff_sum = build_qubit(hs).coefficient_norm(include_identity=False)
+        if qubit is None:
+            qubit = build_qubit(hs)
+        coeff_sum = qubit.coefficient_norm(include_identity=False)
         budget = coeff_sum / precision
         if strategy == PER_TERM:
             budget = budget ** 2

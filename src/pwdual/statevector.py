@@ -179,23 +179,28 @@ class Circuit:
         return len(self.gates)
 
     def check_connectivity(self):
-        """Raise if a multi-qubit gate is not lattice-adjacent (planar mode)."""
+        """Raise if a multi-qubit gate is not lattice-adjacent (planar mode);
+        the message names the first offending gate."""
         if self.connectivity is None:
             return
         from .swapnet import snake_position
-        cols = self.connectivity[2]
-        position = [snake_position(cols, q) for q in range(self.n_qubits)]
-        for g in self.gates:
-            if len(g.targets) < 2:
-                continue
-            if len(g.targets) > 2:
-                raise ValueError(f"planar circuit holds >2-qubit gate {g}")
-            (r1, c1), (r2, c2) = (position[t] for t in g.targets)
-            if abs(r1 - r2) + abs(c1 - c2) != 1:
-                raise ValueError(
-                    f"gate {g} acts on non-adjacent grid sites "
-                    f"({r1},{c1})-({r2},{c2})"
-                )
+        multi = [g for g in self.gates if len(g.targets) > 1]
+        wide = next((i for i, g in enumerate(multi) if len(g.targets) > 2),
+                    len(multi))
+        pairs = np.array([g.targets for g in multi[:wide]],
+                         dtype=np.int64).reshape(-1, 2)
+        r, c = snake_position(self.connectivity[2], np.arange(self.n_qubits))
+        r, c = r[pairs], c[pairs]
+        far = np.flatnonzero(np.abs(np.diff(r)) + np.abs(np.diff(c)) != 1)
+        if far.size:
+            (r1, r2), (c1, c2) = r[far[0]].tolist(), c[far[0]].tolist()
+            raise ValueError(
+                f"gate {multi[far[0]]} acts on non-adjacent grid sites "
+                f"({r1},{c1})-({r2},{c2})"
+            )
+        if wide < len(multi):
+            raise ValueError(f"planar circuit holds >2-qubit gate "
+                             f"{multi[wide]}")
 
 
 @dataclass

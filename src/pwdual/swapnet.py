@@ -9,32 +9,44 @@ Levels of the schedule: a closed loop through each sector alternates two
 staggered swap layers until every opposite-parity pair has met and all
 labels are back home; a short color-division sort then separates the two
 parity classes into half sectors, and the construction recurses until
-sectors are single adjacent pairs.
+sectors are single adjacent pairs. Every sector of one level has the same
+shape, so each layer is one relative pattern shifted to each sector's origin.
+
+A schedule is three arrays: the qubit pairs of every swap in layer order,
+an interact flag per swap and the layer offsets. Its checks, its replay and
+the walks over the replay are array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .statevector import Circuit, Gate
+import numpy as np
 
-SWAP = "swap"
-INTERACT_SWAP = "interact+swap"
+from .statevector import Circuit, Gate
 
 
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-def snake_qubit(cols: int, r: int, c: int) -> int:
-    """Qubit label at lattice position (r, c) under boustrophedon layout."""
-    return r * cols + (c if r % 2 == 0 else cols - 1 - c)
+def _snake_column(cols: int, r, c):
+    """Column of the c-th qubit along row r, and back: odd rows run right
+    to left, a map that is its own inverse. Ints or integer arrays."""
+    odd = r % 2
+    return odd * (cols - 1 - c) + (1 - odd) * c
 
 
-def snake_position(cols: int, qubit: int):
+def snake_qubit(cols: int, r, c):
+    """Qubit label at lattice position (r, c) under boustrophedon layout;
+    ints or integer arrays."""
+    return r * cols + _snake_column(cols, r, c)
+
+
+def snake_position(cols: int, qubit):
     """Lattice position (r, c) of a qubit label; inverse of snake_qubit."""
     r, c = divmod(qubit, cols)
-    return r, (c if r % 2 == 0 else cols - 1 - c)
+    return r, _snake_column(cols, r, c)
 
 
 def transposition_phases(keys):
@@ -58,55 +70,69 @@ def transposition_phases(keys):
     return phases
 
 
-def _cycle_positions(r0: int, c0: int, h: int, w: int):
-    """Closed loop through an h x w block, consecutive entries adjacent."""
+def _cycle_positions(h: int, w: int):
+    """Closed loop through an h x w block at the origin, consecutive entries
+    adjacent."""
     if h * w % 2 != 0 or h * w < 2:
         raise ValueError(f"no closed loop through a {h}x{w} block")
     if h == 1 or w == 1:
         if h * w != 2:
             raise ValueError(f"no closed loop through a {h}x{w} block")
-        return [(r0, c0), (r0 + h - 1, c0 + w - 1)]
+        return [(0, 0), (h - 1, w - 1)]
     if h % 2 != 0:
         # odd h needs even w; walk the transposed construction
-        transposed = _cycle_positions(c0, r0, w, h)
-        return [(r, c) for c, r in transposed]
-    path = [(r0, c) for c in range(c0, c0 + w)]
-    for i, r in enumerate(range(r0 + 1, r0 + h)):
-        cs = range(c0 + w - 1, c0, -1) if i % 2 == 0 else \
-            range(c0 + 1, c0 + w)
+        return [(r, c) for c, r in _cycle_positions(w, h)]
+    path = [(0, c) for c in range(w)]
+    for i, r in enumerate(range(1, h)):
+        cs = range(w - 1, 0, -1) if i % 2 == 0 else range(1, w)
         path.extend((r, c) for c in cs)
-    path.extend((r, c0) for r in range(r0 + h - 1, r0, -1))
+    path.extend((r, 0) for r in range(h - 1, 0, -1))
     return path
 
 
 def hamiltonian_cycle(rows: int, cols: int):
     """Cyclic qubit ordering with consecutive (and first/last) entries
     lattice-adjacent."""
-    positions = _cycle_positions(0, 0, rows, cols)
-    return [snake_qubit(cols, r, c) for r, c in positions]
+    return [snake_qubit(cols, r, c) for r, c in _cycle_positions(rows, cols)]
+
+
+def _stagger_pairs(m: int):
+    """Cycle-index pairs (i, i + 1 mod m) of the left stagger layer (i
+    even) and the right one (i odd) on a cycle of even length m."""
+    if m % 2 != 0:
+        raise ValueError("stagger rounds need an even cycle")
+    i = np.arange(m)
+    return [np.stack([i[k::2], (i[k::2] + 1) % m], axis=1) for k in (0, 1)]
 
 
 def stagger_rounds(cycle):
     """Alternating left/right stagger swap layers along a cycle of even
     length M, repeated M/2 times: M layers, all labels restored, and every
     opposite-parity cycle pair is adjacent at least once."""
-    m = len(cycle)
-    if m % 2 != 0:
-        raise ValueError("stagger rounds need an even cycle")
-    layers = []
-    for _ in range(m // 2):
-        for offset in (0, 1):  # left stagger, then right stagger
-            layers.append([
-                (cycle[i], cycle[(i + 1) % m]) for i in range(offset, m, 2)
-            ])
-    return layers
+    cycle = np.asarray(cycle, dtype=np.int64)
+    left, right = ([tuple(p) for p in cycle[pairs].tolist()]
+                   for pairs in _stagger_pairs(len(cycle)))
+    return [list(layer) for _ in range(len(cycle) // 2)
+            for layer in (left, right)]
 
 
 @dataclass
 class SwapSchedule:
+    """Swap layers on a rows x cols lattice, held as arrays.
+
+    ``pairs[s]`` is the qubit pair (qa, qb) of swap s, in layer order, and
+    ``interact[s]`` whether the swap also lets its two labels interact.
+    Layer k holds swaps ``offsets[k]:offsets[k + 1]``.
+    """
+
     rows: int
     cols: int
-    layers: list = field(default_factory=list)
+    pairs: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+    interact: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool))
+    offsets: np.ndarray = field(
+        default_factory=lambda: np.zeros(1, dtype=np.int64))
     provenance: list = field(default_factory=list)
 
     @property
@@ -114,7 +140,7 @@ class SwapSchedule:
         return self.rows * self.cols
 
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.offsets) - 1
 
     def first_level_layer_count(self) -> int:
         lev = self.provenance[0]
@@ -122,41 +148,47 @@ class SwapSchedule:
 
     def replay(self):
         """Follow the labels through the swaps, qubit q starting with label
-        q. Returns (layers, final_labels): ``layers`` yields, per layer, one
-        (qa, qb, tag, labels) entry per swap with ``labels`` the label pair
-        on (qa, qb) before it; ``final_labels`` holds the label on each
-        qubit once ``layers`` is exhausted. Layers stream, so a replay
-        holds one layer's entries at a time."""
-        label = list(range(self.n_qubits))
+        q, one array swap per layer. Returns (labels, final_labels):
+        ``labels[s]`` is the label pair on ``pairs[s]`` just before swap s,
+        and ``final_labels[q]`` the label on qubit q after the last layer."""
+        label = np.arange(self.n_qubits)
+        labels = np.empty_like(self.pairs)
+        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
+            layer = self.pairs[start:stop]
+            labels[start:stop] = label[layer]
+            label[layer] = labels[start:stop, ::-1]
+        return labels, label
 
-        def layers():
-            for layer in self.layers:
-                entries = []
-                for qa, qb, tag in layer:
-                    entries.append((qa, qb, tag, (label[qa], label[qb])))
-                    label[qa], label[qb] = label[qb], label[qa]
-                yield entries
-        return layers(), label
+    def interact_pairs(self) -> np.ndarray:
+        """Label pairs (a < b) brought adjacent by interact-tagged swaps, one
+        row each in lexicographic order."""
+        labels, _ = self.replay()
+        return np.argwhere(np.triu(self._met(labels), 1))
 
-    def interact_pairs(self):
-        """Label pairs brought adjacent by interact-tagged layers; returns a
-        set of frozensets."""
-        layers, _ = self.replay()
-        return {frozenset(labels) for layer in layers
-                for _, _, tag, labels in layer if tag == INTERACT_SWAP}
+    def _met(self, labels) -> np.ndarray:
+        """n x n table of the label pairs that meet on an interact swap."""
+        met = np.zeros((self.n_qubits,) * 2, dtype=bool)
+        a, b = labels[self.interact].T
+        met[a, b] = met[b, a] = True
+        return met
 
     def check(self):
         """Disjointness and adjacency of every layer; raises on violation."""
-        position = [snake_position(self.cols, q) for q in range(self.n_qubits)]
-        for layer in self.layers:
-            seen = set()
-            for qa, qb, _ in layer:
-                if qa in seen or qb in seen or qa == qb:
-                    raise ValueError(f"layer reuses a qubit: {layer}")
-                seen.update((qa, qb))
-                (ra, ca), (rb, cb) = position[qa], position[qb]
-                if abs(ra - rb) + abs(ca - cb) != 1:
-                    raise ValueError(f"pair ({qa},{qb}) not lattice-adjacent")
+        n, pairs = self.n_qubits, self.pairs
+        if pairs.size and not 0 <= pairs.min() <= pairs.max() < n:
+            raise ValueError(f"schedule names a qubit outside 0..{n - 1}")
+        layer = np.repeat(np.arange(self.depth()), np.diff(self.offsets))
+        slots = (layer[:, None] * n + pairs).ravel()
+        reused = np.flatnonzero(np.bincount(slots) > 1)
+        if reused.size:
+            k, q = divmod(int(reused[0]), n)
+            raise ValueError(f"layer {k} reuses qubit {q}")
+        r, c = snake_position(self.cols, np.arange(n))
+        far = np.flatnonzero(np.abs(np.diff(r[pairs]))
+                             + np.abs(np.diff(c[pairs])) != 1)
+        if far.size:
+            qa, qb = pairs[far[0]].tolist()
+            raise ValueError(f"pair ({qa},{qb}) not lattice-adjacent")
 
 
 def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
@@ -173,88 +205,82 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
         return SwapSchedule(rows, cols)
     if (rows == 1 or cols == 1) and n > 2:
         raise ValueError("1 x n lattices with n > 2 have no closed loop")
-    sched = SwapSchedule(rows, cols)
-    sectors = [(0, 0, rows, cols)]
-    level = 0
-    while sectors:
-        h, w = sectors[0][2], sectors[0][3]
-        size = h * w
-        if size == 2:
-            layer = []
-            for r0, c0, hh, ww in sectors:
-                qa = snake_qubit(cols, r0, c0)
-                qb = snake_qubit(cols, r0 + hh - 1, c0 + ww - 1)
-                layer.append((qa, qb, INTERACT_SWAP))
-            sched.layers.append(layer)
-            sched.provenance.append({
-                "level": level, "sector_shape": (h, w), "sectors": len(sectors),
-                "step2_layers": 1, "step3_layers": 0,
-            })
+
+    qubit = snake_qubit(cols, *np.indices((rows, cols)))
+
+    def shifted(origins, rel_a, rel_b):
+        """Qubit pairs of the relative position pairs (rel_a, rel_b) in
+        every sector, sector by sector."""
+        ends = [origins[:, None, :] + np.reshape(rel, (1, -1, 2))
+                for rel in (rel_a, rel_b)]
+        return np.stack([qubit[e[..., 0], e[..., 1]] for e in ends],
+                        axis=-1).reshape(-1, 2)
+
+    layers, provenance = [], []  # layers: (qubit pairs, interact flag)
+    origins = np.zeros((1, 2), dtype=np.int64)
+    h, w = rows, cols
+    while True:
+        level = {"level": len(provenance), "sector_shape": (h, w),
+                 "sectors": len(origins)}
+        if h * w == 2:
+            layers.append((shifted(origins, (0, 0), (h - 1, w - 1)), True))
+            provenance.append({**level, "step2_layers": 1, "step3_layers": 0})
             break
 
-        cycles = [_cycle_positions(*sector) for sector in sectors]
-        step2 = 0
-        for round_layers in zip(*[stagger_rounds(c) for c in cycles]):
-            layer = []
-            for cyc_layer in round_layers:
-                for (ra, ca), (rb, cb) in cyc_layer:
-                    layer.append((
-                        snake_qubit(cols, ra, ca),
-                        snake_qubit(cols, rb, cb),
-                        INTERACT_SWAP,
-                    ))
-            sched.layers.append(layer)
-            step2 += 1
+        cycle = np.array(_cycle_positions(h, w))
+        stagger = [(shifted(origins, cycle[p[:, 0]], cycle[p[:, 1]]), True)
+                   for p in _stagger_pairs(len(cycle))]
+        layers += stagger * (len(cycle) // 2)
 
         # color division: sort each line of each sector so the even parity
-        # class fills the leading half sector; all lines sort at once, phase
-        # k of every line sharing layer k
-        lines = []
-        children = []
-        for sector, cycle in zip(sectors, cycles):
-            r0, c0, h, w = sector
-            parity = {pos: i % 2 for i, pos in enumerate(cycle)}
-            if w >= h:  # vertical split, sort rows
-                sector_lines = [[(r, c) for c in range(c0, c0 + w)]
-                                for r in range(r0, r0 + h)]
-                children.append((r0, c0, h, w // 2))
-                children.append((r0, c0 + w // 2, h, w // 2))
-            else:  # horizontal split, sort columns
-                sector_lines = [[(r, c) for r in range(r0, r0 + h)]
-                                for c in range(c0, c0 + w)]
-                children.append((r0, c0, h // 2, w))
-                children.append((r0 + h // 2, c0, h // 2, w))
-            lines += [([snake_qubit(cols, r, c) for r, c in line],
-                       [parity[p] for p in line]) for line in sector_lines]
-        step3_layers = []
-        for qubits, classes in lines:
-            for k, phase in enumerate(transposition_phases(classes)):
-                if k == len(step3_layers):
-                    step3_layers.append([])
-                step3_layers[k] += [(qubits[i], qubits[i + 1], SWAP)
-                                    for i in phase]
-        step3_layers = [layer for layer in step3_layers if layer]
-        sched.layers.extend(step3_layers)
-        sched.provenance.append({
-            "level": level, "sector_shape": (h, w), "sectors": len(sectors),
-            "step2_layers": step2, "step3_layers": len(step3_layers),
-        })
-        sectors = children
-        level += 1
+        # class fills the leading half sector; every sector's lines share
+        # the relative pattern, so each relative line sorts once and phase
+        # k of every line shares layer k
+        parity = np.empty((h, w), dtype=np.int64)
+        parity[cycle[:, 0], cycle[:, 1]] = np.arange(len(cycle)) % 2
+        if w >= h:  # vertical split, sort rows
+            lines = [[(r, c) for c in range(w)] for r in range(h)]
+            half, w = (0, w // 2), w // 2
+        else:  # horizontal split, sort columns
+            lines = [[(r, c) for r in range(h)] for c in range(w)]
+            half, h = (h // 2, 0), h // 2
+        line_phases = [transposition_phases([parity[p] for p in line])
+                       for line in lines]
+        step3 = 0
+        for k in range(max(map(len, line_phases))):
+            moves = [(line[i], line[i + 1])
+                     for line, phases in zip(lines, line_phases)
+                     if k < len(phases) for i in phases[k]]
+            if moves:
+                rel_a, rel_b = zip(*moves)
+                layers.append((shifted(origins, rel_a, rel_b), False))
+                step3 += 1
+        provenance.append({**level, "step2_layers": len(cycle),
+                           "step3_layers": step3})
+        origins = (origins[:, None, :] + np.array([(0, 0), half])
+                   ).reshape(-1, 2)
+
+    sizes = [len(pairs) for pairs, _ in layers]
+    sched = SwapSchedule(
+        rows, cols, np.concatenate([pairs for pairs, _ in layers]),
+        np.repeat([flag for _, flag in layers], sizes),
+        np.concatenate([[0], np.cumsum(sizes)]), provenance)
     sched.check()
     return sched
 
 
-def _merged_phases(pair_phases: dict) -> dict:
-    """Sum the phases given for each unordered label pair; raises on an
-    entry that names one label twice."""
-    phases = {}
+def _phase_table(pair_phases: dict, n: int) -> np.ndarray:
+    """Symmetric n x n table of the phases given for each unordered label
+    pair, summed; raises on an entry that names one label twice or a label
+    outside the n labels."""
+    table = np.zeros((n, n))
     for (a, b), phi in pair_phases.items():
-        key = frozenset((a, b))
-        if len(key) != 2:
+        if a == b:
             raise ValueError(f"pair {a, b} is not a pair")
-        phases[key] = phases.get(key, 0.0) + phi
-    return phases
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair {a, b} names a label outside 0..{n - 1}")
+        table[min(a, b), max(a, b)] += phi
+    return table + table.T
 
 
 def dumps_schedule(schedule: SwapSchedule, pair_phases: dict = None) -> str:
@@ -262,18 +288,24 @@ def dumps_schedule(schedule: SwapSchedule, pair_phases: dict = None) -> str:
     ``:phase`` when a label-pair phase map is given, ``:interact`` otherwise.
     """
     from .serialize import fmt
-    phases = _merged_phases(pair_phases or {})
-    lines = []
-    layers, _ = schedule.replay()
-    for layer in layers:
-        entries = []
-        for qa, qb, tag, labels in layer:
-            suffix = ""
-            if tag == INTERACT_SWAP:
-                suffix = ":interact" if pair_phases is None else \
-                    f":{fmt(phases.get(frozenset(labels), 0.0))}"
-            entries.append(f"({qa},{qb}){suffix}")
-        lines.append(" ".join(entries))
+    n, pairs, interact = schedule.n_qubits, schedule.pairs, schedule.interact
+    suffixes, which = ["", ":interact"], interact.astype(np.int64)
+    if pair_phases is not None:
+        labels, _ = schedule.replay()
+        table = _phase_table(pair_phases, n)
+        values, at = np.unique(table[tuple(labels[interact].T)],
+                               return_inverse=True)
+        suffixes = [""] + [":" + fmt(v) for v in values]
+        which[interact] = 1 + at.reshape(-1)
+    # one string per distinct (qa, qb, suffix) entry, gathered onto the swaps
+    keys, at = np.unique((pairs[:, 0] * n + pairs[:, 1]) * len(suffixes)
+                         + which, return_inverse=True)
+    edge, suffix = np.divmod(keys, len(suffixes))
+    text = np.array([f"({a},{b}){suffixes[k]}" for a, b, k in
+                     zip(*(x.tolist() for x in (*np.divmod(edge, n), suffix)))],
+                    dtype=object)[at.reshape(-1)]
+    lines = [" ".join(text[start:stop]) for start, stop
+             in zip(schedule.offsets[:-1], schedule.offsets[1:])]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -281,27 +313,32 @@ def lower_diagonal_layer(pair_phases: dict, schedule: SwapSchedule):
     """Compile exp(-i sum phi_ab Z_a Z_b) onto the lattice.
 
     ``pair_phases`` maps unordered label pairs (a, b) to phases phi_ab. Each
-    pair's rotation is applied exactly once, at the moment the schedule
-    brings the labels adjacent, interleaved with the swap layers. Returns
+    pair's rotation is applied exactly once, at the first interact swap
+    that brings the labels adjacent, just before that swap. Returns
     (circuit, final_labels) where final_labels[q] is the label sitting on
     qubit q afterwards (``SwapSchedule.replay``); the circuit equals the
     diagonal exponential up to that relabeling.
     """
-    phases = _merged_phases(pair_phases)
-    circ = Circuit(schedule.n_qubits,
-                   connectivity=("planar", schedule.rows, schedule.cols))
-    layers, final_labels = schedule.replay()
-    applied = set()
-    for layer in layers:
-        for qa, qb, tag, labels in layer:
-            pair = frozenset(labels)
-            if tag == INTERACT_SWAP and pair not in applied:
-                applied.add(pair)
-                phi = phases.get(pair, 0.0)
-                if phi:
-                    circ.add(Gate("PEXP", (qa, qb), angle=phi, letters="ZZ"))
-            circ.add(Gate("SWAP", (qa, qb)))
-    missing = {p for p in set(phases) - applied if abs(phases[p]) > 0}
-    if missing:
-        raise ValueError(f"schedule never covers pairs {sorted(map(tuple, missing))}")
-    return circ, final_labels
+    n = schedule.n_qubits
+    table = _phase_table(pair_phases, n)
+    labels, final_labels = schedule.replay()
+    missing = np.argwhere(np.triu((np.abs(table) > 0)
+                                  & ~schedule._met(labels), 1))
+    if missing.size:
+        raise ValueError(f"schedule never covers pairs "
+                         f"{[tuple(p) for p in missing.tolist()]}")
+    meets = np.flatnonzero(schedule.interact)
+    a, b = np.sort(labels[meets], axis=1).T
+    _, first = np.unique(a * n + b, return_index=True)
+    angle = np.zeros(len(labels))
+    angle[meets[first]] = table[a[first], b[first]]
+    gates, swap_gate = [], {}
+    for edge, phi in zip(map(tuple, schedule.pairs.tolist()), angle.tolist()):
+        if phi:
+            gates.append(Gate("PEXP", edge, angle=phi, letters="ZZ"))
+        if edge not in swap_gate:  # gates are immutable, so one per edge
+            swap_gate[edge] = Gate("SWAP", edge)
+        gates.append(swap_gate[edge])
+    circ = Circuit(n, connectivity=("planar", schedule.rows, schedule.cols))
+    circ.extend(gates)
+    return circ, final_labels.tolist()

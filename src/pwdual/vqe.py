@@ -221,6 +221,13 @@ def sector_transform(circuit: Circuit, rows: np.ndarray,
     occupied in I and J: v times the eta-th compound of A.
     """
     n = circuit.n_qubits
+    eta = int(cols[0]).bit_count() if len(cols) else 0
+    # the output and one chunk of minors with the copy det takes
+    require_bytes(16 * len(rows) * len(cols)
+                  + 32 * min(len(rows), _minor_rows(len(cols), eta))
+                  * len(cols) * eta ** 2,
+                  f"<I|C|J> on {len(rows)} x {len(cols)} {eta}-electron "
+                  f"states")
     a = single_particle_transform(circuit, n).conj()
     vacuum = np.prod([g.matrix()[0, 0] for g in circuit.gates])
     occupied, occupied_cols = _occupied(rows, n), _occupied(cols, n)

@@ -407,6 +407,26 @@ class TestCommands:
             "warnings"] == ["degenerate mode shell at the boundary; "
                             "filling by lexicographic tiebreak"]
 
+    def test_measure_per_term_compiles_once(self, tmp_path, monkeypatch):
+        """The estimate samples the compiled operator and the budget reads
+        its coefficient norm; one compile serves both."""
+        import pwdual.cli
+        import pwdual.measurement
+        from pwdual.hamiltonian import build_qubit
+        calls = []
+
+        def counted(hs):
+            calls.append(hs)
+            return build_qubit(hs)
+
+        monkeypatch.setattr(pwdual.cli, "build_qubit", counted)
+        monkeypatch.setattr(pwdual.measurement, "build_qubit", counted)
+        code = run(tmp_path, "measure", "system.modes_per_axis=4",
+                   "system.volume=4.0", "system.eta=2",
+                   "task.strategy=per_term", "task.shots=400")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_vqe_jellium(self, tmp_path):
         code = run(tmp_path, "vqe-jellium", *SMALL, "system.eta=1",
                    "task.maxiter=80", "task.restarts=2")

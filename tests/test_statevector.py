@@ -263,6 +263,25 @@ class TestDepthAndConnectivity:
         with pytest.raises(ValueError):
             bad.check_connectivity()
 
+    def test_planar_check_rejects_three_qubit_gate(self):
+        circ = Circuit(4, connectivity=("planar", 2, 2))
+        circ.add(Gate("PEXP", (0, 1, 2), angle=0.3, letters="ZZZ"))
+        with pytest.raises(ValueError, match=">2-qubit gate"):
+            circ.check_connectivity()
+
+    def test_planar_check_names_first_offender(self):
+        circ = Circuit(16, connectivity=("planar", 4, 4))
+        for i in range(10000):
+            circ.add(Gate("SWAP", (i % 15, i % 15 + 1)))
+        # qubits 0 and 5: (0, 0) and (1, 2) on the 4 x 4 snake
+        circ.add(Gate("CZ", (0, 5)))
+        circ.add(Gate("PEXP", (0, 1, 2), angle=0.3, letters="ZZZ"))
+        with pytest.raises(ValueError) as err:
+            circ.check_connectivity()
+        assert str(err.value) == (
+            f"gate {Gate('CZ', (0, 5))} acts on non-adjacent grid sites "
+            f"(0,0)-(1,2)")
+
     def test_boustrophedon_chain_is_grid_adjacent(self):
         circ = Circuit(16, connectivity=("planar", 4, 4))
         for q in range(15):

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from pwdual.pauli import QubitOperator, qubit_operator_matrix
 from pwdual.statevector import circuit_matrix
 from pwdual.swapnet import build_full_schedule, hamiltonian_cycle, \
     stagger_rounds, lower_diagonal_layer, dumps_schedule, snake_qubit, \
-    SwapSchedule, INTERACT_SWAP
+    SwapSchedule
 
 
 def positions_adjacent(rows, cols, qa, qb):
@@ -91,8 +92,8 @@ class TestFullSchedule:
     def test_layers_disjoint_and_adjacent(self):
         sched = build_full_schedule(4, 4)
         sched.check()  # raises on violation
-        for layer in sched.layers:
-            qubits = [q for a, b, _ in layer for q in (a, b)]
+        for start, stop in zip(sched.offsets[:-1], sched.offsets[1:]):
+            qubits = sched.pairs[start:stop].ravel().tolist()
             assert len(qubits) == len(set(qubits))
 
     def test_first_level_count_4x4(self):
@@ -107,6 +108,21 @@ class TestFullSchedule:
             sched = build_full_schedule(rows, cols)
             ratios.append(sched.depth() / (rows * cols))
         assert max(ratios) < 3.0
+
+    def test_check_rejects_reused_qubit(self):
+        # layer 1 swaps (1, 2) and then (2, 3): qubit 2 twice in one layer
+        sched = SwapSchedule(2, 2, np.array([[0, 1], [1, 2], [2, 3]]),
+                             np.array([True, False, False]),
+                             np.array([0, 1, 3]))
+        with pytest.raises(ValueError, match="layer 1 reuses qubit 2"):
+            sched.check()
+
+    def test_check_rejects_non_adjacent_pair(self):
+        # qubits 0 and 2 sit on the diagonal of the 2x2 snake
+        sched = SwapSchedule(2, 2, np.array([[0, 1], [0, 2]]),
+                             np.array([True, True]), np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match=r"pair \(0,2\) not lattice"):
+            sched.check()
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -194,3 +210,31 @@ class TestScheduleExport:
         # the 0.5 phase appears each time labels 0 and 3 meet
         assert ":0.5" in text
         assert ":interact" not in text
+
+
+def python_replay(sched):
+    """The label walk one swap at a time over the schedule's layers."""
+    label = list(range(sched.n_qubits))
+    met = set()
+    for start, stop in zip(sched.offsets[:-1], sched.offsets[1:]):
+        for s in range(start, stop):
+            qa, qb = sched.pairs[s].tolist()
+            if sched.interact[s]:
+                met.add(frozenset((label[qa], label[qb])))
+            label[qa], label[qb] = label[qb], label[qa]
+    return met, label
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(r, c) for r in (1, 2, 4, 8, 16)
+                        for c in (1, 2, 4, 8, 16)
+                        if r * c >= 2 and (min(r, c) > 1 or r * c == 2)]))
+def test_array_replay_matches_python_replay(shape):
+    sched = build_full_schedule(*shape)
+    n = sched.n_qubits
+    met, final = python_replay(sched)
+    assert len(met) == n * (n - 1) // 2
+    assert {frozenset(p) for p in sched.interact_pairs().tolist()} == met
+    labels, array_final = sched.replay()
+    assert array_final.tolist() == final
+    assert sorted(final) == list(range(n))

@@ -1,5 +1,5 @@
 """Repository tooling: a smoke test of the benchmark harness
-(``perfbench/selftest.py``) and a static scan of the package source.
+(``perfbench/selftest.py``) and static scans of the package source.
 
 The harness wraps pwdual functions by module and name, so a refactor that
 unbinds a traced name fails here. No timings are asserted.
@@ -209,3 +209,37 @@ def test_config_default_scan_sees_blocks_and_attributes():
         "    e = run.task['order']\n"
         "    g = cfg.get('seed')\n")
     assert config_default_reads(tree) == [2, 3, 4]
+
+
+def snake_reversals(tree):
+    """Lines of each ``cols - 1 - x``: the column reversal on odd rows of
+    the boustrophedon layout, with ``cols`` a name or an attribute."""
+    def is_cols(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "cols"
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Sub)
+            and is_cols(node.left.left)
+            and isinstance(node.left.right, ast.Constant)
+            and node.left.right.value == 1]
+
+
+def test_one_snake_map():
+    """The boustrophedon layout is written once, in swapnet.py; every
+    other reader goes through ``snake_qubit`` or ``snake_position``."""
+    found = {path.name: snake_reversals(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    assert len(found.pop("swapnet.py")) == 1
+    assert not any(found.values()), f"snake formula copied: {found}"
+
+
+def test_snake_scan_sees_names_and_attributes():
+    tree = ast.parse(
+        "a = cols - 1 - c\n"
+        "b = n - 1 - t\n"
+        "d = self.cols - 1 - col\n"
+        "e = cols - 2 - c\n"
+        "f = np.where(r % 2 == 0, c, cols - 1 - c)\n")
+    assert snake_reversals(tree) == [1, 3, 5]

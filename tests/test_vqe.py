@@ -13,6 +13,7 @@ from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, \
     DUAL, NucleiSpec
 from pwdual.fermion import FermionOperator
+from pwdual.pauli import DenseLimitError
 from pwdual.statevector import Statevector, apply_circuit, dumps_circuit, \
     expectation
 from pwdual.vqe import AnsatzSpec, Ansatz, prepare_reference, \
@@ -365,6 +366,26 @@ class TestSector:
         assert np.max(np.abs(pushed[states] - fourier)) < 1e-14
         assert np.max(np.abs(fourier @ fourier.conj().T
                              - np.eye(len(states)))) < 1e-13
+
+    def test_sector_transform_checks_its_own_bytes(self, monkeypatch):
+        # 1D M=32 spinless, 4 electrons: C(32, 4) = 35960 row and column
+        # states, 20.7 GB of output
+        states = sector_states(32, 4)
+        assert len(states) == 35960
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("single-particle matrix before the check")
+
+        monkeypatch.setattr(vqe, "single_particle_transform", forbidden)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="35960 x 35960"):
+                sector_transform(build_ffft_nd(build_grid(1, 32, 32.0)),
+                                 states, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_oversized_sector_raises_before_allocating(self, monkeypatch):
         # 16 qubits, 8 electrons: C(16, 8) = 12870 states, 2.65 GB of F_S
