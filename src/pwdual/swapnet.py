@@ -30,23 +30,18 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-def _snake_column(cols: int, r, c):
-    """Column of the c-th qubit along row r, and back: odd rows run right
-    to left, a map that is its own inverse. Ints or integer arrays."""
-    odd = r % 2
-    return odd * (cols - 1 - c) + (1 - odd) * c
-
-
 def snake_qubit(cols: int, r, c):
-    """Qubit label at lattice position (r, c) under boustrophedon layout;
-    ints or integer arrays."""
-    return r * cols + _snake_column(cols, r, c)
+    """Qubit label at lattice position (r, c) under boustrophedon layout,
+    odd rows running right to left; ints or integer arrays."""
+    odd = r % 2
+    return r * cols + odd * (cols - 1 - c) + (1 - odd) * c
 
 
 def snake_position(cols: int, qubit):
-    """Lattice position (r, c) of a qubit label; inverse of snake_qubit."""
+    """Lattice position (r, c) of a qubit label; inverse of snake_qubit,
+    since reversing a row is its own inverse."""
     r, c = divmod(qubit, cols)
-    return r, _snake_column(cols, r, c)
+    return r, snake_qubit(cols, r, c) - r * cols
 
 
 def transposition_phases(keys):
