@@ -124,9 +124,10 @@ def split_operator_step(hs: HamiltonianSet, tau: float, order: int = 2,
             + list(ffft.inverse().gates)
 
     if order == 2:
-        circ.extend(potential(tau / 2.0))
+        half = potential(tau / 2.0)  # gates are immutable: emit it twice
+        circ.extend(half)
         circ.extend(kinetic_block(tau))
-        circ.extend(potential(tau / 2.0))
+        circ.extend(half)
     elif order == 1:
         circ.extend(potential(tau))
         circ.extend(kinetic_block(tau))
