@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -187,13 +188,16 @@ class Circuit:
         multi = [g for g in self.gates if len(g.targets) > 1]
         wide = next((i for i, g in enumerate(multi) if len(g.targets) > 2),
                     len(multi))
-        pairs = np.array([g.targets for g in multi[:wide]],
-                         dtype=np.int64).reshape(-1, 2)
-        r, c = snake_position(self.connectivity[2], np.arange(self.n_qubits))
-        r, c = r[pairs], c[pairs]
-        far = np.flatnonzero(np.abs(np.diff(r)) + np.abs(np.diff(c)) != 1)
+        pairs = np.fromiter(
+            chain.from_iterable(g.targets for g in islice(multi, wide)),
+            dtype=np.int32, count=2 * wide).reshape(-1, 2)
+        r, c = snake_position(self.connectivity[2],
+                              np.arange(self.n_qubits, dtype=np.int32))
+        far = np.flatnonzero(np.abs(np.diff(r[pairs]))
+                             + np.abs(np.diff(c[pairs])) != 1)
         if far.size:
-            (r1, r2), (c1, c2) = r[far[0]].tolist(), c[far[0]].tolist()
+            (r1, r2), (c1, c2) = r[pairs[far[0]]].tolist(), \
+                c[pairs[far[0]]].tolist()
             raise ValueError(
                 f"gate {multi[far[0]]} acts on non-adjacent grid sites "
                 f"({r1},{c1})-({r2},{c2})"

@@ -284,20 +284,22 @@ def dumps_schedule(schedule: SwapSchedule, pair_phases: dict = None) -> str:
     """
     from .serialize import fmt
     n, pairs, interact = schedule.n_qubits, schedule.pairs, schedule.interact
-    suffixes, which = ["", ":interact"], interact.astype(np.int64)
+    # suffixes[suffix_of[s]] is the tag text of swap s
+    suffixes, suffix_of = ["", ":interact"], interact.astype(np.int64)
     if pair_phases is not None:
         labels, _ = schedule.replay()
         table = _phase_table(pair_phases, n)
         values, at = np.unique(table[tuple(labels[interact].T)],
                                return_inverse=True)
         suffixes = [""] + [":" + fmt(v) for v in values]
-        which[interact] = 1 + at.reshape(-1)
+        suffix_of[interact] = 1 + at.reshape(-1)
     # one string per distinct (qa, qb, suffix) entry, gathered onto the swaps
     keys, at = np.unique((pairs[:, 0] * n + pairs[:, 1]) * len(suffixes)
-                         + which, return_inverse=True)
+                         + suffix_of, return_inverse=True)
     edge, suffix = np.divmod(keys, len(suffixes))
-    text = np.array([f"({a},{b}){suffixes[k]}" for a, b, k in
-                     zip(*(x.tolist() for x in (*np.divmod(edge, n), suffix)))],
+    qa, qb = np.divmod(edge, n)
+    text = np.array([f"({a},{b}){suffixes[k]}" for a, b, k
+                     in zip(qa.tolist(), qb.tolist(), suffix.tolist())],
                     dtype=object)[at.reshape(-1)]
     lines = [" ".join(text[start:stop]) for start, stop
              in zip(schedule.offsets[:-1], schedule.offsets[1:])]
