@@ -143,7 +143,8 @@ class SwapSchedule:
 
     def replay(self):
         """Follow the labels through the swaps, qubit q starting with label
-        q, one array swap per layer. Returns (labels, final_labels):
+        q, one array swap per layer (layers are disjoint, as ``check``
+        requires). Returns (labels, final_labels):
         ``labels[s]`` is the label pair on ``pairs[s]`` just before swap s,
         and ``final_labels[q]`` the label on qubit q after the last layer."""
         label = np.arange(self.n_qubits)
