@@ -289,7 +289,7 @@ def cmd_trotter_sweep(run: Run) -> dict:
     def step_fn(tau):
         step = pending.pop() if pending else \
             trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
-        run.counts["gates"] = step.gate_count()  # the same for every r
+        run.counts["gates"] = len(step.gates)  # the same for every r
         return circuit_matrix(step)
 
     with run.stage("verify"):
@@ -328,7 +328,7 @@ def cmd_ffft_check(run: Run) -> dict:
         circ = build_ffft_nd(grid)
     with run.stage("matrix"):
         u = circuit_matrix(circ)
-    run.counts.update(gates=circ.gate_count(), matrix_bytes=u.nbytes)
+    run.counts.update(gates=len(circ.gates), matrix_bytes=u.nbytes)
     with run.stage("verify"):
         worst, n = 0.0, grid.n_qubits
         u_dag = u.conj().T
@@ -343,7 +343,7 @@ def cmd_ffft_check(run: Run) -> dict:
     run.write("ffft_circuit.txt", dumps_circuit(circ))
     failures = [] if worst < tolerance else [
         f"conjugation error {worst:.3e} above {tolerance}"]
-    return {"conjugation_max_error": worst, "gates": circ.gate_count(),
+    return {"conjugation_max_error": worst, "gates": len(circ.gates),
             "depth": circ.depth(), "plan": stage_listing(circ),
             "failures": failures}
 

@@ -86,11 +86,7 @@ def build_ffft_1d(m: int, connectivity=None) -> Circuit:
     """1D transform circuit on m spinless orbitals (m a power of two)."""
     if not _is_power_of_two(m) or m < 2:
         raise ValueError(f"mode count must be a power of two >= 2, got {m}")
-    circ = Circuit(m, connectivity=connectivity)
-    circ.extend(_ffft_1d_ops(list(range(m))))
-    if connectivity is not None:
-        circ.check_connectivity()
-    return circ
+    return Circuit(m, _ffft_1d_ops(list(range(m))), connectivity)
 
 
 def build_ffft_nd(grid: ModeGrid, connectivity=None) -> Circuit:
@@ -125,11 +121,7 @@ def build_ffft_nd(grid: ModeGrid, connectivity=None) -> Circuit:
     else:
         ops = spatial_ops(0)
 
-    circ = Circuit(grid.n_qubits, connectivity=connectivity)
-    circ.extend(ops)
-    if connectivity is not None:
-        circ.check_connectivity()
-    return circ
+    return Circuit(grid.n_qubits, ops, connectivity)
 
 
 def mode_ladder_operator(grid: ModeGrid, nu, spin=None):
@@ -144,7 +136,7 @@ def mode_ladder_operator(grid: ModeGrid, nu, spin=None):
     return op
 
 
-def single_particle_transform(circuit: Circuit, n_orbitals: int) -> np.ndarray:
+def single_particle_transform(circuit: Circuit) -> np.ndarray:
     """Matrix W with C^dag a^dag_p C = sum_q W[p, q] a^dag_q for a circuit C
     of number-conserving Gaussian two-mode gates on adjacent orbitals.
 
@@ -155,7 +147,7 @@ def single_particle_transform(circuit: Circuit, n_orbitals: int) -> np.ndarray:
     (Terhal and DiVincenzo, quant-ph/0108010). Any other gate raises
     ValueError.
     """
-    w = np.eye(n_orbitals, dtype=complex)
+    w = np.eye(circuit.n_qubits, dtype=complex)
     for g in circuit.gates:
         if len(g.targets) != 2 or abs(g.targets[0] - g.targets[1]) != 1:
             raise ValueError(f"{g} is not a two-mode gate on adjacent "
@@ -189,7 +181,7 @@ def stage_listing(circuit: Circuit):
                                      float(g.angle)])
     return {
         "stages": stages,
-        "gate_count": circuit.gate_count(),
+        "gate_count": len(circuit.gates),
         "depth": circuit.depth(),
     }
 

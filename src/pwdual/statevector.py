@@ -11,8 +11,8 @@ fixed seed reproduces shot sequences across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -137,33 +137,29 @@ def fk_gate(k: int, m_modes: int, p: int, q: int) -> Gate:
     return Gate("FK", (p, q), angle=2.0 * np.pi * k / m_modes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list with optional planar-grid connectivity.
+    """Immutable gate sequence with optional planar-grid connectivity,
+    validated once, when it is made (``check_connectivity``).
 
-    connectivity is None (all-to-all) or ("planar", rows, cols); planar
-    qubits are laid out along a boustrophedon path (swapnet.snake_qubit) so
-    that chain-adjacent qubit labels are always grid-adjacent.
+    connectivity is None (all-to-all) or ("planar", rows, cols) with
+    rows * cols == n_qubits; planar qubits are laid out along a
+    boustrophedon path (swapnet.snake_qubit) so that chain-adjacent qubit
+    labels are always grid-adjacent.
     """
 
     n_qubits: int
-    gates: list = field(default_factory=list)
+    gates: tuple = ()
     connectivity: tuple = None
 
-    def add(self, gate: Gate):
-        for t in gate.targets:
-            if not 0 <= t < self.n_qubits:
-                raise ValueError(f"target {t} outside {self.n_qubits} qubits")
-        self.gates.append(gate)
-
-    def extend(self, gates):
-        for g in gates:
-            self.add(g)
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        self.check_connectivity()
 
     def inverse(self) -> "Circuit":
-        inv = Circuit(self.n_qubits, connectivity=self.connectivity)
-        inv.gates = [g.inverse() for g in reversed(self.gates)]
-        return inv
+        return Circuit(self.n_qubits,
+                       [g.inverse() for g in reversed(self.gates)],
+                       self.connectivity)
 
     def depth(self) -> int:
         """Greedy layering: gates sharing a qubit may not share a layer."""
@@ -176,35 +172,49 @@ class Circuit:
             depth = max(depth, layer)
         return depth
 
-    def gate_count(self) -> int:
-        return len(self.gates)
-
     def check_connectivity(self):
-        """Raise if a multi-qubit gate is not lattice-adjacent (planar mode);
-        the message names the first offending gate."""
+        """Raise ValueError unless every target is one of the n_qubits and,
+        on a planar lattice of n_qubits sites, every multi-qubit gate acts
+        on two lattice neighbours. The targets are gathered once and the
+        lattice test is array arithmetic; each message names the first
+        offending target or gate."""
+        n = self.n_qubits
+        targets = [g.targets for g in self.gates]
+        flat = list(chain.from_iterable(targets))
+        if flat and not 0 <= min(flat) <= max(flat) < n:
+            t = next(t for t in flat if not 0 <= t < n)
+            raise ValueError(f"target {t} outside {n} qubits")
         if self.connectivity is None:
             return
+        kind, rows, cols = self.connectivity
+        if kind != "planar":
+            raise ValueError(f"unknown connectivity {kind!r}; expected "
+                             f"('planar', rows, cols)")
+        if rows * cols != n:
+            raise ValueError(f"planar lattice {rows}x{cols} has {rows * cols}"
+                             f" sites, not {n} qubits")
         from .swapnet import snake_position
-        multi = [g for g in self.gates if len(g.targets) > 1]
-        wide = next((i for i, g in enumerate(multi) if len(g.targets) > 2),
-                    len(multi))
-        pairs = np.fromiter(
-            chain.from_iterable(g.targets for g in islice(multi, wide)),
-            dtype=np.int32, count=2 * wide).reshape(-1, 2)
-        r, c = snake_position(self.connectivity[2],
-                              np.arange(self.n_qubits, dtype=np.int32))
+        sizes = np.fromiter(map(len, targets), dtype=np.intp,
+                            count=len(targets))
+        flat = np.array(flat, dtype=np.int64)
+        wide = np.flatnonzero(sizes > 2)
+        wide = wide[0] if wide.size else len(sizes)
+        two = np.flatnonzero(sizes[:wide] == 2)
+        start = np.cumsum(sizes) - sizes
+        pairs = flat[start[two, None] + np.arange(2)]
+        r, c = snake_position(cols, np.arange(n, dtype=np.int64))
         far = np.flatnonzero(np.abs(np.diff(r[pairs]))
                              + np.abs(np.diff(c[pairs])) != 1)
         if far.size:
             (r1, r2), (c1, c2) = r[pairs[far[0]]].tolist(), \
                 c[pairs[far[0]]].tolist()
             raise ValueError(
-                f"gate {multi[far[0]]} acts on non-adjacent grid sites "
-                f"({r1},{c1})-({r2},{c2})"
+                f"gate {self.gates[two[far[0]]]} acts on non-adjacent grid "
+                f"sites ({r1},{c1})-({r2},{c2})"
             )
-        if wide < len(multi):
+        if wide < len(sizes):
             raise ValueError(f"planar circuit holds >2-qubit gate "
-                             f"{multi[wide]}")
+                             f"{self.gates[wide]}")
 
 
 @dataclass
@@ -216,10 +226,6 @@ class Statevector:
     n_qubits: int
     amplitudes: np.ndarray
     support: Optional[np.ndarray] = None
-
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> "Statevector":
-        return cls.basis_state(n_qubits, 0)
 
     @classmethod
     def basis_state(cls, n_qubits: int, bits) -> "Statevector":
@@ -515,7 +521,7 @@ def dumps_circuit(circuit: Circuit) -> str:
 
 
 def loads_circuit(text: str, n_qubits: int) -> Circuit:
-    circ = Circuit(n_qubits)
+    gates = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -536,9 +542,9 @@ def loads_circuit(text: str, n_qubits: int) -> Circuit:
                              f" angle: {line!r}")
         targets = tuple(int(x) for x in parts[1].split(","))
         angle = float(parts[2]) if angled else 0.0
-        circ.add(Gate(kind, targets, angle=angle, letters=letters,
-                      dagger=dagger))
-    return circ
+        gates.append(Gate(kind, targets, angle=angle, letters=letters,
+                          dagger=dagger))
+    return Circuit(n_qubits, gates)
 
 
 def dumps_state(state: Statevector) -> str:

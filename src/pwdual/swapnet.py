@@ -337,6 +337,5 @@ def lower_diagonal_layer(pair_phases: dict, schedule: SwapSchedule):
         if edge not in swap_gate:  # gates are immutable, so one per edge
             swap_gate[edge] = Gate("SWAP", edge)
         gates.append(swap_gate[edge])
-    circ = Circuit(n, connectivity=("planar", schedule.rows, schedule.cols))
-    circ.extend(gates)
-    return circ, final_labels.tolist()
+    return Circuit(n, gates, ("planar", schedule.rows, schedule.cols)), \
+        final_labels.tolist()

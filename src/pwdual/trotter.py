@@ -80,7 +80,7 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
         # exp(+i ang Z) = RZ(-2 ang)
         gates.append(Gate("RZ", (q,), angle=2.0 * ang))
     circ, final_labels = lower_diagonal_layer(pair_phases, schedule)
-    gates.extend(circ.gates)
+    gates += circ.gates
     # chain-adjacent qubits are lattice neighbors along the snake path
     gates.extend(Gate("SWAP", (i, i + 1))
                  for phase in transposition_phases(final_labels)
@@ -107,35 +107,26 @@ def split_operator_step(hs: HamiltonianSet, tau: float, order: int = 2,
     if hs.representation != DUAL:
         raise ValueError("split-operator steps need the dual representation")
     grid = hs.grid
-    planar = connectivity is not None
-    circ = Circuit(hs.n_qubits, connectivity=connectivity)
     ffft = build_ffft_nd(grid, connectivity=connectivity)
 
-    if planar:
+    if connectivity is not None:
         _, rows, cols = connectivity
         schedule = build_full_schedule(rows, cols)
         potential = lambda s: _planar_potential_gates(hs, s, schedule)
     else:
         potential = lambda s: _diagonal_potential_gates(hs, s)
 
-    def kinetic_block(s):
-        # exp(-iT s) = C^dag exp(-iT_diag s) C with C the mode rotation
-        return list(ffft.gates) + _kinetic_mode_gates(hs, s) \
-            + list(ffft.inverse().gates)
-
+    # exp(-iT tau) = C^dag exp(-iT_diag tau) C with C the mode rotation
+    kinetic = [*ffft.gates, *_kinetic_mode_gates(hs, tau),
+               *ffft.inverse().gates]
     if order == 2:
         half = potential(tau / 2.0)  # gates are immutable: emit it twice
-        circ.extend(half)
-        circ.extend(kinetic_block(tau))
-        circ.extend(half)
+        gates = half + kinetic + half
     elif order == 1:
-        circ.extend(potential(tau))
-        circ.extend(kinetic_block(tau))
+        gates = potential(tau) + kinetic
     else:
         raise ValueError("order must be 1 or 2")
-    if planar:
-        circ.check_connectivity()
-    return circ
+    return Circuit(hs.n_qubits, gates, connectivity)
 
 
 # -- direct Pauli-term stepping ------------------------------------------------
@@ -230,7 +221,6 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
     """
     n = n_qubits if n_qubits is not None else op.n_qubits()
     identity, z_terms, zz_terms, hop_terms = group_qubit_terms(op)
-    circ = Circuit(n)
 
     def factor_blocks(s):
         blocks = []
@@ -243,18 +233,13 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
             blocks.append(hopping_template_gates(p, q, coeff * s))
         return blocks
 
-    if identity:
-        circ.add(Gate("GPHASE", (0,), angle=-identity * tau))
+    gates = [Gate("GPHASE", (0,), angle=-identity * tau)] if identity else []
     if order == 2:
         blocks = factor_blocks(tau / 2.0)
-        for block in blocks:
-            circ.extend(block)
-        for block in reversed(blocks):
-            circ.extend(block)
+        blocks += blocks[::-1]
     else:
-        for block in factor_blocks(tau):
-            circ.extend(block)
-    return circ
+        blocks = factor_blocks(tau)
+    return Circuit(n, gates + [g for block in blocks for g in block])
 
 
 def number_blocks(n_qubits: int) -> list:
@@ -361,7 +346,4 @@ def trotter_circuit(hs: HamiltonianSet, config: TrotterConfig,
     else:
         step = direct_jw_step(build_qubit(hs), tau, order=config.order,
                               n_qubits=hs.n_qubits)
-    circ = Circuit(hs.n_qubits, connectivity=connectivity)
-    for _ in range(config.r):
-        circ.extend(step.gates)
-    return circ
+    return Circuit(hs.n_qubits, step.gates * config.r, connectivity)

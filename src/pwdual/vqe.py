@@ -168,23 +168,23 @@ class Ansatz:
         if len(values) != len(self.names):
             raise ValueError("parameter vector length mismatch")
         n = self.grid.n_qubits
-        circ = Circuit(n)
+        gates = []
         for site, pair, mode in self.layout:
             for q in range(n):
                 # exp(i theta Z)
-                circ.add(Gate("RZ", (q,), angle=-2.0 * values[site[q]]))
+                gates.append(Gate("RZ", (q,), angle=-2.0 * values[site[q]]))
             for (a, b), i in zip(self.pairs, pair):
                 theta = values[i]
                 if theta:
                     # exp(i theta ZZ)
-                    circ.add(Gate("PEXP", (a, b), angle=-theta,
-                                  letters="ZZ"))
+                    gates.append(Gate("PEXP", (a, b), angle=-theta,
+                                      letters="ZZ"))
             if not self.spec.minimal:
-                circ.extend(self.ffft_inverse.gates)
-                for q in range(n):
-                    circ.add(Gate("RZ", (q,), angle=-2.0 * values[mode[q]]))
-                circ.extend(self.ffft.gates)
-        return circ
+                gates += self.ffft_inverse.gates
+                gates += [Gate("RZ", (q,), angle=-2.0 * values[mode[q]])
+                          for q in range(n)]
+                gates += self.ffft.gates
+        return Circuit(n, gates)
 
 
 def build_ansatz_circuit(spec: AnsatzSpec, grid: ModeGrid,
@@ -228,7 +228,7 @@ def sector_transform(circuit: Circuit, rows: np.ndarray,
                   * len(cols) * eta ** 2,
                   f"<I|C|J> on {len(rows)} x {len(cols)} {eta}-electron "
                   f"states")
-    a = single_particle_transform(circuit, n).conj()
+    a = single_particle_transform(circuit).conj()
     vacuum = np.prod([g.matrix()[0, 0] for g in circuit.gates])
     occupied, occupied_cols = _occupied(rows, n), _occupied(cols, n)
     out = np.empty((len(rows), len(cols)), dtype=complex)

@@ -61,12 +61,11 @@ def past_limit_cases():
         return lambda: SectorModel(Ansatz(AnsatzSpec(), hs.grid), hs, 8)
 
     def circuit_13():
-        circ = Circuit(13)
-        circ.add(Gate("H", (0,)))
+        circ = Circuit(13, [Gate("H", (0,))])
         return lambda: circuit_matrix(circ)
 
     def evolve_15():
-        state = Statevector.zero_state(15)
+        state = Statevector.basis_state(15, 0)
         return lambda: exact_evolve(QubitOperator({((0, "Z"),): 1.0}), 0.1,
                                     state)
 
@@ -166,10 +165,9 @@ def small_cases():
         return lambda: circuit_matrix(circ)
 
     def wide_gate_8():
-        circ = Circuit(8)
-        circ.extend([Gate("H", (q,)) for q in range(8)])
-        circ.add(Gate("PEXP", tuple(range(8)), angle=0.3,
-                      letters="XZZZZZZY"))
+        circ = Circuit(8, [*(Gate("H", (q,)) for q in range(8)),
+                           Gate("PEXP", tuple(range(8)), angle=0.3,
+                                letters="XZZZZZZY")])
         return lambda: circuit_matrix(circ)
 
     def evolve_8():

@@ -35,18 +35,14 @@ def dft_matrix(m):
 
 class TestButterfly:
     def test_k0_is_ladder_hadamard(self):
-        circ = Circuit(2)
-        circ.add(fk_gate(0, 2, 0, 1))
-        u = circuit_matrix(circ)
+        u = circuit_matrix(Circuit(2, [fk_gate(0, 2, 0, 1)]))
         adag_p = fermion_matrix(FermionOperator.raising(0), 2)
         adag_q = fermion_matrix(FermionOperator.raising(1), 2)
         assert np.allclose(u.conj().T @ adag_p @ u,
                            (adag_p + adag_q) / np.sqrt(2))
 
     def test_k0_vacuum_up_to_phase(self):
-        circ = Circuit(2)
-        circ.add(fk_gate(0, 2, 0, 1))
-        u = circuit_matrix(circ)
+        u = circuit_matrix(Circuit(2, [fk_gate(0, 2, 0, 1)]))
         vac = np.zeros(4)
         vac[0] = 1.0
         out = u @ vac
@@ -54,9 +50,7 @@ class TestButterfly:
 
     def test_half_period_twiddle_is_minus_one(self):
         m = 8
-        circ = Circuit(2)
-        circ.add(fk_gate(m // 2, m, 0, 1))
-        u = circuit_matrix(circ)
+        u = circuit_matrix(Circuit(2, [fk_gate(m // 2, m, 0, 1)]))
         adag_p = fermion_matrix(FermionOperator.raising(0), 2)
         adag_q = fermion_matrix(FermionOperator.raising(1), 2)
         assert np.allclose(u.conj().T @ adag_p @ u,
@@ -70,7 +64,7 @@ class TestOneDimensional:
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_single_particle_matrix_is_dft(self, m):
-        w = single_particle_transform(build_ffft_1d(m), m)
+        w = single_particle_transform(build_ffft_1d(m))
         assert np.max(np.abs(w - dft_matrix(m))) < 1e-12
 
     def test_m4_full_conjugation(self):
@@ -91,12 +85,17 @@ class TestOneDimensional:
     def test_gate_count_and_depth_scaling(self):
         for m in (2, 4, 8, 16):
             circ = build_ffft_1d(m)
-            assert circ.gate_count() <= 3 * m * m * max(np.log2(m), 1)
+            assert len(circ.gates) <= 3 * m * m * max(np.log2(m), 1)
             assert circ.depth() <= 3 * m * max(np.log2(m), 1)
 
     def test_planar_legality(self):
         circ = build_ffft_1d(8, connectivity=("planar", 2, 4))
         circ.check_connectivity()
+
+    def test_planar_lattice_must_hold_every_qubit(self):
+        grid = build_grid(1, 16, 16.0)
+        with pytest.raises(ValueError, match="2x2 has 4 sites, not 16"):
+            build_ffft_nd(grid, connectivity=("planar", 2, 2))
 
 
 class TestMultiDimensional:
@@ -130,7 +129,7 @@ class TestMultiDimensional:
                                                             spinful):
         grid = build_grid(d, m, 2.0 ** d, spinful=spinful)
         circ = build_ffft_nd(grid)
-        w = single_particle_transform(circ, grid.n_qubits)
+        w = single_particle_transform(circ)
         ref = reference_single_particle_transform(circ, grid.n_qubits)
         assert np.max(np.abs(w - ref)) < 1e-14
         assert np.max(np.abs(w @ w.conj().T - np.eye(grid.n_qubits))) \
@@ -163,7 +162,7 @@ class TestSingleParticleTransform:
     def test_unitary_and_spin_blocked(self, cell):
         d, m, spinful = cell
         grid = build_grid(d, m, 2.0 ** d, spinful=spinful)
-        w = single_particle_transform(build_ffft_nd(grid), grid.n_qubits)
+        w = single_particle_transform(build_ffft_nd(grid))
         assert np.max(np.abs(w @ w.conj().T - np.eye(grid.n_qubits))) \
             < 1e-13
         if spinful:
@@ -176,7 +175,7 @@ class TestSingleParticleTransform:
         circ = build_ffft_nd(grid)
         tracemalloc.start()
         try:
-            w = single_particle_transform(circ, grid.n_qubits)
+            w = single_particle_transform(circ)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,10 +197,8 @@ class TestSingleParticleTransform:
         Gate("FSWAP", (0, 2)),
     ])
     def test_rejects_other_gates(self, gate):
-        circ = Circuit(3)
-        circ.add(gate)
         with pytest.raises(ValueError, match=gate.kind):
-            single_particle_transform(circ, 3)
+            single_particle_transform(Circuit(3, [gate]))
 
 
 class TestKineticDiagonalization:
@@ -235,10 +232,10 @@ class TestStageListing:
         from pwdual.ffft import stage_listing
         circ = build_ffft_1d(4)
         listing = stage_listing(circ)
-        assert listing["gate_count"] == circ.gate_count()
+        assert listing["gate_count"] == len(circ.gates)
         assert listing["depth"] == circ.depth()
         total = sum(stage["gates"] for stage in listing["stages"])
-        assert total == circ.gate_count()
+        assert total == len(circ.gates)
         kinds = {stage["stage"] for stage in listing["stages"]}
         assert kinds == {"swap_sort", "butterfly"}
         for stage in listing["stages"]:

@@ -165,11 +165,10 @@ def test_sample_bitstrings_rows():
     that leaves the sector."""
     from pwdual.statevector import Circuit, Gate, Statevector, \
         apply_circuit, sample_bitstrings
-    spread = Circuit(10)
-    for layer in range(4):
-        for q in range(layer % 2, 9, 2):
-            spread.add(Gate("FK", (q, q + 1), angle=0.3 * q + layer))
-            spread.add(Gate("CPHASE", (q, q + 1), angle=0.7 + q))
+    spread = Circuit(10, [
+        gate for layer in range(4) for q in range(layer % 2, 9, 2)
+        for gate in (Gate("FK", (q, q + 1), angle=0.3 * q + layer),
+                     Gate("CPHASE", (q, q + 1), angle=0.7 + q))])
     state = apply_circuit(Statevector.basis_state(10, 0b0010010001), spread)
     rotation = Circuit(10, [Gate("H", (2,)),
                             Gate("PEXP", (5,), angle=0.25, letters="X")])

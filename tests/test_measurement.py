@@ -207,12 +207,13 @@ def reference_per_term(state, op, shots, seed):
     for counter, (key, coeff) in enumerate(op.items()):
         if key == ():
             continue
-        rot = Circuit(state.n_qubits)
+        rot = []
         for q, letter in key:
             if letter == "X":
-                rot.add(Gate("H", (q,)))
+                rot.append(Gate("H", (q,)))
             elif letter == "Y":
-                rot.add(Gate("PEXP", (q,), angle=math.pi / 4, letters="X"))
+                rot.append(Gate("PEXP", (q,), angle=math.pi / 4, letters="X"))
+        rot = Circuit(state.n_qubits, rot)
         samples = sample_bitstrings(state, basis_rotation=rot, shots=shots,
                                     seed=_batch_seed(seed, counter))
         out.append(coeff.real * _pauli_term_values(key, samples))

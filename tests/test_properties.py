@@ -99,7 +99,8 @@ def test_malformed_gate_rejected(kind, targets, letters):
 @pytest.mark.parametrize("line", ["FOO 0", "CNOT 1", "PEXP:ZZ 0 0.1",
                                   "H 0,1", "H", "H 0 1 2", "H 0 0.5",
                                   "FSWAP 0,1 0.5", "RZ 0", "FK 0,1",
-                                  "PEXP:X 0", "GPHASE 0"])
+                                  "PEXP:X 0", "GPHASE 0", "H 5\n",
+                                  "H 99999999999999999999"])
 def test_malformed_circuit_text_rejected(line):
     with pytest.raises(ValueError):
         loads_circuit(line, 2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +28,7 @@ def kron_embed(mat2q, t0, t1, n):
 
 class TestGateApplication:
     def test_rz_phase_convention(self):
-        state = Statevector.zero_state(1)
+        state = Statevector.basis_state(1, 0)
         out = apply_gate(state, Gate("RZ", (0,), angle=0.7))
         assert out.amplitudes[0] == pytest.approx(np.exp(-0.35j))
 
@@ -39,7 +41,7 @@ class TestGateApplication:
             assert out.amplitudes[expect_idx] == pytest.approx(sign)
 
     def test_pauliexp_zz(self):
-        state = Statevector.zero_state(2)
+        state = Statevector.basis_state(2, 0)
         out = apply_gate(state, Gate("PEXP", (0, 1), angle=0.3, letters="ZZ"))
         assert out.amplitudes[0] == pytest.approx(np.exp(-0.3j))
 
@@ -47,7 +49,7 @@ class TestGateApplication:
         state = Statevector.basis_state(2, (0, 1))
         out = apply_gate(state, Gate("PHASEN", (1,), angle=0.9))
         assert out.amplitudes[2] == pytest.approx(np.exp(0.9j))
-        out0 = apply_gate(Statevector.zero_state(2), Gate("PHASEN", (1,), angle=0.9))
+        out0 = apply_gate(Statevector.basis_state(2, 0), Gate("PHASEN", (1,), angle=0.9))
         assert out0.amplitudes[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("kind,angle", [
@@ -92,25 +94,26 @@ class TestGateApplication:
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_gate(Statevector.zero_state(1), Gate("H", (1,)))
+            apply_gate(Statevector.basis_state(1, 0), Gate("H", (1,)))
 
 
 class TestUnitarity:
     def test_norm_drift_over_random_gates(self):
         rng = np.random.default_rng(42)
         n = 10
-        state = Statevector.zero_state(n)
+        state = Statevector.basis_state(n, 0)
         kinds = ["H", "X", "RZ", "CNOT", "CZ", "FSWAP", "FK", "PHASEN",
                  "FSWAP_POW", "CPHASE"]
-        circ = Circuit(n)
+        gates = []
         for _ in range(1000):
             kind = kinds[rng.integers(len(kinds))]
             if kind in ("H", "X", "RZ", "PHASEN"):
                 targets = (int(rng.integers(n)),)
             else:
                 targets = tuple(rng.choice(n, size=2, replace=False).tolist())
-            circ.add(Gate(kind, targets, angle=float(rng.uniform(0, 2 * np.pi))))
-        out = apply_circuit(state, circ)
+            gates.append(Gate(kind, targets,
+                              angle=float(rng.uniform(0, 2 * np.pi))))
+        out = apply_circuit(state, Circuit(n, gates))
         assert abs(out.norm() - 1.0) < 1e-10
 
 
@@ -161,7 +164,7 @@ class TestExactEvolve:
 class TestExpectation:
     def test_z_on_zero(self):
         z = QubitOperator({((0, "Z"),): 1.0})
-        assert expectation(Statevector.zero_state(1), z) == pytest.approx(1.0)
+        assert expectation(Statevector.basis_state(1, 0), z) == pytest.approx(1.0)
 
     def test_z_on_plus(self):
         z = QubitOperator({((0, "Z"),): 1.0})
@@ -171,7 +174,7 @@ class TestExpectation:
     def test_rejects_non_hermitian(self):
         bad = QubitOperator({((0, "Z"),): 1j})
         with pytest.raises(ValueError):
-            expectation(Statevector.zero_state(1), bad)
+            expectation(Statevector.basis_state(1, 0), bad)
 
     def test_matches_matrix_path(self):
         rng = np.random.default_rng(8)
@@ -191,7 +194,7 @@ class TestExpectation:
 
 class TestSampling:
     def test_zero_state_all_zero(self):
-        out = sample_bitstrings(Statevector.zero_state(3), shots=100, seed=4)
+        out = sample_bitstrings(Statevector.basis_state(3, 0), shots=100, seed=4)
         assert np.all(out == 0)
 
     def test_plus_state_frequencies(self):
@@ -209,15 +212,14 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_rotation_circuit(self):
-        circ = Circuit(1)
-        circ.add(Gate("H", (0,)))
-        out = sample_bitstrings(Statevector.zero_state(1),
+        circ = Circuit(1, [Gate("H", (0,))])
+        out = sample_bitstrings(Statevector.basis_state(1, 0),
                                 basis_rotation=circ, shots=200, seed=3)
         assert 0 < np.mean(out) < 1
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample_bitstrings(Statevector.zero_state(1), shots=0)
+            sample_bitstrings(Statevector.basis_state(1, 0), shots=0)
 
     @pytest.mark.parametrize("amps", [[0.5, np.nan, 0.5, 0.5],
                                       [0.5, np.inf, 0.5, 0.5], [0, 0, 0, 0]])
@@ -247,56 +249,70 @@ class TestSampling:
 
 class TestDepthAndConnectivity:
     def test_greedy_depth(self):
-        circ = Circuit(3)
-        circ.add(Gate("H", (0,)))
-        circ.add(Gate("H", (1,)))
-        circ.add(Gate("CNOT", (0, 1)))
-        circ.add(Gate("H", (2,)))
+        circ = Circuit(3, [Gate("H", (0,)), Gate("H", (1,)),
+                           Gate("CNOT", (0, 1)), Gate("H", (2,))])
         assert circ.depth() == 2
 
+    def test_circuit_is_immutable(self):
+        circ = Circuit(2, [Gate("H", (0,))])
+        assert circ.gates == (Gate("H", (0,)),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circ.gates = ()
+
+    @pytest.mark.parametrize("gate,target", [(Gate("CZ", (0, 3)), 3),
+                                             (Gate("H", (-1,)), -1)])
+    def test_target_outside_register_rejected(self, gate, target):
+        with pytest.raises(ValueError,
+                           match=f"^target {target} outside 2 qubits$"):
+            Circuit(2, [Gate("H", (1,)), gate])
+
+    def test_unknown_connectivity_rejected(self):
+        with pytest.raises(ValueError, match="'ring'"):
+            Circuit(6, [Gate("H", (0,))], ("ring", 2, 3))
+
+    def test_lattice_must_hold_every_qubit(self):
+        with pytest.raises(ValueError, match="2x3 has 6 sites, not 8 qubits"):
+            Circuit(8, [Gate("H", (0,))], ("planar", 2, 3))
+
     def test_planar_check(self):
-        circ = Circuit(4, connectivity=("planar", 2, 2))
-        circ.add(Gate("CNOT", (0, 1)))   # chain neighbors, always grid adjacent
+        # chain neighbors, always grid adjacent
+        circ = Circuit(4, [Gate("CNOT", (0, 1))], ("planar", 2, 2))
         circ.check_connectivity()
-        bad = Circuit(4, connectivity=("planar", 2, 2))
-        bad.add(Gate("CNOT", (0, 2)))  # diagonal of the 2x2
-        with pytest.raises(ValueError):
-            bad.check_connectivity()
+        with pytest.raises(ValueError) as err:
+            # diagonal of the 2x2
+            Circuit(4, [Gate("CNOT", (0, 2))], ("planar", 2, 2))
+        assert str(err.value) == (
+            f"gate {Gate('CNOT', (0, 2))} acts on non-adjacent grid sites "
+            f"(0,0)-(1,1)")
 
     def test_planar_check_rejects_three_qubit_gate(self):
-        circ = Circuit(4, connectivity=("planar", 2, 2))
-        circ.add(Gate("PEXP", (0, 1, 2), angle=0.3, letters="ZZZ"))
         with pytest.raises(ValueError, match=">2-qubit gate"):
-            circ.check_connectivity()
+            Circuit(4, [Gate("PEXP", (0, 1, 2), angle=0.3, letters="ZZZ")],
+                    ("planar", 2, 2))
 
     def test_planar_check_names_first_offender(self):
-        circ = Circuit(16, connectivity=("planar", 4, 4))
-        for i in range(10000):
-            circ.add(Gate("SWAP", (i % 15, i % 15 + 1)))
+        gates = [Gate("SWAP", (i % 15, i % 15 + 1)) for i in range(10000)]
         # qubits 0 and 5: (0, 0) and (1, 2) on the 4 x 4 snake
-        circ.add(Gate("CZ", (0, 5)))
-        circ.add(Gate("PEXP", (0, 1, 2), angle=0.3, letters="ZZZ"))
+        gates.append(Gate("CZ", (0, 5)))
+        gates.append(Gate("PEXP", (0, 1, 2), angle=0.3, letters="ZZZ"))
         with pytest.raises(ValueError) as err:
-            circ.check_connectivity()
+            Circuit(16, gates, ("planar", 4, 4))
         assert str(err.value) == (
             f"gate {Gate('CZ', (0, 5))} acts on non-adjacent grid sites "
             f"(0,0)-(1,2)")
 
     def test_boustrophedon_chain_is_grid_adjacent(self):
-        circ = Circuit(16, connectivity=("planar", 4, 4))
-        for q in range(15):
-            circ.add(Gate("SWAP", (q, q + 1)))
+        circ = Circuit(16, [Gate("SWAP", (q, q + 1)) for q in range(15)],
+                       ("planar", 4, 4))
         circ.check_connectivity()
 
 
 class TestRoundTrips:
     def test_circuit_text(self):
-        circ = Circuit(4)
-        circ.add(Gate("H", (2,)))
-        circ.add(Gate("CNOT", (0, 3)))
-        circ.add(Gate("RZ", (1,), angle=1.0 / 3.0))
-        circ.add(Gate("FK", (0, 1), angle=np.pi / 2, dagger=True))
-        circ.add(Gate("PEXP", (1, 3), angle=0.125, letters="ZY"))
+        circ = Circuit(4, [Gate("H", (2,)), Gate("CNOT", (0, 3)),
+                           Gate("RZ", (1,), angle=1.0 / 3.0),
+                           Gate("FK", (0, 1), angle=np.pi / 2, dagger=True),
+                           Gate("PEXP", (1, 3), angle=0.125, letters="ZY")])
         text = dumps_circuit(circ)
         back = loads_circuit(text, 4)
         assert dumps_circuit(back) == text
@@ -326,9 +342,7 @@ def test_fk_defining_conjugation():
     from pwdual.fermion import FermionOperator, fermion_matrix
     for m, k in [(2, 0), (4, 1), (4, 2), (8, 3)]:
         gate = fk_gate(k, m, 0, 1)
-        circ = Circuit(2)
-        circ.add(gate)
-        u = circuit_matrix(circ)
+        u = circuit_matrix(Circuit(2, [gate]))
         adag_p = fermion_matrix(FermionOperator.raising(0), 2)
         adag_q = fermion_matrix(FermionOperator.raising(1), 2)
         phase = np.exp(-2j * np.pi * k / m)

@@ -243,3 +243,31 @@ def test_snake_scan_sees_names_and_attributes():
         "e = cols - 2 - c\n"
         "f = np.where(r % 2 == 0, c, cols - 1 - c)\n")
     assert snake_reversals(tree) == [1, 3, 5]
+
+
+def connectivity_checks(tree):
+    """Lines of each call of a function or method named
+    ``check_connectivity``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "check_connectivity"]
+
+
+def test_circuits_validate_themselves():
+    """A Circuit checks its targets and lattice when it is made, so no
+    builder outside statevector.py calls ``check_connectivity``."""
+    found = {path.name: connectivity_checks(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    assert len(found.pop("statevector.py")) == 1  # Circuit.__post_init__
+    assert not any(found.values()), f"hand-placed checks: {found}"
+
+
+def test_connectivity_scan_sees_methods_and_names():
+    tree = ast.parse(
+        "circ.check_connectivity()\n"
+        "check_connectivity(circ)\n"
+        "self.step.check_connectivity()\n"
+        "check = circ.check_connectivity\n"
+        "circ.check_targets()\n")
+    assert connectivity_checks(tree) == [1, 2, 3]

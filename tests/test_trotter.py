@@ -110,8 +110,7 @@ class TestDirectJwStep:
         hx = string_matrix(((p, "X"), (1, "Z"), (2, "Z"), (q, "X")), 4)
         hy = string_matrix(((p, "Y"), (1, "Z"), (2, "Z"), (q, "Y")), 4)
         target = scipy.linalg.expm(-1j * theta * (hx + hy))
-        circ = Circuit(4)
-        circ.extend(hopping_template_gates(p, q, theta))
+        circ = Circuit(4, hopping_template_gates(p, q, theta))
         assert np.max(np.abs(circuit_matrix(circ) - target)) < 1e-10
 
     def test_matches_ordered_exponential(self):
@@ -226,8 +225,8 @@ class TestErrorScaling:
 
         def step_fn(tau):
             circ = split_operator_step(hs, tau)
-            circ.add(Gate("H", (0,)))
-            return circuit_matrix(circ)
+            return circuit_matrix(Circuit(circ.n_qubits,
+                                          [*circ.gates, Gate("H", (0,))]))
 
         with pytest.raises(ValueError, match="leak"):
             measure_error_scaling(step_fn, exact, [2, 4], 1.0)
