@@ -176,3 +176,38 @@ def test_sample_bitstrings_rows():
             sample_bitstrings(state, rotation, shots=300, seed=[1, 2, 3])]
     assert sha(json.dumps([r.tolist() for r in rows])) == \
         "42d2b1f8314526b891ce34ccb95132f5c1af6c4cfaebc71fe1a1048413fc606a"
+
+
+# the construct benchmark's cube: 3D M=4 (64 qubits) with one nucleus
+CELL_CUBE64 = ("system.dimension=3", "system.modes_per_axis=4",
+               "system.volume=64.0", "system.nuclei=[[[1.3, 2.7, 0.4], 1.0]]")
+
+
+@pytest.mark.parametrize("command,artifact,result_digest,artifact_digest", [
+    ("build", "hamiltonian_dual.txt",
+     "294079b94cc6e138c7ac4685d0c9526aaa0ca8772f99257a9f9950436ea34a88",
+     "b0195ad127fdbb6892627776ae91aa66abcd9e4a65bb9d7fe89d09c3b43e5e45"),
+    ("lcu-check", "lcu_weights.csv",
+     "ac91f85060f0b817a6212a7e707beb9e75e2ebf3a8132bd1e766c49295f89fae",
+     "bb74a97bddcb5c56b332ee44714f3e687c704bb338653025bf8cd15b5420e5df"),
+])
+def test_cube64_outputs(tmp_path, command, artifact, result_digest,
+                        artifact_digest):
+    args = [command, "--out", str(tmp_path), "--set", "seed=1"]
+    for item in CELL_CUBE64:
+        args += ["--set", item]
+    assert main(args) == 0
+    report = command.split("-")[0] + "_report.json"
+    doc = json.loads((tmp_path / report).read_text())
+    assert sha(json.dumps(doc["result"], sort_keys=True)) == result_digest
+    assert sha((tmp_path / artifact).read_text()) == artifact_digest
+
+
+def test_qubit_hamiltonian_at_128_qubits():
+    """Keys, insertion order and coefficient reprs (signed zeros included)
+    of the 2D M=8 spinful compile."""
+    hs = build_dual(build_grid(2, 8, 64.0, True))
+    op = build_qubit(hs)
+    assert len(op.terms) == 10049
+    assert sha(repr(list(op.terms.items()))) == \
+        "d02008b8acace7da68366629716ddc74a404e815f3e27ee96b79493eca4a27e9"
