@@ -392,10 +392,9 @@ def cmd_lcu_check(run: Run) -> dict:
                                    - qub.terms.get(key, 0)))
         prep = prepare_state(model)
         lam = model.lam
-        width = model.index_width
-        prep_err = float(max(
-            abs(abs(prep.amplitudes[idx.encode(width)]) ** 2 - abs(w) / lam)
-            for idx, w in model.weights.items()))
+        indices, weights = model.selection_table()
+        prep_err = float(np.max(np.abs(
+            np.abs(prep.amplitudes[indices]) ** 2 - np.abs(weights) / lam)))
         bounds = norm_bounds(hs, run.eta)
         failures = []
         if worst > 1e-12:

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse
 
 from .pauli import QubitOperator, TermSum, PRUNE_TOL, HERMITIAN_TOL, \
-    _product, require_bytes
+    _I_POWER_ARRAY, _mask_product, _pack, _sum_equal, _times, _words, \
+    require_bytes
 
 RAISE = 1
 LOWER = 0
@@ -132,19 +133,63 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
     """Encode ladder operators as Pauli strings with Z parity chains.
 
     a+_p -> (X_p - iY_p)/2 * Z_{p-1} ... Z_0 ; lowering takes the +i sign.
+
+    The terms of one length form one batch of mask arrays, and each ladder
+    factor multiplies every string of the batch at once: each string times
+    the X half, then times the Y half. After each factor the equal strings
+    of one term are summed into zeros in the order the products first reach
+    them. The terms' totals are then summed into the output in term order,
+    so every key, its insertion order and every coefficient bit match a
+    term-by-term, factor-by-factor scalar product.
     """
-    out = {}
-    for key, coeff in op.terms.items():
-        factor = {(0, 0): complex(coeff)}
-        for q, flag in key:
-            if q >= n_qubits:
-                raise ValueError(f"orbital {q} outside register of {n_qubits}")
-            bit, chain = 1 << q, (1 << q) - 1
-            factor = _product(factor.items(), (
-                ((bit, chain), _HALF_X), ((bit, chain | bit), _HALF_Y[flag])))
-        for k, c in factor.items():
-            out[k] = out.get(k, 0.0) + c
-    return QubitOperator._from_masks(out).simplify()
+    keys = list(op.terms)
+    if not keys:
+        return QubitOperator()
+    coeffs = np.fromiter(op.terms.values(), dtype=complex, count=len(keys))
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    factors = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(keys)), dtype=np.int64,
+        count=2 * int(sizes.sum())).reshape(-1, 2)
+    orbitals, flags = factors[:, 0], factors[:, 1]
+    outside = (orbitals < 0) | (orbitals >= n_qubits)
+    if outside.any():
+        raise ValueError(f"orbital {orbitals[outside.argmax()]} outside "
+                         f"register of {n_qubits}")
+    words = _words(n_qubits)
+    bits = _pack(np.eye(n_qubits, 64 * words, dtype=np.uint8))
+    chains = _pack(np.tri(n_qubits, 64 * words, -1, dtype=np.uint8))
+    # the X half, then the Y half of a raising or of a lowering factor
+    halves = np.array([_HALF_X, _HALF_Y[RAISE], _HALF_Y[LOWER]])
+    starts = np.cumsum(sizes) - sizes
+    pieces = []
+    for size in np.unique(sizes).tolist():
+        terms = np.flatnonzero(sizes == size)
+        row = np.arange(len(terms))  # the term of each string, in the batch
+        x = z = np.zeros((len(terms), words), dtype=np.uint64)
+        values = coeffs[terms]
+        for j in range(size):
+            at = starts[terms[row]] + j  # the factor each string meets
+            q = orbitals[at]
+            # each string times the X half, then times the Y half
+            half_x = np.repeat(bits[q], 2, axis=0)
+            half_z = np.stack([chains[q], chains[q] | bits[q]],
+                              axis=1).reshape(half_x.shape)
+            half = np.stack([np.zeros_like(q),
+                             np.where(flags[at] == RAISE, 1, 2)], axis=1)
+            x, z, k = _mask_product(np.repeat(x, 2, axis=0),
+                                    np.repeat(z, 2, axis=0), half_x, half_z)
+            values = _times(_times(np.repeat(values, 2), halves[half.ravel()]),
+                            _I_POWER_ARRAY[k])
+            row = np.repeat(row, 2)
+            first, values = _sum_equal(
+                np.column_stack([row.astype(np.uint64), x, z]), values)
+            row, x, z = row[first], x[first], z[first]
+        pieces.append((terms[row], x, z, values))
+    term, x, z, values = (np.concatenate(part) for part in zip(*pieces))
+    order = np.argsort(term, kind="stable")
+    x, z = x[order], z[order]
+    first, sums = _sum_equal(np.hstack([x, z]), values[order])
+    return QubitOperator._from_masks(x[first], z[first], sums).simplify()
 
 
 # -- occupation-basis matrices (independent of the Pauli path) --------------

@@ -20,8 +20,11 @@ their sign inside the selection unitary, which stays self-inverse.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +38,19 @@ from .statevector import Statevector, evolve_bytes, exact_evolve
 SEGMENT_LIMIT = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class TermIndex:
+def _encode(p, q, b, width: int):
+    """Selection-register basis index: |p>|q>|b> with b the low bit; the
+    indices may be ints or integer arrays."""
+    return (p << (width + 1)) | (q << 1) | b
+
+
+class TermIndex(NamedTuple):
     p: int
     q: int
     b: int
 
     def encode(self, width: int) -> int:
-        """Selection-register basis index: |p>|q>|b> with b the low bit."""
-        return (self.p << (width + 1)) | (self.q << 1) | self.b
+        return _encode(self.p, self.q, self.b, width)
 
 
 @dataclass
@@ -68,21 +75,36 @@ class LcuModel:
     def lam(self) -> float:
         return sum(abs(w) for w in self.weights.values())
 
+    def selection_table(self):
+        """(encoded selection index, signed weight) arrays, one entry per
+        weight in table order."""
+        indices = np.fromiter(itertools.chain.from_iterable(self.weights),
+                              dtype=np.int64, count=3 * len(self.weights))
+        p, q, b = indices.reshape(-1, 3).T
+        weights = np.fromiter(self.weights.values(), dtype=float,
+                              count=len(self.weights))
+        return _encode(p, q, b, self.index_width), weights
+
+    @functools.cached_property
+    def _z_pairs(self) -> tuple:
+        """(s, "Z") for every system qubit s; branch strings slice it."""
+        return tuple((s, "Z") for s in range(self.n_system))
+
     def term_string(self, idx: TermIndex):
         """(sign, Pauli string) applied by the selection branch ``idx``;
         the empty string is the identity no-op."""
-        p, q, b = idx.p, idx.q, idx.b
+        p, q, b = idx
         sign = 1 if self.weights.get(idx, 1.0) >= 0 else -1
+        z = self._z_pairs
         if p == q:
-            return sign, ((p, "Z"),)
+            return sign, z[p:p + 1]
+        lo, hi = (q, p) if p > q else (p, q)
         if b == 0:
-            return sign, tuple(sorted(((p, "Z"), (q, "Z"))))
+            return sign, (z[lo], z[hi])
         if not self.grid.same_spin(p, q):
             return 1, ()
-        lo, hi = min(p, q), max(p, q)
         end = "X" if p > q else "Y"
-        middle = tuple((s, "Z") for s in range(lo + 1, hi))
-        return sign, ((lo, end),) + middle + ((hi, end),)
+        return sign, ((lo, end),) + z[lo + 1:hi] + ((hi, end),)
 
     def reconstruction(self) -> QubitOperator:
         """Signed weighted sum over every branch, identity no-ops included."""
@@ -162,10 +184,9 @@ def prepare_state(model: LcuModel) -> Statevector:
     lam = model.lam
     if lam <= 0:
         raise ValueError("cannot prepare a zero-weight table")
-    width = model.index_width
+    indices, weights = model.selection_table()
     amps = np.zeros(2 ** model.selection_width, dtype=complex)
-    for idx, w in model.weights.items():
-        amps[idx.encode(width)] = math.sqrt(abs(w) / lam)
+    amps[indices] = np.sqrt(np.abs(weights) / lam)
     return Statevector(model.selection_width, amps)
 
 
@@ -231,6 +252,9 @@ def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
 def dump_weights(model: LcuModel) -> str:
     """CSV weight table: p, q, b, W with Lambda in the header."""
     lines = [f"# lambda,{fmt(model.lam)}", "p,q,b,w"]
-    for idx in sorted(model.weights, key=lambda i: (i.p, i.q, i.b)):
-        lines.append(f"{idx.p},{idx.q},{idx.b},{fmt(model.weights[idx])}")
+    items = list(model.weights.items())
+    # encoded indices sort as (p, q, b) does
+    for i in np.argsort(model.selection_table()[0]).tolist():
+        (p, q, b), w = items[i]
+        lines.append(f"{p},{q},{b},{fmt(w)}")
     return "\n".join(lines) + "\n"

@@ -5,9 +5,21 @@ A PauliString is a sorted tuple of (qubit, letter) pairs with letter in
 QubitOperator is a TermSum, a dict from PauliString to complex coefficient
 with deterministic iteration order; fermion.FermionOperator shares the
 same base.
+
+Strings are multiplied in batches by one array kernel, ``_mask_product``:
+each string is a pair of (x, z) masks held as rows of (rows, words) uint64
+arrays, and each row gives its product string and phase. ``_sum_equal``
+then sums equal strings into zeros, each in row order, with keys in the
+order the rows first reach them. Rows are laid out as the scalar loop
+visits them (left term outer, right term inner), so products, the
+Jordan-Wigner compile (``fermion.jordan_wigner``) and ``multiply_strings``
+give the keys, insertion order and coefficient bits of that loop.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -31,13 +43,19 @@ def require_bytes(nbytes: int, what: str):
             f"DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT} bytes")
 
 
-# Inside products a string is a pair of int masks (x, z): bit q of x flips
-# qubit q, bit q of z phases it, and a qubit with both bits is Y = iXZ.
+# Inside products a string is a pair of masks (x, z): bit q of x flips
+# qubit q, bit q of z phases it, and a qubit with both bits is Y = iXZ. A
+# batch of strings keeps each mask as a (rows, words) uint64 array, qubit q
+# at bit q % 64 of word q // 64, with words = ceil(n / 64): one code path
+# for every register size.
 _LETTERS = "IZXY"  # indexed by 2 * x bit + z bit
+_CODES = {"Z": 1, "X": 2, "Y": 3}
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POWER_ARRAY = np.array(_I_POWERS)
 
 
 def _masks(key: tuple) -> tuple:
+    """The (x, z) masks of one string as Python ints, for dense indexing."""
     x = z = 0
     for q, letter in key:
         x |= (letter != "Z") << q
@@ -45,30 +63,97 @@ def _masks(key: tuple) -> tuple:
     return x, z
 
 
-def _string(x: int, z: int) -> tuple:
-    key, support = [], x | z
-    while support:
-        q = (support & -support).bit_length() - 1
-        key.append((q, _LETTERS[2 * (x >> q & 1) + (z >> q & 1)]))
-        support &= support - 1
-    return tuple(key)
+def _words(n_qubits: int) -> int:
+    return max(1, -(-n_qubits // 64))
 
 
-def _product(left, right) -> dict:
-    """Product of two sums of ((x, z), coeff) pairs, keyed by masks in the
-    order the pairs first reach each key.
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(rows, 64 * words) 0/1 uint8 array -> (rows, words) uint64 masks."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
-    With P(x, z) = i^|x&z| X^x Z^z, P(x1, z1) P(x2, z2) = i^e P(x3, z3)
-    where x3 = x1 ^ x2, z3 = z1 ^ z2 and e = |x1&z1| + |x2&z2| - |x3&z3|
-    + 2|z1&x2| (Aaronson and Gottesman, quant-ph/0406196)."""
-    acc = {}
-    for (x1, z1), ca in left:
-        for (x2, z2), cb in right:
-            x3, z3 = x1 ^ x2, z1 ^ z2
-            e = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
-                 - (x3 & z3).bit_count() + 2 * (z1 & x2).bit_count())
-            acc[x3, z3] = acc.get((x3, z3), 0.0) + ca * cb * _I_POWERS[e & 3]
-    return acc
+
+def _unpack(masks: np.ndarray) -> np.ndarray:
+    """(rows, words) uint64 masks -> (rows, 64 * words) 0/1 uint8 array."""
+    raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little")
+
+
+def _mask_arrays(keys: list, n_qubits: int) -> tuple:
+    """(x, z) mask arrays of a list of strings on ``n_qubits`` qubits."""
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    pairs = list(itertools.chain.from_iterable(keys))
+    qubits = np.fromiter((q for q, _ in pairs), dtype=np.intp,
+                         count=len(pairs))
+    if qubits.size and qubits.min() < 0:
+        raise ValueError(f"negative qubit {qubits.min()} in Pauli string")
+    codes = np.zeros((len(keys), 64 * _words(n_qubits)), dtype=np.uint8)
+    codes[np.repeat(np.arange(len(keys)), sizes), qubits] = np.fromiter(
+        (_CODES[letter] for _, letter in pairs), dtype=np.uint8,
+        count=len(pairs))
+    return _pack(codes >> 1), _pack(codes & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(width: int) -> np.ndarray:
+    """[code, q] -> the (q, letter) pair, shared by every string built."""
+    table = np.empty((len(_LETTERS), width), dtype=object)
+    for code, letter in enumerate(_LETTERS):
+        for q in range(width):
+            table[code, q] = (q, letter)
+    return table
+
+
+def _strings(x: np.ndarray, z: np.ndarray) -> list:
+    """The string of each row of a pair of mask arrays."""
+    codes = 2 * _unpack(x) + _unpack(z)
+    rows, qubits = np.nonzero(codes)
+    pairs = _pair_table(codes.shape[1])[codes[rows, qubits], qubits].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(codes))).tolist()
+    return [tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _mask_product(x1, z1, x2, z2) -> tuple:
+    """Row-wise product of two batches of strings: (x3, z3, k) with
+    P(x1, z1) P(x2, z2) = i^k P(x3, z3) in each row, k in 0..3.
+
+    With P(x, z) = i^|x&z| X^x Z^z, x3 = x1 ^ x2, z3 = z1 ^ z2 and k = |x1&z1|
+    + |x2&z2| - |x3&z3| + 2|z1&x2| (Aaronson and Gottesman,
+    quant-ph/0406196)."""
+    def count(masks):
+        return np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    k = count(x1 & z1) + count(x2 & z2) - count(x3 & z3) + 2 * count(z1 & x2)
+    return x3, z3, k & 3
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b with Python's complex product: four real products
+    and two sums, each rounded alone, so every bit (signed zeros included)
+    matches the scalar arithmetic."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sum_equal(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """Sum the values of equal rows of a 2-D uint64 key array into zeros,
+    each in row order, with keys numbered in the order rows first reach
+    them: the scalar ``acc[k] = acc.get(k, 0.0) + v``. Returns (the first
+    row of each key, the sums)."""
+    order = np.lexsort(keys.T)  # stable: equal keys keep their row order
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    first = order[new]
+    reach = np.argsort(first)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.argsort(reach)[np.cumsum(new) - 1]
+    sums = np.empty(len(first), dtype=complex)
+    sums.real = np.bincount(group, values.real, len(first))
+    sums.imag = np.bincount(group, values.imag, len(first))
+    return first[reach], sums
 
 
 def pauli_string(pairs) -> tuple:
@@ -85,8 +170,9 @@ def pauli_string(pairs) -> tuple:
 
 def multiply_strings(a: tuple, b: tuple):
     """Product of two Pauli strings: returns (phase, string)."""
-    ((x, z), phase), = _product([(_masks(a), 1)], [(_masks(b), 1)]).items()
-    return phase, _string(x, z)
+    n = 1 + max((q for q, _ in a + b), default=-1)
+    x, z, k = _mask_product(*_mask_arrays([a], n), *_mask_arrays([b], n))
+    return _I_POWERS[k[0]], _strings(x, z)[0]
 
 
 class TermSum:
@@ -169,15 +255,26 @@ class QubitOperator(TermSum):
         return cls.from_term((), coeff)
 
     @classmethod
-    def _from_masks(cls, terms: dict):
+    def _from_masks(cls, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
         op = cls()
-        op.terms = {_string(x, z): c for (x, z), c in terms.items()}
+        op.terms = dict(zip(_strings(x, z), coeffs.tolist()))
         return op
 
     def _product_with(self, other):
-        return QubitOperator._from_masks(_product(
-            [(_masks(k), c) for k, c in self.terms.items()],
-            [(_masks(k), c) for k, c in other.terms.items()]))
+        """Every left term times every right term, left outer, summed in
+        the order products first reach each string."""
+        n = max(self.n_qubits(), other.n_qubits())
+        (xa, za), (xb, zb) = (_mask_arrays(list(op.terms), n)
+                              for op in (self, other))
+        left = np.repeat(np.arange(len(xa)), len(xb))
+        right = np.tile(np.arange(len(xb)), len(xa))
+        x, z, k = _mask_product(xa[left], za[left], xb[right], zb[right])
+        ca, cb = (np.fromiter(op.terms.values(), dtype=complex,
+                              count=len(op.terms)) for op in (self, other))
+        first, sums = _sum_equal(np.hstack([x, z]),
+                                 _times(_times(ca[left], cb[right]),
+                                        _I_POWER_ARRAY[k]))
+        return QubitOperator._from_masks(x[first], z[first], sums)
 
     n_qubits = TermSum._extent
 
@@ -205,12 +302,12 @@ class QubitOperator(TermSum):
 
 def _permutation(key: tuple, dim: int) -> tuple:
     """Row r of P(x, z) holds i^|x&z| (-1)^|(r^x)&z| in column r ^ x."""
-    flip, phase_mask = _masks(key)
-    if (flip | phase_mask) >= dim:
+    x, z = _masks(key)
+    if (x | z) >= dim:
         raise ValueError("string acts outside the register")
-    cols = np.arange(dim) ^ flip
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & phase_mask) & 1)
-    return cols, _I_POWERS[(flip & phase_mask).bit_count() & 3] * signs
+    cols = np.arange(dim) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+    return cols, _I_POWERS[(x & z).bit_count() & 3] * signs
 
 
 def string_matrix(key: tuple, n_qubits: int) -> np.ndarray:

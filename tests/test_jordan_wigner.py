@@ -113,6 +113,48 @@ def test_operator_product_equals_reference(a, b):
     assert_identical(a * b, reference_product(a, b))
 
 
+# Registers past one and two 64-bit words: orbitals and qubits reach 200,
+# with the word edges drawn often.
+def wide_indices(n):
+    edges = [q for q in (0, 63, 64, 127, 128, n - 1) if q < n]
+    return st.one_of(st.integers(0, n - 1), st.sampled_from(edges))
+
+
+@st.composite
+def wide_fermion_operators(draw):
+    n = draw(st.integers(65, 200))
+    factor = st.tuples(wide_indices(n), st.integers(0, 1))
+    terms = draw(st.dictionaries(st.lists(factor, max_size=4).map(tuple),
+                                 coefficients, max_size=3))
+    return FermionOperator(terms), n
+
+
+wide_strings = st.dictionaries(wide_indices(200), st.sampled_from("XYZ"),
+                               max_size=12).map(
+                                   lambda d: pauli_string(d.items()))
+wide_qubit_operators = st.dictionaries(wide_strings, coefficients,
+                                       max_size=4).map(QubitOperator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_fermion_operators())
+def test_wide_jordan_wigner_equals_reference(case):
+    op, n = case
+    assert_identical(jordan_wigner(op, n), reference_jordan_wigner(op, n))
+
+
+@settings(deadline=None)
+@given(wide_strings, wide_strings)
+def test_wide_multiply_strings_equals_reference(a, b):
+    assert multiply_strings(a, b) == reference_multiply_strings(a, b)
+
+
+@settings(deadline=None)
+@given(wide_qubit_operators, wide_qubit_operators)
+def test_wide_operator_product_equals_reference(a, b):
+    assert_identical(a * b, reference_product(a, b))
+
+
 @pytest.mark.parametrize("dimension,m,spinful,n_nuclei", [
     (1, 4, True, 0), (1, 8, False, 1), (2, 2, True, 2),
     (2, 4, False, 1), (3, 2, False, 2), (3, 2, True, 1),

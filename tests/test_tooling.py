@@ -6,6 +6,7 @@ unbinds a traced name fails here. No timings are asserted.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,53 @@ def test_snake_scan_sees_names_and_attributes():
         "e = cols - 2 - c\n"
         "f = np.where(r % 2 == 0, c, cols - 1 - c)\n")
     assert snake_reversals(tree) == [1, 3, 5]
+
+
+def phase_exponent_counts(tree):
+    """Lines of each call (a bit count such as ``(x & z).bit_count()`` or
+    ``np.bitwise_count(z1 & x2)``) on the ``&`` of an x mask and a z mask:
+    a term of the Pauli phase exponent. Mask names are ``x`` or ``z``,
+    optionally followed by digits."""
+    def mask(node, letter):
+        return isinstance(node, ast.Name) and \
+            re.fullmatch(letter + r"\d*", node.id) is not None
+
+    def is_xz(node):
+        return isinstance(node, ast.BinOp) \
+            and isinstance(node.op, ast.BitAnd) \
+            and (mask(node.left, "x") and mask(node.right, "z")
+                 or mask(node.left, "z") and mask(node.right, "x"))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            operands = list(node.args)
+            if isinstance(node.func, ast.Attribute):
+                operands.append(node.func.value)
+            found += [node.lineno for op in operands if is_xz(op)]
+    return sorted(found)
+
+
+def test_one_phase_rule():
+    """The Pauli phase exponent is written once, in pauli.py: four counts
+    in ``_mask_product`` and the i^|x&z| of one string in
+    ``_permutation``. Every other product goes through the kernel."""
+    found = {path.name: phase_exponent_counts(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    assert len(found.pop("pauli.py")) == 5
+    assert not any(found.values()), f"phase exponent copied: {found}"
+
+
+def test_phase_exponent_scan_sees_calls_and_methods():
+    tree = ast.parse(
+        "a = (x1 & z1).bit_count()\n"
+        "b = np.bitwise_count(z & x2)\n"
+        "c = count(x3 & z3) + 2 * count(z1 & x2)\n"
+        "d = np.bitwise_count(rows & mask)\n"
+        "e = x & z\n"
+        "f = (x & y).bit_count()\n"
+        "g = np.bitwise_count(cols & z)\n")
+    assert phase_exponent_counts(tree) == [1, 2, 3, 3]
 
 
 def connectivity_checks(tree):
