@@ -33,8 +33,8 @@ from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     mode_phases, norm_bounds
 from .pauli import QubitOperator
-from .statevector import Statevector, Circuit, Gate, apply_circuit, \
-    sample_bitstrings
+from .statevector import Statevector, Gate, apply_circuit, apply_gate, \
+    sample_bitstrings, _check_drift
 
 PER_TERM = "per_term"
 DIAGONAL_GROUPS = "diagonal_groups"
@@ -127,8 +127,8 @@ def _per_term_samples(state, op, shots, seed, counts):
             shared -= 1
         del levels[shared + 1:]
         for q, letter in basis[shared:]:
-            gate = Circuit(state.n_qubits, [_basis_gate(q, letter)])
-            levels.append(apply_circuit(levels[-1], gate))
+            levels.append(apply_gate(levels[-1], _basis_gate(q, letter)))
+        _check_drift(state, levels[-1])
         rows = _sample(levels[-1], counts, shots,
                        [terms[i][2] for i in by_basis[basis]])
         for i, row in zip(by_basis[basis], rows):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import index
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -180,7 +181,12 @@ class Circuit:
         offending target or gate."""
         n = self.n_qubits
         targets = [g.targets for g in self.gates]
-        flat = list(chain.from_iterable(targets))
+        try:
+            flat = list(map(index, chain.from_iterable(targets)))
+        except TypeError:
+            for t in chain.from_iterable(targets):
+                _target_index(t)  # raises on the first non-integer
+            raise
         if flat and not 0 <= min(flat) <= max(flat) < n:
             t = next(t for t in flat if not 0 <= t < n)
             raise ValueError(f"target {t} outside {n} qubits")
@@ -329,10 +335,18 @@ def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
     return out, np.sort(index[rows != 0])
 
 
+def _target_index(t) -> int:
+    """``t`` as an int; ValueError naming it when it is not an integer."""
+    try:
+        return index(t)
+    except TypeError:
+        raise ValueError(f"target {t!r} is not an integer") from None
+
+
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     n = state.n_qubits
     for t in gate.targets:
-        if not 0 <= t < n:
+        if not 0 <= _target_index(t) < n:
             raise ValueError(f"target {t} outside {n} qubits")
     if state.support is None:
         return Statevector(n, _apply(state.amplitudes, gate.matrix(),
@@ -345,10 +359,16 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     out = state
     for g in circuit.gates:
         out = apply_gate(out, g)
-    drift = abs(out.norm() - 1.0)
-    if drift > NORM_TOL and abs(state.norm() - 1.0) <= NORM_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} after circuit")
+    _check_drift(state, out)
     return out
+
+
+def _check_drift(start: Statevector, out: Statevector):
+    """Raise RuntimeError when gates took a unit-norm ``start`` to an
+    ``out`` whose norm is off by more than NORM_TOL."""
+    drift = abs(out.norm() - 1.0)
+    if drift > NORM_TOL and abs(start.norm() - 1.0) <= NORM_TOL:
+        raise RuntimeError(f"norm drift {drift:.3e} after circuit")
 
 
 def _monomial(m: np.ndarray):

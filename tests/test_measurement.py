@@ -85,6 +85,24 @@ class TestEstimateEnergy:
                                       MeasurementPlan(DIAGONAL_GROUPS, 8000, 2))
         assert abs(est - truth) < 4 * stderr + 1e-9
 
+    def test_per_term_rotations_check_norm_drift(self, monkeypatch):
+        """Each basis rotation is applied gate by gate; the state a basis
+        samples from is still checked for norm drift."""
+        from pwdual.statevector import apply_gate
+
+        def leaky(state, gate):
+            out = apply_gate(state, gate)
+            return Statevector(out.n_qubits, out.amplitudes * (1 + 1e-6))
+
+        hs = jellium()
+        op = build_qubit(hs)
+        state = random_state(hs.n_qubits, 5)
+        _per_term_samples(state, op, 10, 1, {"pauli_terms": 0, "bases": 0})
+        monkeypatch.setattr("pwdual.measurement.apply_gate", leaky)
+        with pytest.raises(RuntimeError, match="norm drift"):
+            _per_term_samples(state, op, 10, 1,
+                              {"pauli_terms": 0, "bases": 0})
+
     def test_rejects_tiny_shots(self):
         with pytest.raises(ValueError):
             MeasurementPlan(DIAGONAL_GROUPS, 1, 0)

@@ -96,6 +96,12 @@ class TestGateApplication:
         with pytest.raises(ValueError):
             apply_gate(Statevector.basis_state(1, 0), Gate("H", (1,)))
 
+    @pytest.mark.parametrize("target", [0.5, 0.0, "0"])
+    def test_non_integer_target_rejected(self, target):
+        with pytest.raises(ValueError,
+                           match=f"^target {target!r} is not an integer$"):
+            apply_gate(Statevector.basis_state(1, 0), Gate("H", (target,)))
+
 
 class TestUnitarity:
     def test_norm_drift_over_random_gates(self):
@@ -265,6 +271,18 @@ class TestDepthAndConnectivity:
         with pytest.raises(ValueError,
                            match=f"^target {target} outside 2 qubits$"):
             Circuit(2, [Gate("H", (1,)), gate])
+
+    @pytest.mark.parametrize("gate,target", [
+        (Gate("H", (0.5,)), "0.5"), (Gate("CZ", (0, 1.0)), "1.0"),
+        (Gate("H", ("1",)), "'1'")])
+    def test_non_integer_target_rejected(self, gate, target):
+        with pytest.raises(ValueError,
+                           match=f"^target {target} is not an integer$"):
+            Circuit(2, [Gate("H", (1,)), gate])
+
+    def test_numpy_integer_targets_accepted(self):
+        circ = Circuit(2, [Gate("CZ", (np.int64(0), np.int32(1)))])
+        assert circ.gates[0].targets == (0, 1)
 
     def test_unknown_connectivity_rejected(self):
         with pytest.raises(ValueError, match="'ring'"):
