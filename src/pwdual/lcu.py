@@ -73,7 +73,7 @@ class LcuModel:
 
     @property
     def lam(self) -> float:
-        return sum(abs(w) for w in self.weights.values())
+        return sum(map(abs, self.weights.values()))
 
     def selection_table(self):
         """(encoded selection index, signed weight) arrays, one entry per
