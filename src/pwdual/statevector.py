@@ -182,14 +182,14 @@ class Circuit:
         n = self.n_qubits
         targets = [g.targets for g in self.gates]
         try:
-            flat = list(map(index, chain.from_iterable(targets)))
-        except TypeError:
+            flat = np.fromiter(map(index, chain.from_iterable(targets)),
+                               dtype=np.int64)
+            inside = not flat.size or 0 <= flat.min() <= flat.max() < n
+        except (TypeError, OverflowError):  # not an integer, or past int64
+            inside = False
+        if not inside:
             for t in chain.from_iterable(targets):
-                _target_index(t)  # raises on the first non-integer
-            raise
-        if flat and not 0 <= min(flat) <= max(flat) < n:
-            t = next(t for t in flat if not 0 <= t < n)
-            raise ValueError(f"target {t} outside {n} qubits")
+                _check_target(t, n)  # raises on the first bad target
         if self.connectivity is None:
             return
         kind, rows, cols = self.connectivity
@@ -202,7 +202,6 @@ class Circuit:
         from .swapnet import snake_position
         sizes = np.fromiter(map(len, targets), dtype=np.intp,
                             count=len(targets))
-        flat = np.array(flat, dtype=np.int64)
         wide = np.flatnonzero(sizes > 2)
         wide = wide[0] if wide.size else len(sizes)
         two = np.flatnonzero(sizes[:wide] == 2)
@@ -335,19 +334,20 @@ def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
     return out, np.sort(index[rows != 0])
 
 
-def _target_index(t) -> int:
-    """``t`` as an int; ValueError naming it when it is not an integer."""
+def _check_target(t, n: int):
+    """Raise ValueError naming ``t`` unless it is an integer in range(n)."""
     try:
-        return index(t)
+        inside = 0 <= index(t) < n
     except TypeError:
         raise ValueError(f"target {t!r} is not an integer") from None
+    if not inside:
+        raise ValueError(f"target {t} outside {n} qubits")
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     n = state.n_qubits
     for t in gate.targets:
-        if not 0 <= _target_index(t) < n:
-            raise ValueError(f"target {t} outside {n} qubits")
+        _check_target(t, n)
     if state.support is None:
         return Statevector(n, _apply(state.amplitudes, gate.matrix(),
                                      gate.targets, n))
