@@ -151,6 +151,8 @@ def _sum_equal(keys: np.ndarray, values: np.ndarray) -> tuple:
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.argsort(reach)[np.cumsum(new) - 1]
     sums = np.empty(len(first), dtype=complex)
+    # bincount adds each weight onto 0.0 in row order, as the scalar sum
+    # adds each part of a complex value
     sums.real = np.bincount(group, values.real, len(first))
     sums.imag = np.bincount(group, values.imag, len(first))
     return first[reach], sums

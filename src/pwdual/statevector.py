@@ -11,9 +11,9 @@ fixed seed reproduces shot sequences across platforms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import index
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -182,7 +182,8 @@ class Circuit:
         n = self.n_qubits
         targets = [g.targets for g in self.gates]
         try:
-            flat = np.fromiter(map(index, chain.from_iterable(targets)),
+            flat = np.fromiter(map(operator.index,
+                                   chain.from_iterable(targets)),
                                dtype=np.int64)
             inside = not flat.size or 0 <= flat.min() <= flat.max() < n
         except (TypeError, OverflowError):  # not an integer, or past int64
@@ -337,7 +338,7 @@ def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
 def _check_target(t, n: int):
     """Raise ValueError naming ``t`` unless it is an integer in range(n)."""
     try:
-        inside = 0 <= index(t) < n
+        inside = 0 <= operator.index(t) < n
     except TypeError:
         raise ValueError(f"target {t!r} is not an integer") from None
     if not inside:
