@@ -23,7 +23,6 @@ from .trotter import TrotterConfig, split_operator_step, direct_jw_step, \
 from .lcu import LcuModel, build_weights, select_matrix, prepare_state, \
     taylor_segment
 from .measurement import MeasurementPlan, estimate_energy, shot_budget
-from .vqe import AnsatzSpec, prepare_reference, build_ansatz_circuit, \
-    optimize, layer_train
+from .vqe import AnsatzSpec, prepare_reference, optimize, layer_train
 
 __version__ = "0.1.0"

@@ -478,7 +478,8 @@ def cmd_vqe_jellium(run: Run) -> dict:
             f"{circuit_gap:.3e}")
     run.counts.update(sector_dimension=math.comb(grid.n_qubits, eta),
                       parameters=len(res.names), evaluations=res.evaluations)
-    run.meta["checks"] = {"circuit_energy_gap": circuit_gap}
+    run.meta["checks"] = {"circuit_energy_gap": circuit_gap,
+                          "optimizer_budget_exhausted": res.budget_exhausted}
     with run.caps("exact_energy"), run.stage("exact"):
         exact = sector_ground_energy(hs, eta)
         result["exact_energy"] = exact

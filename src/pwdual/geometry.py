@@ -154,12 +154,6 @@ class ModeGrid:
             raise ValueError(f"spin must be '{UP}' or '{DOWN}', got {spin!r}")
         return 2 * s + (0 if spin == UP else 1)
 
-    def qubit_orbital(self, q: int):
-        """Inverse of qubit_index: returns (site vector, spin-or-None)."""
-        if not self.cell.spinful:
-            return self.index_site(q), None
-        return self.index_site(q // 2), UP if q % 2 == 0 else DOWN
-
     def qubit_site_index(self, q: int) -> int:
         """Spatial (site or mode-slot) index carried by qubit ``q``."""
         return q // 2 if self.cell.spinful else q

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
@@ -82,9 +82,10 @@ GATE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate: kind, target qubits, optional angle, optional dagger flag.
+
+    A plain record: the Circuit or apply_gate that uses it checks it.
 
     Kinds are the keys of GATE_KINDS. PEXP carries ``letters`` (one Pauli
     letter per target) and applies exp(-i * angle * P). PHASEN applies
@@ -100,32 +101,13 @@ class Gate:
     letters: str = ""
     dagger: bool = False
 
-    def __post_init__(self):
-        spec = GATE_KINDS.get(self.kind)
-        if spec is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if spec.arity is None:
-            if not self.letters or set(self.letters) - set("XYZ"):
-                raise ValueError(f"PEXP needs Pauli letters X, Y, Z, got "
-                                 f"{self.letters!r}")
-            arity = len(self.letters)
-        elif self.letters:
-            raise ValueError(f"{self.kind} takes no Pauli letters")
-        else:
-            arity = spec.arity
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.kind} needs {arity} targets, got "
-                             f"{len(self.targets)}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"repeated target in {self}")
-
     def inverse(self) -> "Gate":
         rule = GATE_KINDS[self.kind].inverse
         if rule == _SELF:
             return self
         if rule == _NEGATE:
-            return replace(self, angle=-self.angle)
-        return replace(self, dagger=not self.dagger)
+            return self._replace(angle=-self.angle)
+        return self._replace(dagger=not self.dagger)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix on the gate's own targets."""
@@ -136,6 +118,84 @@ class Gate:
 def fk_gate(k: int, m_modes: int, p: int, q: int) -> Gate:
     """Butterfly gate with twiddle exp(-2*pi*i*k/M) acting on orbitals (p, q)."""
     return Gate("FK", (p, q), angle=2.0 * np.pi * k / m_modes)
+
+
+def _check_gates(gates, n: int, connectivity: tuple = None):
+    """Raise ValueError naming the first offender unless, in this order,
+    each gate has a kind of GATE_KINDS, Pauli letters X, Y, Z on PEXP only,
+    as many distinct targets as it takes and a finite angle; each target
+    is an integer in range(n); and on a ("planar", rows, cols) lattice of
+    n sites each multi-qubit gate acts on neighbours. Equal gates pass or
+    fail alike, so the gate and lattice rules run once per distinct gate,
+    in order of first appearance (on all gates if one does not hash); the
+    integer test reads every target, since 1.0 equals 1."""
+    try:
+        distinct = list(dict.fromkeys(gates))
+    except TypeError:  # unhashable field
+        distinct = list(gates)
+    for g in distinct:
+        kind, targets, angle, letters, _ = g
+        spec = GATE_KINDS.get(kind)
+        if spec is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if spec.arity is None:
+            if not letters or set(letters) - set("XYZ"):
+                raise ValueError(f"PEXP needs Pauli letters X, Y, Z, got "
+                                 f"{letters!r}")
+            arity = len(letters)
+        elif letters:
+            raise ValueError(f"{kind} takes no Pauli letters")
+        else:
+            arity = spec.arity
+        if len(targets) != arity:
+            raise ValueError(f"{kind} needs {arity} targets, got "
+                             f"{len(targets)}")
+        if arity > 1 and len(set(targets)) != arity:
+            raise ValueError(f"repeated target in {g}")
+        if not math.isfinite(angle):
+            raise ValueError(f"angle of {g} is not finite")
+    targets = [g.targets for g in gates]
+    try:
+        used = set(map(operator.index, chain.from_iterable(targets)))
+    except TypeError:  # not an integer
+        used = None
+    if used is None or used and not 0 <= min(used) <= max(used) < n:
+        bad = next(t for t in chain.from_iterable(targets)
+                   if not hasattr(type(t), "__index__")
+                   or not 0 <= operator.index(t) < n)
+        if hasattr(type(bad), "__index__"):
+            raise ValueError(f"target {bad} outside {n} qubits")
+        raise ValueError(f"target {bad!r} is not an integer")
+    if connectivity is None:
+        return
+    kind, rows, cols = connectivity
+    if kind != "planar":
+        raise ValueError(f"unknown connectivity {kind!r}; expected "
+                         f"('planar', rows, cols)")
+    if rows * cols != n:
+        raise ValueError(f"planar lattice {rows}x{cols} has {rows * cols}"
+                         f" sites, not {n} qubits")
+    from .swapnet import snake_position
+    targets = [g.targets for g in distinct]
+    sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
+    flat = np.fromiter(map(operator.index, chain.from_iterable(targets)),
+                       dtype=np.int64, count=int(sizes.sum()))
+    wide = np.flatnonzero(sizes > 2)
+    wide = wide[0] if wide.size else len(sizes)
+    two = np.flatnonzero(sizes[:wide] == 2)
+    start = np.cumsum(sizes) - sizes
+    pairs = flat[start[two, None] + np.arange(2)]
+    r, c = snake_position(cols, np.arange(n, dtype=np.int64))
+    far = np.flatnonzero(np.abs(np.diff(r[pairs]))
+                         + np.abs(np.diff(c[pairs])) != 1)
+    if far.size:
+        (r1, r2), (c1, c2) = r[pairs[far[0]]].tolist(), \
+            c[pairs[far[0]]].tolist()
+        raise ValueError(f"gate {distinct[two[far[0]]]} acts on non-adjacent "
+                         f"grid sites ({r1},{c1})-({r2},{c2})")
+    if wide < len(sizes):
+        raise ValueError(f"planar circuit holds >2-qubit gate "
+                         f"{distinct[wide]}")
 
 
 @dataclass(frozen=True)
@@ -174,53 +234,8 @@ class Circuit:
         return depth
 
     def check_connectivity(self):
-        """Raise ValueError unless every target is one of the n_qubits and,
-        on a planar lattice of n_qubits sites, every multi-qubit gate acts
-        on two lattice neighbours. The targets are gathered once and the
-        lattice test is array arithmetic; each message names the first
-        offending target or gate."""
-        n = self.n_qubits
-        targets = [g.targets for g in self.gates]
-        try:
-            flat = np.fromiter(map(operator.index,
-                                   chain.from_iterable(targets)),
-                               dtype=np.int64)
-            inside = not flat.size or 0 <= flat.min() <= flat.max() < n
-        except (TypeError, OverflowError):  # not an integer, or past int64
-            inside = False
-        if not inside:
-            for t in chain.from_iterable(targets):
-                _check_target(t, n)  # raises on the first bad target
-        if self.connectivity is None:
-            return
-        kind, rows, cols = self.connectivity
-        if kind != "planar":
-            raise ValueError(f"unknown connectivity {kind!r}; expected "
-                             f"('planar', rows, cols)")
-        if rows * cols != n:
-            raise ValueError(f"planar lattice {rows}x{cols} has {rows * cols}"
-                             f" sites, not {n} qubits")
-        from .swapnet import snake_position
-        sizes = np.fromiter(map(len, targets), dtype=np.intp,
-                            count=len(targets))
-        wide = np.flatnonzero(sizes > 2)
-        wide = wide[0] if wide.size else len(sizes)
-        two = np.flatnonzero(sizes[:wide] == 2)
-        start = np.cumsum(sizes) - sizes
-        pairs = flat[start[two, None] + np.arange(2)]
-        r, c = snake_position(cols, np.arange(n, dtype=np.int64))
-        far = np.flatnonzero(np.abs(np.diff(r[pairs]))
-                             + np.abs(np.diff(c[pairs])) != 1)
-        if far.size:
-            (r1, r2), (c1, c2) = r[pairs[far[0]]].tolist(), \
-                c[pairs[far[0]]].tolist()
-            raise ValueError(
-                f"gate {self.gates[two[far[0]]]} acts on non-adjacent grid "
-                f"sites ({r1},{c1})-({r2},{c2})"
-            )
-        if wide < len(sizes):
-            raise ValueError(f"planar circuit holds >2-qubit gate "
-                             f"{self.gates[wide]}")
+        """``_check_gates`` on this circuit's gates, register and lattice."""
+        _check_gates(self.gates, self.n_qubits, self.connectivity)
 
 
 @dataclass
@@ -335,20 +350,9 @@ def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
     return out, np.sort(index[rows != 0])
 
 
-def _check_target(t, n: int):
-    """Raise ValueError naming ``t`` unless it is an integer in range(n)."""
-    try:
-        inside = 0 <= operator.index(t) < n
-    except TypeError:
-        raise ValueError(f"target {t!r} is not an integer") from None
-    if not inside:
-        raise ValueError(f"target {t} outside {n} qubits")
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
+def _run_gate(state: Statevector, gate: Gate) -> Statevector:
+    """``gate`` on ``state``; the caller has checked the gate."""
     n = state.n_qubits
-    for t in gate.targets:
-        _check_target(t, n)
     if state.support is None:
         return Statevector(n, _apply(state.amplitudes, gate.matrix(),
                                      gate.targets, n))
@@ -356,10 +360,16 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         state.amplitudes, gate.matrix(), gate.targets, n, state.support))
 
 
+def apply_gate(state: Statevector, gate: Gate) -> Statevector:
+    _check_gates((gate,), state.n_qubits)
+    return _run_gate(state, gate)
+
+
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
+    """The circuit on ``state``; its gates were checked when it was made."""
     out = state
     for g in circuit.gates:
-        out = apply_gate(out, g)
+        out = _run_gate(out, g)
     _check_drift(state, out)
     return out
 
@@ -484,9 +494,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_bitstrings(state: Statevector, basis_rotation: Circuit = None,
-                      shots: int = 1, seed=0) -> np.ndarray:
-    """Draw basis-state indices from |<x|R|psi>|^2; deterministic per seed.
+def sample_bitstrings(state: Statevector, *, shots: int = 1,
+                      seed=0) -> np.ndarray:
+    """Draw basis-state indices from |<x|psi>|^2; deterministic per seed.
 
     The draw inverts the CDF as Generator.choice(p=...) does. A sequence of
     seeds gives one row of shots per seed from the one distribution. On a
@@ -497,13 +507,12 @@ def sample_bitstrings(state: Statevector, basis_rotation: Circuit = None,
     draw equals the full CDF's."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    psi = state if basis_rotation is None else apply_circuit(state, basis_rotation)
-    support = psi.support
+    support = state.support
     if support is None:
-        probs = on = np.abs(psi.amplitudes) ** 2
+        probs = on = np.abs(state.amplitudes) ** 2
     else:
-        on = np.abs(psi.amplitudes[support]) ** 2
-        probs = np.zeros(len(psi.amplitudes))
+        on = np.abs(state.amplitudes[support]) ** 2
+        probs = np.zeros(len(state.amplitudes))
         probs[support] = on
     total = probs.sum()
     if not (np.isfinite(total) and total > 0):

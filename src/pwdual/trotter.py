@@ -26,6 +26,8 @@ LEAK_TOL = 1e-12
 # ||U - S^r||_2 <= 2 for unitaries, so an error of 1 or more is saturation,
 # not the r^(-order) regime; the pass/fail fit leaves such points out
 SATURATED_ERROR = 1.0
+# leading constant of the split-operator step-count bound (estimate_r)
+STEP_COUNT_CONSTANT = 1.0
 
 
 @dataclass(frozen=True)
@@ -324,12 +326,12 @@ def fit_slope(rows) -> float:
 
 
 def estimate_r(eta: int, n_orbitals: int, omega: float, t: float,
-               eps: float, constant: float = 1.0) -> int:
+               eps: float) -> int:
     """Step count sufficient for the split-operator formula at error eps,
-    evaluated with an explicit leading constant (default 1)."""
+    evaluated with leading constant STEP_COUNT_CONSTANT."""
     if min(eta, n_orbitals) < 1 or min(omega, t, eps) <= 0:
         raise ValueError("arguments must be positive")
-    value = constant * (eta ** 2) * (n_orbitals ** (5.0 / 6.0)) \
+    value = STEP_COUNT_CONSTANT * (eta ** 2) * (n_orbitals ** (5.0 / 6.0)) \
         * (t ** 1.5) / ((omega ** (5.0 / 6.0)) * math.sqrt(eps)) \
         * math.sqrt(1.0 + eta * omega ** (1.0 / 3.0)
                     / n_orbitals ** (1.0 / 3.0))

@@ -31,6 +31,8 @@ from .statevector import Statevector, Circuit, Gate
 
 FULL = "full"
 TRANSLATION_INVARIANT = "translation_invariant"
+# spread of the seeded random restarts of ``optimize``
+RESTART_SCALE = 0.6
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,6 @@ class Ansatz:
         return Circuit(n, gates)
 
 
-def build_ansatz_circuit(spec: AnsatzSpec, grid: ModeGrid,
-                         values=None) -> Circuit:
-    ansatz = Ansatz(spec, grid)
-    if values is None:
-        values = np.zeros(ansatz.parameter_count)
-    return ansatz.circuit(values)
-
-
 # -- the eta-electron sector -------------------------------------------------
 
 
@@ -329,8 +323,7 @@ def sector_ground_energy(hs: HamiltonianSet, eta: int) -> float:
 
 
 def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
-             spin_pattern="paired", restarts: int = 4,
-             restart_scale: float = 0.6, maxiter: int = 600,
+             spin_pattern="paired", restarts: int = 4, maxiter: int = 600,
              initial_values=None, plan=None) -> OptimizeResult:
     """Simplex search over the ansatz parameters from a zero start plus
     seeded random restarts; the trace records the best energy so far, so it
@@ -376,7 +369,7 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     if initial_values is not None:
         starts.append(np.asarray(initial_values, dtype=float))
     for _ in range(max(0, restarts - 1)):
-        starts.append(rng.normal(scale=restart_scale,
+        starts.append(rng.normal(scale=RESTART_SCALE,
                                  size=ansatz.parameter_count))
     best_x = starts[0]
     best_e = objective(starts[0])

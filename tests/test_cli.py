@@ -443,6 +443,15 @@ class TestCommands:
         assert meta["checks"]["circuit_energy_gap"] < 1e-12
         assert "warnings" not in meta  # one electron: a closed shell
 
+    @pytest.mark.parametrize("maxiter,exhausted", [(2, True), (2000, False)])
+    def test_vqe_jellium_reports_exhausted_budget(self, tmp_path, maxiter,
+                                                  exhausted):
+        code = run(tmp_path, "vqe-jellium", *SMALL, "system.eta=1",
+                   f"task.maxiter={maxiter}", "task.restarts=2")
+        assert code == 0
+        meta = read_report(tmp_path, "vqe_report.json")["meta"]
+        assert meta["checks"]["optimizer_budget_exhausted"] is exhausted
+
 
 # one small cell per command; swapnet reads no system block
 CELLS = [

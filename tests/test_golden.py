@@ -173,7 +173,8 @@ def test_sample_bitstrings_rows():
     rotation = Circuit(10, [Gate("H", (2,)),
                             Gate("PEXP", (5,), angle=0.25, letters="X")])
     rows = [sample_bitstrings(state, shots=300, seed=[1, 2, 3]),
-            sample_bitstrings(state, rotation, shots=300, seed=[1, 2, 3])]
+            sample_bitstrings(apply_circuit(state, rotation), shots=300,
+                              seed=[1, 2, 3])]
     assert sha(json.dumps([r.tolist() for r in rows])) == \
         "42d2b1f8314526b891ce34ccb95132f5c1af6c4cfaebc71fe1a1048413fc606a"
 

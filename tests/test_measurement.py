@@ -13,8 +13,8 @@ from pwdual.measurement import MeasurementPlan, estimate_energy, \
     DIAGONAL_GROUPS, DIAGONAL_UV_ONLY, PHASE_ESTIMATION, _batch_seed, \
     _group_samples, _pauli_term_values, _per_term_samples
 from pwdual.pauli import QubitOperator
-from pwdual.statevector import Statevector, Circuit, Gate, expectation, \
-    sample_bitstrings
+from pwdual.statevector import Statevector, Circuit, Gate, apply_circuit, \
+    expectation, sample_bitstrings
 
 
 def jellium(m=4, spinful=False, omega=4.0):
@@ -232,7 +232,7 @@ def reference_per_term(state, op, shots, seed):
             elif letter == "Y":
                 rot.append(Gate("PEXP", (q,), angle=math.pi / 4, letters="X"))
         rot = Circuit(state.n_qubits, rot)
-        samples = sample_bitstrings(state, basis_rotation=rot, shots=shots,
+        samples = sample_bitstrings(apply_circuit(state, rot), shots=shots,
                                     seed=_batch_seed(seed, counter))
         out.append(coeff.real * _pauli_term_values(key, samples))
     return out

@@ -1,12 +1,14 @@
 """Property tests of the circuit primitives: the odd-even transposition
 sort, the gate table and its text format, and gate validation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwdual.statevector import GATE_KINDS, Circuit, Gate, Statevector, \
-    apply_circuit, circuit_matrix, dumps_circuit, loads_circuit
+    apply_circuit, apply_gate, circuit_matrix, dumps_circuit, loads_circuit
 from pwdual.swapnet import snake_position, snake_qubit, \
     transposition_phases
 
@@ -81,19 +83,44 @@ def test_circuit_matrix_columns_match_state_path(gate_list, spare):
         assert np.array_equal(u[:, j], column.amplitudes)
 
 
-@pytest.mark.parametrize("kind,targets,letters", [
-    ("FOO", (0,), ""),
-    ("CNOT", (1,), ""),
-    ("H", (0, 1), ""),
-    ("PEXP", (0,), "ZZ"),
-    ("PEXP", (0, 1), "Z"),
-    ("PEXP", (0,), "Q"),
-    ("PEXP", (0,), ""),
-    ("RZ", (0,), "Z"),
-])
+# each malformed gate and the message that names it
+MALFORMED_GATES = {
+    ("FOO", (0,), ""): "unknown gate kind 'FOO'",
+    ("CNOT", (1,), ""): "CNOT needs 2 targets, got 1",
+    ("H", (0, 1), ""): "H needs 1 targets, got 2",
+    ("PEXP", (0,), "ZZ"): "PEXP needs 2 targets, got 1",
+    ("PEXP", (0, 1), "Z"): "PEXP needs 1 targets, got 2",
+    ("PEXP", (0,), "Q"): "PEXP needs Pauli letters X, Y, Z, got 'Q'",
+    ("PEXP", (0,), ""): "PEXP needs Pauli letters X, Y, Z, got ''",
+    ("RZ", (0,), "Z"): "RZ takes no Pauli letters",
+}
+
+
+@pytest.mark.parametrize("kind,targets,letters", list(MALFORMED_GATES))
 def test_malformed_gate_rejected(kind, targets, letters):
-    with pytest.raises(ValueError):
-        Gate(kind, targets, angle=0.1, letters=letters)
+    """A Gate is a plain record; the Circuit that holds it and apply_gate
+    reject it, with the same message."""
+    gate = Gate(kind, targets, angle=0.1, letters=letters)
+    message = f"^{re.escape(MALFORMED_GATES[kind, targets, letters])}$"
+    with pytest.raises(ValueError, match=message):
+        Circuit(2, [gate])
+    with pytest.raises(ValueError, match=message):
+        apply_gate(Statevector.basis_state(2, 0), gate)
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angle_rejected(angle):
+    """A NaN or infinite angle would pass the norm-drift check (NaN > tol
+    is False) and poison every amplitude; it is refused where the gate is
+    checked: in circuit text, in a Circuit and in apply_gate."""
+    gate = Gate("RZ", (0,), angle=float(angle))
+    message = f"^{re.escape(f'angle of {gate} is not finite')}$"
+    with pytest.raises(ValueError, match=message):
+        loads_circuit(f"RZ 0 {angle}\n", 1)
+    with pytest.raises(ValueError, match=message):
+        Circuit(1, [Gate("H", (0,)), gate])
+    with pytest.raises(ValueError, match=message):
+        apply_gate(Statevector.basis_state(1, 0), gate)
 
 
 @pytest.mark.parametrize("line", ["FOO 0", "CNOT 1", "PEXP:ZZ 0 0.1",
@@ -104,3 +131,107 @@ def test_malformed_gate_rejected(kind, targets, letters):
 def test_malformed_circuit_text_rejected(line):
     with pytest.raises(ValueError):
         loads_circuit(line, 2)
+
+
+def gate_by_gate_error(gates, n, connectivity):
+    """The message of the first broken rule, read gate by gate and target
+    by target with no deduplication: the order the checks promise."""
+    for g in gates:
+        if g.kind not in GATE_KINDS:
+            return f"unknown gate kind {g.kind!r}"
+        arity = GATE_KINDS[g.kind].arity
+        if arity is None:
+            if not g.letters or set(g.letters) - set("XYZ"):
+                return f"PEXP needs Pauli letters X, Y, Z, got {g.letters!r}"
+            arity = len(g.letters)
+        elif g.letters:
+            return f"{g.kind} takes no Pauli letters"
+        if len(g.targets) != arity:
+            return f"{g.kind} needs {arity} targets, got {len(g.targets)}"
+        if len(set(g.targets)) != arity:
+            return f"repeated target in {g}"
+        if not np.isfinite(g.angle):
+            return f"angle of {g} is not finite"
+    for g in gates:
+        for t in g.targets:
+            if not isinstance(t, int):
+                return f"target {t!r} is not an integer"
+            if not 0 <= t < n:
+                return f"target {t} outside {n} qubits"
+    if connectivity is not None:
+        for g in gates:
+            if len(g.targets) > 2:
+                return f"planar circuit holds >2-qubit gate {g}"
+            if len(g.targets) == 2:
+                (r1, c1), (r2, c2) = (snake_position(connectivity[2], t)
+                                      for t in g.targets)
+                if abs(r1 - r2) + abs(c1 - c2) != 1:
+                    return (f"gate {g} acts on non-adjacent grid sites "
+                            f"({r1},{c1})-({r2},{c2})")
+    return None
+
+
+# how a drawn gate is spoilt, if at all: each rule, broken now and then
+FLAWS = [None] * 15 + ["kind", "letters", "size", "repeat", "target",
+                       "float", "angle"]
+
+
+@st.composite
+def gate_lists(draw):
+    """Well-formed gates with a rule broken now and then, and repeats of
+    them, some with float targets (equal, but not integral)."""
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind, letters = draw(st.sampled_from(
+            [("H", ""), ("RZ", ""), ("CZ", ""), ("SWAP", ""),
+             ("PEXP", "Z"), ("PEXP", "XY")]))
+        size = len(letters) or GATE_KINDS[kind].arity
+        targets = draw(st.lists(st.integers(0, 3), min_size=size,
+                                max_size=size, unique=True))
+        angle = draw(st.sampled_from([0.25, -1.5]))
+        flaw = draw(st.sampled_from(FLAWS))
+        if flaw == "kind":
+            kind = "FOO"
+        elif flaw == "letters":
+            letters = "Q" if kind == "PEXP" else "Z"
+        elif flaw == "size":
+            targets.append(3 - targets[0])
+        elif flaw == "repeat":
+            targets[-1] = targets[0]
+        elif flaw == "target":
+            targets[0] = draw(st.sampled_from([4, -1]))
+        elif flaw == "float":
+            targets[0] = float(targets[0])
+        elif flaw == "angle":
+            angle = draw(st.sampled_from([float("nan"), float("inf")]))
+        gates.append(Gate(kind, tuple(targets), angle=angle,
+                          letters=letters))
+    for i, as_float in draw(st.lists(st.tuples(
+            st.integers(0, len(gates) - 1), st.booleans()),
+            max_size=6)) if gates else []:
+        g = gates[i]
+        gates.append(g._replace(targets=tuple(map(float, g.targets)))
+                     if as_float else g)
+    return gates
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_lists(), st.booleans())
+def test_check_names_the_gate_by_gate_first_offender(gates, planar):
+    """Repeated gates exercise the once-per-distinct-gate checks: the
+    message is the first that a gate-by-gate reading finds, for a Circuit
+    and, on a lone gate, for apply_gate."""
+    connectivity = ("planar", 2, 2) if planar else None
+    want = gate_by_gate_error(gates, 4, connectivity)
+    if want is None:
+        Circuit(4, gates, connectivity)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            Circuit(4, gates, connectivity)
+    for g in gates[:3]:
+        lone = gate_by_gate_error([g], 4, None)
+        if lone is None:
+            apply_gate(Statevector.basis_state(4, 0), g)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(lone)}$"):
+                apply_gate(Statevector.basis_state(4, 0), g)

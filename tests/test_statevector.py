@@ -219,8 +219,8 @@ class TestSampling:
 
     def test_rotation_circuit(self):
         circ = Circuit(1, [Gate("H", (0,))])
-        out = sample_bitstrings(Statevector.basis_state(1, 0),
-                                basis_rotation=circ, shots=200, seed=3)
+        out = sample_bitstrings(apply_circuit(Statevector.basis_state(1, 0),
+                                              circ), shots=200, seed=3)
         assert 0 < np.mean(out) < 1
 
     def test_rejects_zero_shots(self):
@@ -274,11 +274,23 @@ class TestDepthAndConnectivity:
 
     @pytest.mark.parametrize("gate,target", [
         (Gate("H", (0.5,)), "0.5"), (Gate("CZ", (0, 1.0)), "1.0"),
-        (Gate("H", ("1",)), "'1'")])
+        (Gate("H", ("1",)), "'1'"),
+        (Gate("H", (1.0,)), "1.0")])  # equal to the valid H on 1 before it
     def test_non_integer_target_rejected(self, gate, target):
         with pytest.raises(ValueError,
                            match=f"^target {target} is not an integer$"):
             Circuit(2, [Gate("H", (1,)), gate])
+
+    def test_list_targets_accepted(self):
+        # a gate with list targets does not hash; it is checked all the same
+        gates = [Gate("H", [0]), Gate("CZ", [0, 1]), Gate("X", [1])]
+        Circuit(4, gates, ("planar", 2, 2))
+        with pytest.raises(ValueError, match="^repeated target"):
+            Circuit(2, gates + [Gate("CZ", [1, 1])])
+        out = apply_circuit(Statevector.basis_state(2, 0), Circuit(2, gates))
+        want = apply_circuit(Statevector.basis_state(2, 0), Circuit(2, [
+            g._replace(targets=tuple(g.targets)) for g in gates]))
+        assert np.array_equal(out.amplitudes, want.amplitudes)
 
     def test_numpy_integer_targets_accepted(self):
         circ = Circuit(2, [Gate("CZ", (np.int64(0), np.int32(1)))])

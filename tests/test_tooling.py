@@ -319,3 +319,70 @@ def test_connectivity_scan_sees_methods_and_names():
         "check = circ.check_connectivity\n"
         "circ.check_targets()\n")
     assert connectivity_checks(tree) == [1, 2, 3]
+
+
+# one pattern per gate rule, matched against each raise's unparsed message
+GATE_RULES = ("unknown gate kind", "Pauli letters", "targets, got",
+              "repeated target", "is not an integer",
+              r"target .*outside .*qubits", "not finite")
+
+
+def gate_rule_raises(tree):
+    """(line, enclosing function, rule) for each ``raise`` whose exception
+    text, as ``ast.unparse`` writes it, matches a pattern of GATE_RULES."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = ast.unparse(node.exc)
+            found.extend((node.lineno, fn, rule) for rule in GATE_RULES
+                         if re.search(rule, text))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def post_init_classes(tree):
+    """Names of the classes that define ``__post_init__``."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef)
+                    and f.name == "__post_init__" for f in node.body)]
+
+
+def test_one_gate_validator():
+    """Every gate rule is raised in one function, ``_check_gates`` in
+    statevector.py, which a Circuit and apply_gate both call; a Gate is a
+    plain record with no constructor checks."""
+    found = {path.name: gate_rule_raises(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    mine = found.pop("statevector.py")
+    assert {fn for _, fn, _ in mine} == {"_check_gates"}, mine
+    assert {rule for _, _, rule in mine} == set(GATE_RULES)
+    assert not any(found.values()), f"gate rule raised elsewhere: {found}"
+    source = (ROOT / "src" / "pwdual" / "statevector.py").read_text()
+    assert "Gate" not in post_init_classes(ast.parse(source))
+
+
+def test_gate_rule_scan_sees_functions_methods_and_fstrings():
+    tree = ast.parse(
+        "class Gate:\n"
+        "    def __post_init__(self):\n"
+        "        raise ValueError(f'repeated target in {self}')\n"
+        "def check(t, n):\n"
+        "    if t >= n:\n"
+        "        raise ValueError(f'target {t} '\n"
+        "                         f'outside {n} qubits')\n"
+        "    raise TypeError('angle is not finite')\n"
+        "def other(q):\n"
+        "    raise ValueError(f'orbital {q} outside the register')\n"
+        "raise ValueError('unknown gate kind')\n")
+    assert gate_rule_raises(tree) == [
+        (3, "__post_init__", "repeated target"),
+        (6, "check", r"target .*outside .*qubits"),
+        (8, "check", "not finite"), (11, None, "unknown gate kind")]
+    assert post_init_classes(tree) == ["Gate"]

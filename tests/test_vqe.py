@@ -17,7 +17,7 @@ from pwdual.pauli import DenseLimitError
 from pwdual.statevector import Statevector, apply_circuit, dumps_circuit, \
     expectation
 from pwdual.vqe import AnsatzSpec, Ansatz, prepare_reference, \
-    lowest_mode_occupation, build_ansatz_circuit, optimize, layer_train, \
+    lowest_mode_occupation, optimize, layer_train, \
     sector_ground_energy, interaction_ramp, embed_parameters, SectorModel, \
     sector_states, sector_transform
 
@@ -127,7 +127,8 @@ class TestReference:
 class TestAnsatz:
     def test_zero_parameters_act_as_identity(self):
         grid = build_grid(1, 4, 4.0)
-        circ = build_ansatz_circuit(AnsatzSpec(layers=1), grid)
+        ansatz = Ansatz(AnsatzSpec(layers=1), grid)
+        circ = ansatz.circuit(np.zeros(ansatz.parameter_count))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ref = prepare_reference(grid, 2)
