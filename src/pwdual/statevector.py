@@ -85,7 +85,7 @@ GATE_KINDS = {
 class Gate(NamedTuple):
     """One gate: kind, target qubits, optional angle, optional dagger flag.
 
-    A plain record: the Circuit or apply_gate that uses it checks it.
+    A hashable record (targets a tuple), checked where it is used.
 
     Kinds are the keys of GATE_KINDS. PEXP carries ``letters`` (one Pauli
     letter per target) and applies exp(-i * angle * P). PHASEN applies
@@ -125,28 +125,24 @@ def _check_gates(gates, n: int, connectivity: tuple = None):
     each gate has a kind of GATE_KINDS, Pauli letters X, Y, Z on PEXP only,
     as many distinct targets as it takes and a finite angle; each target
     is an integer in range(n); and on a ("planar", rows, cols) lattice of
-    n sites each multi-qubit gate acts on neighbours. Equal gates pass or
-    fail alike, so the gate and lattice rules run once per distinct gate,
-    in order of first appearance (on all gates if one does not hash); the
-    integer test reads every target, since 1.0 equals 1."""
-    try:
-        distinct = list(dict.fromkeys(gates))
-    except TypeError:  # unhashable field
-        distinct = list(gates)
+    n sites each multi-qubit gate acts on neighbours. A gate must hash;
+    equal gates pass or fail alike, so the gate and lattice rules run once
+    per distinct gate, in order of first appearance; the integer test
+    reads every target, since 1.0 equals 1."""
+    distinct = list(dict.fromkeys(gates))
     for g in distinct:
         kind, targets, angle, letters, _ = g
         spec = GATE_KINDS.get(kind)
         if spec is None:
             raise ValueError(f"unknown gate kind {kind!r}")
-        if spec.arity is None:
-            if not letters or set(letters) - set("XYZ"):
+        arity = spec.arity
+        if arity is None:
+            if not letters or letters.strip("XYZ"):
                 raise ValueError(f"PEXP needs Pauli letters X, Y, Z, got "
                                  f"{letters!r}")
             arity = len(letters)
         elif letters:
             raise ValueError(f"{kind} takes no Pauli letters")
-        else:
-            arity = spec.arity
         if len(targets) != arity:
             raise ValueError(f"{kind} needs {arity} targets, got "
                              f"{len(targets)}")
@@ -157,15 +153,17 @@ def _check_gates(gates, n: int, connectivity: tuple = None):
     targets = [g.targets for g in gates]
     try:
         used = set(map(operator.index, chain.from_iterable(targets)))
-    except TypeError:  # not an integer
-        used = None
-    if used is None or used and not 0 <= min(used) <= max(used) < n:
-        bad = next(t for t in chain.from_iterable(targets)
-                   if not hasattr(type(t), "__index__")
-                   or not 0 <= operator.index(t) < n)
-        if hasattr(type(bad), "__index__"):
-            raise ValueError(f"target {bad} outside {n} qubits")
-        raise ValueError(f"target {bad!r} is not an integer")
+        inside = not used or 0 <= min(used) and max(used) < n
+    except TypeError:  # a target that is not an integer
+        inside = False
+    if not inside:  # name the first target that is not an integer in range
+        for t in chain.from_iterable(targets):
+            try:
+                inside = 0 <= operator.index(t) < n
+            except TypeError:
+                raise ValueError(f"target {t!r} is not an integer") from None
+            if not inside:
+                raise ValueError(f"target {t} outside {n} qubits")
     if connectivity is None:
         return
     kind, rows, cols = connectivity
@@ -178,8 +176,8 @@ def _check_gates(gates, n: int, connectivity: tuple = None):
     from .swapnet import snake_position
     targets = [g.targets for g in distinct]
     sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
-    flat = np.fromiter(map(operator.index, chain.from_iterable(targets)),
-                       dtype=np.int64, count=int(sizes.sum()))
+    # every target is by now an integer in range(n)
+    flat = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
     wide = np.flatnonzero(sizes > 2)
     wide = wide[0] if wide.size else len(sizes)
     two = np.flatnonzero(sizes[:wide] == 2)
@@ -291,16 +289,19 @@ def _blocks(targets, n: int) -> list:
 def _combine(m: np.ndarray, inputs, outputs, term: np.ndarray):
     """outputs[r] = sum over nonzero m[r, c] of m[r, c] * inputs[c], with
     ufunc ``out=`` into ``term`` and no other temporary: a copy for an entry
-    of 1, a multiply for the first nonzero entry, then multiply-and-add."""
-    for row, out in zip(m, outputs):
-        first, *rest = np.flatnonzero(row)
-        if row[first] == 1:
-            np.copyto(out, inputs[first])
+    of 1, a multiply for the first nonzero entry, then multiply-and-add.
+    The nonzero entries are read once, in row order, as Python numbers."""
+    rows, cols = m.nonzero()
+    last = -1
+    for r, c, x in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
+        if r == last:
+            np.multiply(inputs[c], x, out=term)
+            np.add(outputs[r], term, out=outputs[r])
+        elif x == 1:  # the first nonzero entry of row r
+            np.copyto(outputs[r], inputs[c])
         else:
-            np.multiply(inputs[first], row[first], out=out)
-        for c in rest:
-            np.multiply(inputs[c], row[c], out=term)
-            np.add(out, term, out=out)
+            np.multiply(inputs[c], x, out=outputs[r])
+        last = r
 
 
 def _apply(amps: np.ndarray, m: np.ndarray, targets, n: int,
