@@ -274,6 +274,10 @@ def cmd_trotter_sweep(run: Run) -> dict:
     for r in task["r_list"]:
         _require_integral(r, "each r_list entry in task block")
     r_list = [int(r) for r in task["r_list"]]
+    for r in r_list:
+        if r < 1:
+            raise ConfigError(
+                f"each r_list entry in task block must be at least 1, got {r}")
     t, order, strategy = task["t"], task["order"], task["strategy"]
     with run.stage("build"):
         hs = run.hamiltonian()

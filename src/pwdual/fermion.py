@@ -214,20 +214,58 @@ def _ladder_action(key, n_orbitals: int):
     return rows, cols, np.where(parity, -1.0, 1.0)
 
 
-# bytes of the 2^n int64 and uint8 vectors one _ladder_action call holds
-_LADDER_BYTES = 64
-
-
-def _check_register(op: FermionOperator, n_orbitals: int):
-    if op.n_orbitals() > n_orbitals:
-        raise ValueError("operator acts outside the requested register")
-
-
 def sector_states(n_orbitals: int, eta: int) -> np.ndarray:
     """Ascending basis indices of the C(n, eta) states with eta electrons."""
     return np.array(sorted(sum(1 << q for q in occupied) for occupied in
                            itertools.combinations(range(n_orbitals), eta)),
                     dtype=np.int64)
+
+
+def _entries(op: FermionOperator, n_orbitals: int, held: int, what: str):
+    """(rows, cols, values) of the occupation-basis matrix of ``op``, each
+    position once, in row-major order. Each value is its terms' entries
+    summed into zeros in term order; entries that cancel stay, as zeros.
+    The budget adds the ``held`` bytes the caller keeps beside them."""
+    if op.n_orbitals() > n_orbitals:
+        raise ValueError("operator acts outside the requested register")
+    # a term on k distinct orbitals fixes their occupations, so it keeps at
+    # most 2^(n-k) states; a ladder action holds 64 bytes a state, and the
+    # entries under 64 bytes each while they are summed
+    bound = sum(2 ** (n_orbitals - len({q for q, _ in key}))
+                for key in op.terms)
+    require_bytes(held + 64 * 2 ** n_orbitals + 64 * bound, what)
+    keys = np.empty(bound, dtype=np.int64)  # row << n | col
+    values = np.empty(bound, dtype=complex)
+    end = 0
+    for key, coeff in op.terms.items():
+        rows, cols, signs = _ladder_action(key, n_orbitals)
+        at = slice(end, end + len(rows))
+        keys[at], values[at] = rows << n_orbitals | cols, coeff * signs
+        end = at.stop
+    keys, values = keys[:end], values[:end]
+    # as in pauli._sum_equal: a stable sort numbers the positions, and
+    # bincount adds each entry onto 0.0 in term order
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(end, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    group = np.empty(end, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    del order, new
+    parts = [np.bincount(group, part, len(keys))
+             for part in (values.real, values.imag)]
+    del group, values
+    sums = np.empty(len(keys), dtype=complex)
+    sums.real, sums.imag = parts
+    return keys >> n_orbitals, keys & (2 ** n_orbitals - 1), sums
+
+
+def _check_number_conserving(rows, cols, values):
+    """Raise ValueError if a nonzero entry joins two particle numbers."""
+    joins = np.bitwise_count(rows) != np.bitwise_count(cols)
+    if np.any(values[joins] != 0):
+        raise ValueError("the operator joins different particle numbers")
 
 
 def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
@@ -238,43 +276,23 @@ def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
     significant), identical to the qubit convention, so this matrix can be
     compared against the Jordan-Wigner image built through the Pauli path.
     """
-    _check_register(op, n_orbitals)
     dim = 2 ** n_orbitals
-    # the matrix, one ladder action and its signed values
-    require_bytes(16 * dim * dim + (_LADDER_BYTES + 48) * dim,
-                  f"a {n_orbitals}-orbital occupation-basis matrix")
+    rows, cols, values = _entries(
+        op, n_orbitals, 16 * dim * dim,
+        f"a {n_orbitals}-orbital occupation-basis matrix")
     mat = np.zeros((dim, dim), dtype=complex)
-    for key, coeff in op.terms.items():
-        rows, cols, signs = _ladder_action(key, n_orbitals)
-        # a product maps distinct states to distinct states: no repeats
-        mat[rows, cols] += coeff * signs
+    mat[rows, cols] = values
     return mat
 
 
 def fermion_sparse(op: FermionOperator,
                    n_orbitals: int) -> scipy.sparse.csr_matrix:
     """The matrix of ``fermion_matrix`` in compressed sparse rows."""
-    _check_register(op, n_orbitals)
-    # a term on k distinct orbitals fixes their occupations, so it keeps at
-    # most 2^(n-k) states; each entry is a row, a column and a value (32
-    # bytes) as a triplet, and under twice that again through the scipy
-    # conversion to compressed rows
-    entries = sum(2 ** (n_orbitals - len({q for q, _ in key}))
-                  for key in op.terms)
-    require_bytes(_LADDER_BYTES * 2 ** n_orbitals + 3 * 32 * entries,
-                  f"a {n_orbitals}-orbital sparse matrix")
-    rows = np.empty(entries, dtype=np.int64)
-    cols = np.empty(entries, dtype=np.int64)
-    vals = np.empty(entries, dtype=complex)
-    end = 0
-    for key, coeff in op.terms.items():
-        r, c, signs = _ladder_action(key, n_orbitals)
-        at = slice(end, end + len(r))
-        rows[at], cols[at], vals[at] = r, c, coeff * signs
-        end = at.stop
+    rows, cols, values = _entries(op, n_orbitals, 0,
+                                  f"a {n_orbitals}-orbital sparse matrix")
     dim = 2 ** n_orbitals
-    return scipy.sparse.coo_matrix(
-        (vals[:end], (rows[:end], cols[:end])), shape=(dim, dim)).tocsr()
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    return scipy.sparse.csr_matrix((values, cols, indptr), shape=(dim, dim))
 
 
 def total_number_operator(n_orbitals: int) -> FermionOperator:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
-    fermion_sparse, jordan_wigner
+    fermion_sparse, jordan_wigner, _check_number_conserving
 from .geometry import ModeGrid, UP, DOWN
 from .pauli import QubitOperator, PRUNE_TOL, require_bytes
 
@@ -93,7 +93,8 @@ class HamiltonianSet:
         The blocks are the connected components of the sparse matrix's
         nonzero pattern. Entries that are exactly zero decouple, so this
         holds for any Hermitian operator; for a Hamiltonian the blocks lie
-        inside the fixed-number sectors of each spin.
+        inside the fixed-number sectors of each spin. An electron count
+        needs an operator that conserves particle number.
         """
         mat = fermion_sparse(self.total(), self.n_qubits)
         count, labels = connected_components(mat != 0, directed=False)
@@ -101,9 +102,10 @@ class HamiltonianSet:
         edges = np.searchsorted(labels[order], np.arange(count + 1))
         spans = list(zip(edges[:-1], edges[1:]))
         if electrons is not None:
-            numbers = np.bitwise_count(order)
+            entries = mat.tocoo()
+            _check_number_conserving(entries.row, entries.col, entries.data)
             spans = [(lo, hi) for lo, hi in spans
-                     if np.any(numbers[lo:hi] == electrons)]
+                     if np.bitwise_count(order[lo]) == electrons]
         largest = max((hi - lo for lo, hi in spans), default=0)
         # the sparse matrix while it is permuted (three copies), and the
         # largest dense block with the copy eigvalsh takes of it

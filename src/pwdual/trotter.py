@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermion import sector_states
+from .fermion import sector_states, _check_number_conserving, _entries
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     mode_phases
@@ -221,6 +221,8 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
     compiled operator identical to the lexicographic-ordered product; only
     the hopping factors are order-sensitive.
     """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     n = n_qubits if n_qubits is not None else op.n_qubits()
     identity, z_terms, zz_terms, hop_terms = group_qubit_terms(op)
 
@@ -251,24 +253,25 @@ def number_blocks(n_qubits: int) -> list:
 
 
 def number_block_propagator(hs: HamiltonianSet, t: float) -> np.ndarray:
-    """Dense exp(-iHt), from one eigh per particle-number block of H's
-    dense matrix; raises ValueError if H joins different particle
-    numbers."""
+    """Dense exp(-iHt), from one eigh per particle-number block of H;
+    raises ValueError if H joins different particle numbers."""
     n = hs.n_qubits
-    largest = math.comb(n, n // 2)
-    # H and the propagator, and one block's eigh and products
-    require_bytes(32 * 4 ** n + 112 * largest ** 2 + 32 * 2 ** n,
-                  f"the exact {n}-qubit propagator")
-    h_mat = hs.matrix()
-    exact = np.zeros_like(h_mat)
-    kept = 0
-    for block in number_blocks(n):
-        at = np.ix_(block, block)
-        kept += np.count_nonzero(h_mat[at])
-        vals, vecs = np.linalg.eigh(h_mat[at])
-        exact[at] = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    if kept != np.count_nonzero(h_mat):
-        raise ValueError("the Hamiltonian joins different particle numbers")
+    # the propagator, and the largest block's matrix, eigh and products
+    rows, cols, values = _entries(
+        hs.total(), n, 16 * 4 ** n + 112 * math.comb(n, n // 2) ** 2,
+        f"the exact {n}-qubit propagator")
+    _check_number_conserving(rows, cols, values)
+    numbers = np.bitwise_count(rows), np.bitwise_count(cols)
+    exact = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for k, block in enumerate(number_blocks(n)):
+        at = (numbers[0] == k) & (numbers[1] == k)
+        h_block = np.zeros((len(block), len(block)), dtype=complex)
+        h_block[np.searchsorted(block, rows[at]),
+                np.searchsorted(block, cols[at])] = values[at]
+        h_block[np.diag_indices_from(h_block)] += hs.constant
+        vals, vecs = np.linalg.eigh(h_block)
+        exact[np.ix_(block, block)] = (vecs * np.exp(-1j * vals * t)) \
+            @ vecs.conj().T
     return exact
 
 

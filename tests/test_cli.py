@@ -80,6 +80,17 @@ class TestConfig:
         assert run(tmp_path, command, *SMALL, item) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_list,got", [("[0, 2]", "0"),
+                                            ("[-2, 4]", "-2"),
+                                            ("[2, -1.0]", "-1")])
+    def test_r_list_entry_below_one_exit_2(self, tmp_path, capsys, r_list,
+                                           got):
+        """r = 0 divided by zero and r < 0 failed in a logarithm."""
+        assert run(tmp_path, "trotter-sweep", *SMALL,
+                   f"task.r_list={r_list}") == 2
+        assert ("each r_list entry in task block must be at least 1, got "
+                + got) in capsys.readouterr().err
+
     def test_integral_float_is_an_integer(self, tmp_path):
         assert run(tmp_path, "measure", *SMALL, "system.eta=1",
                    "task.shots=40.0") == 0

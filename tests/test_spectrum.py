@@ -8,10 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwdual.fermion import FermionOperator, RAISE, fermion_matrix, \
-    fermion_sparse
+    fermion_sparse, _ladder_action
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import HamiltonianSet, build_dual, \
     build_finite_difference, build_plane_wave
@@ -83,9 +83,55 @@ def test_matrix_equals_reference_loop(case):
     op, n = case
     mat = fermion_matrix(op, n)
     assert np.array_equal(mat, reference_fermion_matrix(op, n))
-    scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)))
-    assert np.allclose(fermion_sparse(op, n).toarray(), mat,
-                       rtol=0.0, atol=1e-14 * scale)
+    assert fermion_sparse(op, n).toarray().tobytes() == mat.tobytes()
+
+
+def scatter_reference(op, n_orbitals):
+    """Each term's ladder action added onto zeros, one term after another:
+    the order every occupation-basis matrix sums an entry's terms in."""
+    dim = 2 ** n_orbitals
+    mat = np.zeros((dim, dim), dtype=complex)
+    for key, coeff in op.terms.items():
+        rows, cols, signs = _ladder_action(key, n_orbitals)
+        mat[rows, cols] += coeff * signs
+    return mat
+
+
+@st.composite
+def overlapping_operators(draw):
+    """Few orbitals and many terms, so that entries share positions; a term
+    may come with its first two factors swapped, which cancels it exactly,
+    and the identity may join the diagonal."""
+    n = draw(st.integers(1, 5))
+    coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                               allow_infinity=False)
+    factor = st.tuples(st.integers(0, n - 1), st.integers(0, 1))
+    op = FermionOperator()
+    for key, c, swap in draw(st.lists(st.tuples(
+            st.lists(factor, max_size=3).map(tuple), coeff, st.booleans()),
+            max_size=30)):
+        keys = [key]
+        if swap and len(key) >= 2 and key[0][0] != key[1][0]:
+            keys.append((key[1], key[0]) + key[2:])
+        for k in keys:
+            op.terms[k] = op.terms.get(k, 0.0) + c
+    if draw(st.booleans()):
+        op.terms[()] = op.terms.get((), 0.0) + draw(coeff)
+    return op, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_operators())
+@example((FermionOperator(), 3))
+@example((build_dual(build_grid(1, 4, 4.0, True),
+                     [((1.3,), 1.0)]).total(), 8))
+@example((FermionOperator({((1, 1), (0, 0)): 0.3, ((0, 0), (1, 1)): 0.3,
+                           (): 1.1, ((0, 1), (0, 0)): -0.7 + 0.1j}), 2))
+def test_dense_and_sparse_sum_each_entry_in_term_order(case):
+    op, n = case
+    want = scatter_reference(op, n).tobytes()
+    assert fermion_matrix(op, n).tobytes() == want
+    assert fermion_sparse(op, n).toarray().tobytes() == want
 
 
 def test_contraction_term_equals_reference_loop():

@@ -386,3 +386,48 @@ def test_gate_rule_scan_sees_functions_methods_and_fstrings():
         (6, "check", r"target .*outside .*qubits"),
         (8, "check", "not finite"), (11, None, "unknown gate kind")]
     assert post_init_classes(tree) == ["Gate"]
+
+
+def name_uses(tree, name):
+    """(line, enclosing function) of each read of ``name``, as a bare name
+    or an attribute, and of each import of it."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Name) and node.id == name \
+                or isinstance(node, ast.Attribute) and node.attr == name \
+                or isinstance(node, ast.alias) and node.name == name:
+            found.append((getattr(node, "lineno", None), fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_occupation_builder():
+    """Every occupation-basis matrix reads one term-ordered entry list:
+    ``fermion._entries`` is the only caller of ``_ladder_action``."""
+    found = {path.name: name_uses(ast.parse(path.read_text()),
+                                  "_ladder_action")
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    mine = found.pop("fermion.py")
+    assert [fn for _, fn in mine] == ["_entries"], mine
+    assert not any(found.values()), f"ladder action read elsewhere: {found}"
+
+
+def test_name_scan_sees_calls_attributes_and_imports():
+    tree = ast.parse(
+        "from .fermion import _ladder_action\n"
+        "def a(key, n):\n"
+        "    return _ladder_action(key, n)\n"
+        "def b(key, n):\n"
+        "    f = fermion._ladder_action\n"
+        "    return list(map(_ladder_action, [key], [n]))\n"
+        "def _ladder_action(key, n):\n"
+        "    return ladder_action(key, n)\n")
+    uses = name_uses(tree, "_ladder_action")
+    assert [fn for _, fn in uses] == [None, "a", "b", "b"]
+    assert [line for line, _ in uses[1:]] == [3, 5, 6]

@@ -13,7 +13,8 @@ from pwdual.statevector import Circuit, Gate, circuit_matrix, Statevector, \
     apply_circuit, expectation
 from pwdual.trotter import TrotterConfig, split_operator_step, \
     direct_jw_step, measure_error_scaling, estimate_r, trotter_circuit, \
-    hopping_template_gates, group_qubit_terms, number_blocks, _zz_gates
+    hopping_template_gates, group_qubit_terms, number_blocks, \
+    number_block_propagator, _zz_gates
 
 
 def spinful_jellium(omega=4.0):
@@ -231,6 +232,27 @@ class TestErrorScaling:
         with pytest.raises(ValueError, match="leak"):
             measure_error_scaling(step_fn, exact, [2, 4], 1.0)
 
+    def test_propagator_equals_block_eigh_of_dense_matrix(self):
+        # the dense reference: one eigh per particle-number block of H
+        grid = build_grid(1, 4, 4.0, spinful=True)
+        hs = build_dual(grid, NucleiSpec.build([((1.3,), 1.0)]))
+        hs.constant = 0.7
+        h = hs.matrix()
+        want = np.zeros_like(h)
+        for block in number_blocks(hs.n_qubits):
+            at = np.ix_(block, block)
+            vals, vecs = np.linalg.eigh(h[at])
+            want[at] = (vecs * np.exp(-1j * vals * 0.8)) @ vecs.conj().T
+        got = number_block_propagator(hs, 0.8)
+        assert got.tobytes() == want.tobytes()
+
+    def test_propagator_rejects_pair_creation(self):
+        op = FermionOperator({((0, 1), (1, 1)): 1.0, ((1, 0), (0, 0)): 1.0})
+        hs = HamiltonianSet(op, FermionOperator(), FermionOperator(), 0.0,
+                            "test", None, 2)
+        with pytest.raises(ValueError, match="particle number"):
+            number_block_propagator(hs, 1.0)
+
     def test_number_blocks_partition_by_popcount(self):
         blocks = number_blocks(5)
         assert [len(b) for b in blocks] == [1, 5, 10, 10, 5, 1]
@@ -295,6 +317,15 @@ class TestFullEvolution:
                                                      r=r, t=1.0))
             errs[r] = np.linalg.norm(circuit_matrix(circ) - exact, 2)
         assert errs[64] < errs[4] / 100
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_steps_reject_other_orders(self, order):
+        hs = spinful_jellium()
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            split_operator_step(hs, 0.1, order=order)
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            direct_jw_step(build_qubit(hs), 0.1, order=order,
+                           n_qubits=hs.n_qubits)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
