@@ -105,10 +105,25 @@ def load_config(path, overrides):
 
 
 def _require_integral(value, what: str):
-    """Refuse a non-integral number where an integer is read, which int()
-    would truncate without a word; an integral float such as 2.0 passes."""
-    if isinstance(value, float) and not value.is_integer():
+    """Refuse anything but an integral number where an integer is read: a
+    fraction, which int() would truncate without a word, a bool, which
+    int() reads as 0 or 1, and a non-number. An integral float such as 2.0
+    passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _integer_list(task: dict, key: str) -> list:
+    """The task's ``key`` as a list of ints; refuse a non-list and any
+    entry that ``_require_integral`` refuses."""
+    values = task[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} in task block must be a list of integers, "
+                          f"got {values!r}")
+    for value in values:
+        _require_integral(value, f"each {key} entry in task block")
+    return [int(value) for value in values]
 
 
 def _fill(block: dict, defaults: dict, where: str) -> dict:
@@ -166,6 +181,20 @@ def resolve(cfg: dict, name: str) -> dict:
     return resolved
 
 
+def _parse_nuclei(nuclei, grid) -> NucleiSpec:
+    """The system block's nuclei, a list of [position, charge] pairs, each
+    inside the cell of ``grid``."""
+    if not isinstance(nuclei, list):
+        raise ConfigError(f"nuclei in system block must be a list of "
+                          f"[position, charge] pairs, got {nuclei!r}")
+    try:
+        spec = NucleiSpec.build(nuclei)
+        spec.validate_inside(grid)
+        return spec
+    except ValueError as exc:
+        raise ConfigError(f"nuclei in system block: {exc}") from None
+
+
 class Run:
     """One command run: the resolved config, the system it describes,
     and what goes under the report's ``meta``: wall seconds per stage,
@@ -182,8 +211,7 @@ class Run:
             self.grid = build_grid(system["dimension"],
                                    system["modes_per_axis"],
                                    system["volume"], system["spinful"])
-            self.nuclei = NucleiSpec.build(
-                [(tuple(pos), charge) for pos, charge in system["nuclei"]])
+            self.nuclei = _parse_nuclei(system["nuclei"], self.grid)
             self.counts["qubits"] = self.grid.n_qubits
 
     def hamiltonian(self, rep: str = DUAL):
@@ -271,9 +299,7 @@ def cmd_diagonalize(run: Run) -> dict:
 
 def cmd_trotter_sweep(run: Run) -> dict:
     task = run.task
-    for r in task["r_list"]:
-        _require_integral(r, "each r_list entry in task block")
-    r_list = [int(r) for r in task["r_list"]]
+    r_list = _integer_list(task, "r_list")
     for r in r_list:
         if r < 1:
             raise ConfigError(
@@ -378,8 +404,7 @@ def cmd_swapnet(run: Run) -> dict:
 
 def cmd_lcu_check(run: Run) -> dict:
     task = run.task
-    for order in task["orders"]:
-        _require_integral(order, "each orders entry in task block")
+    orders = _integer_list(task, "orders")
     with run.stage("build"):
         hs = run.hamiltonian()
         model = build_weights(hs, include_noop=task["include_noop"])
@@ -408,7 +433,7 @@ def cmd_lcu_check(run: Run) -> dict:
         taylor = {}
         if lam * task["t"] <= math.log(2.0):
             with run.caps("taylor"):
-                taylor = taylor_errors(model, rec, task["t"], task["orders"],
+                taylor = taylor_errors(model, rec, task["t"], orders,
                                        run.seed)
     run.counts.update(fermion_terms=len(hs.total().terms),
                       pauli_terms=len(qub.terms), weights=len(model.weights))

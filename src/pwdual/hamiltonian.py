@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,8 @@ from scipy.sparse.csgraph import connected_components
 from .fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
     fermion_sparse, jordan_wigner, _check_number_conserving
 from .geometry import ModeGrid, UP, DOWN
-from .pauli import QubitOperator, PRUNE_TOL, require_bytes
+from .pauli import QubitOperator, PRUNE_TOL, require_bytes, \
+    _real_if_exact
 
 PLANE_WAVE = "plane_wave"
 DUAL = "dual"
@@ -32,6 +34,14 @@ ONSITE_REPULSION_CONSTANT = (
 )
 
 
+def _number(x) -> float:
+    """``x`` as a float; TypeError unless it is a real number (not a bool
+    or a string)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class NucleiSpec:
     """Point charges: tuple of (position vector, positive charge)."""
@@ -40,14 +50,22 @@ class NucleiSpec:
 
     @classmethod
     def build(cls, entries) -> "NucleiSpec":
-        """A spec from (position, charge) pairs; a spec comes back as is."""
+        """A spec from (position, charge) pairs of numbers, the charge
+        positive; a spec comes back as is. ValueError names a malformed
+        pair."""
         if isinstance(entries, cls):
             return entries
         norm = []
-        for pos, charge in entries or ():
-            if charge <= 0:
+        for entry in entries or ():
+            try:
+                pos, charge = entry
+                pos, charge = tuple(map(_number, pos)), _number(charge)
+            except (TypeError, ValueError):
+                raise ValueError(f"a nucleus is a (position, charge) pair of "
+                                 f"numbers, got {entry!r}") from None
+            if not charge > 0:
                 raise ValueError(f"nuclear charge must be positive, got {charge}")
-            norm.append((tuple(float(x) for x in pos), float(charge)))
+            norm.append((pos, charge))
         return cls(tuple(norm))
 
     def total_charge(self) -> float:
@@ -97,6 +115,9 @@ class HamiltonianSet:
         needs an operator that conserves particle number.
         """
         mat = fermion_sparse(self.total(), self.n_qubits)
+        # sized as built: a real view keeps the complex entries alive
+        sparse = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        mat = _real_if_exact(mat)
         count, labels = connected_components(mat != 0, directed=False)
         order = np.argsort(labels, kind="stable")
         edges = np.searchsorted(labels[order], np.arange(count + 1))
@@ -109,7 +130,6 @@ class HamiltonianSet:
         largest = max((hi - lo for lo, hi in spans), default=0)
         # the sparse matrix while it is permuted (three copies), and the
         # largest dense block with the copy eigvalsh takes of it
-        sparse = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
         require_bytes(3 * sparse + 32 * largest ** 2,
                       f"a spectrum with {largest}-state blocks")
         mat = mat[order][:, order]

@@ -22,6 +22,7 @@ import functools
 import itertools
 
 import numpy as np
+import scipy.sparse
 
 PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -41,6 +42,17 @@ def require_bytes(nbytes: int, what: str):
         raise DenseLimitError(
             f"{what} needs {nbytes} bytes; dense work is limited to "
             f"DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT} bytes")
+
+
+def _real_if_exact(mat):
+    """The real part of a dense or sparse matrix whose imaginary parts are
+    all exactly zero, so that a real symmetric matrix reaches LAPACK's real
+    solvers (the dual basis); any other matrix (a complex plane-wave block,
+    say), unchanged."""
+    values = mat.data if scipy.sparse.issparse(mat) else mat
+    if np.iscomplexobj(values) and not values.imag.any():
+        return mat.real
+    return mat
 
 
 # Inside products a string is a pair of masks (x, z): bit q of x flips

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .pauli import QubitOperator, expectation_value, qubit_operator_matrix, \
-    require_bytes, string_matrix
+    require_bytes, string_matrix, _real_if_exact
 
 NORM_TOL = 1e-10
 
@@ -474,8 +474,8 @@ def exact_evolve(hamiltonian: QubitOperator, t: float,
     """Reference exp(-iHt) by dense eigendecomposition."""
     n = state.n_qubits
     require_bytes(evolve_bytes(n), f"exact evolution on {n} qubits")
-    mat = qubit_operator_matrix(hamiltonian, n)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = np.linalg.eigh(
+        _real_if_exact(qubit_operator_matrix(hamiltonian, n)))
     phases = np.exp(-1j * vals * t)
     amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
     return Statevector(n, amps)

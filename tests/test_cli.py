@@ -6,6 +6,7 @@ import pytest
 
 from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
     load_config, main
+from pwdual.trotter import fit_slope
 
 
 def run(tmp_path, command, *overrides, out="run"):
@@ -80,6 +81,49 @@ class TestConfig:
         assert run(tmp_path, command, *SMALL, item) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,item,message", [
+        ("trotter-sweep", "task.r_list=[null, 2]",
+         "each r_list entry in task block must be an integer, got None"),
+        ("trotter-sweep", "task.r_list=[true, 2]",
+         "each r_list entry in task block must be an integer, got True"),
+        ("trotter-sweep", 'task.r_list=[2, "4"]',
+         "each r_list entry in task block must be an integer, got '4'"),
+        ("lcu-check", "task.orders=[null]",
+         "each orders entry in task block must be an integer, got None"),
+        ("measure", "task.shots=true",
+         "shots in task block must be an integer, got True"),
+        ("trotter-sweep", "task.r_list=5",
+         "r_list in task block must be a list of integers, got 5"),
+        ("lcu-check", "task.orders=null",
+         "orders in task block must be a list of integers, got None"),
+    ])
+    def test_non_integer_exit_2(self, tmp_path, capsys, command, item,
+                                message):
+        """These ended in a TypeError traceback, or (a bool) ran as 0 or 1."""
+        assert run(tmp_path, command, *SMALL, item) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,nuclei,message", [
+        ("diagonalize", "null", "must be a list of [position, charge] pairs"),
+        ("diagonalize", "[[[0.5], null]]", "got [[0.5], None]"),
+        ("build", "[[1]]", "got [1]"),
+        ("build", "[[[0.5], true]]", "got [[0.5], True]"),
+        ("build", '[[["0.5"], 1.0]]', "got [['0.5'], 1.0]"),
+        ("build", "[[[0.5], 1.0, 2.0]]", "got [[0.5], 1.0, 2.0]"),
+        ("build", "[[[0.5], -1.0]]", "nuclear charge must be positive"),
+        ("build", "[[[0.5, 0.5], 1.0]]", "position has wrong dimension"),
+        ("build", "[[[9.0], 1.0]]", "outside cell"),
+    ])
+    def test_malformed_nuclei_exit_2(self, tmp_path, capsys, command, nuclei,
+                                     message):
+        """The first three ended in a TypeError traceback or an unpacking
+        message that named no key."""
+        assert run(tmp_path, command, *SMALL,
+                   f"system.nuclei={nuclei}") == 2
+        err = capsys.readouterr().err
+        assert "nuclei in system block" in err
+        assert message in err
+
     @pytest.mark.parametrize("r_list,got", [("[0, 2]", "0"),
                                             ("[-2, 4]", "-2"),
                                             ("[2, -1.0]", "-1")])
@@ -103,6 +147,11 @@ class TestConfig:
         rows = read_report(tmp_path, "trotter_report.json", out="sweep")[
             "result"]["rows"]
         assert [r for r, _ in rows] == [2, 4]
+        assert run(tmp_path, "lcu-check", *SMALL, "task.t=0.01",
+                   "task.orders=[2.0, 4]", out="lcu") == 0
+        taylor = read_report(tmp_path, "lcu_report.json", out="lcu")[
+            "result"]["taylor"]
+        assert list(taylor) == ["2", "4"]
 
     def test_r_s_sets_volume(self, tmp_path):
         code = run(tmp_path, "build", "system.dimension=3",
@@ -342,8 +391,10 @@ class TestCommands:
     def test_trotter_fit_leaves_out_saturated_points(self, tmp_path):
         assert run(tmp_path, "trotter-sweep", *self.EIGHT) == 0
         result = read_report(tmp_path, "trotter_report.json")["result"]
-        # the fit over every row is reported unchanged
-        assert result["slope"] == -2.112922384739501
+        # the fit over every row is reported unchanged; its last digit
+        # follows the BLAS thread count, so the value itself is approximate
+        assert result["slope"] == fit_slope(result["rows"])
+        assert result["slope"] == pytest.approx(-2.112922384739501, rel=1e-9)
         assert result["asymptotic_slope"] == pytest.approx(-2.042, abs=5e-4)
         assert result["local_slopes"] == pytest.approx(
             [-2.368, -2.103, -2.024, -2.006], abs=5e-4)

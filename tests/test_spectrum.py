@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
 from pwdual.fermion import FermionOperator, RAISE, fermion_matrix, \
@@ -15,6 +16,7 @@ from pwdual.fermion import FermionOperator, RAISE, fermion_matrix, \
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import HamiltonianSet, build_dual, \
     build_finite_difference, build_plane_wave
+from pwdual.pauli import _real_if_exact
 from pwdual.vqe import sector_ground_energy, sector_states
 
 
@@ -265,3 +267,32 @@ def test_spectrum_memory_at_12_qubits():
         tracemalloc.stop()
     assert spectrum.shape == (4096,)
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("form", [np.asarray, scipy.sparse.csr_matrix])
+def test_realness_rule_narrows_only_exactly_real_matrices(form):
+    real = np.array([[1.0, -2.0], [-2.0, 0.5]])
+    narrowed = _real_if_exact(form(real.astype(complex)))
+    assert narrowed.dtype == np.float64
+    assert np.array_equal(scipy.sparse.csr_matrix(narrowed).toarray(), real)
+    for imag in (1e-3j, 5e-324j):  # the second is the smallest subnormal
+        mat = form(real + imag * np.array([[0, 1], [-1, 0]]))
+        assert mat.dtype == complex
+        assert _real_if_exact(mat) is mat
+    assert _real_if_exact(real) is real
+
+
+def test_complex_plane_wave_blocks_take_the_complex_solver():
+    """A block with a nonzero imaginary entry is diagonalized exactly as a
+    per-block complex eigvalsh does it, bit for bit."""
+    hs = build_plane_wave(build_grid(1, 4, 4.0, True), [((1.3,), 1.0)],
+                          None, 0.25)
+    dense = fermion_matrix(hs.total(), hs.n_qubits)
+    complex_blocks = 0
+    for states, vals in hs.blocks():
+        block = dense[np.ix_(states, states)]
+        if np.any(block.imag != 0):
+            complex_blocks += 1
+            assert np.array_equal(
+                vals, np.linalg.eigvalsh(block) + hs.constant)
+    assert complex_blocks > 0

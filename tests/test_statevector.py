@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pwdual.pauli import QubitOperator, qubit_operator_matrix
+from pwdual.pauli import QubitOperator, qubit_operator_matrix, \
+    _real_if_exact
 from pwdual.statevector import Statevector, Gate, Circuit, apply_gate, \
     apply_circuit, circuit_matrix, exact_evolve, expectation, \
     sample_bitstrings, dumps_circuit, loads_circuit, dumps_state, \
@@ -134,7 +135,38 @@ class TestUnitarity:
         assert abs(out.norm() - 1.0) < 1e-10
 
 
+def complex_evolve(op, t, state):
+    """exp(-iHt) from a complex Hermitian eigh, whatever H's entries."""
+    mat = qubit_operator_matrix(op, state.n_qubits).astype(complex)
+    vals, vecs = np.linalg.eigh(mat)
+    return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ state.amplitudes))
+
+
 class TestExactEvolve:
+    # the dense-verify lcu-check cell: 1D M=8 spinless with one nucleus
+    @staticmethod
+    def lcu_cell():
+        from pwdual.geometry import build_grid
+        from pwdual.hamiltonian import build_dual, build_qubit
+        op = build_qubit(build_dual(build_grid(1, 8, 8.0), [((2.1,), 1.0)]))
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+        return op, Statevector(8, amps / np.linalg.norm(amps))
+
+    def test_real_hamiltonian_takes_the_real_solver(self):
+        op, state = self.lcu_cell()
+        assert _real_if_exact(qubit_operator_matrix(op, 8)).dtype == float
+        out = exact_evolve(op, 0.01, state)
+        assert np.max(np.abs(out.amplitudes
+                             - complex_evolve(op, 0.01, state))) <= 1e-12
+
+    def test_imaginary_term_keeps_the_complex_solver(self):
+        op, state = self.lcu_cell()
+        op = op + QubitOperator({((0, "X"), (1, "Y")): 0.3})
+        out = exact_evolve(op, 0.01, state)
+        assert np.array_equal(out.amplitudes,
+                              complex_evolve(op, 0.01, state))
+
     def test_t_zero_identity(self):
         h = QubitOperator({((0, "X"),): 0.5})
         state = Statevector.basis_state(2, 1)

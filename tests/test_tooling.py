@@ -431,3 +431,85 @@ def test_name_scan_sees_calls_attributes_and_imports():
     uses = name_uses(tree, "_ladder_action")
     assert [fn for _, fn in uses] == [None, "a", "b", "b"]
     assert [line for line, _ in uses[1:]] == [3, 5, 6]
+
+
+def imag_zero_tests(tree):
+    """(line, function) of each exact-zero test of an imaginary part: an
+    ``.imag`` (or its abs) compared with 0, or read for truth by ``not``,
+    ``any``, ``all`` or ``count_nonzero``, and each call of numpy's
+    ``isreal`` or ``real_if_close``. A comparison with a tolerance is not
+    an exact-zero test."""
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    def is_imag(node):
+        if isinstance(node, ast.Call) and name(node.func) == "abs" \
+                and len(node.args) == 1:
+            node = node.args[0]
+        return isinstance(node, ast.Attribute) and node.attr == "imag"
+
+    def is_test(node):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            return any(map(is_imag, operands)) and any(
+                isinstance(op, ast.Constant) and op.value == 0
+                for op in operands)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return is_imag(node.operand)
+        if isinstance(node, ast.Call):
+            fn = name(node.func)
+            if fn in ("isreal", "real_if_close"):
+                return True
+            read = list(node.args[:1])
+            if isinstance(node.func, ast.Attribute):
+                read.append(node.func.value)
+            return fn in ("any", "all", "count_nonzero") \
+                and any(map(is_imag, read))
+        return False
+
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if is_test(node):
+            found.append((node.lineno, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_realness_rule():
+    """Whether a matrix reaches LAPACK's real or complex solvers is decided
+    once, in ``pauli._real_if_exact``: no other code tests an imaginary
+    part for exact zero, and the exact spectra (``HamiltonianSet.blocks``)
+    and ``exact_evolve`` both call it."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    found = {name: imag_zero_tests(tree) for name, tree in trees.items()}
+    mine = found.pop("pauli.py")
+    assert [fn for _, fn in mine] == ["_real_if_exact"], mine
+    assert not any(found.values()), f"realness rule copied: {found}"
+    for module, caller in (("hamiltonian.py", "blocks"),
+                           ("statevector.py", "exact_evolve")):
+        callers = {fn for _, fn in name_uses(trees[module], "_real_if_exact")}
+        assert caller in callers, f"{caller} skips the realness rule"
+
+
+def test_imag_zero_scan_sees_compares_truth_tests_and_predicates():
+    tree = ast.parse(
+        "def a(m):\n"
+        "    return not m.imag.any()\n"
+        "def b(m):\n"
+        "    return np.all(m.imag == 0) or np.count_nonzero(m.data.imag)\n"
+        "def c(m):\n"
+        "    return abs(m.imag) <= tol or np.isreal(m) or 0.0 != m.imag\n"
+        "def d(m):\n"
+        "    return not m.imag, np.real_if_close(m), abs(m.imag) == 0\n"
+        "def e(m):\n"
+        "    return all(abs(c.imag) <= tol for c in m), m.real.any()\n")
+    assert imag_zero_tests(tree) == [
+        (2, "a"), (4, "b"), (4, "b"), (6, "c"), (6, "c"),
+        (8, "d"), (8, "d"), (8, "d")]
