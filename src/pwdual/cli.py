@@ -37,9 +37,10 @@ from .fermion import fermion_matrix, fermion_sparse, FermionOperator
 from .geometry import build_grid
 from .hamiltonian import build_dual, build_plane_wave, build_qubit, \
     norm_bounds, NucleiSpec, DUAL, PLANE_WAVE
-from .lcu import build_weights, prepare_state, taylor_errors, dump_weights
+from .lcu import build_weights, prepare_state, taylor_errors, \
+    dump_weights, SEGMENT_LIMIT
 from .measurement import MeasurementPlan, estimate_energy, shot_budget, \
-    STRATEGIES, DIAGONAL_GROUPS, PER_TERM
+    DIAGONAL_GROUPS, PER_TERM
 from .pauli import DenseLimitError
 from .serialize import fmt, dumps_hamiltonian
 from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
@@ -104,46 +105,41 @@ def load_config(path, overrides):
     return cfg
 
 
-def _require_integral(value, what: str):
-    """Refuse anything but an integral number where an integer is read: a
-    fraction, which int() would truncate without a word, a bool, which
-    int() reads as 0 or 1, and a non-number. An integral float such as 2.0
-    passes."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+# what a value must be, by the type of its key's default
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string", type(None): "null or a finite number"}
 
 
-def _integer_list(task: dict, key: str) -> list:
-    """The task's ``key`` as a list of ints; refuse a non-list and any
-    entry that ``_require_integral`` refuses."""
-    values = task[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} in task block must be a list of integers, "
-                          f"got {values!r}")
-    for value in values:
-        _require_integral(value, f"each {key} entry in task block")
-    return [int(value) for value in values]
+def _typed(value, default, key: str, where: str):
+    """``value`` read as the type of ``default`` (an int from an integral
+    number, a None default from null or a number, kept as given, a list's
+    entries as its first entry); ConfigError names the key otherwise."""
+    if isinstance(default, list) and default:
+        if not isinstance(value, list):
+            plural = _KINDS[type(default[0])].split()[-1] + "s"
+            raise ConfigError(f"{key} in {where} must be a list of {plural}, "
+                              f"got {value!r}")
+        return [_typed(entry, default[0], f"each {key} entry", where)
+                for entry in value]
+    # not a bool, nan, inf or an integer past the float range
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+    if not {bool: isinstance(value, bool),
+            int: number and (isinstance(value, int) or value.is_integer()),
+            float: number, str: isinstance(value, str),
+            type(None): value is None or number,
+            list: True}[type(default)]:  # nuclei: parsed by their reader
+        raise ConfigError(f"{key} in {where} must be {_KINDS[type(default)]}"
+                          f", got {value!r}")
+    return type(default)(value) if type(default) in (int, float) else value
 
 
 def _fill(block: dict, defaults: dict, where: str) -> dict:
-    """``block`` over ``defaults``; a value whose default is a number is
-    converted to the default's type (an integer only from an integral
-    value), and one whose default is a flag must be true or false."""
+    """``block`` over ``defaults``, each value typed by ``_typed``."""
     _check_keys(block, defaults, where)
     out = copy.deepcopy(defaults)
     for key, value in block.items():
-        default = defaults[key]
-        if isinstance(default, bool) and not isinstance(value, bool):
-            raise ConfigError(f"{key} in {where} must be true or false, "
-                              f"got {value!r}")
-        if type(default) is int:
-            _require_integral(value, f"{key} in {where}")
-        try:
-            out[key] = type(default)(value) \
-                if isinstance(default, (int, float)) else value
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} in {where}: {exc}") from None
+        out[key] = _typed(value, defaults[key], key, where)
     return out
 
 
@@ -156,11 +152,10 @@ def _resolve_system(block: dict) -> dict:
         if system["dimension"] != 3:
             raise ConfigError("the density parameter r_s is defined for "
                               "dimension 3 only; give volume directly")
-        system["volume"] = (4.0 * math.pi / 3.0) * float(r_s) ** 3 \
-            * system["eta"]
+        system["volume"] = (4.0 * math.pi / 3.0) * r_s ** 3 * system["eta"]
     elif system["volume"] is None:
-        system["volume"] = system["modes_per_axis"] ** system["dimension"]
-    system["volume"] = float(system["volume"])
+        system["volume"] = float(system["modes_per_axis"]
+                                 ** system["dimension"])
     return system
 
 
@@ -171,7 +166,14 @@ def resolve(cfg: dict, name: str) -> dict:
     task = _fill(cfg["task"], command.task, "task block")
     if "expected_slope" in task and task["expected_slope"] is None:
         task["expected_slope"] = -float(task["order"])
+    # r_list is the one range no library function reads
+    if "r_list" in task and min(task["r_list"], default=1) < 1:
+        raise ConfigError(f"each r_list entry in task block must be at "
+                          f"least 1, got {min(task['r_list'])}")
     resolved = _fill({"seed": cfg["seed"]}, {"seed": 0}, "config root")
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed in config root must be non-negative, got "
+                          f"{resolved['seed']}")
     resolved["task"] = task
     if command.system:
         resolved["system"] = _resolve_system(cfg["system"])
@@ -299,19 +301,16 @@ def cmd_diagonalize(run: Run) -> dict:
 
 def cmd_trotter_sweep(run: Run) -> dict:
     task = run.task
-    r_list = _integer_list(task, "r_list")
-    for r in r_list:
-        if r < 1:
-            raise ConfigError(
-                f"each r_list entry in task block must be at least 1, got {r}")
     t, order, strategy = task["t"], task["order"], task["strategy"]
+    suggested_r = estimate_r(run.eta, run.grid.n_spatial,
+                             run.grid.cell.volume, t, task["epsilon"])
     with run.stage("build"):
         hs = run.hamiltonian()
         # the first r's step checks the strategy and the grid before any
         # dense work, and serves that r
         pending = [trotter_circuit(hs, TrotterConfig(strategy, order, 1,
                                                      t / r))
-                   for r in r_list[:1]]
+                   for r in task["r_list"][:1]]
     with run.stage("matrix"):
         exact = number_block_propagator(hs, t)
     run.counts["matrix_bytes"] = exact.nbytes
@@ -323,7 +322,7 @@ def cmd_trotter_sweep(run: Run) -> dict:
         return circuit_matrix(step)
 
     with run.stage("verify"):
-        rows, slope = measure_error_scaling(step_fn, exact, r_list, t,
+        rows, slope = measure_error_scaling(step_fn, exact, task["r_list"], t,
                                             run.counts)
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]
     run.write("trotter_sweep.csv", "\n".join(lines) + "\n")
@@ -346,8 +345,7 @@ def cmd_trotter_sweep(run: Run) -> dict:
         "slope": slope,
         "local_slopes": [fit_slope(pair) for pair in zip(rows, rows[1:])],
         "asymptotic_slope": asymptotic,
-        "suggested_r": estimate_r(run.eta, run.grid.n_spatial,
-                                  run.grid.cell.volume, t, task["epsilon"]),
+        "suggested_r": suggested_r,
         "failures": failures,
     }
 
@@ -404,7 +402,6 @@ def cmd_swapnet(run: Run) -> dict:
 
 def cmd_lcu_check(run: Run) -> dict:
     task = run.task
-    orders = _integer_list(task, "orders")
     with run.stage("build"):
         hs = run.hamiltonian()
         model = build_weights(hs, include_noop=task["include_noop"])
@@ -431,9 +428,9 @@ def cmd_lcu_check(run: Run) -> dict:
         if prep_err > 1e-12:
             failures.append(f"preparation amplitude gap {prep_err:.3e}")
         taylor = {}
-        if lam * task["t"] <= math.log(2.0):
+        if lam * abs(task["t"]) <= SEGMENT_LIMIT:
             with run.caps("taylor"):
-                taylor = taylor_errors(model, rec, task["t"], orders,
+                taylor = taylor_errors(model, rec, task["t"], task["orders"],
                                        run.seed)
     run.counts.update(fermion_terms=len(hs.total().terms),
                       pauli_terms=len(qub.terms), weights=len(model.weights))
@@ -451,9 +448,7 @@ def cmd_lcu_check(run: Run) -> dict:
 def cmd_measure(run: Run) -> dict:
     task = run.task
     strategy = task["strategy"]
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; "
-                          f"choose from {STRATEGIES}")
+    plan = MeasurementPlan(strategy, task["shots"], run.seed)
     with run.stage("build"):
         hs = run.hamiltonian()
     with run.stage("prepare"):
@@ -462,7 +457,6 @@ def cmd_measure(run: Run) -> dict:
         # per_term samples the compiled operator and its budget reads its
         # coefficient norm: compile it once for both
         qubit = build_qubit(hs) if strategy == PER_TERM else None
-        plan = MeasurementPlan(strategy, task["shots"], run.seed)
         estimate, stderr = estimate_energy(state, hs, plan, run.counts, qubit)
     if not run.counts.get("dense_draws"):
         run.meta["fast_paths"] = ["support"]

@@ -197,16 +197,16 @@ def taylor_segment(model: LcuModel, t: float, order, state: Statevector):
     H here is the decomposition's reconstruction (identity no-ops shift it
     by a constant, a global phase under evolution).
     Returns (state, success_amplitude) where the amplitude is the idealized
-    post-selection amplitude |truncated psi| / sum_k (Lambda t)^k / k!.
+    post-selection amplitude |truncated psi| / sum_k (Lambda |t|)^k / k!.
     ``order`` may be a list of orders instead: one matrix of H and one pass
     of the series to the highest order then serve them all, and a list of
     (state, success_amplitude), one per order, comes back.
     """
     orders = list(order) if np.ndim(order) else [order]
-    lam = model.lam
-    if lam * t > SEGMENT_LIMIT + 1e-12:
+    lam_t = model.lam * abs(t)
+    if lam_t > SEGMENT_LIMIT + 1e-12:
         raise ValueError(
-            f"single-segment regime needs Lambda*t <= ln 2, got {lam * t:.4f}")
+            f"single-segment regime needs Lambda*|t| <= ln 2, got {lam_t:.4f}")
     if min(orders, default=0) < 0:
         raise ValueError(f"Taylor orders must be >= 0, got {orders}")
     n = state.n_qubits
@@ -222,7 +222,7 @@ def taylor_segment(model: LcuModel, t: float, order, state: Statevector):
     out = []
     for k in orders:
         norm = float(np.linalg.norm(partial[k]))
-        scale = sum((lam * t) ** j / math.factorial(j) for j in range(k + 1))
+        scale = sum(lam_t ** j / math.factorial(j) for j in range(k + 1))
         if norm == 0.0:
             raise ValueError("truncated series annihilated the state")
         out.append((Statevector(n, partial[k] / norm), norm / scale))
@@ -242,7 +242,7 @@ def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     psi = Statevector(n, amps / np.linalg.norm(amps))
     exact = exact_evolve(hamiltonian, t, psi)
-    segments = taylor_segment(model, t, [int(o) for o in orders], psi)
+    segments = taylor_segment(model, t, orders, psi)
     return {str(order): {
         "error": float(np.linalg.norm(out.amplitudes - exact.amplitudes)),
         "success_amplitude": success,

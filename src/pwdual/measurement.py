@@ -53,8 +53,9 @@ class MeasurementPlan:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            kind = "budget-only" if self.strategy in BUDGET_MODES else "unknown"
-            raise ValueError(f"{kind} strategy {self.strategy!r}")
+            note = " (budget-only)" if self.strategy in BUDGET_MODES else ""
+            raise ValueError(f"unknown strategy {self.strategy!r}{note}; "
+                             f"choose from {STRATEGIES}")
         if self.shots < 2:
             raise ValueError("need at least 2 shots for a variance estimate")
 

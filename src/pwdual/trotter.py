@@ -41,7 +41,7 @@ class TrotterConfig:
         if self.strategy not in (SPLIT_OPERATOR, DIRECT_JW):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.order not in (1, 2):
-            raise ValueError("only first- and second-order formulas supported")
+            raise ValueError(f"order must be 1 or 2, got {self.order}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
 
@@ -332,8 +332,10 @@ def estimate_r(eta: int, n_orbitals: int, omega: float, t: float,
                eps: float) -> int:
     """Step count sufficient for the split-operator formula at error eps,
     evaluated with leading constant STEP_COUNT_CONSTANT."""
-    if min(eta, n_orbitals) < 1 or min(omega, t, eps) <= 0:
-        raise ValueError("arguments must be positive")
+    for name, value in (("eta", eta), ("n_orbitals", n_orbitals),
+                        ("omega", omega), ("t", t), ("epsilon", eps)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     value = STEP_COUNT_CONSTANT * (eta ** 2) * (n_orbitals ** (5.0 / 6.0)) \
         * (t ** 1.5) / ((omega ** (5.0 / 6.0)) * math.sqrt(eps)) \
         * math.sqrt(1.0 + eta * omega ** (1.0 / 3.0)

@@ -339,6 +339,9 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     if hs.representation != DUAL:
         raise ValueError("the variational loop works on the dual "
                          "representation")
+    if min(restarts, maxiter) < 1:
+        raise ValueError(f"restarts and maxiter must be >= 1, got restarts="
+                         f"{restarts}, maxiter={maxiter}")
     ansatz = Ansatz(spec, hs.grid)
     model = SectorModel(ansatz, hs, eta, spin_pattern)
     e_ref = model.energy(model.reference, model.d_uv)
@@ -364,7 +367,7 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     starts = [np.zeros(ansatz.parameter_count)]
     if initial_values is not None:
         starts.append(np.asarray(initial_values, dtype=float))
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(rng.normal(scale=RESTART_SCALE,
                                  size=ansatz.parameter_count))
     best_x = starts[0]

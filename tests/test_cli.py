@@ -3,6 +3,7 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
     load_config, main
@@ -58,6 +59,8 @@ class TestConfig:
         ("system.spinful=False", "spinful in system block must be true"),
         ("task.shots=many", "shots in task block"),
         ("seed=null", "seed in config root"),
+        # numpy refused it, naming no key
+        ("seed=-1", "seed in config root must be non-negative, got -1"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, item, message):
         # "False" is not JSON, so it arrives as a string
@@ -96,12 +99,48 @@ class TestConfig:
          "r_list in task block must be a list of integers, got 5"),
         ("lcu-check", "task.orders=null",
          "orders in task block must be a list of integers, got None"),
+        ("build", "system.volume=[1]",
+         "volume in system block must be null or a finite number, got [1]"),
+        ("diagonalize", 'system.truncated_D="x"',
+         "truncated_D in system block must be null or a finite number"),
+        ("build", "system.volume=true", "got True"),
+        ("measure", "task.precision=true",
+         "precision in task block must be a finite number, got True"),
+        ("lcu-check", "task.t=NaN", "t in task block must be a finite number"),
+        ("build", "task.representations=null",
+         "representations in task block must be a list of strings, got None"),
+        ("build", "task.representations=dual",
+         "representations in task block must be a list of strings, got "
+         "'dual'"),
+        ("build", "task.representations=[1]",
+         "each representations entry in task block must be a string, got 1"),
+        ("diagonalize", "task.representation=[1]",
+         "representation in task block must be a string, got [1]"),
+        ("trotter-sweep", 'task.expected_slope="x"',
+         "expected_slope in task block must be null or a finite number"),
+        ("build", "seed=-1", "seed in config root must be non-negative"),
+        ("vqe-jellium", "task.restarts=-1", "restarts and maxiter must be"),
+        ("vqe-jellium", "task.restarts=0", "restarts and maxiter must be"),
+        ("vqe-jellium", "task.maxiter=0", "restarts and maxiter must be"),
+        ("vqe-jellium", "task.maxiter=-3", "restarts and maxiter must be"),
     ])
     def test_non_integer_exit_2(self, tmp_path, capsys, command, item,
                                 message):
-        """These ended in a TypeError traceback, or (a bool) ran as 0 or 1."""
+        """A key's type is its default's. These ended in a TypeError
+        traceback, ran a bool as a number, read "dual" as the list of its
+        letters, or ran: a negative seed, and counts below one that the
+        optimizer clamped without a word."""
         assert run(tmp_path, command, *SMALL, item) == 2
         assert message in capsys.readouterr().err
+
+    def test_none_default_keeps_the_number_given(self, tmp_path):
+        assert run(tmp_path, "build", "system.truncated_D=2",
+                   "system.volume=4") == 0
+        system = read_report(tmp_path, "build_report.json")["config"][
+            "system"]
+        assert system["truncated_D"] == 2
+        assert type(system["truncated_D"]) is int
+        assert type(system["volume"]) is int
 
     @pytest.mark.parametrize("command,nuclei,message", [
         ("diagonalize", "null", "must be a list of [position, charge] pairs"),
@@ -158,6 +197,49 @@ class TestConfig:
                    "system.modes_per_axis=2", "system.r_s=1.0",
                    "system.eta=2")
         assert code == 0
+
+
+# a fast run of each command, under the override being tried
+FAST = {"task.r_list": "[2,4]", "task.restarts": "1", "task.maxiter": "20",
+        "task.shots": "50", "task.rows": "2", "task.cols": "2"}
+# one value of every JSON kind, signs, a fraction and nesting
+MALFORMED = ["null", "true", '"x"', "[]", "[null]", "{}", "-1", "0", "-1.5",
+             "1.5", "[[1]]", '{"a":1}', "[-1]", '["x"]']
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2)
+    | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_override_raises(tmp_path, command):
+    """Every key of the command, set to each malformed value and to drawn
+    JSON values, gives an exit code: a verified result, a failed check or
+    a config error, never an exception."""
+    spec = COMMANDS[command]
+    keys = [f"task.{key}" for key in spec.task] + ["seed"]
+    if spec.system:
+        keys += [f"system.{key}" for key in SYSTEM_DEFAULTS]
+    base = {k: v for k, v in FAST.items() if k[len("task."):] in spec.task}
+    if spec.system:
+        base.update(dict(item.split("=") for item in SMALL))
+
+    def exit_code(key, raw):
+        return run(tmp_path, command,
+                   *(f"{k}={v}" for k, v in {**base, key: raw}.items()))
+
+    for key in keys:
+        for raw in MALFORMED:
+            assert exit_code(key, raw) in (0, 1, 2), (key, raw)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(keys), JSON_VALUES)
+    def drawn(key, value):
+        assert exit_code(key, json.dumps(value)) in (0, 1, 2)
+
+    drawn()
 
 
 class TestExitCodes:
@@ -233,6 +315,8 @@ def run_traced(tmp_path, command, *overrides):
 
 SPINFUL_12 = ("system.modes_per_axis=6", "system.volume=6.0",
               "system.spinful=true")
+SPINFUL_16 = ("system.modes_per_axis=8", "system.volume=8.0",
+              "system.spinful=true")
 
 
 class TestDenseBudget:
@@ -260,6 +344,10 @@ class TestDenseBudget:
     @pytest.mark.parametrize("overrides,message", [
         (SPINFUL_12, "modes per axis must be a power of two"),
         (SPINFUL_12 + ("task.strategy=bogus",), "unknown strategy"),
+        # the propagator budget refused this one before epsilon was read
+        (SPINFUL_16 + ("task.epsilon=0",), "epsilon must be positive"),
+        (SPINFUL_16 + ("task.t=-1",), "t must be positive"),
+        (SPINFUL_16 + ("task.order=3",), "order must be 1 or 2"),
     ])
     def test_trotter_sweep_rejects_config_before_dense_work(
             self, tmp_path, capsys, overrides, message):
@@ -428,6 +516,14 @@ class TestCommands:
         assert meta["counts"]["qubits"] == 2
         assert meta["counts"]["weights"] == report["result"]["term_count"]
         assert set(meta["stages"]) == {"build", "compile", "verify"}
+
+    def test_lcu_check_negative_t_past_segment_limit(self, tmp_path):
+        """Lambda*t = -4.8 passed the single-segment guard; Lambda*|t|
+        does not."""
+        assert run(tmp_path, "lcu-check", *SMALL, "task.t=-1") == 0
+        result = read_report(tmp_path, "lcu_report.json")["result"]
+        assert result["lam"] > math.log(2.0)
+        assert result["taylor"] == {}
 
     def test_measure(self, tmp_path):
         code = run(tmp_path, "measure", "system.modes_per_axis=4",

@@ -221,6 +221,19 @@ class TestTaylorSegment:
         with pytest.raises(ValueError):
             taylor_segment(model, 0.1, 3, psi)
 
+    def test_negative_t_reads_its_magnitude(self):
+        """The guard and the normaliser read Lambda*|t|: at t = -0.01 the
+        amplitude was 1.0096, and t = -1 ran past the segment limit."""
+        model = build_weights(jellium(2))  # Lambda ~ 0.95
+        psi = random_state(2, 3)
+        for order in (1, 2, 4):
+            _, forward = taylor_segment(model, 0.01, order, psi)
+            _, backward = taylor_segment(model, -0.01, order, psi)
+            assert backward <= 1.0
+            assert backward == pytest.approx(forward, rel=1e-12)
+        with pytest.raises(ValueError, match="Lambda\\*\\|t\\| <= ln 2"):
+            taylor_segment(model, -1.0, 2, psi)
+
     def test_sign_handling_round_trip(self):
         # negative weights must reconstruct exactly through sign * |W|
         hs = jellium(4)

@@ -114,6 +114,9 @@ class TestEstimateEnergy:
     def test_rejects_budget_only_mode(self):
         with pytest.raises(ValueError, match="budget-only"):
             MeasurementPlan(PHASE_ESTIMATION, 10, 0)
+        with pytest.raises(ValueError,
+                           match="unknown strategy 'phase_estimation'"):
+            MeasurementPlan(PHASE_ESTIMATION, 10, 0)
 
 
 class TestDiagonalExactness:

@@ -212,6 +212,49 @@ def test_config_default_scan_sees_blocks_and_attributes():
     assert config_default_reads(tree) == [2, 3, 4]
 
 
+def command_config_raises(tree):
+    """Lines of each ``raise ConfigError`` in a ``cmd_*`` function,
+    nested blocks and functions included."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) \
+                else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_command_bodies_check_no_config():
+    """A config value's type is checked by ``cli.resolve`` and its range by
+    the library function that reads it; no command body checks either."""
+    path = ROOT / "src" / "pwdual" / "cli.py"
+    found = command_config_raises(ast.parse(path.read_text()))
+    assert not found, f"cli.py lines {found} check config in a command"
+
+
+def test_command_config_scan_sees_nested_and_qualified_raises():
+    tree = ast.parse(
+        "def cmd_a(run):\n"
+        "    if run.task['t'] < 0:\n"
+        "        raise ConfigError('t')\n"
+        "    def inner():\n"
+        "        raise cli.ConfigError\n"
+        "def cmd_b(run):\n"
+        "    raise ValueError('x')\n"
+        "def resolve(cfg):\n"
+        "    raise ConfigError('seed')\n"
+        "def cmd_c(run):\n"
+        "    with run.stage('x'):\n"
+        "        raise ConfigError\n")
+    assert command_config_raises(tree) == [3, 5, 12]
+
+
 def snake_reversals(tree):
     """Lines of each ``cols - 1 - x``: the column reversal on odd rows of
     the boustrophedon layout, with ``cols`` a name or an attribute."""

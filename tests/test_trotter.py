@@ -285,6 +285,14 @@ class TestEstimateR:
         with pytest.raises(ValueError):
             estimate_r(2, 4, 4.0, -1.0, 1e-3)
 
+    @pytest.mark.parametrize("t,eps,message", [
+        (-1.0, 1e-3, "t must be positive, got -1.0"),
+        (1.0, 0.0, "epsilon must be positive, got 0.0"),
+        (1.0, float("nan"), "epsilon must be positive, got nan")])
+    def test_message_names_the_argument(self, t, eps, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_r(2, 4, 4.0, t, eps)
+
 
 class TestFullEvolution:
     def test_energy_conservation(self):
@@ -330,7 +338,7 @@ class TestFullEvolution:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrotterConfig(strategy="magic")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
             TrotterConfig(order=3)
         with pytest.raises(ValueError):
             TrotterConfig(r=0)

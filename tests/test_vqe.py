@@ -204,6 +204,15 @@ class TestOptimize:
                        maxiter=150)
         assert res.energy == pytest.approx(res.reference_energy, abs=1e-9)
 
+    @pytest.mark.parametrize("restarts,maxiter", [(0, 600), (-1, 600),
+                                                  (4, 0), (4, -3)])
+    def test_counts_below_one_rejected(self, restarts, maxiter):
+        """These were clamped: maxiter=-3 still made 25 evaluations."""
+        with pytest.raises(ValueError, match=f"restarts={restarts}, "
+                                             f"maxiter={maxiter}"):
+            optimize(AnsatzSpec(), jellium_m4(), eta=2, restarts=restarts,
+                     maxiter=maxiter)
+
     def test_variational_ordering_and_improvement(self):
         hs = jellium_m4()
         e_exact = sector_ground_energy(hs, 2)
