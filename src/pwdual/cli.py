@@ -46,8 +46,9 @@ from .serialize import fmt, dumps_hamiltonian
 from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
 from .swapnet import build_full_schedule, dumps_schedule
-from .trotter import SATURATED_ERROR, TrotterConfig, fit_slope, \
-    measure_error_scaling, estimate_r, number_block_propagator, \
+from .trotter import LEAK_TOL, SATURATED_ERROR, SPLIT_OPERATOR, \
+    TrotterConfig, fit_slope, measure_error_scaling, estimate_r, \
+    number_block_propagator, number_block_view, split_operator_blocks, \
     trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
@@ -143,6 +144,18 @@ def _fill(block: dict, defaults: dict, where: str) -> dict:
     return out
 
 
+def _derived_volume(formula: Callable, what: str) -> float:
+    """The volume ``formula()`` derives; ConfigError says ``what`` it
+    came from when it overflows a float or is not finite."""
+    try:
+        volume = formula()
+    except (OverflowError, ZeroDivisionError):
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise ConfigError(f"{what} is not a finite number")
+    return volume
+
+
 def _resolve_system(block: dict) -> dict:
     system = _fill(block, SYSTEM_DEFAULTS, "system block")
     r_s = system.pop("r_s")
@@ -152,10 +165,14 @@ def _resolve_system(block: dict) -> dict:
         if system["dimension"] != 3:
             raise ConfigError("the density parameter r_s is defined for "
                               "dimension 3 only; give volume directly")
-        system["volume"] = (4.0 * math.pi / 3.0) * r_s ** 3 * system["eta"]
+        system["volume"] = _derived_volume(
+            lambda: (4.0 * math.pi / 3.0) * r_s ** 3 * system["eta"],
+            f"the volume from system.r_s = {r_s!r}")
     elif system["volume"] is None:
-        system["volume"] = float(system["modes_per_axis"]
-                                 ** system["dimension"])
+        system["volume"] = _derived_volume(
+            lambda: float(system["modes_per_axis"]) ** system["dimension"],
+            f"the volume system.modes_per_axis ** system.dimension = "
+            f"{system['modes_per_axis']} ** {system['dimension']}")
     return system
 
 
@@ -306,22 +323,37 @@ def cmd_trotter_sweep(run: Run) -> dict:
                              run.grid.cell.volume, t, task["epsilon"])
     with run.stage("build"):
         hs = run.hamiltonian()
-        # the first r's step checks the strategy and the grid before any
-        # dense work, and serves that r
-        pending = [trotter_circuit(hs, TrotterConfig(strategy, order, 1,
-                                                     t / r))
-                   for r in task["r_list"][:1]]
+        # the step at the first r checks the strategy and the grid before
+        # any dense work
+        tau = t / (task["r_list"] or [1])[0]
+        first = trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
+    run.counts["gates"] = len(first.gates)  # the same for every r
     with run.stage("matrix"):
         exact = number_block_propagator(hs, t)
-    run.counts["matrix_bytes"] = exact.nbytes
-
-    def step_fn(tau):
-        step = pending.pop() if pending else \
-            trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
-        run.counts["gates"] = len(step.gates)  # the same for every r
-        return circuit_matrix(step)
-
+    failures = []
     with run.stage("verify"):
+        compiled, off = number_block_view(circuit_matrix(first))
+        run.counts["matrix_bytes"] = 16 * 4 ** hs.n_qubits
+        if strategy == SPLIT_OPERATOR:
+            # the compiled step is checked once; every r reads the algebra
+            algebra = split_operator_blocks(hs, order)
+            gap = max(float(np.max(np.abs(a - c)))
+                      for a, c in zip(algebra(tau), compiled))
+            run.meta["checks"] = {"compiled_step_gap": gap}
+            if gap > LEAK_TOL:
+                failures.append(f"compiled step differs from the block "
+                                f"algebra by {gap:.3e}, above {LEAK_TOL:g}")
+
+            def step_fn(s):
+                return algebra(s), off
+        else:
+            # CNOT and H templates leave the number blocks between gates,
+            # so every r forms its own step matrix
+            def step_fn(s):
+                if s == tau:
+                    return compiled, off
+                return number_block_view(circuit_matrix(trotter_circuit(
+                    hs, TrotterConfig(strategy, order, 1, s))))
         rows, slope = measure_error_scaling(step_fn, exact, task["r_list"], t,
                                             run.counts)
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]
@@ -330,7 +362,6 @@ def cmd_trotter_sweep(run: Run) -> dict:
     # the pass/fail fit leaves out saturated points, whatever the outcome
     fitted = [(r, e) for r, e in rows if e < SATURATED_ERROR]
     asymptotic = fit_slope(fitted)
-    failures = []
     if len(fitted) < 2:
         failures.append(
             f"{len(fitted)} of {len(rows)} points have error below "
@@ -358,16 +389,23 @@ def cmd_ffft_check(run: Run) -> dict:
         u = circuit_matrix(circ)
     run.counts.update(gates=len(circ.gates), matrix_bytes=u.nbytes)
     with run.stage("verify"):
-        worst, n = 0.0, grid.n_qubits
-        u_dag = u.conj().T
+        n = grid.n_qubits
+        # U keeps particle number and a^dag adds one, so U^dag a^dag U
+        # lives on the (k + 1, k) blocks; entries of U or of the right-hand
+        # side outside their blocks count as error
+        u_blocks, worst = number_block_view(u)
         spins = ("up", "down") if grid.cell.spinful else (None,)
         for nu in grid.nu_list:
             for spin in spins:
                 q = grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
                 adag = fermion_sparse(FermionOperator.raising(q), n)
-                rhs = fermion_matrix(mode_ladder_operator(grid, nu, spin), n)
-                err = float(np.max(np.abs(u_dag @ (adag @ u) - rhs)))
-                worst = max(worst, err)
+                moved, _ = number_block_view(adag @ u, shift=1)
+                rhs, off = number_block_view(
+                    fermion_matrix(mode_ladder_operator(grid, nu, spin), n),
+                    shift=1)
+                err = max(float(np.max(np.abs(b.conj().T @ m - r)))
+                          for b, m, r in zip(u_blocks[1:], moved, rhs))
+                worst = max(worst, err, off)
     run.write("ffft_circuit.txt", dumps_circuit(circ))
     failures = [] if worst < tolerance else [
         f"conjugation error {worst:.3e} above {tolerance}"]
@@ -451,18 +489,19 @@ def cmd_measure(run: Run) -> dict:
     plan = MeasurementPlan(strategy, task["shots"], run.seed)
     with run.stage("build"):
         hs = run.hamiltonian()
-    with run.stage("prepare"):
-        state = prepare_reference(run.grid, run.eta)
-    with run.stage("estimate"):
         # per_term samples the compiled operator and its budget reads its
         # coefficient norm: compile it once for both
         qubit = build_qubit(hs) if strategy == PER_TERM else None
-        estimate, stderr = estimate_energy(state, hs, plan, run.counts, qubit)
-    if not run.counts.get("dense_draws"):
-        run.meta["fast_paths"] = ["support"]
+    # the budget refuses a bad precision or mode before any sampling
     with run.stage("budget"):
         budget = shot_budget(hs, run.eta, task["precision"], task["mode"],
                              strategy, qubit)
+    with run.stage("prepare"):
+        state = prepare_reference(run.grid, run.eta)
+    with run.stage("estimate"):
+        estimate, stderr = estimate_energy(state, hs, plan, run.counts, qubit)
+    if not run.counts.get("dense_draws"):
+        run.meta["fast_paths"] = ["support"]
     return {
         "estimate": estimate,
         "stderr": stderr,

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermion import sector_states, _check_number_conserving, _entries
+from .fermion import _check_number_conserving, _entries
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     mode_phases
 from .pauli import QubitOperator, require_bytes
-from .statevector import Circuit, Gate
+from .statevector import Circuit, Gate, circuit_matrix
 from .swapnet import build_full_schedule, lower_diagonal_layer, \
     transposition_phases
 
@@ -249,20 +249,40 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
 def number_blocks(n_qubits: int) -> list:
     """Basis indices of each particle-number block: block k holds the
     C(n, k) states with k ones, ascending."""
-    return [sector_states(n_qubits, k) for k in range(n_qubits + 1)]
+    count = np.bitwise_count(np.arange(2 ** n_qubits))
+    return [np.flatnonzero(count == k) for k in range(n_qubits + 1)]
 
 
-def number_block_propagator(hs: HamiltonianSet, t: float) -> np.ndarray:
-    """Dense exp(-iHt), from one eigh per particle-number block of H;
-    raises ValueError if H joins different particle numbers."""
+def number_block_view(matrix: np.ndarray, shift: int = 0):
+    """The particle-number blocks of a 2^n x 2^n matrix and the Frobenius
+    norm of every entry outside them: block k holds the rows of the states
+    with k + shift particles and the columns of those with k, for each k
+    where both exist. The one place a full matrix is cut into blocks."""
+    n = len(matrix).bit_length() - 1
+    # the off-block mask, and the off-block entries and the blocks (one
+    # matrix together)
+    require_bytes(17 * 4 ** n, f"{n}-qubit particle-number blocks")
+    blocks = number_blocks(n)
+    count = np.bitwise_count(np.arange(2 ** n))
+    off = count[:, None] != count[None, :] + shift
+    return [matrix[np.ix_(rows, cols)]
+            for rows, cols in zip(blocks[shift:], blocks)], \
+        float(np.linalg.norm(matrix[off]))
+
+
+def number_block_propagator(hs: HamiltonianSet, t: float) -> list:
+    """The blocks of exp(-iHt) on ``number_blocks``, from one eigh per
+    particle-number block of H; raises ValueError if H joins different
+    particle numbers."""
     n = hs.n_qubits
-    # the propagator, and the largest block's matrix, eigh and products
+    # the blocks, and the largest block's matrix, eigh and products
     rows, cols, values = _entries(
-        hs.total(), n, 16 * 4 ** n + 112 * math.comb(n, n // 2) ** 2,
+        hs.total(), n, 16 * math.comb(2 * n, n)
+        + 112 * math.comb(n, n // 2) ** 2,
         f"the exact {n}-qubit propagator")
     _check_number_conserving(rows, cols, values)
     numbers = np.bitwise_count(rows), np.bitwise_count(cols)
-    exact = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    exact = []
     for k, block in enumerate(number_blocks(n)):
         at = (numbers[0] == k) & (numbers[1] == k)
         h_block = np.zeros((len(block), len(block)), dtype=complex)
@@ -270,51 +290,78 @@ def number_block_propagator(hs: HamiltonianSet, t: float) -> np.ndarray:
                 np.searchsorted(block, cols[at])] = values[at]
         h_block[np.diag_indices_from(h_block)] += hs.constant
         vals, vecs = np.linalg.eigh(h_block)
-        exact[np.ix_(block, block)] = (vecs * np.exp(-1j * vals * t)) \
-            @ vecs.conj().T
+        exact.append((vecs * np.exp(-1j * vals * t)) @ vecs.conj().T)
     return exact
 
 
-def measure_error_scaling(step_matrix_fn, exact_matrix: np.ndarray,
-                          r_list, t: float, counts: dict = None):
+def split_operator_blocks(hs: HamiltonianSet, order: int = 2):
+    """The split-operator step on each particle-number block, as algebra:
+    tau -> [dv_b C_b^dag diag(dt_b) C_b dv_b] (first order: C_b^dag
+    diag(dt_b) C_b dv_b) over ``number_blocks``. C_b is block b of the
+    FFFT, read once from its ``circuit_matrix``; dv_b holds exp(-i(U+V)s)
+    on the block's states with s = tau/2 (first order: tau), dt_b
+    exp(-i T_diag tau) from ``mode_phases``. ``split_operator_step`` at tau
+    compiles the same operator."""
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    n = hs.n_qubits
+    external, interaction = diagonal_terms(hs)
+    fourier, _ = number_block_view(circuit_matrix(build_ffft_nd(hs.grid)))
+    # the diagonal energies of every basis state
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    potential, kinetic = np.zeros(2 ** n), np.zeros(2 ** n)
+    for q, u in external:
+        potential += u * bits[:, q]
+    for (a, b), v in interaction:
+        potential += v * (bits[:, a] & bits[:, b])
+    for q, e in mode_phases(hs):
+        kinetic += e * bits[:, q]
+    parts = [(c.conj().T, c, potential[b], kinetic[b])
+             for c, b in zip(fourier, number_blocks(n))]
+
+    def step(tau):
+        out = []
+        for c_dag, c, v, e in parts:
+            dv = np.exp(-1j * v * (tau / order))
+            s = c_dag @ (np.exp(-1j * e * tau)[:, None] * c) * dv
+            out.append(dv[:, None] * s if order == 2 else s)
+        return out
+    return step
+
+
+def measure_error_scaling(step_blocks_fn, exact_blocks, r_list, t: float,
+                          counts: dict = None):
     """Table of (r, ||step(t/r)^r - exact||_2) with a log-log slope fit.
 
-    Both matrices conserve particle number, so the 2-norm is the largest
-    over the number blocks of ||S_b^r - U_b||_2. The entries that join
-    different numbers bound how far that answer can sit from the
-    full-space one, by leak = r ||off(S)||_F + ||off(U)||_F; a leak above
-    LEAK_TOL raises ValueError. A ``counts`` dict receives ``blocks``,
-    ``largest_block`` and the largest ``leak`` over r.
+    ``exact_blocks`` are the particle-number blocks of the exact propagator
+    (``number_block_propagator``); ``step_blocks_fn(tau)`` gives the step's
+    blocks and the Frobenius norm of its entries that join different
+    particle numbers, as ``number_block_view`` does. Both conserve particle
+    number, so the 2-norm is the largest over the blocks of
+    ||S_b^r - U_b||_2. The leak r ||off(S)||_F bounds how far that answer
+    can sit from the full-space one; a leak above LEAK_TOL raises
+    ValueError. A ``counts`` dict receives ``blocks``, ``largest_block``
+    and the largest ``leak`` over r.
     """
-    n = len(exact_matrix).bit_length() - 1
-    blocks = number_blocks(n)
-    largest = max(len(b) for b in blocks)
-    # the off-block mask, the off-block entries and the exact blocks (one
-    # matrix together), and one block's power, difference and SVD
-    require_bytes(17 * 4 ** n + 112 * largest ** 2,
-                  f"{n}-qubit Trotter errors on particle-number blocks")
-    count = np.bitwise_count(np.arange(2 ** n))
-    off = count[:, None] != count[None, :]
-    exact_leak = float(np.linalg.norm(exact_matrix[off]))
-    exact_blocks = [exact_matrix[np.ix_(b, b)] for b in blocks]
-    rows, worst_leak = [], exact_leak
+    largest = max(len(u) for u in exact_blocks)
+    # one block's power, difference and SVD
+    require_bytes(112 * largest ** 2,
+                  f"{len(exact_blocks) - 1}-qubit Trotter errors on "
+                  f"particle-number blocks")
+    rows, worst_leak = [], 0.0
     for r in r_list:
-        step = step_matrix_fn(t / r)
-        leak = r * float(np.linalg.norm(step[off])) + exact_leak
+        step, off = step_blocks_fn(t / r)
+        leak = r * off
         if leak > LEAK_TOL:
             raise ValueError(
                 f"particle-number leak {leak:.3e} at r={r} is above "
-                f"{LEAK_TOL:g}: the step or the exact propagator joins "
-                f"different particle numbers")
+                f"{LEAK_TOL:g}: the step joins different particle numbers")
         worst_leak = max(worst_leak, leak)
-        err = max(float(np.linalg.norm(
-            np.linalg.matrix_power(step[np.ix_(b, b)], r) - u, 2))
-            for b, u in zip(blocks, exact_blocks))
+        err = max(float(np.linalg.norm(np.linalg.matrix_power(s, r) - u, 2))
+                  for s, u in zip(step, exact_blocks))
         rows.append((int(r), err))
-        del step  # the next step is built without this one alive
     if counts is not None:
-        counts.update(blocks=len(blocks),
-                      largest_block=max(len(b) for b in blocks),
+        counts.update(blocks=len(exact_blocks), largest_block=largest,
                       leak=worst_leak)
     return rows, fit_slope(rows)
 

@@ -27,7 +27,8 @@ from pwdual.statevector import Statevector, circuit_matrix, exact_evolve, \
     expectation
 from pwdual.swapnet import build_full_schedule, hamiltonian_cycle, \
     stagger_rounds, lower_diagonal_layer
-from pwdual.trotter import split_operator_step, measure_error_scaling
+from pwdual.trotter import split_operator_step, measure_error_scaling, \
+    number_block_view
 from pwdual.vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy, embed_parameters
 
@@ -104,8 +105,9 @@ def test_criterion_05_trotter_scaling():
     vals, vecs = np.linalg.eigh(h)
     exact = vecs @ np.diag(np.exp(-1j * vals)) @ vecs.conj().T
     rows, slope = measure_error_scaling(
-        lambda tau: circuit_matrix(split_operator_step(hs, tau)),
-        exact, [2, 4, 8, 16, 32], 1.0)
+        lambda tau: number_block_view(
+            circuit_matrix(split_operator_step(hs, tau))),
+        number_block_view(exact)[0], [2, 4, 8, 16, 32], 1.0)
     slope_ok = abs(slope + 2.0) <= 0.1
 
     from pwdual.hamiltonian import HamiltonianSet, DUAL

@@ -20,7 +20,8 @@ from pwdual.pauli import DenseLimitError, QubitOperator, \
 from pwdual.statevector import Circuit, Gate, Statevector, circuit_matrix, \
     exact_evolve
 from pwdual.trotter import TrotterConfig, measure_error_scaling, \
-    number_block_propagator, trotter_circuit
+    number_block_propagator, number_blocks, number_block_view, \
+    trotter_circuit
 from pwdual.vqe import Ansatz, AnsatzSpec, SectorModel, \
     prepare_reference
 
@@ -73,11 +74,12 @@ def past_limit_cases():
         model = build_weights(dual(4, spinful=True))  # 8 + 7 qubits
         return lambda: select_matrix(model)
 
-    def scaling_13():
-        # a zero-byte stand-in for a 13-qubit exact propagator
-        exact = np.broadcast_to(np.complex128(0), (2 ** 13, 2 ** 13))
-        return lambda: measure_error_scaling(lambda tau: exact, exact, [1],
-                                             1.0)
+    def scaling_14():
+        # zero-byte stand-ins for the blocks of a 14-qubit exact propagator
+        exact = [np.broadcast_to(np.complex128(0), (len(b), len(b)))
+                 for b in number_blocks(14)]
+        return lambda: measure_error_scaling(lambda tau: (exact, 0.0), exact,
+                                             [1], 1.0)
 
     def taylor_16():
         model = build_weights(dual(16))
@@ -108,7 +110,10 @@ def past_limit_cases():
         "prepare_reference": lambda: lambda: prepare_reference(
             build_grid(1, 20, 20.0, True), 2),
         "number_block_propagator": propagator_14,
-        "measure_error_scaling": scaling_13,
+        # a zero-byte stand-in for a 13-qubit matrix
+        "number_block_view": lambda: lambda: number_block_view(
+            np.broadcast_to(np.complex128(0), (2 ** 13, 2 ** 13))),
+        "measure_error_scaling": scaling_14,
         "taylor_errors": taylor_16,
     }
 
@@ -188,6 +193,12 @@ def small_cases():
         hs = dual(8, spinful=True)  # C(16, 3) = 560 states
         return lambda: SectorModel(Ansatz(AnsatzSpec(), hs.grid), hs, 3)
 
+    def block_view_8():
+        hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
+        step = circuit_matrix(trotter_circuit(
+            hs, TrotterConfig("direct_jw", 2, 1, 0.1)))
+        return lambda: number_block_view(step, shift=1)
+
     def propagator_10():
         hs = dual(10, nuclei=[((2.3,), 1.0)])
         return lambda: number_block_propagator(hs, 1.0)
@@ -196,8 +207,8 @@ def small_cases():
         hs = dual(10, nuclei=[((2.3,), 1.0)])
         exact = number_block_propagator(hs, 1.0)
         half = number_block_propagator(hs, 0.5)
-        return lambda: measure_error_scaling(lambda tau: half, exact, [2],
-                                             1.0)
+        return lambda: measure_error_scaling(lambda tau: (half, 0.0), exact,
+                                             [2], 1.0)
 
     def taylor_8():
         hs = dual(8, nuclei=[((2.1,), 1.0)])
@@ -220,6 +231,7 @@ def small_cases():
         "prepare_reference": lambda: lambda: prepare_reference(
             build_grid(2, 4, 4.0), 4),
         "number_block_propagator": propagator_10,
+        "number_block_view": block_view_8,
         "measure_error_scaling": scaling_10,
         "taylor_errors": taylor_8,
     }

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
     load_config, main
-from pwdual.trotter import fit_slope
+from pwdual.measurement import estimate_energy
+from pwdual.statevector import Circuit, circuit_matrix
+from pwdual.trotter import fit_slope, trotter_circuit
 
 
 def run(tmp_path, command, *overrides, out="run"):
@@ -197,6 +199,20 @@ class TestConfig:
                    "system.modes_per_axis=2", "system.r_s=1.0",
                    "system.eta=2")
         assert code == 0
+
+    @pytest.mark.parametrize("overrides,key", [
+        # (4 pi / 3) r_s^3 raised OverflowError
+        (("system.r_s=1e200",), "system.r_s"),
+        # finite r_s^3, but the product with eta overflows to inf
+        (("system.r_s=1e100", "system.eta=1000000000000"), "system.r_s"),
+        # float(M ** d) raised OverflowError
+        (("system.modes_per_axis=1e200",), "system.modes_per_axis"),
+    ])
+    def test_volume_past_float_range_exit_2(self, tmp_path, capsys,
+                                            overrides, key):
+        assert run(tmp_path, "build", "system.dimension=3", *overrides) == 2
+        err = capsys.readouterr().err
+        assert key in err and "not a finite number" in err
 
 
 # a fast run of each command, under the override being tried
@@ -495,6 +511,73 @@ class TestCommands:
         result = read_report(tmp_path, "trotter_report.json")["result"]
         assert abs(result["asymptotic_slope"] + 1.0) < 0.1
 
+    def test_trotter_sweep_checks_compiled_step_once(self, tmp_path,
+                                                     monkeypatch):
+        """A split-operator sweep forms two full matrices whatever the r
+        list: the FFFT's and the compiled step's; direct_jw forms one step
+        matrix per r."""
+        import pwdual.cli
+        import pwdual.trotter
+        calls = []
+
+        def counted(circuit):
+            calls.append(len(circuit.gates))
+            return circuit_matrix(circuit)
+
+        monkeypatch.setattr(pwdual.cli, "circuit_matrix", counted)
+        monkeypatch.setattr(pwdual.trotter, "circuit_matrix", counted)
+        r_list = "task.r_list=[2,4,8,16,32]"
+        assert run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
+                   r_list) == 0
+        assert len(calls) == 2
+        meta = read_report(tmp_path, "trotter_report.json")["meta"]
+        assert meta["checks"]["compiled_step_gap"] <= 1e-12
+        calls.clear()
+        assert run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
+                   r_list, "task.strategy=direct_jw", out="jw") == 0
+        assert len(calls) == 5
+        assert "checks" not in read_report(tmp_path, "trotter_report.json",
+                                           out="jw")["meta"]
+
+    def test_trotter_sweep_reports_corrupted_compiled_step(
+            self, tmp_path, monkeypatch):
+        import pwdual.cli
+
+        def corrupted(hs, config, connectivity=None):
+            gates = list(trotter_circuit(hs, config, connectivity).gates)
+            at = next(i for i, g in enumerate(gates) if g.kind == "CPHASE")
+            gates[at] = gates[at]._replace(angle=2 * gates[at].angle)
+            return Circuit(hs.n_qubits, gates, connectivity)
+
+        monkeypatch.setattr(pwdual.cli, "trotter_circuit", corrupted)
+        assert run(tmp_path, "trotter-sweep", *SMALL,
+                   "system.spinful=true") == 1
+        report = read_report(tmp_path, "trotter_report.json")
+        gap = report["meta"]["checks"]["compiled_step_gap"]
+        assert gap > 1e-3
+        assert report["result"]["failures"] == [
+            f"compiled step differs from the block algebra by {gap:.3e}, "
+            f"above 1e-12"]
+        # the rows come from the algebra, which the corruption misses
+        assert len(report["result"]["rows"]) == 5
+
+    def test_ffft_check_counts_off_block_entries(self, tmp_path,
+                                                 monkeypatch):
+        """An entry of U joining 0 and 1 particles leaves every (k + 1, k)
+        block of U^dag a^dag U as it was; the check still fails."""
+        import pwdual.cli
+
+        def leaking(circuit):
+            u = circuit_matrix(circuit)
+            u[0, 1] += 1e-6
+            return u
+
+        monkeypatch.setattr(pwdual.cli, "circuit_matrix", leaking)
+        assert run(tmp_path, "ffft-check", "system.modes_per_axis=4",
+                   "system.volume=4.0") == 1
+        result = read_report(tmp_path, "ffft_report.json")["result"]
+        assert result["conjugation_max_error"] > 1e-9  # the tolerance
+
     def test_trotter_fit_needs_two_unsaturated_points(self, tmp_path):
         assert run(tmp_path, "trotter-sweep", *self.EIGHT,
                    "task.r_list=[2,4]") == 1
@@ -564,6 +647,27 @@ class TestCommands:
         assert read_report(tmp_path, "measure_report.json")["meta"][
             "warnings"] == ["degenerate mode shell at the boundary; "
                             "filling by lexicographic tiebreak"]
+
+    @pytest.mark.parametrize("strategy", ["diagonal_groups", "per_term"])
+    @pytest.mark.parametrize("item,message", [
+        ("task.precision=0", "precision must be positive"),
+        ("task.mode=\"x\"", "unknown mode 'x'"),
+    ])
+    def test_measure_refuses_budget_before_sampling(
+            self, tmp_path, capsys, monkeypatch, strategy, item, message):
+        import pwdual.cli
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return estimate_energy(*args, **kwargs)
+
+        monkeypatch.setattr(pwdual.cli, "estimate_energy", counted)
+        assert run(tmp_path, "measure", "system.modes_per_axis=4",
+                   "system.volume=4.0", "system.eta=2",
+                   f"task.strategy={strategy}", item) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
 
     def test_measure_per_term_compiles_once(self, tmp_path, monkeypatch):
         """The estimate samples the compiled operator and the budget reads

@@ -556,3 +556,81 @@ def test_imag_zero_scan_sees_compares_truth_tests_and_predicates():
     assert imag_zero_tests(tree) == [
         (2, "a"), (4, "b"), (4, "b"), (6, "c"), (6, "c"),
         (8, "d"), (8, "d"), (8, "d")]
+
+
+def block_slices(tree):
+    """(line, enclosing function) of each cut of a full matrix into
+    particle-number blocks: a subscript indexed by an ``ix_`` call (a
+    rows-by-columns gather), and an outer comparison of two popcount
+    vectors, ``a[:, None] != b[None, :]`` (the mask of the entries that
+    join different particle numbers)."""
+    def is_ix(node):
+        return isinstance(node, ast.Call) and \
+            getattr(node.func, "attr", getattr(node.func, "id", None)) \
+            == "ix_"
+
+    def axes(node):
+        """The None/slice pattern of ``x[:, None]``-style indexing."""
+        if not isinstance(node, ast.Subscript) or \
+                not isinstance(node.slice, ast.Tuple):
+            return None
+        return tuple("new" if isinstance(e, ast.Constant) and e.value is None
+                     else "all" if isinstance(e, ast.Slice) else "other"
+                     for e in node.slice.elts)
+
+    def is_outer(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left] + node.comparators
+        found = set()
+        for side in sides:
+            for sub in ast.walk(side):
+                found.add(axes(sub))
+        return {("all", "new"), ("new", "all")} <= found
+
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Subscript) and is_ix(node.slice) \
+                or is_outer(node):
+            found.append((node.lineno, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_number_block_view():
+    """A full matrix is cut into particle-number blocks in one place,
+    ``trotter.number_block_view``, and the Trotter sweep, the FFFT check
+    and the split-operator algebra read their blocks from it."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    found = {name: block_slices(tree) for name, tree in trees.items()}
+    mine = found.pop("trotter.py")
+    assert {fn for _, fn in mine} == {"number_block_view"}, mine
+    assert not any(found.values()), f"number blocks cut elsewhere: {found}"
+    for module, caller in (("cli.py", "cmd_trotter_sweep"),
+                           ("cli.py", "cmd_ffft_check"),
+                           ("trotter.py", "split_operator_blocks")):
+        callers = {fn for _, fn in name_uses(trees[module],
+                                             "number_block_view")}
+        assert caller in callers, f"{caller} cuts its own blocks"
+
+
+def test_block_slice_scan_sees_gathers_and_masks():
+    tree = ast.parse(
+        "def a(m, b):\n"
+        "    return m[np.ix_(b, b)]\n"
+        "def b(m, rows, cols):\n"
+        "    return [m[ix_(r, c)] for r, c in zip(rows, cols)]\n"
+        "def c(count, m):\n"
+        "    off = count[:, None] != count[None, :] + 1\n"
+        "    return m[off], count[None, :] == count[:, None]\n"
+        "def d(m, order, s):\n"
+        "    keep = m[order][:, order], s[:, None] * m, np.ix_(order, order)\n"
+        "    return m[:, None] < 0, m[0, 1:] != m[None, 0]\n")
+    assert block_slices(tree) == [(2, "a"), (4, "b"), (6, "c"), (7, "c")]

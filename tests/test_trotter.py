@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from pwdual.fermion import FermionOperator, fermion_matrix
 from pwdual.geometry import build_grid
-from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, DUAL, \
-    NucleiSpec, mode_energies
+from pwdual.hamiltonian import build_dual, build_plane_wave, build_qubit, \
+    HamiltonianSet, DUAL, NucleiSpec, mode_energies
 from pwdual.measurement import kinetic_mode_values
 from pwdual.pauli import QubitOperator, string_matrix, \
     qubit_operator_matrix, PRUNE_TOL
@@ -14,7 +15,8 @@ from pwdual.statevector import Circuit, Gate, circuit_matrix, Statevector, \
 from pwdual.trotter import TrotterConfig, split_operator_step, \
     direct_jw_step, measure_error_scaling, estimate_r, trotter_circuit, \
     hopping_template_gates, group_qubit_terms, number_blocks, \
-    number_block_propagator, _zz_gates
+    number_block_propagator, number_block_view, split_operator_blocks, \
+    _zz_gates
 
 
 def spinful_jellium(omega=4.0):
@@ -162,25 +164,28 @@ class TestDirectJwStep:
 class TestErrorScaling:
     def test_second_order_slope(self):
         hs = spinful_jellium()
-        exact = exact_unitary(hs, 1.0)
+        exact, _ = number_block_view(exact_unitary(hs, 1.0))
         rows, slope = measure_error_scaling(
-            lambda tau: circuit_matrix(split_operator_step(hs, tau)),
+            lambda tau: number_block_view(
+                circuit_matrix(split_operator_step(hs, tau))),
             exact, [2, 4, 8, 16, 32], 1.0)
         assert slope == pytest.approx(-2.0, abs=0.1)
 
     def test_first_order_slope(self):
         hs = spinful_jellium()
-        exact = exact_unitary(hs, 1.0)
+        exact, _ = number_block_view(exact_unitary(hs, 1.0))
         rows, slope = measure_error_scaling(
-            lambda tau: circuit_matrix(split_operator_step(hs, tau, order=1)),
+            lambda tau: number_block_view(
+                circuit_matrix(split_operator_step(hs, tau, order=1))),
             exact, [4, 8, 16, 32, 64], 1.0)
         assert slope == pytest.approx(-1.0, abs=0.1)
 
     def test_convergence_with_r(self):
         hs = spinful_jellium()
-        exact = exact_unitary(hs, 1.0)
+        exact, _ = number_block_view(exact_unitary(hs, 1.0))
         rows, _ = measure_error_scaling(
-            lambda tau: circuit_matrix(split_operator_step(hs, tau)),
+            lambda tau: number_block_view(
+                circuit_matrix(split_operator_step(hs, tau))),
             exact, [4, 64], 1.0)
         errs = dict(rows)
         assert errs[64] < errs[4] / 100
@@ -191,9 +196,10 @@ class TestErrorScaling:
         diag = HamiltonianSet(FermionOperator(), full.external,
                               full.interaction, 0.0, DUAL, grid,
                               grid.n_qubits)
-        exact = exact_unitary(diag, 1.0)
+        exact, _ = number_block_view(exact_unitary(diag, 1.0))
         rows, _ = measure_error_scaling(
-            lambda tau: circuit_matrix(split_operator_step(diag, tau)),
+            lambda tau: number_block_view(
+                circuit_matrix(split_operator_step(diag, tau))),
             exact, [1], 1.0)
         assert rows[0][1] < 1e-12
 
@@ -208,11 +214,11 @@ class TestErrorScaling:
         def step_fn(tau):
             config = TrotterConfig(strategy, order, 1, tau)
             steps[tau] = circuit_matrix(trotter_circuit(hs, config))
-            return steps[tau]
+            return number_block_view(steps[tau])
 
         counts = {}
-        rows, _ = measure_error_scaling(step_fn, exact, [2, 8, 32], 1.0,
-                                        counts)
+        rows, _ = measure_error_scaling(step_fn, number_block_view(exact)[0],
+                                        [2, 8, 32], 1.0, counts)
         assert counts["blocks"] == 9 and counts["largest_block"] == 70
         assert counts["leak"] < 1e-12
         for r, err in rows:
@@ -222,12 +228,12 @@ class TestErrorScaling:
 
     def test_rejects_step_that_changes_particle_number(self):
         hs = spinful_jellium()
-        exact = exact_unitary(hs, 1.0)
+        exact, _ = number_block_view(exact_unitary(hs, 1.0))
 
         def step_fn(tau):
             circ = split_operator_step(hs, tau)
-            return circuit_matrix(Circuit(circ.n_qubits,
-                                          [*circ.gates, Gate("H", (0,))]))
+            return number_block_view(circuit_matrix(
+                Circuit(circ.n_qubits, [*circ.gates, Gate("H", (0,))])))
 
         with pytest.raises(ValueError, match="leak"):
             measure_error_scaling(step_fn, exact, [2, 4], 1.0)
@@ -237,14 +243,12 @@ class TestErrorScaling:
         grid = build_grid(1, 4, 4.0, spinful=True)
         hs = build_dual(grid, NucleiSpec.build([((1.3,), 1.0)]))
         hs.constant = 0.7
-        h = hs.matrix()
-        want = np.zeros_like(h)
-        for block in number_blocks(hs.n_qubits):
-            at = np.ix_(block, block)
-            vals, vecs = np.linalg.eigh(h[at])
-            want[at] = (vecs * np.exp(-1j * vals * 0.8)) @ vecs.conj().T
+        want = []
+        for block in number_block_view(hs.matrix())[0]:
+            vals, vecs = np.linalg.eigh(block)
+            want.append((vecs * np.exp(-1j * vals * 0.8)) @ vecs.conj().T)
         got = number_block_propagator(hs, 0.8)
-        assert got.tobytes() == want.tobytes()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_propagator_rejects_pair_creation(self):
         op = FermionOperator({((0, 1), (1, 1)): 1.0, ((1, 0), (0, 0)): 1.0})
@@ -260,6 +264,60 @@ class TestErrorScaling:
         for k, block in enumerate(blocks):
             assert all(bin(int(x)).count("1") == k for x in block)
             assert list(block) == sorted(block)
+
+
+# (dimension, modes per axis, spinful): every cell of at most 8 qubits
+BLOCK_CELLS = [(1, 2, False), (1, 2, True), (1, 4, False), (1, 4, True),
+               (1, 8, False), (2, 2, False), (2, 2, True), (3, 2, False)]
+
+
+class TestBlockAlgebra:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(BLOCK_CELLS), st.floats(2.0, 10.0),
+           st.one_of(st.none(), st.tuples(
+               st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+               st.floats(0.1, 3.0))),
+           st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1, 2]))
+    def test_equals_compiled_step_blocks(self, cell, volume, nucleus, tau,
+                                         order):
+        dimension, m, spinful = cell
+        grid = build_grid(dimension, m, volume, spinful)
+        nuclei = None
+        if nucleus is not None:
+            fractions, charge = nucleus
+            nuclei = NucleiSpec.build([(
+                [f * grid.cell.length for f in fractions[:dimension]],
+                charge)])
+        hs = build_dual(grid, nuclei)
+        compiled, off = number_block_view(
+            circuit_matrix(split_operator_step(hs, tau, order=order)))
+        algebra = split_operator_blocks(hs, order)(tau)
+        assert off == 0.0
+        assert len(algebra) == len(compiled) == hs.n_qubits + 1
+        for a, c in zip(algebra, compiled):
+            assert a.shape == c.shape
+            assert np.max(np.abs(a - c)) < 1e-12
+
+    def test_rejects_plane_wave_and_bad_order(self):
+        grid = build_grid(1, 2, 4.0)
+        with pytest.raises(ValueError, match="dual"):
+            split_operator_blocks(build_plane_wave(grid))
+        with pytest.raises(ValueError, match="order"):
+            split_operator_blocks(build_dual(grid), order=3)
+
+    def test_block_view_shift_and_off_norm(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        blocks = number_blocks(4)
+        for shift in (0, 1):
+            got, off = number_block_view(m, shift)
+            assert len(got) == 5 - shift
+            kept = np.zeros((16, 16), dtype=bool)
+            for k, block in enumerate(got):
+                rows, cols = blocks[k + shift], blocks[k]
+                assert np.array_equal(block, m[np.ix_(rows, cols)])
+                kept[np.ix_(rows, cols)] = True
+            assert off == pytest.approx(np.linalg.norm(m[~kept]), rel=1e-14)
 
 
 class TestEstimateR:
