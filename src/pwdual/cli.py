@@ -46,10 +46,10 @@ from .serialize import fmt, dumps_hamiltonian
 from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
 from .swapnet import build_full_schedule, dumps_schedule
-from .trotter import LEAK_TOL, SATURATED_ERROR, SPLIT_OPERATOR, \
-    TrotterConfig, fit_slope, measure_error_scaling, estimate_r, \
-    number_block_propagator, number_block_view, split_operator_blocks, \
-    trotter_circuit
+from .trotter import LEAK_TOL, ROUNDOFF_ERROR, SATURATED_ERROR, \
+    SPLIT_OPERATOR, TrotterConfig, fit_slope, measure_error_scaling, \
+    estimate_r, number_block_propagator, number_block_view, \
+    split_operator_blocks, trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
 
@@ -359,15 +359,18 @@ def cmd_trotter_sweep(run: Run) -> dict:
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]
     run.write("trotter_sweep.csv", "\n".join(lines) + "\n")
     expected, tolerance = task["expected_slope"], task["slope_tolerance"]
-    # the pass/fail fit leaves out saturated points, whatever the outcome
-    fitted = [(r, e) for r, e in rows if e < SATURATED_ERROR]
+    # the pass/fail fit leaves out points at roundoff and saturated points,
+    # whatever the outcome; a sweep exact to roundoff has nothing to fit
+    fitted = [(r, e) for r, e in rows if ROUNDOFF_ERROR < e < SATURATED_ERROR]
     asymptotic = fit_slope(fitted)
-    if len(fitted) < 2:
+    exact = bool(rows) and all(e <= ROUNDOFF_ERROR for _, e in rows)
+    if len(fitted) < 2 and not exact:
         failures.append(
-            f"{len(fitted)} of {len(rows)} points have error below "
-            f"{SATURATED_ERROR:g}; the slope fit leaves out saturated points "
-            f"(error >= {SATURATED_ERROR:g}) and needs two")
-    elif abs(asymptotic - expected) > tolerance:
+            f"{len(fitted)} of {len(rows)} points have error between "
+            f"{ROUNDOFF_ERROR:g} and {SATURATED_ERROR:g}; the slope fit "
+            f"leaves out roundoff points (error <= {ROUNDOFF_ERROR:g}) and "
+            f"saturated points (error >= {SATURATED_ERROR:g}) and needs two")
+    elif len(fitted) >= 2 and abs(asymptotic - expected) > tolerance:
         failures.append(
             f"asymptotic slope {asymptotic:.3f} outside {expected} +- "
             f"{tolerance}")

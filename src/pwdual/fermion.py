@@ -10,6 +10,7 @@ identity.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse
@@ -216,9 +217,11 @@ def _ladder_action(key, n_orbitals: int):
 
 def sector_states(n_orbitals: int, eta: int) -> np.ndarray:
     """Ascending basis indices of the C(n, eta) states with eta electrons."""
-    return np.array(sorted(sum(1 << q for q in occupied) for occupied in
-                           itertools.combinations(range(n_orbitals), eta)),
-                    dtype=np.int64)
+    count = math.comb(n_orbitals, eta)
+    occupied = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n_orbitals), eta)), dtype=np.int64,
+        count=count * eta).reshape(count, eta)
+    return np.sort((1 << occupied).sum(axis=1))
 
 
 def _entries(op: FermionOperator, n_orbitals: int, held: int, what: str):

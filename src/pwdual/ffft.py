@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ModeGrid
+from .pauli import require_bytes
 from .statevector import Circuit, Gate, fk_gate
 from .swapnet import _is_power_of_two, transposition_phases
 
@@ -160,6 +161,48 @@ def single_particle_transform(circuit: Circuit) -> np.ndarray:
         rows = list(g.targets)
         w[rows] = np.conj(block / m[0, 0]) @ w[rows]
     return w
+
+
+def _minor_rows(dim: int, eta: int) -> int:
+    """Rows of a dim-state sector matrix whose eta x eta minors are taken
+    at once, about 16 MB of minors."""
+    return min(dim, max(1, (1 << 20) // max(1, dim * eta * eta)))
+
+
+def _occupied(states: np.ndarray, n: int) -> np.ndarray:
+    """Orbitals occupied in each state, one row per state."""
+    bits = (states[:, None] >> np.arange(n)) & 1
+    return np.nonzero(bits)[1].reshape(len(states), -1)
+
+
+def sector_transform(circuit: Circuit, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """<I|C|J> for a number-conserving circuit C and the occupation states
+    I in ``rows`` and J in ``cols``, which all hold eta electrons.
+
+    With A = conj(W) the circuit's single-particle matrix, C a^dag_q C^dag
+    = sum_p A[p, q] a^dag_p, and C|vac> = v|vac> with v the product of each
+    gate's m[0, 0]. So entry (I, J) is v det(A[I, J]) over the orbitals
+    occupied in I and J: v times the eta-th compound of A.
+    """
+    n = circuit.n_qubits
+    eta = int(cols[0]).bit_count() if len(cols) else 0
+    # the output and one chunk of minors with the copy det takes
+    require_bytes(16 * len(rows) * len(cols)
+                  + 32 * min(len(rows), _minor_rows(len(cols), eta))
+                  * len(cols) * eta ** 2,
+                  f"<I|C|J> on {len(rows)} x {len(cols)} {eta}-electron "
+                  f"states")
+    a = single_particle_transform(circuit).conj()
+    vacuum = np.prod([g.matrix()[0, 0] for g in circuit.gates])
+    occupied, occupied_cols = _occupied(rows, n), _occupied(cols, n)
+    out = np.empty((len(rows), len(cols)), dtype=complex)
+    chunk = _minor_rows(len(cols), occupied.shape[1])
+    for start in range(0, len(rows), chunk):
+        block = occupied[start:start + chunk]
+        minors = a[block[:, None, :, None], occupied_cols[None, :, None, :]]
+        out[start:start + chunk] = vacuum * np.linalg.det(minors)
+    return out
 
 
 def stage_listing(circuit: Circuit):

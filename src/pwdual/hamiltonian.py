@@ -502,6 +502,26 @@ def diagonal_terms(hs: HamiltonianSet):
     return external, interaction
 
 
+def diagonal_potential_values(hs: HamiltonianSet, samples: np.ndarray):
+    """Diagonal U + V energy of each bitstring, once per distinct one."""
+    states, inverse = np.unique(samples, return_inverse=True)
+    values = np.zeros(len(states), dtype=float)
+    external, interaction = diagonal_terms(hs)
+    for q, u in external:
+        values += u * ((states >> q) & 1)
+    for (q1, q2), v in interaction:
+        values += v * ((states >> q1) & 1) * ((states >> q2) & 1)
+    return values[inverse]
+
+
+def kinetic_mode_values(hs: HamiltonianSet, samples: np.ndarray):
+    """Mode-basis kinetic energy of each bitstring, over ``mode_phases``."""
+    values = np.zeros(len(samples), dtype=float)
+    for q, e in mode_phases(hs):
+        values += e * ((samples >> q) & 1)
+    return values
+
+
 # -- norm bounds ---------------------------------------------------------------
 
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .fermion import jordan_wigner
 from .ffft import build_ffft_nd
-from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
-    mode_phases, norm_bounds
+from .hamiltonian import HamiltonianSet, DUAL, build_qubit, \
+    diagonal_potential_values, kinetic_mode_values, norm_bounds
 from .pauli import QubitOperator
 from .statevector import Statevector, Gate, apply_circuit, apply_gate, \
     sample_bitstrings, _check_drift
@@ -62,27 +62,6 @@ class MeasurementPlan:
 
 def _batch_seed(master: int, counter: int) -> int:
     return master * (1 << 16) + counter
-
-
-def diagonal_potential_values(hs: HamiltonianSet, samples: np.ndarray):
-    """Diagonal U + V energy of each sampled bitstring, once per distinct one."""
-    states, inverse = np.unique(samples, return_inverse=True)
-    values = np.zeros(len(states), dtype=float)
-    external, interaction = diagonal_terms(hs)
-    for q, u in external:
-        values += u * ((states >> q) & 1)
-    for (q1, q2), v in interaction:
-        values += v * ((states >> q1) & 1) * ((states >> q2) & 1)
-    return values[inverse]
-
-
-def kinetic_mode_values(hs: HamiltonianSet, samples: np.ndarray):
-    """Mode-basis kinetic energy of each bitstring sampled after rotation,
-    weighting the orbitals that ``mode_phases`` keeps."""
-    values = np.zeros(len(samples), dtype=float)
-    for q, e in mode_phases(hs):
-        values += e * ((samples >> q) & 1)
-    return values
 
 
 def _basis_gate(q: int, letter: str) -> Gate:

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermion import _check_number_conserving, _entries
-from .ffft import build_ffft_nd
+from .fermion import _check_number_conserving, _entries, sector_states
+from .ffft import _minor_rows, build_ffft_nd, sector_transform
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
-    mode_phases
+    diagonal_potential_values, kinetic_mode_values, mode_phases
 from .pauli import QubitOperator, require_bytes
-from .statevector import Circuit, Gate, circuit_matrix
+from .statevector import Circuit, Gate
 from .swapnet import build_full_schedule, lower_diagonal_layer, \
     transposition_phases
 
@@ -26,6 +26,9 @@ LEAK_TOL = 1e-12
 # ||U - S^r||_2 <= 2 for unitaries, so an error of 1 or more is saturation,
 # not the r^(-order) regime; the pass/fail fit leaves such points out
 SATURATED_ERROR = 1.0
+# an error at or below this is roundoff: the step is exact to machine
+# precision there, so the pass/fail fit leaves such points out too
+ROUNDOFF_ERROR = 1e-12
 # leading constant of the split-operator step-count bound (estimate_r)
 STEP_COUNT_CONSTANT = 1.0
 
@@ -247,10 +250,8 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
 
 
 def number_blocks(n_qubits: int) -> list:
-    """Basis indices of each particle-number block: block k holds the
-    C(n, k) states with k ones, ascending."""
-    count = np.bitwise_count(np.arange(2 ** n_qubits))
-    return [np.flatnonzero(count == k) for k in range(n_qubits + 1)]
+    """The n + 1 particle-number blocks, block k ``sector_states(n, k)``."""
+    return [sector_states(n_qubits, k) for k in range(n_qubits + 1)]
 
 
 def number_block_view(matrix: np.ndarray, shift: int = 0):
@@ -297,33 +298,31 @@ def number_block_propagator(hs: HamiltonianSet, t: float) -> list:
 def split_operator_blocks(hs: HamiltonianSet, order: int = 2):
     """The split-operator step on each particle-number block, as algebra:
     tau -> [dv_b C_b^dag diag(dt_b) C_b dv_b] (first order: C_b^dag
-    diag(dt_b) C_b dv_b) over ``number_blocks``. C_b is block b of the
-    FFFT, read once from its ``circuit_matrix``; dv_b holds exp(-i(U+V)s)
-    on the block's states with s = tau/2 (first order: tau), dt_b
-    exp(-i T_diag tau) from ``mode_phases``. ``split_operator_step`` at tau
-    compiles the same operator."""
+    diag(dt_b) C_b dv_b) over ``number_blocks``, with C_b the FFFT's Slater
+    determinants on block b (``sector_transform``), dv_b = exp(-i(U+V)s)
+    with s = tau/2 (first order: tau) and dt_b = exp(-i T_diag tau). The
+    compiled ``split_operator_step`` at tau is the same operator."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     n = hs.n_qubits
-    external, interaction = diagonal_terms(hs)
-    fourier, _ = number_block_view(circuit_matrix(build_ffft_nd(hs.grid)))
-    # the diagonal energies of every basis state
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    potential, kinetic = np.zeros(2 ** n), np.zeros(2 ** n)
-    for q, u in external:
-        potential += u * bits[:, q]
-    for (a, b), v in interaction:
-        potential += v * (bits[:, a] & bits[:, b])
-    for q, e in mode_phases(hs):
-        kinetic += e * bits[:, q]
-    parts = [(c.conj().T, c, potential[b], kinetic[b])
-             for c, b in zip(fourier, number_blocks(n))]
+    dims = [math.comb(n, k) for k in range(n + 1)]
+    # the blocks and one step's blocks; every basis state and its diagonals
+    # with the evaluators' copies; the largest block's minors and bit table
+    require_bytes(32 * math.comb(2 * n, n) + 64 * 2 ** n + max(
+        32 * _minor_rows(d, k) * d * k * k + 24 * d * n
+        for k, d in enumerate(dims)),
+        f"the {n}-qubit split-operator step on particle-number blocks")
+    every, ffft = np.arange(2 ** n), build_ffft_nd(hs.grid)
+    potential = diagonal_potential_values(hs, every)
+    kinetic = kinetic_mode_values(hs, every)
+    parts = [(sector_transform(ffft, b, b), potential[b], kinetic[b])
+             for b in number_blocks(n)]
 
     def step(tau):
         out = []
-        for c_dag, c, v, e in parts:
+        for c, v, e in parts:
             dv = np.exp(-1j * v * (tau / order))
-            s = c_dag @ (np.exp(-1j * e * tau)[:, None] * c) * dv
+            s = c.conj().T @ (np.exp(-1j * e * tau)[:, None] * c) * dv
             out.append(dv[:, None] * s if order == 2 else s)
         return out
     return step

@@ -21,7 +21,7 @@ from pwdual.statevector import Circuit, Gate, Statevector, circuit_matrix, \
     exact_evolve
 from pwdual.trotter import TrotterConfig, measure_error_scaling, \
     number_block_propagator, number_blocks, number_block_view, \
-    trotter_circuit
+    split_operator_blocks, trotter_circuit
 from pwdual.vqe import Ansatz, AnsatzSpec, SectorModel, \
     prepare_reference
 
@@ -81,6 +81,10 @@ def past_limit_cases():
         return lambda: measure_error_scaling(lambda tau: (exact, 0.0), exact,
                                              [1], 1.0)
 
+    def split_blocks_16():
+        hs = dual(8, spinful=True)  # the blocks alone: 16 C(32, 16) B
+        return lambda: split_operator_blocks(hs)
+
     def taylor_16():
         model = build_weights(dual(16))
         return lambda: taylor_errors(model, QubitOperator(), 0.01, [2], 0)
@@ -114,6 +118,7 @@ def past_limit_cases():
         "number_block_view": lambda: lambda: number_block_view(
             np.broadcast_to(np.complex128(0), (2 ** 13, 2 ** 13))),
         "measure_error_scaling": scaling_14,
+        "split_operator_blocks": split_blocks_16,
         "taylor_errors": taylor_16,
     }
 
@@ -199,6 +204,10 @@ def small_cases():
             hs, TrotterConfig("direct_jw", 2, 1, 0.1)))
         return lambda: number_block_view(step, shift=1)
 
+    def split_blocks_8():
+        hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
+        return lambda: split_operator_blocks(hs)
+
     def propagator_10():
         hs = dual(10, nuclei=[((2.3,), 1.0)])
         return lambda: number_block_propagator(hs, 1.0)
@@ -233,6 +242,7 @@ def small_cases():
         "number_block_propagator": propagator_10,
         "number_block_view": block_view_8,
         "measure_error_scaling": scaling_10,
+        "split_operator_blocks": split_blocks_8,
         "taylor_errors": taylor_8,
     }
 

@@ -9,7 +9,7 @@ from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
     load_config, main
 from pwdual.measurement import estimate_energy
 from pwdual.statevector import Circuit, circuit_matrix
-from pwdual.trotter import fit_slope, trotter_circuit
+from pwdual.trotter import ROUNDOFF_ERROR, fit_slope, trotter_circuit
 
 
 def run(tmp_path, command, *overrides, out="run"):
@@ -513,11 +513,10 @@ class TestCommands:
 
     def test_trotter_sweep_checks_compiled_step_once(self, tmp_path,
                                                      monkeypatch):
-        """A split-operator sweep forms two full matrices whatever the r
-        list: the FFFT's and the compiled step's; direct_jw forms one step
+        """A split-operator sweep forms one full matrix whatever the r
+        list: the compiled step's, checked once; direct_jw forms one step
         matrix per r."""
         import pwdual.cli
-        import pwdual.trotter
         calls = []
 
         def counted(circuit):
@@ -525,11 +524,10 @@ class TestCommands:
             return circuit_matrix(circuit)
 
         monkeypatch.setattr(pwdual.cli, "circuit_matrix", counted)
-        monkeypatch.setattr(pwdual.trotter, "circuit_matrix", counted)
         r_list = "task.r_list=[2,4,8,16,32]"
         assert run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
                    r_list) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         meta = read_report(tmp_path, "trotter_report.json")["meta"]
         assert meta["checks"]["compiled_step_gap"] <= 1e-12
         calls.clear()
@@ -586,6 +584,30 @@ class TestCommands:
         assert math.isnan(result["asymptotic_slope"])
         assert "saturated points (error >= 1)" in result["failures"][0]
         assert "needs two" in result["failures"][0]
+
+    def test_trotter_sweep_exact_to_roundoff_passes(self, tmp_path):
+        # the command's own cell (1D M=2 spinless, one electron) has no
+        # Trotter error: every row is roundoff, and there is no slope to fit
+        assert run(tmp_path, "trotter-sweep") == 0
+        result = read_report(tmp_path, "trotter_report.json")["result"]
+        assert len(result["rows"]) >= 2
+        assert all(e <= ROUNDOFF_ERROR for _, e in result["rows"])
+        assert math.isnan(result["asymptotic_slope"])
+        assert result["failures"] == []
+
+    def test_trotter_fit_leaves_out_roundoff_points(self, tmp_path,
+                                                    monkeypatch):
+        import pwdual.cli
+        rows = [(2, 4e-3), (4, 1e-3), (8, 2.5e-4), (16, 9e-13), (32, 3e-16)]
+        monkeypatch.setattr(pwdual.cli, "measure_error_scaling",
+                            lambda *args: (rows, fit_slope(rows)))
+        assert run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
+                   "task.r_list=[2,4,8,16,32]") == 0
+        result = read_report(tmp_path, "trotter_report.json")["result"]
+        assert result["slope"] == fit_slope(rows)
+        assert result["asymptotic_slope"] == fit_slope(rows[:3])
+        assert result["asymptotic_slope"] == pytest.approx(-2.0, abs=1e-12)
+        assert result["failures"] == []
 
     def test_lcu_check(self, tmp_path):
         code = run(tmp_path, "lcu-check", *SMALL)

@@ -605,8 +605,8 @@ def block_slices(tree):
 
 def test_one_number_block_view():
     """A full matrix is cut into particle-number blocks in one place,
-    ``trotter.number_block_view``, and the Trotter sweep, the FFFT check
-    and the split-operator algebra read their blocks from it."""
+    ``trotter.number_block_view``, and the Trotter sweep and the FFFT
+    check read their blocks from it."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
     found = {name: block_slices(tree) for name, tree in trees.items()}
@@ -614,11 +614,46 @@ def test_one_number_block_view():
     assert {fn for _, fn in mine} == {"number_block_view"}, mine
     assert not any(found.values()), f"number blocks cut elsewhere: {found}"
     for module, caller in (("cli.py", "cmd_trotter_sweep"),
-                           ("cli.py", "cmd_ffft_check"),
-                           ("trotter.py", "split_operator_blocks")):
+                           ("cli.py", "cmd_ffft_check")):
         callers = {fn for _, fn in name_uses(trees[module],
                                              "number_block_view")}
         assert caller in callers, f"{caller} cuts its own blocks"
+
+
+def test_one_sector_algebra():
+    """The particle-number blocks of the FFFT and of the diagonal phases
+    have one source each. Only the statevector engine and the two CLI
+    checks of compiled circuits form a full ``circuit_matrix``; the FFFT's
+    single-particle matrix is read only by ``sector_transform`` (its
+    Slater determinants), and the diagonal terms and mode phases only by
+    the three gate emitters and the two per-state evaluators."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+
+    def readers(name):
+        """module -> the top-level definitions that read ``name``, None
+        for a module-level statement such as an import."""
+        found = {}
+        for module, tree in trees.items():
+            for node in tree.body:
+                if name_uses(node, name):
+                    found.setdefault(module, set()).add(
+                        getattr(node, "name", None))
+        return found
+
+    matrix = readers("circuit_matrix")
+    matrix.pop("statevector.py", None)
+    assert matrix == {"cli.py": {None, "cmd_trotter_sweep",
+                                 "cmd_ffft_check"}}, matrix
+    assert readers("single_particle_transform") == {
+        "ffft.py": {"sector_transform"}}
+    assert readers("diagonal_terms") == {
+        "hamiltonian.py": {"diagonal_potential_values"},
+        "trotter.py": {None, "_diagonal_potential_gates",
+                       "_planar_potential_gates"}}
+    assert readers("mode_phases") == {
+        "hamiltonian.py": {"kinetic_mode_values"},
+        "trotter.py": {None, "_kinetic_mode_gates"}}
 
 
 def test_block_slice_scan_sees_gathers_and_masks():

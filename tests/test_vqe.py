@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwdual import vqe
+from pwdual import ffft, vqe
 from pwdual.ffft import build_ffft_nd
 from pwdual.fermion import fermion_matrix, total_number_operator
 from pwdual.geometry import build_grid
@@ -386,7 +386,7 @@ class TestSector:
         def forbidden(*args, **kwargs):
             raise AssertionError("single-particle matrix before the check")
 
-        monkeypatch.setattr(vqe, "single_particle_transform", forbidden)
+        monkeypatch.setattr(ffft, "single_particle_transform", forbidden)
         tracemalloc.start()
         try:
             with pytest.raises(DenseLimitError, match="35960 x 35960"):
