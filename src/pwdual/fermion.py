@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .pauli import QubitOperator, TermSum, PRUNE_TOL, HERMITIAN_TOL, \
     _I_POWER_ARRAY, _mask_product, _pack, _sum_equal, _times, _words, \
     require_bytes
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 RAISE = 1
 LOWER = 0
@@ -291,6 +294,7 @@ def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
 def fermion_sparse(op: FermionOperator,
                    n_orbitals: int) -> scipy.sparse.csr_matrix:
     """The matrix of ``fermion_matrix`` in compressed sparse rows."""
+    import scipy.sparse
     rows, cols, values = _entries(op, n_orbitals, 0,
                                   f"a {n_orbitals}-orbital sparse matrix")
     dim = 2 ** n_orbitals

@@ -175,34 +175,42 @@ def _occupied(states: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(bits)[1].reshape(len(states), -1)
 
 
-def sector_transform(circuit: Circuit, rows: np.ndarray,
-                     cols: np.ndarray) -> np.ndarray:
-    """<I|C|J> for a number-conserving circuit C and the occupation states
-    I in ``rows`` and J in ``cols``, which all hold eta electrons.
+def sector_transform(circuit: Circuit, blocks) -> list:
+    """<I|C|J> for a number-conserving circuit C on each (rows, cols) pair
+    in ``blocks``: the occupation states I in rows and J in cols, which all
+    hold the same eta electrons. One matrix per pair, in order.
 
     With A = conj(W) the circuit's single-particle matrix, C a^dag_q C^dag
     = sum_p A[p, q] a^dag_p, and C|vac> = v|vac> with v the product of each
     gate's m[0, 0]. So entry (I, J) is v det(A[I, J]) over the orbitals
-    occupied in I and J: v times the eta-th compound of A.
+    occupied in I and J: v times the eta-th compound of A. A and v are
+    formed once for all the pairs.
     """
     n = circuit.n_qubits
-    eta = int(cols[0]).bit_count() if len(cols) else 0
-    # the output and one chunk of minors with the copy det takes
-    require_bytes(16 * len(rows) * len(cols)
-                  + 32 * min(len(rows), _minor_rows(len(cols), eta))
-                  * len(cols) * eta ** 2,
-                  f"<I|C|J> on {len(rows)} x {len(cols)} {eta}-electron "
-                  f"states")
+    sizes = [(len(rows), len(cols),
+              int(cols[0]).bit_count() if len(cols) else 0)
+             for rows, cols in blocks]
+    # the outputs and the largest chunk of minors with the copy det takes
+    require_bytes(sum(16 * r * c for r, c, _ in sizes)
+                  + max(32 * min(r, _minor_rows(c, eta)) * c * eta ** 2
+                        for r, c, eta in sizes),
+                  "<I|C|J> on " + ", ".join(f"{r} x {c} {eta}-electron"
+                                            for r, c, eta in sizes)
+                  + " states")
     a = single_particle_transform(circuit).conj()
     vacuum = np.prod([g.matrix()[0, 0] for g in circuit.gates])
-    occupied, occupied_cols = _occupied(rows, n), _occupied(cols, n)
-    out = np.empty((len(rows), len(cols)), dtype=complex)
-    chunk = _minor_rows(len(cols), occupied.shape[1])
-    for start in range(0, len(rows), chunk):
-        block = occupied[start:start + chunk]
-        minors = a[block[:, None, :, None], occupied_cols[None, :, None, :]]
-        out[start:start + chunk] = vacuum * np.linalg.det(minors)
-    return out
+    outs = []
+    for rows, cols in blocks:
+        occupied, occupied_cols = _occupied(rows, n), _occupied(cols, n)
+        out = np.empty((len(rows), len(cols)), dtype=complex)
+        chunk = _minor_rows(len(cols), occupied.shape[1])
+        for start in range(0, len(rows), chunk):
+            block = occupied[start:start + chunk]
+            minors = a[block[:, None, :, None],
+                       occupied_cols[None, :, None, :]]
+            out[start:start + chunk] = vacuum * np.linalg.det(minors)
+        outs.append(out)
+    return outs
 
 
 def stage_listing(circuit: Circuit):

@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
     fermion_sparse, jordan_wigner, _check_number_conserving
@@ -114,6 +113,7 @@ class HamiltonianSet:
         inside the fixed-number sectors of each spin. An electron count
         needs an operator that conserves particle number.
         """
+        from scipy.sparse.csgraph import connected_components
         mat = fermion_sparse(self.total(), self.n_qubits)
         # sized as built: a real view keeps the complex entries alive
         sparse = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes

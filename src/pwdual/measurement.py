@@ -214,21 +214,27 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
     if strategy not in BUDGET_MODES:
         raise ValueError(f"unknown strategy {strategy!r}")
     bounds = norm_bounds(hs, eta)
-    if strategy == DIAGONAL_GROUPS:
-        budget = (bounds["max_t"] ** 2
-                  + (bounds["max_u"] + bounds["max_v"]) ** 2) / precision ** 2
-    elif strategy == DIAGONAL_UV_ONLY:
-        budget = (bounds["triangle_t"] ** 2
-                  + (bounds["max_u"] + bounds["max_v"]) ** 2) / precision ** 2
-    else:  # per_term and phase_estimation read the compiled operator
-        if qubit is None:
-            qubit = build_qubit(hs)
-        coeff_sum = qubit.coefficient_norm(include_identity=False)
-        budget = coeff_sum / precision
-        if strategy == PER_TERM:
-            budget = budget ** 2
-    if mode == "relative":
-        budget /= eta ** 2
+    uv = bounds["max_u"] + bounds["max_v"]
+    # a tiny precision squares to zero or overflows the budget
+    try:
+        if strategy == DIAGONAL_GROUPS:
+            budget = (bounds["max_t"] ** 2 + uv ** 2) / precision ** 2
+        elif strategy == DIAGONAL_UV_ONLY:
+            budget = (bounds["triangle_t"] ** 2 + uv ** 2) / precision ** 2
+        else:  # per_term and phase_estimation read the compiled operator
+            if qubit is None:
+                qubit = build_qubit(hs)
+            coeff_sum = qubit.coefficient_norm(include_identity=False)
+            budget = coeff_sum / precision
+            if strategy == PER_TERM:
+                budget = budget ** 2
+        if mode == "relative":
+            budget /= eta ** 2
+    except (OverflowError, ZeroDivisionError):
+        budget = math.inf
+    if not math.isfinite(budget):
+        raise ValueError(f"precision {precision} puts the shot budget past "
+                         f"the float range")
     return budget
 
 

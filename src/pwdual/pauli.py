@@ -22,7 +22,6 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.sparse
 
 PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -49,7 +48,7 @@ def _real_if_exact(mat):
     all exactly zero, so that a real symmetric matrix reaches LAPACK's real
     solvers (the dual basis); any other matrix (a complex plane-wave block,
     say), unchanged."""
-    values = mat.data if scipy.sparse.issparse(mat) else mat
+    values = mat if isinstance(mat, np.ndarray) else mat.data
     if np.iscomplexobj(values) and not values.imag.any():
         return mat.real
     return mat

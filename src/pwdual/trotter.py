@@ -5,6 +5,7 @@ step-count estimate, and empirical error-scaling fits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -249,9 +250,14 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
     return Circuit(n, gates + [g for block in blocks for g in block])
 
 
-def number_blocks(n_qubits: int) -> list:
-    """The n + 1 particle-number blocks, block k ``sector_states(n, k)``."""
-    return [sector_states(n_qubits, k) for k in range(n_qubits + 1)]
+@functools.lru_cache(maxsize=None)
+def number_blocks(n_qubits: int) -> tuple:
+    """The n + 1 particle-number blocks, block k ``sector_states(n, k)``,
+    listed once per register size and shared, so read-only."""
+    blocks = tuple(sector_states(n_qubits, k) for k in range(n_qubits + 1))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def number_block_view(matrix: np.ndarray, shift: int = 0):
@@ -315,8 +321,9 @@ def split_operator_blocks(hs: HamiltonianSet, order: int = 2):
     every, ffft = np.arange(2 ** n), build_ffft_nd(hs.grid)
     potential = diagonal_potential_values(hs, every)
     kinetic = kinetic_mode_values(hs, every)
-    parts = [(sector_transform(ffft, b, b), potential[b], kinetic[b])
-             for b in number_blocks(n)]
+    blocks = number_blocks(n)
+    parts = [(c, potential[b], kinetic[b]) for c, b in
+             zip(sector_transform(ffft, [(b, b) for b in blocks]), blocks)]
 
     def step(tau):
         out = []

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .fermion import sector_states
 from .ffft import _minor_rows, build_ffft_nd, sector_transform
@@ -107,7 +106,7 @@ def prepare_reference(grid: ModeGrid, eta: int,
                   f"the {eta}-electron reference on {n} qubits")
     states = sector_states(n, eta)
     occupation = np.array([sum(1 << q for q in qubits)])
-    row = sector_transform(build_ffft_nd(grid), occupation, states)[0]
+    [[row]] = sector_transform(build_ffft_nd(grid), [(occupation, states)])
     return Statevector.on_support(n, states, row.conj())
 
 
@@ -222,8 +221,8 @@ class SectorModel:
         self.z = 1.0 - 2.0 * ((self.states[:, None] >> np.arange(n)) & 1)
         a, b = np.array(ansatz.pairs, dtype=int).reshape(-1, 2).T
         self.zz = self.z[:, a] * self.z[:, b]
-        self.fourier = sector_transform(ansatz.ffft, self.states,
-                                        self.states)
+        [self.fourier] = sector_transform(ansatz.ffft,
+                                          [(self.states, self.states)])
         j = self.states.searchsorted(sum(1 << q for q in qubits))
         self.reference = self.fourier[j].conj()
         self.constant = hs.constant
@@ -294,6 +293,7 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     is computed on the eta-electron sector (``SectorModel``), whose
     Fourier matrix must fit in DENSE_BYTES_LIMIT.
     """
+    import scipy.optimize
     if hs.representation != DUAL:
         raise ValueError("the variational loop works on the dual "
                          "representation")
@@ -368,6 +368,7 @@ def layer_train(spec: AnsatzSpec, hs: HamiltonianSet, eta: int,
                 spin_pattern="paired", maxiter: int = 400) -> OptimizeResult:
     """Train layer m against T + U + (m/M) V with earlier layers frozen,
     then report the full-Hamiltonian energy of the assembled parameters."""
+    import scipy.optimize
     ansatz = Ansatz(spec, hs.grid)
     model = SectorModel(ansatz, hs, eta, spin_pattern)
     values = np.zeros(ansatz.parameter_count)

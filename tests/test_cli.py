@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -673,6 +677,7 @@ class TestCommands:
     @pytest.mark.parametrize("strategy", ["diagonal_groups", "per_term"])
     @pytest.mark.parametrize("item,message", [
         ("task.precision=0", "precision must be positive"),
+        ("task.precision=2.2250738585072014e-308", "past the float range"),
         ("task.mode=\"x\"", "unknown mode 'x'"),
     ])
     def test_measure_refuses_budget_before_sampling(
@@ -828,3 +833,35 @@ class TestResolvedEcho:
     def test_swapnet_rejects_system_keys(self, tmp_path, capsys):
         assert run(tmp_path, "swapnet", "system.modes_per_axis=2") == 2
         assert "swapnet reads no system block" in capsys.readouterr().err
+
+
+HEAVY_SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.optimize",
+               "scipy.linalg")
+# the commands that build circuits and operators and call no scipy
+CONSTRUCTION = ("build", "trotter-sweep", "swapnet", "lcu-check", "measure")
+
+
+@pytest.mark.parametrize("command", ["import pwdual", "import pwdual.cli",
+                                     *COMMANDS])
+def test_commands_load_only_the_scipy_they_run(tmp_path, command):
+    """Each command at its defaults in a fresh interpreter: the package,
+    its CLI and the construction commands load none of scipy's heavy
+    submodules; the commands that solve or optimize still run."""
+    if command.startswith("import "):
+        body = f"{command}\ncode = 0"
+    else:
+        body = ("from pwdual.cli import main\n"
+                f"code = main([{command!r}, '--out', {str(tmp_path)!r}])")
+    script = (f"import json, sys\n{body}\n"
+              f"print(json.dumps([code, sorted(set(sys.modules) & "
+              f"{set(HEAVY_SCIPY)!r})]))")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    if command.startswith("import ") or command in CONSTRUCTION:
+        assert loaded == [], f"{command} loads {loaded}"

@@ -369,7 +369,7 @@ class TestSector:
         n = grid.n_qubits
         circ = build_ffft_nd(grid)
         states = sector_states(n, eta)
-        fourier = sector_transform(circ, states, states)
+        [fourier] = sector_transform(circ, [(states, states)])
         pushed = np.array([
             apply_circuit(Statevector.basis_state(n, int(s)),
                           circ).amplitudes for s in states]).T
@@ -391,7 +391,7 @@ class TestSector:
         try:
             with pytest.raises(DenseLimitError, match="35960 x 35960"):
                 sector_transform(build_ffft_nd(build_grid(1, 32, 32.0)),
-                                 states, states)
+                                 [(states, states)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
