@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ffft import build_ffft_nd, mode_ladder_operator, stage_listing
-from .fermion import fermion_matrix, fermion_sparse, FermionOperator
+from .fermion import fermion_matrix, FermionOperator, _entries
 from .geometry import build_grid
 from .hamiltonian import build_dual, build_plane_wave, build_qubit, \
     norm_bounds, NucleiSpec, DUAL, PLANE_WAVE
@@ -401,8 +401,12 @@ def cmd_ffft_check(run: Run) -> dict:
         for nu in grid.nu_list:
             for spin in spins:
                 q = grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
-                adag = fermion_sparse(FermionOperator.raising(q), n)
-                moved, _ = number_block_view(adag @ u, shift=1)
+                # a^dag U: each row a^dag reaches, its sign times U's row
+                rows, cols, signs = _entries(FermionOperator.raising(q), n,
+                                             2 * u.nbytes, f"a^dag_{q} U")
+                moved = np.zeros_like(u)
+                moved[rows] += signs[:, None] * u[cols]
+                moved, _ = number_block_view(moved, shift=1)
                 rhs, off = number_block_view(
                     fermion_matrix(mode_ladder_operator(grid, nu, spin), n),
                     shift=1)

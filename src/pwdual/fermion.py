@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .pauli import QubitOperator, TermSum, PRUNE_TOL, HERMITIAN_TOL, \
     _I_POWER_ARRAY, _mask_product, _pack, _sum_equal, _times, _words, \
     require_bytes
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 RAISE = 1
 LOWER = 0
@@ -291,15 +287,13 @@ def fermion_matrix(op: FermionOperator, n_orbitals: int) -> np.ndarray:
     return mat
 
 
-def fermion_sparse(op: FermionOperator,
-                   n_orbitals: int) -> scipy.sparse.csr_matrix:
-    """The matrix of ``fermion_matrix`` in compressed sparse rows."""
-    import scipy.sparse
-    rows, cols, values = _entries(op, n_orbitals, 0,
-                                  f"a {n_orbitals}-orbital sparse matrix")
-    dim = 2 ** n_orbitals
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    return scipy.sparse.csr_matrix((values, cols, indptr), shape=(dim, dim))
+def block_matrix(states: np.ndarray, rows, cols, values) -> np.ndarray:
+    """The dense matrix on ``states`` (ascending basis indices) of entries
+    of ``_entries`` that all lie inside it, each written once onto zeros;
+    the rows and columns follow ``states``."""
+    out = np.zeros((len(states), len(states)), dtype=values.dtype)
+    out[np.searchsorted(states, rows), np.searchsorted(states, cols)] = values
+    return out
 
 
 def total_number_operator(n_orbitals: int) -> FermionOperator:

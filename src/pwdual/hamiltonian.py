@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
-    fermion_sparse, jordan_wigner, _check_number_conserving
+from .fermion import FermionOperator, RAISE, LOWER, block_matrix, \
+    fermion_matrix, jordan_wigner, _check_number_conserving, _entries
 from .geometry import ModeGrid, UP, DOWN
 from .pauli import QubitOperator, PRUNE_TOL, require_bytes, \
     _real_if_exact
@@ -79,6 +79,27 @@ class NucleiSpec:
                 raise ValueError(f"nucleus at {pos} outside cell of edge {L}")
 
 
+def _components(rows, cols, values, dim: int) -> np.ndarray:
+    """The smallest basis index in each state's connected component of the
+    nonzero entries (rows, cols, values), by min-label hook and jump: each
+    entry joining two labels hooks the larger onto the smaller, then every
+    label jumps to its root, until no entry joins two labels."""
+    label = np.arange(dim)
+    ends = np.where(values != 0, cols, rows)  # a zero entry joins nothing
+    while True:
+        a, b = label[rows], label[ends]
+        if np.array_equal(a, b):
+            return label
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        del a, b
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 @dataclass
 class HamiltonianSet:
     """T, U, V components, the user-supplied zero-mode constant, and tags."""
@@ -107,36 +128,45 @@ class HamiltonianSet:
         (basis indices, ascending eigenvalues) pairs, one per block, or
         only for the blocks holding a state with ``electrons`` electrons.
 
-        The blocks are the connected components of the sparse matrix's
-        nonzero pattern. Entries that are exactly zero decouple, so this
+        The blocks are the connected components of the matrix's nonzero
+        entries, in the order of their smallest basis index, each block's
+        states ascending. Entries that are exactly zero decouple, so this
         holds for any Hermitian operator; for a Hamiltonian the blocks lie
         inside the fixed-number sectors of each spin. An electron count
         needs an operator that conserves particle number.
         """
-        from scipy.sparse.csgraph import connected_components
-        mat = fermion_sparse(self.total(), self.n_qubits)
-        # sized as built: a real view keeps the complex entries alive
-        sparse = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        mat = _real_if_exact(mat)
-        count, labels = connected_components(mat != 0, directed=False)
-        order = np.argsort(labels, kind="stable")
-        edges = np.searchsorted(labels[order], np.arange(count + 1))
-        spans = list(zip(edges[:-1], edges[1:]))
+        n, dim = self.n_qubits, 2 ** self.n_qubits
+        rows, cols, values = _entries(self.total(), n, 0,
+                                      f"a {n}-orbital operator's entries")
+        label = _components(rows, cols, values, dim)
+        firsts = np.flatnonzero(label == np.arange(dim))
+        sizes = np.bincount(label)[firsts]
+        held = np.ones(len(firsts), dtype=bool)
         if electrons is not None:
-            entries = mat.tocoo()
-            _check_number_conserving(entries.row, entries.col, entries.data)
-            spans = [(lo, hi) for lo, hi in spans
-                     if np.bitwise_count(order[lo]) == electrons]
-        largest = max((hi - lo for lo, hi in spans), default=0)
-        # the sparse matrix while it is permuted (three copies), and the
-        # largest dense block with the copy eigvalsh takes of it
-        require_bytes(3 * sparse + 32 * largest ** 2,
+            _check_number_conserving(rows, cols, values)
+            held = np.bitwise_count(firsts) == electrons
+        largest = int(sizes[held].max(initial=0))
+        # the entries (32 bytes each) with their block order and, at most,
+        # all of them copied into one block with its indices; the states'
+        # labels and order; the largest dense block and eigvalsh's copy
+        require_bytes(96 * len(rows) + 48 * dim + 32 * largest ** 2,
                       f"a spectrum with {largest}-state blocks")
-        mat = mat[order][:, order]
-        return [(order[lo:hi],
-                 np.linalg.eigvalsh(mat[lo:hi, lo:hi].toarray())
-                 + self.constant)
-                for lo, hi in spans]
+        order = np.argsort(label, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        owner = label[rows]
+        owner[label[cols] != owner] = -1  # a zero between two blocks
+        by = np.argsort(owner, kind="stable")
+        lows = np.searchsorted(owner, firsts, sorter=by)
+        highs = np.searchsorted(owner, firsts, "right", sorter=by)
+        del label, owner
+        values = _real_if_exact(values)
+        out = []
+        for b in np.flatnonzero(held).tolist():
+            states = order[starts[b]:starts[b] + sizes[b]]
+            at = by[lows[b]:highs[b]]
+            block = block_matrix(states, rows[at], cols[at], values[at])
+            out.append((states, np.linalg.eigvalsh(block) + self.constant))
+        return out
 
     def spectrum(self, counts: dict = None) -> np.ndarray:
         """All eigenvalues, ascending; never forms the dense matrix. A

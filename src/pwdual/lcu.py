@@ -252,9 +252,14 @@ def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
 def dump_weights(model: LcuModel) -> str:
     """CSV weight table: p, q, b, W with Lambda in the header."""
     lines = [f"# lambda,{fmt(model.lam)}", "p,q,b,w"]
-    items = list(model.weights.items())
+    keys, (codes, weights) = list(model.weights), model.selection_table()
+    # each distinct weight formatted once, told apart by its bits so that
+    # -0.0 and 0.0 stay apart
+    bits, which = np.unique(weights.view(np.int64), return_inverse=True)
+    text = [fmt(w) for w in bits.view(np.float64).tolist()]
     # encoded indices sort as (p, q, b) does
-    for i in np.argsort(model.selection_table()[0]).tolist():
-        (p, q, b), w = items[i]
-        lines.append(f"{p},{q},{b},{fmt(w)}")
+    order = np.argsort(codes)
+    for i, j in zip(order.tolist(), which[order].tolist()):
+        p, q, b = keys[i]
+        lines.append(f"{p},{q},{b},{text[j]}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ fixed seed reproduces shot sequences across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,6 +53,26 @@ _F0 = np.exp(-1j * np.pi / 4) * np.array(
 _SELF, _NEGATE, _DAGGER = "self", "negate", "dagger"
 
 
+# the Pauli matrix of a PEXP letters string of at most this many letters is
+# built once and shared read-only; a wider one is built per call and held
+# by nothing after it
+_CACHED_LETTERS = 4
+
+
+@functools.lru_cache(maxsize=512)
+def _cached_pauli(letters: str) -> np.ndarray:
+    p = string_matrix(tuple(enumerate(letters)), len(letters))
+    p.flags.writeable = False
+    return p
+
+
+def _pauli(letters: str) -> np.ndarray:
+    """P with ``letters[j]`` on qubit j."""
+    if len(letters) <= _CACHED_LETTERS:
+        return _cached_pauli(letters)
+    return string_matrix(tuple(enumerate(letters)), len(letters))
+
+
 class GateKind(NamedTuple):
     arity: Optional[int]  # None: one target per PEXP letter
     matrix: Callable  # (angle, letters) -> matrix
@@ -77,8 +98,7 @@ GATE_KINDS = {
     "FK": GateKind(2, lambda a, _: _F0 @ np.diag([1, 1, np.exp(1j * a),
                                                   np.exp(1j * a)]), _DAGGER),
     "PEXP": GateKind(None, lambda a, p: math.cos(a) * np.eye(2 ** len(p))
-                     - 1j * math.sin(a)
-                     * string_matrix(tuple(enumerate(p)), len(p)), _NEGATE),
+                     - 1j * math.sin(a) * _pauli(p), _NEGATE),
 }
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermion import _check_number_conserving, _entries, sector_states
+from .fermion import _check_number_conserving, _entries, block_matrix, \
+    sector_states
 from .ffft import _minor_rows, build_ffft_nd, sector_transform
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     diagonal_potential_values, kinetic_mode_values, mode_phases
@@ -292,9 +293,7 @@ def number_block_propagator(hs: HamiltonianSet, t: float) -> list:
     exact = []
     for k, block in enumerate(number_blocks(n)):
         at = (numbers[0] == k) & (numbers[1] == k)
-        h_block = np.zeros((len(block), len(block)), dtype=complex)
-        h_block[np.searchsorted(block, rows[at]),
-                np.searchsorted(block, cols[at])] = values[at]
+        h_block = block_matrix(block, rows[at], cols[at], values[at])
         h_block[np.diag_indices_from(h_block)] += hs.constant
         vals, vecs = np.linalg.eigh(h_block)
         exact.append((vecs * np.exp(-1j * vals * t)) @ vecs.conj().T)

@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pwdual.fermion import FermionOperator, fermion_matrix, fermion_sparse
+from pwdual.fermion import FermionOperator, block_matrix, fermion_matrix, \
+    sector_states, _entries
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import HamiltonianSet, build_dual, build_qubit
 from pwdual.lcu import build_weights, select_matrix, taylor_errors
@@ -103,8 +104,10 @@ def past_limit_cases():
             QubitOperator.identity(), 15),
         "fermion_matrix": lambda: lambda: fermion_matrix(
             FermionOperator.number(0), 15),
-        "fermion_sparse": lambda: lambda: fermion_sparse(
-            FermionOperator.number(0), 40),
+        # the entries of a 40-orbital operator, refused before its block
+        "block_matrix": lambda: lambda: block_matrix(
+            sector_states(40, 1), *_entries(FermionOperator.number(0), 40, 0,
+                                            "a 40-orbital operator")),
         "circuit_matrix": circuit_13,
         "exact_evolve": evolve_15,
         "select_matrix": select_15,
@@ -164,9 +167,16 @@ def small_cases():
         op = dual(10, nuclei=[((2.3,), 1.0)]).total()
         return lambda: fermion_matrix(op, 10)
 
-    def sparse_12():
+    def block_12():
+        # the two-electron block of a 12-orbital operator
         op = dual(6, spinful=True, nuclei=[((2.3,), 1.0)]).total()
-        return lambda: fermion_sparse(op, 12)
+        states = sector_states(12, 2)
+
+        def call():
+            rows, cols, values = _entries(op, 12, 0, "a 12-orbital operator")
+            inside = np.isin(rows, states) & np.isin(cols, states)
+            block_matrix(states, rows[inside], cols[inside], values[inside])
+        return call
 
     def split_step_8():
         hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
@@ -229,7 +239,7 @@ def small_cases():
         "basis_state": lambda: lambda: Statevector.basis_state(18, 5),
         "qubit_operator_matrix": operator_10,
         "fermion_matrix": fermion_10,
-        "fermion_sparse": sparse_12,
+        "block_matrix": block_12,
         "circuit_matrix": split_step_8,
         "circuit_matrix_wide_gate": wide_gate_8,
         "exact_evolve": evolve_8,

@@ -254,7 +254,10 @@ def test_no_override_raises(tmp_path, command):
         for raw in MALFORMED:
             assert exit_code(key, raw) in (0, 1, 2), (key, raw)
 
-    @settings(max_examples=40, deadline=None, database=None)
+    # derandomized: the same 40 draws on every run, so a defect they reach
+    # fails every run
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True)
     @given(st.sampled_from(keys), JSON_VALUES)
     def drawn(key, value):
         assert exit_code(key, json.dumps(value)) in (0, 1, 2)
@@ -837,21 +840,25 @@ class TestResolvedEcho:
 
 HEAVY_SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.optimize",
                "scipy.linalg")
-# the commands that build circuits and operators and call no scipy
-CONSTRUCTION = ("build", "trotter-sweep", "swapnet", "lcu-check", "measure")
+# each command at its defaults, and build's isospectrality check
+SCIPY_CASES = {**{command: [command] for command in COMMANDS},
+               "build-dual-and-plane-wave": [
+                   "build", "--set",
+                   'task.representations=["dual","plane_wave"]']}
 
 
 @pytest.mark.parametrize("command", ["import pwdual", "import pwdual.cli",
-                                     *COMMANDS])
+                                     *SCIPY_CASES])
 def test_commands_load_only_the_scipy_they_run(tmp_path, command):
-    """Each command at its defaults in a fresh interpreter: the package,
-    its CLI and the construction commands load none of scipy's heavy
-    submodules; the commands that solve or optimize still run."""
+    """Each case in a fresh interpreter: the package, its CLI and every
+    command but ``vqe-jellium`` load none of scipy's heavy submodules (the
+    exact spectra and the FFFT check are numpy alone); ``vqe-jellium``
+    loads ``scipy.optimize`` and no graph code; every command exits 0."""
     if command.startswith("import "):
         body = f"{command}\ncode = 0"
     else:
-        body = ("from pwdual.cli import main\n"
-                f"code = main([{command!r}, '--out', {str(tmp_path)!r}])")
+        argv = SCIPY_CASES[command] + ["--out", str(tmp_path)]
+        body = f"from pwdual.cli import main\ncode = main({argv!r})"
     script = (f"import json, sys\n{body}\n"
               f"print(json.dumps([code, sorted(set(sys.modules) & "
               f"{set(HEAVY_SCIPY)!r})]))")
@@ -863,5 +870,8 @@ def test_commands_load_only_the_scipy_they_run(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    if command.startswith("import ") or command in CONSTRUCTION:
+    if command == "vqe-jellium":
+        assert "scipy.optimize" in loaded
+        assert "scipy.sparse.csgraph" not in loaded, loaded
+    else:
         assert loaded == [], f"{command} loads {loaded}"

@@ -275,3 +275,20 @@ class TestDump:
         assert lines[0].startswith("# lambda,")
         assert lines[1] == "p,q,b,w"
         assert len(lines) == 2 + len(model.weights)
+
+    def test_each_row_formats_its_own_weight(self):
+        """Weights formatted once per distinct value read the same as one
+        format per row, signed zeros apart."""
+        model = build_weights(build_dual(build_grid(1, 4, 4.0, True),
+                                         [((1.3,), 1.0)]))
+        values = [0.0, -0.0, 0.1 + 0.2, 0.3, -0.3, 5e-324, 1e300]
+        model.weights = {key: values[i % len(values)]
+                         for i, key in enumerate(model.weights)}
+        rows = sorted(f"{p},{q},{b},{format(w, '.17g')}"
+                      for (p, q, b), w in model.weights.items())
+        lines = dump_weights(model).splitlines()
+        assert sorted(lines[2:]) == rows
+        assert {line.rsplit(",", 1)[1] for line in rows} == {
+            "0", "-0", "0.30000000000000004", "0.29999999999999999",
+            "-0.29999999999999999", "4.9406564584124654e-324",
+            "1.0000000000000001e+300"}

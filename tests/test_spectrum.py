@@ -5,14 +5,16 @@ every basis state per term, applying the ladder factors one by one.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from pwdual.fermion import FermionOperator, RAISE, fermion_matrix, \
-    fermion_sparse, _ladder_action
+from pwdual.fermion import FermionOperator, RAISE, block_matrix, \
+    fermion_matrix, _check_number_conserving, _entries, _ladder_action
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import HamiltonianSet, build_dual, \
     build_finite_difference, build_plane_wave
@@ -56,6 +58,10 @@ def reference_sector_ground_energy(hs, eta):
     return float(np.linalg.eigvalsh(mat[np.ix_(idx, idx)])[0])
 
 
+def entries(op, n_orbitals):
+    return _entries(op, n_orbitals, 0, f"a {n_orbitals}-orbital operator")
+
+
 def assert_spectrum_matches_dense(hs):
     dense = np.linalg.eigvalsh(hs.matrix())
     blocks = hs.spectrum()
@@ -85,7 +91,8 @@ def test_matrix_equals_reference_loop(case):
     op, n = case
     mat = fermion_matrix(op, n)
     assert np.array_equal(mat, reference_fermion_matrix(op, n))
-    assert fermion_sparse(op, n).toarray().tobytes() == mat.tobytes()
+    assert block_matrix(np.arange(2 ** n), *entries(op, n)).tobytes() \
+        == mat.tobytes()
 
 
 def scatter_reference(op, n_orbitals):
@@ -133,7 +140,7 @@ def test_dense_and_sparse_sum_each_entry_in_term_order(case):
     op, n = case
     want = scatter_reference(op, n).tobytes()
     assert fermion_matrix(op, n).tobytes() == want
-    assert fermion_sparse(op, n).toarray().tobytes() == want
+    assert block_matrix(np.arange(2 ** n), *entries(op, n)).tobytes() == want
 
 
 def test_contraction_term_equals_reference_loop():
@@ -228,10 +235,12 @@ def test_sector_ground_energy_matches_popcount_slice(cell, nuclei, eta):
 
 def test_sector_ground_energy_at_16_qubits():
     # only the three 2-electron blocks are diagonalized; the reference is
-    # one dense eigvalsh on the popcount slice of the sparse matrix
+    # one dense eigvalsh on the popcount slice of the entries
     hs = build_dual(build_grid(1, 8, 8.0, True), [((2.9,), 1.0)], None, 0.5)
     states = sector_states(16, 2)
-    sector = fermion_sparse(hs.total(), 16)[states][:, states].toarray()
+    rows, cols, values = entries(hs.total(), 16)
+    inside = np.isin(rows, states) & np.isin(cols, states)
+    sector = block_matrix(states, rows[inside], cols[inside], values[inside])
     want = np.linalg.eigvalsh(sector)[0] + hs.constant
     assert abs(sector_ground_energy(hs, 2) - want) \
         <= 1e-12 * max(1.0, abs(want))
@@ -296,3 +305,92 @@ def test_complex_plane_wave_blocks_take_the_complex_solver():
             assert np.array_equal(
                 vals, np.linalg.eigvalsh(block) + hs.constant)
     assert complex_blocks > 0
+
+
+def csgraph_blocks(hs, electrons=None):
+    """(states, eigvalsh input) of each block as scipy finds them: the
+    connected components of a compressed-rows matrix's nonzero pattern,
+    then the matrix permuted and sliced block by block."""
+    n, dim = hs.n_qubits, 2 ** hs.n_qubits
+    rows, cols, values = entries(hs.total(), n)
+    mat = _real_if_exact(scipy.sparse.csr_matrix(
+        (values, cols, np.searchsorted(rows, np.arange(dim + 1))),
+        shape=(dim, dim)))
+    count, labels = connected_components(mat != 0, directed=False)
+    order = np.argsort(labels, kind="stable")
+    edges = np.searchsorted(labels[order], np.arange(count + 1))
+    spans = list(zip(edges[:-1], edges[1:]))
+    if electrons is not None:
+        coo = mat.tocoo()
+        _check_number_conserving(coo.row, coo.col, coo.data)
+        spans = [(lo, hi) for lo, hi in spans
+                 if np.bitwise_count(order[lo]) == electrons]
+    mat = mat[order][:, order]
+    return [(order[lo:hi], mat[lo:hi, lo:hi].toarray()) for lo, hi in spans]
+
+
+@st.composite
+def hermitian_cases(draw):
+    """A Hermitian operator on up to 6 orbitals, number-conserving or
+    not, real or complex; a term may come with a copy that cancels it
+    exactly; a constant; an electron count or None."""
+    n = draw(st.integers(1, 6))
+    conserving, real = draw(st.booleans()), draw(st.booleans())
+    orbital = st.integers(0, n - 1)
+    if conserving:
+        key = st.integers(0, 2).flatmap(lambda k: st.tuples(
+            st.lists(orbital, min_size=k, max_size=k),
+            st.lists(orbital, min_size=k, max_size=k))).map(
+            lambda pair: tuple((q, 1) for q in pair[0])
+            + tuple((q, 0) for q in pair[1]))
+    else:
+        key = st.lists(st.tuples(orbital, st.integers(0, 1)),
+                       max_size=3).map(tuple)
+    coeff = st.floats(-3, 3) if real else st.complex_numbers(
+        max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    op = FermionOperator()
+    for k, c, cancel in draw(st.lists(st.tuples(key, coeff, st.booleans()),
+                                      max_size=12)):
+        keys = [k]
+        if cancel and len(k) >= 2 and k[0][0] != k[1][0]:
+            keys.append((k[1], k[0]) + k[2:])
+        for k in keys:
+            op.terms[k] = op.terms.get(k, 0.0) + c
+    op = op + op.hermitian_conjugate()
+    hs = hermitian_set(op, n)
+    hs.constant = draw(st.floats(-2, 2))
+    return hs, draw(st.none() | st.integers(0, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_cases())
+@example((build_dual(build_grid(1, 4, 4.0, True), [((1.3,), 1.0)]), None))
+@example((build_dual(build_grid(1, 4, 4.0, True), [((1.3,), 1.0)]), 3))
+@example((build_plane_wave(build_grid(1, 2, 4.0, True), [((1.3,), 1.0)],
+                           None, 0.25), None))
+def test_blocks_match_csgraph_and_sparse_slices(case):
+    """The partition, the block order, every eigvalsh input and every
+    eigenvalue equal scipy's path bit for bit."""
+    hs, electrons = case
+    try:
+        want = csgraph_blocks(hs, electrons)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            hs.blocks(electrons)
+        return
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(block):
+        solved.append(block.copy())
+        return eigvalsh(block)
+
+    with mock.patch.object(np.linalg, "eigvalsh", spy):
+        got = hs.blocks(electrons)
+    assert len(got) == len(solved) == len(want)
+    for (states, vals), block, (want_states, want_block) in zip(
+            got, solved, want):
+        assert np.array_equal(states, want_states)
+        assert block.dtype == want_block.dtype
+        assert block.tobytes() == want_block.tobytes()
+        assert vals.tobytes() == (eigvalsh(want_block)
+                                  + hs.constant).tobytes()
