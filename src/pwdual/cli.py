@@ -49,7 +49,7 @@ from .swapnet import build_full_schedule, dumps_schedule
 from .trotter import LEAK_TOL, ROUNDOFF_ERROR, SATURATED_ERROR, \
     SPLIT_OPERATOR, TrotterConfig, fit_slope, measure_error_scaling, \
     estimate_r, number_block_propagator, number_block_view, \
-    split_operator_blocks, trotter_circuit
+    number_blocks, split_operator_blocks, trotter_circuit
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
 
@@ -217,7 +217,7 @@ def _parse_nuclei(nuclei, grid) -> NucleiSpec:
 class Run:
     """One command run: the resolved config, the system it describes,
     and what goes under the report's ``meta``: wall seconds per stage,
-    sizes, and the optional stages the dense budget refused."""
+    sizes, and why each optional stage that did not run was skipped."""
 
     def __init__(self, cfg: dict, out_dir: Path):
         self.cfg, self.out_dir = cfg, out_dir
@@ -397,16 +397,28 @@ def cmd_ffft_check(run: Run) -> dict:
         # lives on the (k + 1, k) blocks; entries of U or of the right-hand
         # side outside their blocks count as error
         u_blocks, worst = number_block_view(u)
+        blocks = number_blocks(n)
+        # U, its blocks and the last operator's two (k + 1, k) block lists
+        held = u.nbytes + 16 * math.comb(2 * n, n) \
+            + 32 * math.comb(2 * n, n + 1)
         spins = ("up", "down") if grid.cell.spinful else (None,)
         for nu in grid.nu_list:
             for spin in spins:
                 q = grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
-                # a^dag U: each row a^dag reaches, its sign times U's row
+                # a^dag U on block k: each row a^dag reaches, its sign
+                # times U's row
                 rows, cols, signs = _entries(FermionOperator.raising(q), n,
-                                             2 * u.nbytes, f"a^dag_{q} U")
-                moved = np.zeros_like(u)
-                moved[rows] += signs[:, None] * u[cols]
-                moved, _ = number_block_view(moved, shift=1)
+                                             held, f"a^dag_{q} U")
+                numbers, moved = np.bitwise_count(cols), []
+                for k, u_block in enumerate(u_blocks[:-1]):
+                    at = numbers == k
+                    block = np.zeros((len(blocks[k + 1]), len(blocks[k])),
+                                     dtype=complex)
+                    # blocks list their states ascending
+                    block[np.searchsorted(blocks[k + 1], rows[at])] += \
+                        signs[at, None] * u_block[
+                            np.searchsorted(blocks[k], cols[at])]
+                    moved.append(block)
                 rhs, off = number_block_view(
                     fermion_matrix(mode_ladder_operator(grid, nu, spin), n),
                     shift=1)
@@ -472,11 +484,15 @@ def cmd_lcu_check(run: Run) -> dict:
             failures.append(f"reconstruction gap {worst:.3e}")
         if prep_err > 1e-12:
             failures.append(f"preparation amplitude gap {prep_err:.3e}")
-        taylor = {}
-        if lam * abs(task["t"]) <= SEGMENT_LIMIT:
+        taylor, lam_t = {}, lam * abs(task["t"])
+        if lam_t <= SEGMENT_LIMIT:
             with run.caps("taylor"):
                 taylor = taylor_errors(model, rec, task["t"], task["orders"],
                                        run.seed)
+        else:
+            run.meta.setdefault("caps", {})["taylor"] = (
+                f"Lambda*|t| = {fmt(lam_t)} is past the single-segment "
+                f"limit ln 2 = {fmt(SEGMENT_LIMIT)}")
     run.counts.update(fermion_terms=len(hs.total().terms),
                       pauli_terms=len(qub.terms), weights=len(model.weights))
     return {

@@ -21,10 +21,8 @@ their sign inside the selection unitary, which stays self-inverse.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,26 +36,15 @@ from .statevector import Statevector, evolve_bytes, exact_evolve
 SEGMENT_LIMIT = math.log(2.0)
 
 
-def _encode(p, q, b, width: int):
-    """Selection-register basis index: |p>|q>|b> with b the low bit; the
-    indices may be ints or integer arrays."""
-    return (p << (width + 1)) | (q << 1) | b
-
-
-class TermIndex(NamedTuple):
-    p: int
-    q: int
-    b: int
-
-    def encode(self, width: int) -> int:
-        return _encode(self.p, self.q, self.b, width)
-
-
 @dataclass
 class LcuModel:
+    """The weight table as arrays, one row per selection branch in table
+    order (p outer, then q, then b): ``index`` holds (p, q, b) and
+    ``weights`` the signed weight."""
+
     grid: ModeGrid
-    weights: dict = field(default_factory=dict)  # TermIndex -> signed weight
-    include_noop: bool = True
+    index: np.ndarray  # (rows, 3) int64
+    weights: np.ndarray  # (rows,) float64
 
     @property
     def n_system(self) -> int:
@@ -73,45 +60,47 @@ class LcuModel:
 
     @property
     def lam(self) -> float:
-        return sum(map(abs, self.weights.values()))
+        # a sequential sum in table order; np.sum's pairwise one differs
+        return sum(np.abs(self.weights).tolist())
 
     def selection_table(self):
-        """(encoded selection index, signed weight) arrays, one entry per
-        weight in table order."""
-        indices = np.fromiter(itertools.chain.from_iterable(self.weights),
-                              dtype=np.int64, count=3 * len(self.weights))
-        p, q, b = indices.reshape(-1, 3).T
-        weights = np.fromiter(self.weights.values(), dtype=float,
-                              count=len(self.weights))
-        return _encode(p, q, b, self.index_width), weights
+        """(selection-register basis index |p>|q>|b>, b the low bit;
+        signed weight) arrays, one entry per row in table order."""
+        p, q, b = self.index.T
+        return (p << (self.index_width + 1)) | (q << 1) | b, self.weights
 
     @functools.cached_property
     def _z_pairs(self) -> tuple:
         """(s, "Z") for every system qubit s; branch strings slice it."""
         return tuple((s, "Z") for s in range(self.n_system))
 
-    def term_string(self, idx: TermIndex):
-        """(sign, Pauli string) applied by the selection branch ``idx``;
-        the empty string is the identity no-op."""
-        p, q, b = idx
-        sign = 1 if self.weights.get(idx, 1.0) >= 0 else -1
+    def _string(self, p: int, q: int, b: int) -> tuple:
+        """The Pauli string of branch (p, q, b); the empty string is the
+        identity no-op."""
         z = self._z_pairs
         if p == q:
-            return sign, z[p:p + 1]
+            return z[p:p + 1]
         lo, hi = (q, p) if p > q else (p, q)
         if b == 0:
-            return sign, (z[lo], z[hi])
+            return z[lo], z[hi]
         if not self.grid.same_spin(p, q):
-            return 1, ()
+            return ()
         end = "X" if p > q else "Y"
-        return sign, ((lo, end),) + z[lo + 1:hi] + ((hi, end),)
+        return ((lo, end),) + z[lo + 1:hi] + ((hi, end),)
+
+    def term_string(self, row: int):
+        """(sign, Pauli string) applied by the branch of table row
+        ``row``."""
+        p, q, b = self.index[row].tolist()
+        return (1 if self.weights[row] >= 0 else -1), self._string(p, q, b)
 
     def reconstruction(self) -> QubitOperator:
         """Signed weighted sum over every branch, identity no-ops included."""
         out = QubitOperator()
-        for idx, w in self.weights.items():
-            sign, key = self.term_string(idx)
-            out.terms[key] = out.terms.get(key, 0.0) + sign * abs(w)
+        terms = out.terms
+        for key, w in zip(map(self._string, *self.index.T.tolist()),
+                          self.weights.tolist()):
+            terms[key] = terms.get(key, 0.0) + w
         return out.simplify()
 
 
@@ -128,51 +117,40 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
         raise ValueError("selection weights are defined on the dual "
                          "representation")
     grid = hs.grid
-    if grid.n_qubits & (grid.n_qubits - 1):
+    n = grid.n_qubits
+    if n & (n - 1):
         raise ValueError("selection register needs a power-of-two orbital "
                          "count")
     coeffs = dual_coefficients(grid, hs.nuclei)
-    t, v, u = coeffs.t.tolist(), coeffs.v.tolist(), coeffs.u.tolist()
-    sep = grid.separation_index().tolist()  # sep[p][q]: index of q - p
-    model = LcuModel(grid, include_noop=include_noop)
-
-    n = grid.n_qubits
-    for p in range(n):
-        sp = grid.qubit_site_index(p)
-        for q in range(n):
-            sq = grid.qubit_site_index(q)
-            for b in (0, 1):
-                idx = TermIndex(p, q, b)
-                if p == q:
-                    w = (v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0
-                elif b == 0:
-                    w = v[sep[sq][sp]] / 8.0
-                elif not grid.same_spin(p, q):
-                    if not include_noop:
-                        continue
-                    w = 1.0
-                else:
-                    w = t[sep[sp][sq]] / 2.0
-                model.weights[idx] = w
-    return model
+    t, v, u = coeffs.t, coeffs.v, coeffs.u
+    sep = grid.separation_index()  # sep[a, c]: index of c - a
+    p, q, b = (a.ravel() for a in np.meshgrid(
+        np.arange(n), np.arange(n), np.arange(2), indexing="ij"))
+    sp, sq = grid.qubit_site_index(p), grid.qubit_site_index(q)
+    same = grid.same_spin(p, q)  # an array, or True on spinless grids
+    diag = p == q
+    weights = np.select(
+        [diag, b == 0, same],
+        [(v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0, v[sep[sq, sp]] / 8.0,
+         t[sep[sp, sq]] / 2.0], 1.0)
+    keep = include_noop | diag | (b == 0) | same
+    return LcuModel(grid, np.stack([p, q, b], axis=1)[keep], weights[keep])
 
 
 def select_matrix(model: LcuModel) -> np.ndarray:
     """Block-diagonal selection unitary |l><l| (x) sign_l H_l over
     (selection (x) system); self-inverse by construction."""
-    width = model.index_width
     n_sys = model.n_system
     dim_sel = 2 ** model.selection_width
     dim_sys = 2 ** n_sys
     # the unitary, and one term's system matrix with its scaled copy
     require_bytes(16 * (dim_sel * dim_sys) ** 2 + 32 * dim_sys ** 2
                   + 96 * dim_sys, "the selection unitary")
-    out = np.zeros((dim_sel * dim_sys, dim_sel * dim_sys), dtype=complex)
-    for sel in range(dim_sel):
-        b = sel & 1
-        q = (sel >> 1) & (n_sys - 1)
-        p = sel >> (width + 1)
-        sign, key = model.term_string(TermIndex(p, q, b))
+    # a branch outside the table (a dropped no-op) applies the identity
+    out = np.eye(dim_sel * dim_sys, dtype=complex)
+    codes, _ = model.selection_table()
+    for row, sel in enumerate(codes.tolist()):
+        sign, key = model.term_string(row)
         block = sign * string_matrix(key, n_sys)
         lo = sel * dim_sys
         out[lo:lo + dim_sys, lo:lo + dim_sys] = block
@@ -252,14 +230,14 @@ def taylor_errors(model: LcuModel, hamiltonian: QubitOperator, t: float,
 def dump_weights(model: LcuModel) -> str:
     """CSV weight table: p, q, b, W with Lambda in the header."""
     lines = [f"# lambda,{fmt(model.lam)}", "p,q,b,w"]
-    keys, (codes, weights) = list(model.weights), model.selection_table()
+    codes, weights = model.selection_table()
     # each distinct weight formatted once, told apart by its bits so that
     # -0.0 and 0.0 stay apart
     bits, which = np.unique(weights.view(np.int64), return_inverse=True)
     text = [fmt(w) for w in bits.view(np.float64).tolist()]
     # encoded indices sort as (p, q, b) does
     order = np.argsort(codes)
-    for i, j in zip(order.tolist(), which[order].tolist()):
-        p, q, b = keys[i]
+    for (p, q, b), j in zip(model.index[order].tolist(),
+                            which[order].tolist()):
         lines.append(f"{p},{q},{b},{text[j]}")
     return "\n".join(lines) + "\n"

@@ -43,13 +43,12 @@ def require_bytes(nbytes: int, what: str):
             f"DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT} bytes")
 
 
-def _real_if_exact(mat):
-    """The real part of a dense or sparse matrix whose imaginary parts are
-    all exactly zero, so that a real symmetric matrix reaches LAPACK's real
-    solvers (the dual basis); any other matrix (a complex plane-wave block,
-    say), unchanged."""
-    values = mat if isinstance(mat, np.ndarray) else mat.data
-    if np.iscomplexobj(values) and not values.imag.any():
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """The real part of an array whose imaginary parts are all exactly
+    zero, so that a real symmetric matrix reaches LAPACK's real solvers
+    (the dual basis); any other array (a complex plane-wave block, say),
+    unchanged."""
+    if np.iscomplexobj(mat) and not mat.imag.any():
         return mat.real
     return mat
 

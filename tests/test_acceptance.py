@@ -178,10 +178,12 @@ def test_criterion_07_lcu_oracles():
         ok &= gap < 1e-12
         details.append(f"M={m} reconstruction gap {gap:.1e}")
         prep = prepare_state(model)
+        width = model.index_width
         amp_gap = max(
-            abs(abs(prep.amplitudes[idx.encode(model.index_width)]) ** 2
+            abs(abs(prep.amplitudes[(p << (width + 1)) | (q << 1) | b]) ** 2
                 - abs(w) / model.lam)
-            for idx, w in model.weights.items())
+            for (p, q, b), w in zip(model.index.tolist(),
+                                    model.weights.tolist()))
         ok &= amp_gap < 1e-12
 
     hs2 = build_dual(build_grid(1, 2, 4.0))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
     load_config, main
 from pwdual.measurement import estimate_energy
+from pwdual.serialize import fmt
 from pwdual.statevector import Circuit, circuit_matrix
 from pwdual.trotter import ROUNDOFF_ERROR, fit_slope, trotter_circuit
 
@@ -636,6 +637,18 @@ class TestCommands:
         result = read_report(tmp_path, "lcu_report.json")["result"]
         assert result["lam"] > math.log(2.0)
         assert result["taylor"] == {}
+
+    def test_lcu_check_names_why_the_taylor_table_is_empty(self, tmp_path):
+        """At the default t = 0.1, Lambda ~ 11 puts Lambda*|t| past ln 2:
+        the Taylor table is empty and meta.caps.taylor gives both values."""
+        assert run(tmp_path, "lcu-check", *SMALL, "system.spinful=true") == 0
+        report = read_report(tmp_path, "lcu_report.json")
+        assert report["result"]["taylor"] == {}
+        lam_t = report["result"]["lam"] * 0.1
+        assert lam_t > math.log(2.0)
+        assert report["meta"]["caps"] == {"taylor": (
+            f"Lambda*|t| = {fmt(lam_t)} is past the single-segment limit "
+            f"ln 2 = {fmt(math.log(2.0))}")}
 
     def test_measure(self, tmp_path):
         code = run(tmp_path, "measure", "system.modes_per_axis=4",

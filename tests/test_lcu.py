@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import NucleiSpec, build_dual, build_qubit, \
-    norm_bounds
+    dual_coefficients, norm_bounds
 from pwdual import lcu, statevector
 from pwdual.lcu import build_weights, select_matrix, prepare_state, \
-    taylor_errors, taylor_segment, dump_weights, TermIndex, LcuModel
-from pwdual.pauli import qubit_operator_matrix
+    taylor_errors, taylor_segment, dump_weights, LcuModel
+from pwdual.pauli import PRUNE_TOL, qubit_operator_matrix
 from pwdual.statevector import Statevector, exact_evolve
 
 
@@ -17,10 +18,113 @@ def jellium(m, spinful=False, omega=4.0):
     return build_dual(build_grid(1, m, omega, spinful=spinful))
 
 
+def row_of(model, p, q, b):
+    """The table row of branch (p, q, b)."""
+    (row,) = np.flatnonzero((model.index == (p, q, b)).all(axis=1))
+    return int(row)
+
+
+def noop_count(model):
+    return sum(1 for row in range(len(model.weights))
+               if model.term_string(row)[1] == ())
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return Statevector(n, amps / np.linalg.norm(amps))
+
+
+# (dimension, modes per axis, spinful) with at most 64 qubits
+grids = st.sampled_from([
+    (d, m, spinful)
+    for d, m_max in ((1, 64), (2, 8), (3, 4))
+    for m in (2, 4, 8, 16, 32, 64) if m <= m_max
+    for spinful in (False, True) if (1 + spinful) * m ** d <= 64])
+
+
+@st.composite
+def weight_cases(draw):
+    """A dual-basis set on a power-of-two grid with up to two random
+    nuclei, and an include_noop value."""
+    d, m, spinful = draw(grids)
+    volume = draw(st.floats(1.0, 500.0))
+    length = volume ** (1.0 / d)
+    nuclei = draw(st.lists(st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),
+        st.floats(0.25, 4.0)), max_size=2))
+    hs = build_dual(build_grid(d, m, volume, spinful),
+                    [([x * length for x in pos], z) for pos, z in nuclei])
+    return hs, draw(st.booleans())
+
+
+def scalar_table(hs, include_noop):
+    """(p, q, b) rows and weights from the four closed forms, one branch
+    at a time in table order."""
+    grid = hs.grid
+    spinful = grid.cell.spinful
+    coeffs = dual_coefficients(grid, hs.nuclei)
+    t, v, u = coeffs.t.tolist(), coeffs.v.tolist(), coeffs.u.tolist()
+    sep = grid.separation_index().tolist()
+    rows, weights = [], []
+    for p in range(grid.n_qubits):
+        for q in range(grid.n_qubits):
+            sp, sq = (p // 2, q // 2) if spinful else (p, q)
+            for b in (0, 1):
+                if p == q:
+                    w = (v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0
+                elif b == 0:
+                    w = v[sep[sq][sp]] / 8.0
+                elif spinful and p % 2 != q % 2:
+                    if not include_noop:
+                        continue
+                    w = 1.0
+                else:
+                    w = t[sep[sp][sq]] / 2.0
+                rows.append([p, q, b])
+                weights.append(w)
+    return rows, weights
+
+
+def branch_string(p, q, b, spinful):
+    """The Pauli string of one branch, written apart from lcu's."""
+    if p == q:
+        return ((p, "Z"),)
+    lo, hi = min(p, q), max(p, q)
+    if b == 0:
+        return ((lo, "Z"), (hi, "Z"))
+    if spinful and p % 2 != q % 2:
+        return ()
+    end = "X" if p > q else "Y"
+    return ((lo, end),) + tuple((s, "Z") for s in range(lo + 1, hi)) \
+        + ((hi, end),)
+
+
+class TestArrayTable:
+    @settings(max_examples=40, deadline=None)
+    @given(weight_cases())
+    def test_rows_match_the_scalar_closed_forms(self, case):
+        hs, include_noop = case
+        model = build_weights(hs, include_noop)
+        rows, weights = scalar_table(hs, include_noop)
+        assert model.index.dtype == np.int64
+        assert model.weights.dtype == np.float64
+        assert model.index.tolist() == rows
+        assert np.array_equal(model.weights.view(np.int64),
+                              np.array(weights).view(np.int64))
+        # the reconstruction against a per-row dict: keys, their order,
+        # value types and bits; a no-op keeps sign +1
+        spinful = hs.grid.cell.spinful
+        ref = {}
+        for (p, q, b), w in zip(rows, weights):
+            key = branch_string(p, q, b, spinful)
+            sign = 1 if key == () or w >= 0 else -1
+            ref[key] = ref.get(key, 0.0) + sign * abs(w)
+        want = [(key, type(c), c.hex()) for key, c in ref.items()
+                if abs(c) > PRUNE_TOL]
+        got = [(key, type(c), c.hex())
+               for key, c in model.reconstruction().terms.items()]
+        assert got == want
 
 
 class TestBuildWeights:
@@ -50,17 +154,16 @@ class TestBuildWeights:
     def test_noop_branch_weight_one(self):
         hs = jellium(2, spinful=True)
         model = build_weights(hs)
-        idx = TermIndex(0, 1, 1)  # opposite spins on a spinful grid
-        assert model.weights[idx] == 1.0
-        sign, key = model.term_string(idx)
+        row = row_of(model, 0, 1, 1)  # opposite spins on a spinful grid
+        assert model.weights[row] == 1.0
+        sign, key = model.term_string(row)
         assert key == ()
 
     def test_noop_switch_drops_budget_not_terms(self):
         hs = jellium(2, spinful=True)
         with_noop = build_weights(hs, include_noop=True)
         without = build_weights(hs, include_noop=False)
-        n_noop = sum(1 for i, w in with_noop.weights.items()
-                     if with_noop.term_string(i)[1] == ())
+        n_noop = noop_count(with_noop)
         assert n_noop > 0
         assert with_noop.lam == pytest.approx(without.lam + n_noop)
         rec_a = with_noop.reconstruction()
@@ -83,8 +186,7 @@ class TestBuildWeights:
         hs = jellium(2, spinful=True)
         model = build_weights(hs)
         bounds = norm_bounds(hs, eta=2)
-        n_noop = sum(1 for i in model.weights
-                     if model.term_string(i)[1] == ())
+        n_noop = noop_count(model)
         assert model.lam <= bounds["triangle_h"] + n_noop + 1e-9
 
     def test_selection_register_width(self):
@@ -102,19 +204,19 @@ class TestSelectMatrix:
     def test_blocks_for_each_case(self):
         hs = jellium(2)
         model = build_weights(hs)
-        sign, key = model.term_string(TermIndex(1, 1, 0))
+        sign, key = model.term_string(row_of(model, 1, 1, 0))
         assert key == ((1, "Z"),)
-        sign, key = model.term_string(TermIndex(0, 1, 0))
+        sign, key = model.term_string(row_of(model, 0, 1, 0))
         assert key == ((0, "Z"), (1, "Z"))
-        sign, key = model.term_string(TermIndex(1, 0, 1))  # p > q: X type
+        sign, key = model.term_string(row_of(model, 1, 0, 1))  # p > q: X
         assert key == ((0, "X"), (1, "X"))
-        sign, key = model.term_string(TermIndex(0, 1, 1))  # q > p: Y type
+        sign, key = model.term_string(row_of(model, 0, 1, 1))  # q > p: Y
         assert key == ((0, "Y"), (1, "Y"))
 
     def test_parity_string_interior(self):
         hs = jellium(4)
         model = build_weights(hs)
-        _, key = model.term_string(TermIndex(3, 0, 1))
+        _, key = model.term_string(row_of(model, 3, 0, 1))
         assert key == ((0, "X"), (1, "Z"), (2, "Z"), (3, "X"))
 
     def test_self_inverse(self):
@@ -132,16 +234,18 @@ class TestSelectMatrix:
 
 class TestPrepareState:
     def test_two_equal_weights(self):
-        model = LcuModel(build_grid(1, 2, 1.0))
-        model.weights = {TermIndex(0, 0, 0): 0.5, TermIndex(0, 0, 1): 0.5}
+        model = LcuModel(build_grid(1, 2, 1.0), np.array([[0, 0, 0],
+                                                          [0, 0, 1]]),
+                         np.array([0.5, 0.5]))
         prep = prepare_state(model)
         nonzero = np.flatnonzero(np.abs(prep.amplitudes) > 1e-14)
         assert len(nonzero) == 2
         assert np.allclose(np.abs(prep.amplitudes[nonzero]), 1 / np.sqrt(2))
 
     def test_three_one_weights(self):
-        model = LcuModel(build_grid(1, 2, 1.0))
-        model.weights = {TermIndex(0, 0, 0): 3.0, TermIndex(1, 1, 0): -1.0}
+        model = LcuModel(build_grid(1, 2, 1.0), np.array([[0, 0, 0],
+                                                          [1, 1, 0]]),
+                         np.array([3.0, -1.0]))
         prep = prepare_state(model)
         amps = np.abs(prep.amplitudes)
         assert sorted(a for a in amps if a > 1e-14) == pytest.approx(
@@ -153,12 +257,13 @@ class TestPrepareState:
         prep = prepare_state(model)
         assert prep.norm() == pytest.approx(1.0)
         width = model.index_width
-        for idx, w in model.weights.items():
-            amp = prep.amplitudes[idx.encode(width)]
+        for (p, q, b), w in zip(model.index.tolist(), model.weights.tolist()):
+            amp = prep.amplitudes[(p << (width + 1)) | (q << 1) | b]
             assert abs(amp) ** 2 == pytest.approx(abs(w) / model.lam)
 
     def test_zero_table_rejected(self):
-        model = LcuModel(build_grid(1, 2, 1.0))
+        model = LcuModel(build_grid(1, 2, 1.0),
+                         np.empty((0, 3), dtype=np.int64), np.empty(0))
         with pytest.raises(ValueError):
             prepare_state(model)
 
@@ -238,7 +343,7 @@ class TestTaylorSegment:
         # negative weights must reconstruct exactly through sign * |W|
         hs = jellium(4)
         model = build_weights(hs)
-        assert any(w < 0 for w in model.weights.values())
+        assert (model.weights < 0).any()
         rec = model.reconstruction()
         qub = build_qubit(hs)
         for key in set(rec.terms) | set(qub.terms):
@@ -261,8 +366,7 @@ class TestLambdaScaling:
             print(f"lambda scaling M={m}: lambda={model.lam:.4f} "
                   f"ratio-to-asymptotic-shape={model.lam / shape:.4f}")
             triangle = norm_bounds(hs, eta=2)["triangle_h"]
-            n_noop = sum(1 for i in model.weights
-                         if model.term_string(i)[1] == ())
+            n_noop = noop_count(model)
             assert model.lam <= triangle + n_noop + 1e-9
 
 
@@ -282,10 +386,11 @@ class TestDump:
         model = build_weights(build_dual(build_grid(1, 4, 4.0, True),
                                          [((1.3,), 1.0)]))
         values = [0.0, -0.0, 0.1 + 0.2, 0.3, -0.3, 5e-324, 1e300]
-        model.weights = {key: values[i % len(values)]
-                         for i, key in enumerate(model.weights)}
+        model.weights = np.array([values[i % len(values)]
+                                  for i in range(len(model.weights))])
         rows = sorted(f"{p},{q},{b},{format(w, '.17g')}"
-                      for (p, q, b), w in model.weights.items())
+                      for (p, q, b), w in zip(model.index.tolist(),
+                                              model.weights.tolist()))
         lines = dump_weights(model).splitlines()
         assert sorted(lines[2:]) == rows
         assert {line.rsplit(",", 1)[1] for line in rows} == {
