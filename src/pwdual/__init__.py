@@ -16,10 +16,10 @@ from .hamiltonian import HamiltonianSet, NucleiSpec, build_plane_wave, \
     build_dual, build_qubit, build_finite_difference, norm_bounds
 from .statevector import Statevector, Gate, Circuit, apply_gate, \
     apply_circuit, exact_evolve, expectation, sample_bitstrings
-from .ffft import build_ffft_1d, build_ffft_nd
+from .ffft import build_ffft_nd
 from .swapnet import SwapSchedule, build_full_schedule, lower_diagonal_layer
-from .trotter import TrotterConfig, split_operator_step, direct_jw_step, \
-    estimate_r, trotter_circuit
+from .trotter import split_operator_step, direct_jw_step, trotter_step, \
+    estimate_r
 from .lcu import LcuModel, build_weights, select_matrix, prepare_state, \
     taylor_segment
 from .measurement import MeasurementPlan, estimate_energy, shot_budget

@@ -47,9 +47,9 @@ from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
 from .swapnet import build_full_schedule, dumps_schedule
 from .trotter import LEAK_TOL, ROUNDOFF_ERROR, SATURATED_ERROR, \
-    SPLIT_OPERATOR, TrotterConfig, fit_slope, measure_error_scaling, \
+    SPLIT_OPERATOR, direct_jw_step, fit_slope, measure_error_scaling, \
     estimate_r, number_block_propagator, number_block_view, \
-    number_blocks, split_operator_blocks, trotter_circuit
+    number_blocks, split_operator_blocks, trotter_step
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
     sector_ground_energy
 
@@ -326,7 +326,7 @@ def cmd_trotter_sweep(run: Run) -> dict:
         # the step at the first r checks the strategy and the grid before
         # any dense work
         tau = t / (task["r_list"] or [1])[0]
-        first = trotter_circuit(hs, TrotterConfig(strategy, order, 1, tau))
+        first = trotter_step(hs, strategy, order, tau)
     run.counts["gates"] = len(first.gates)  # the same for every r
     with run.stage("matrix"):
         exact = number_block_propagator(hs, t)
@@ -348,12 +348,14 @@ def cmd_trotter_sweep(run: Run) -> dict:
                 return algebra(s), off
         else:
             # CNOT and H templates leave the number blocks between gates,
-            # so every r forms its own step matrix
+            # so every r forms its own step matrix, later ones from one compile
+            qubit = build_qubit(hs)
+
             def step_fn(s):
                 if s == tau:
                     return compiled, off
-                return number_block_view(circuit_matrix(trotter_circuit(
-                    hs, TrotterConfig(strategy, order, 1, s))))
+                return number_block_view(circuit_matrix(direct_jw_step(
+                    qubit, s, order, hs.n_qubits)))
         rows, slope = measure_error_scaling(step_fn, exact, task["r_list"], t,
                                             run.counts)
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]

@@ -83,13 +83,6 @@ def _axis_keys(grid: ModeGrid, axis):
     return keys
 
 
-def build_ffft_1d(m: int, connectivity=None) -> Circuit:
-    """1D transform circuit on m spinless orbitals (m a power of two)."""
-    if not _is_power_of_two(m) or m < 2:
-        raise ValueError(f"mode count must be a power of two >= 2, got {m}")
-    return Circuit(m, _ffft_1d_ops(list(range(m))), connectivity)
-
-
 def build_ffft_nd(grid: ModeGrid, connectivity=None) -> Circuit:
     """Axis-by-axis transform on a d-dimensional grid, with fermionic-swap
     relabelings between axes; spinful grids sort the interleaved spins into

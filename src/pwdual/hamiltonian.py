@@ -315,6 +315,19 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
 # -- dual representation ------------------------------------------------------
 
 
+def truncated_pairs(grid: ModeGrid, v: np.ndarray, truncated_D=None):
+    """The pair table ``v`` (over separation indices) with the separations
+    farther than D (minimum image) set to zero, and the sequential sum of
+    the values it drops in site order; ``v`` itself and 0.0 without a
+    truncation distance. The one place the cutoff is applied."""
+    if truncated_D is None:
+        return v, 0.0
+    origin = grid.index_site(0)
+    far = np.array([grid.min_image_distance(origin, grid.index_site(s))
+                    > truncated_D for s in range(grid.n_spatial)])
+    return np.where(far, 0.0, v), sum(v[far].tolist(), 0.0)
+
+
 def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
                constant: float = 0.0) -> HamiltonianSet:
     """Hamiltonian with lattice-site orbitals: hopping kinetic term, diagonal
@@ -348,12 +361,7 @@ def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
                 external.terms[_number_key(n_spin * p + spin)] = u[p]
 
     interaction = FermionOperator()
-    v_table = coeffs.v
-    if truncated_D is not None:
-        origin = grid.index_site(0)
-        far = [grid.min_image_distance(origin, grid.index_site(s))
-               > truncated_D for s in range(n_spatial)]
-        v_table = np.where(far, 0.0, v_table)
+    v_table, _ = truncated_pairs(grid, coeffs.v, truncated_D)
     pair = v_table[sep].tolist()  # pair[p][q] = v(q - p)
     for q1 in range(grid.n_qubits):
         for q2 in range(q1 + 1, grid.n_qubits):

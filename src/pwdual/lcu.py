@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ModeGrid
-from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
+from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients, \
+    truncated_pairs
 from .pauli import QubitOperator, qubit_operator_matrix, require_bytes, \
     string_matrix
 from .serialize import fmt
@@ -111,7 +112,10 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     compiled operator), so the reconstruction identity against build_qubit
     is a real cross-check: Z_p gets (v(0)/4 - t(0)/2 - u(p)/2)/2 per
     branch, Z_p Z_q gets v(p - q)/8 per ordering, and the hopping string
-    from p to q gets t(q - p)/2.
+    from p to q gets t(q - p)/2. The pair table v is the one ``build_dual``
+    reads, cut off at the set's truncation distance; Z_p's form assumes
+    that v sums to zero over the sites, so the values the cutoff drops,
+    once per spin, go back into v(0).
     """
     if hs.representation != DUAL:
         raise ValueError("selection weights are defined on the dual "
@@ -122,7 +126,8 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
         raise ValueError("selection register needs a power-of-two orbital "
                          "count")
     coeffs = dual_coefficients(grid, hs.nuclei)
-    t, v, u = coeffs.t, coeffs.v, coeffs.u
+    t, u = coeffs.t, coeffs.u
+    v, dropped = truncated_pairs(grid, coeffs.v, hs.truncation)
     sep = grid.separation_index()  # sep[a, c]: index of c - a
     p, q, b = (a.ravel() for a in np.meshgrid(
         np.arange(n), np.arange(n), np.arange(2), indexing="ij"))
@@ -131,7 +136,8 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     diag = p == q
     weights = np.select(
         [diag, b == 0, same],
-        [(v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0, v[sep[sq, sp]] / 8.0,
+        [((v[0] + grid.n_spin * dropped) / 4.0 - t[0] / 2.0 - u[sp] / 2.0)
+         / 2.0, v[sep[sq, sp]] / 8.0,
          t[sep[sp, sq]] / 2.0], 1.0)
     keep = include_noop | diag | (b == 0) | same
     return LcuModel(grid, np.stack([p, q, b], axis=1)[keep], weights[keep])

@@ -1,4 +1,7 @@
-"""Text round-trip for operators, Hamiltonians, circuits, and states.
+"""Text round-trip for fermion and qubit operators and Hamiltonians. The
+circuit and state formats live in ``statevector`` (``dumps_circuit``,
+``dumps_state``) and the swap-schedule format in ``swapnet``
+(``dumps_schedule``).
 
 Operator lines: ``<re> <im> <factor>...`` with one term per line, factors
 ``3^`` (raise orbital 3), ``3`` (lower), or ``X3``/``Y3``/``Z3``. Numbers

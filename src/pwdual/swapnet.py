@@ -85,30 +85,11 @@ def _cycle_positions(h: int, w: int):
     return path
 
 
-def hamiltonian_cycle(rows: int, cols: int):
-    """Cyclic qubit ordering with consecutive (and first/last) entries
-    lattice-adjacent."""
-    return [snake_qubit(cols, r, c) for r, c in _cycle_positions(rows, cols)]
-
-
 def _stagger_pairs(m: int):
     """Cycle-index pairs (i, i + 1 mod m) of the left stagger layer (i
     even) and the right one (i odd) on a cycle of even length m."""
-    if m % 2 != 0:
-        raise ValueError("stagger rounds need an even cycle")
     i = np.arange(m)
     return [np.stack([i[k::2], (i[k::2] + 1) % m], axis=1) for k in (0, 1)]
-
-
-def stagger_rounds(cycle):
-    """Alternating left/right stagger swap layers along a cycle of even
-    length M, repeated M/2 times: M layers, all labels restored, and every
-    opposite-parity cycle pair is adjacent at least once."""
-    cycle = np.asarray(cycle, dtype=np.int64)
-    left, right = ([tuple(p) for p in cycle[pairs].tolist()]
-                   for pairs in _stagger_pairs(len(cycle)))
-    return [list(layer) for _ in range(len(cycle) // 2)
-            for layer in (left, right)]
 
 
 @dataclass

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +32,6 @@ SATURATED_ERROR = 1.0
 ROUNDOFF_ERROR = 1e-12
 # leading constant of the split-operator step-count bound (estimate_r)
 STEP_COUNT_CONSTANT = 1.0
-
-
-@dataclass(frozen=True)
-class TrotterConfig:
-    strategy: str = SPLIT_OPERATOR
-    order: int = 2
-    r: int = 1
-    t: float = 1.0
-
-    def __post_init__(self):
-        if self.strategy not in (SPLIT_OPERATOR, DIRECT_JW):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
 
 
 def _diagonal_potential_gates(hs: HamiltonianSet, tau: float):
@@ -217,7 +200,7 @@ def hopping_template_gates(p: int, q: int, theta: float):
 
 
 def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
-                   n_qubits: int = None) -> Circuit:
+                   n_qubits: int = None, connectivity=None) -> Circuit:
     """One grouped product-formula step over the Pauli form: single-Z layer,
     parallel ZZ rounds, then hopping templates in lexicographic order; the
     symmetric formula appends the factor blocks again in reverse order.
@@ -248,7 +231,23 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
         blocks += blocks[::-1]
     else:
         blocks = factor_blocks(tau)
-    return Circuit(n, gates + [g for block in blocks for g in block])
+    return Circuit(n, gates + [g for block in blocks for g in block],
+                   connectivity)
+
+
+def trotter_step(hs: HamiltonianSet, strategy: str, order: int, tau: float,
+                 connectivity=None) -> Circuit:
+    """One product-formula step of time tau by the named strategy: the one
+    place a strategy name picks its step builder. The strategy and the
+    order are checked before any gate is built."""
+    if strategy not in (SPLIT_OPERATOR, DIRECT_JW):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    if strategy == SPLIT_OPERATOR:
+        return split_operator_step(hs, tau, order, connectivity)
+    return direct_jw_step(build_qubit(hs), tau, order, hs.n_qubits,
+                          connectivity)
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,16 +392,3 @@ def estimate_r(eta: int, n_orbitals: int, omega: float, t: float,
         * math.sqrt(1.0 + eta * omega ** (1.0 / 3.0)
                     / n_orbitals ** (1.0 / 3.0))
     return max(1, int(math.ceil(value)))
-
-
-def trotter_circuit(hs: HamiltonianSet, config: TrotterConfig,
-                    connectivity=None) -> Circuit:
-    """config.r repetitions of the configured step for total time config.t."""
-    tau = config.t / config.r
-    if config.strategy == SPLIT_OPERATOR:
-        step = split_operator_step(hs, tau, order=config.order,
-                                   connectivity=connectivity)
-    else:
-        step = direct_jw_step(build_qubit(hs), tau, order=config.order,
-                              n_qubits=hs.n_qubits)
-    return Circuit(hs.n_qubits, step.gates * config.r, connectivity)

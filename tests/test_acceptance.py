@@ -15,8 +15,8 @@ from pwdual.fermion import FermionOperator, fermion_matrix
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_plane_wave, build_qubit, \
     build_finite_difference, norm_bounds, onsite_repulsion
-from pwdual.ffft import build_ffft_1d, build_ffft_nd, \
-    mode_ladder_operator, fswap_properties_report
+from pwdual.ffft import build_ffft_nd, mode_ladder_operator, \
+    fswap_properties_report
 from pwdual.lcu import build_weights, select_matrix, prepare_state, \
     taylor_segment
 from pwdual.measurement import MeasurementPlan, estimate_energy, \
@@ -25,8 +25,7 @@ from pwdual.measurement import MeasurementPlan, estimate_energy, \
 from pwdual.pauli import QubitOperator, qubit_operator_matrix
 from pwdual.statevector import Statevector, circuit_matrix, exact_evolve, \
     expectation
-from pwdual.swapnet import build_full_schedule, hamiltonian_cycle, \
-    stagger_rounds, lower_diagonal_layer
+from pwdual.swapnet import build_full_schedule, lower_diagonal_layer
 from pwdual.trotter import split_operator_step, measure_error_scaling, \
     number_block_view
 from pwdual.vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
@@ -56,7 +55,7 @@ def test_criterion_02_ffft_conjugation():
     checked = 0
     for m in (2, 4, 8):
         grid = build_grid(1, m, float(m))
-        u = circuit_matrix(build_ffft_1d(m))
+        u = circuit_matrix(build_ffft_nd(grid))
         for nu in grid.nu_list:
             slot = grid.mode_slot(nu)
             adag = fermion_matrix(FermionOperator.raising(slot), m)
@@ -79,7 +78,7 @@ def test_criterion_02_ffft_conjugation():
 
 def test_criterion_03_kinetic_diagonalization():
     grid = build_grid(1, 4, 4.0)
-    u = circuit_matrix(build_ffft_1d(4))
+    u = circuit_matrix(build_ffft_nd(grid))
     diag = FermionOperator()
     for nu in grid.nu_list:
         diag += FermionOperator.number(grid.mode_slot(nu),
@@ -134,14 +133,15 @@ def test_criterion_06_swap_network():
         want = n * (n - 1) // 2
         ok &= covered == want
         details.append(f"{rows}x{cols} coverage {covered}/{want}")
-    cycle = hamiltonian_cycle(4, 4)
+    # the first level's stagger layers, as the schedule holds them
+    sched = build_full_schedule(4, 4)
     labels = list(range(16))
-    for layer in stagger_rounds(cycle):
-        for a, b in layer:
-            labels[a], labels[b] = labels[b], labels[a]
+    stop = sched.offsets[sched.provenance[0]["step2_layers"]]
+    for a, b in sched.pairs[:stop].tolist():
+        labels[a], labels[b] = labels[b], labels[a]
     restored = labels == list(range(16))
     ok &= restored
-    first_level = build_full_schedule(4, 4).first_level_layer_count()
+    first_level = sched.first_level_layer_count()
     ok &= first_level == 18
     details.append(f"step-2 restoration {restored}, first-level layers "
                    f"{first_level} (want 18)")
@@ -345,7 +345,8 @@ def test_criterion_12_depth_audits():
 
     ffft_ratios = {}
     for m in (2, 4, 8):
-        circ = build_ffft_1d(m, connectivity=("planar", 1, m))
+        circ = build_ffft_nd(build_grid(1, m, float(m)),
+                             connectivity=("planar", 1, m))
         circ.check_connectivity()
         ffft_ratios[m] = circ.depth() / (m * max(math.log2(m), 1.0))
     c_ffft = max(ffft_ratios.values())

@@ -20,9 +20,8 @@ from pwdual.pauli import DenseLimitError, QubitOperator, \
     qubit_operator_matrix, require_bytes
 from pwdual.statevector import Circuit, Gate, Statevector, circuit_matrix, \
     exact_evolve
-from pwdual.trotter import TrotterConfig, measure_error_scaling, \
-    number_block_propagator, number_blocks, number_block_view, \
-    split_operator_blocks, trotter_circuit
+from pwdual.trotter import measure_error_scaling, number_block_propagator, \
+    number_blocks, number_block_view, split_operator_blocks, trotter_step
 from pwdual.vqe import Ansatz, AnsatzSpec, SectorModel, \
     prepare_reference
 
@@ -180,8 +179,7 @@ def small_cases():
 
     def split_step_8():
         hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
-        circ = trotter_circuit(hs, TrotterConfig("split_operator", 2, 1,
-                                                 0.1))
+        circ = trotter_step(hs, "split_operator", 2, 0.1)
         return lambda: circuit_matrix(circ)
 
     def wide_gate_8():
@@ -210,8 +208,7 @@ def small_cases():
 
     def block_view_8():
         hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
-        step = circuit_matrix(trotter_circuit(
-            hs, TrotterConfig("direct_jw", 2, 1, 0.1)))
+        step = circuit_matrix(trotter_step(hs, "direct_jw", 2, 0.1))
         return lambda: number_block_view(step, shift=1)
 
     def split_blocks_8():

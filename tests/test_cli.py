@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual.cli import COMMANDS, SYSTEM_DEFAULTS, ConfigError, \
     load_config, main
+from pwdual.hamiltonian import build_qubit
 from pwdual.measurement import estimate_energy
 from pwdual.serialize import fmt
 from pwdual.statevector import Circuit, circuit_matrix
-from pwdual.trotter import ROUNDOFF_ERROR, fit_slope, trotter_circuit
+from pwdual.trotter import ROUNDOFF_ERROR, fit_slope, trotter_step
 
 
 def run(tmp_path, command, *overrides, out="run"):
@@ -545,17 +546,37 @@ class TestCommands:
         assert "checks" not in read_report(tmp_path, "trotter_report.json",
                                            out="jw")["meta"]
 
+    def test_direct_jw_sweep_compiles_the_pauli_form_at_most_twice(
+            self, tmp_path, monkeypatch):
+        """The step at the first r compiles the Pauli form, and every other
+        r builds its step from one more compile, whatever the r list."""
+        import pwdual.cli
+        import pwdual.trotter
+        calls = []
+
+        def counted(hs):
+            calls.append(hs.n_qubits)
+            return build_qubit(hs)
+
+        monkeypatch.setattr(pwdual.cli, "build_qubit", counted)
+        monkeypatch.setattr(pwdual.trotter, "build_qubit", counted)
+        assert run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",
+                   "task.r_list=[2,4,8,16,32]",
+                   "task.strategy=direct_jw") == 0
+        assert calls == [4, 4]
+
     def test_trotter_sweep_reports_corrupted_compiled_step(
             self, tmp_path, monkeypatch):
         import pwdual.cli
 
-        def corrupted(hs, config, connectivity=None):
-            gates = list(trotter_circuit(hs, config, connectivity).gates)
+        def corrupted(hs, strategy, order, tau, connectivity=None):
+            gates = list(trotter_step(hs, strategy, order, tau,
+                                      connectivity).gates)
             at = next(i for i, g in enumerate(gates) if g.kind == "CPHASE")
             gates[at] = gates[at]._replace(angle=2 * gates[at].angle)
             return Circuit(hs.n_qubits, gates, connectivity)
 
-        monkeypatch.setattr(pwdual.cli, "trotter_circuit", corrupted)
+        monkeypatch.setattr(pwdual.cli, "trotter_step", corrupted)
         assert run(tmp_path, "trotter-sweep", *SMALL,
                    "system.spinful=true") == 1
         report = read_report(tmp_path, "trotter_report.json")
@@ -629,6 +650,22 @@ class TestCommands:
         assert meta["counts"]["qubits"] == 2
         assert meta["counts"]["weights"] == report["result"]["term_count"]
         assert set(meta["stages"]) == {"build", "compile", "verify"}
+
+    @pytest.mark.parametrize("cell", [
+        ("system.modes_per_axis=8", "system.volume=8.0",
+         "system.truncated_D=2.5"),
+        ("system.modes_per_axis=4", "system.volume=4.0",
+         "system.spinful=true", "system.truncated_D=1.5"),
+        ("system.dimension=2", "system.modes_per_axis=4",
+         "system.volume=16.0", "system.truncated_D=1.5"),
+    ])
+    def test_lcu_check_honours_the_truncation(self, tmp_path, cell):
+        """The weights read the pair table that build_dual cuts off; on the
+        uncut table these cells failed by 2.737, 1.114 and 0.941."""
+        assert run(tmp_path, "lcu-check", *cell) == 0
+        result = read_report(tmp_path, "lcu_report.json")["result"]
+        assert result["reconstruction_max_gap"] <= 1e-12
+        assert result["failures"] == []
 
     def test_lcu_check_negative_t_past_segment_limit(self, tmp_path):
         """Lambda*t = -4.8 passed the single-segment guard; Lambda*|t|

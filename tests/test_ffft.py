@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual.fermion import RAISE, FermionOperator, fermion_matrix, \
     total_number_operator
-from pwdual.ffft import build_ffft_1d, build_ffft_nd, mode_ladder_operator, \
+from pwdual.ffft import _ffft_1d_ops, build_ffft_nd, mode_ladder_operator, \
     single_particle_transform, fswap_properties_report
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_plane_wave
@@ -26,6 +26,11 @@ def reference_single_particle_transform(circuit, n_orbitals):
         for q in range(n_orbitals):
             w[p, q] = vec[1 << q]
     return w
+
+
+def ffft_1d(m, connectivity=None):
+    """The FFFT on a 1D spinless grid of m modes."""
+    return build_ffft_nd(build_grid(1, m, float(m)), connectivity)
 
 
 def dft_matrix(m):
@@ -59,18 +64,18 @@ class TestButterfly:
 
 class TestOneDimensional:
     def test_m2_single_butterfly(self):
-        circ = build_ffft_1d(2)
+        circ = ffft_1d(2)
         assert [g.kind for g in circ.gates] == ["FK"]
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_single_particle_matrix_is_dft(self, m):
-        w = single_particle_transform(build_ffft_1d(m))
+        w = single_particle_transform(ffft_1d(m))
         assert np.max(np.abs(w - dft_matrix(m))) < 1e-12
 
     def test_m4_full_conjugation(self):
         m = 4
         grid = build_grid(1, m, float(m))
-        circ = build_ffft_1d(m)
+        circ = build_ffft_nd(grid)
         u = circuit_matrix(circ)
         for nu in grid.nu_list:
             slot = grid.mode_slot(nu)
@@ -80,16 +85,16 @@ class TestOneDimensional:
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            build_ffft_1d(6)
+            ffft_1d(6)
 
     def test_gate_count_and_depth_scaling(self):
         for m in (2, 4, 8, 16):
-            circ = build_ffft_1d(m)
+            circ = ffft_1d(m)
             assert len(circ.gates) <= 3 * m * m * max(np.log2(m), 1)
             assert circ.depth() <= 3 * m * max(np.log2(m), 1)
 
     def test_planar_legality(self):
-        circ = build_ffft_1d(8, connectivity=("planar", 2, 4))
+        circ = ffft_1d(8, connectivity=("planar", 2, 4))
         circ.check_connectivity()
 
     def test_planar_lattice_must_hold_every_qubit(self):
@@ -102,7 +107,8 @@ class TestMultiDimensional:
     def test_d1_matches_1d_builder(self):
         grid = build_grid(1, 4, 4.0)
         a = build_ffft_nd(grid)
-        b = build_ffft_1d(4)
+        b = Circuit(4, _ffft_1d_ops(list(range(4))))
+        assert a.gates == b.gates
         assert np.allclose(circuit_matrix(a), circuit_matrix(b))
 
     @pytest.mark.parametrize("d,m,spinful", [
@@ -230,7 +236,7 @@ class TestKineticDiagonalization:
 class TestStageListing:
     def test_structure_and_counts(self):
         from pwdual.ffft import stage_listing
-        circ = build_ffft_1d(4)
+        circ = ffft_1d(4)
         listing = stage_listing(circ)
         assert listing["gate_count"] == len(circ.gates)
         assert listing["depth"] == circ.depth()
@@ -245,7 +251,7 @@ class TestStageListing:
     def test_json_compatible(self):
         import json
         from pwdual.ffft import stage_listing
-        listing = stage_listing(build_ffft_1d(8))
+        listing = stage_listing(ffft_1d(8))
         assert json.loads(json.dumps(listing)) == listing
 
 

@@ -46,25 +46,40 @@ grids = st.sampled_from([
 @st.composite
 def weight_cases(draw):
     """A dual-basis set on a power-of-two grid with up to two random
-    nuclei, and an include_noop value."""
+    nuclei and a truncation distance or none, and an include_noop
+    value."""
     d, m, spinful = draw(grids)
     volume = draw(st.floats(1.0, 500.0))
     length = volume ** (1.0 / d)
     nuclei = draw(st.lists(st.tuples(
         st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),
         st.floats(0.25, 4.0)), max_size=2))
+    truncated_D = draw(st.none() | st.floats(0.01, 1.0).map(
+        lambda f: f * length))
     hs = build_dual(build_grid(d, m, volume, spinful),
-                    [([x * length for x in pos], z) for pos, z in nuclei])
+                    [([x * length for x in pos], z) for pos, z in nuclei],
+                    truncated_D)
     return hs, draw(st.booleans())
 
 
 def scalar_table(hs, include_noop):
     """(p, q, b) rows and weights from the four closed forms, one branch
-    at a time in table order."""
+    at a time in table order. Pairs farther apart than the truncation
+    distance get v = 0, and what they drop, once per spin, goes to the
+    v(0) of Z_p."""
     grid = hs.grid
     spinful = grid.cell.spinful
     coeffs = dual_coefficients(grid, hs.nuclei)
     t, v, u = coeffs.t.tolist(), coeffs.v.tolist(), coeffs.u.tolist()
+    dropped = 0.0
+    if hs.truncation is not None:
+        origin = grid.index_site(0)
+        far = [s for s in range(grid.n_spatial) if grid.min_image_distance(
+            origin, grid.index_site(s)) > hs.truncation]
+        dropped = sum((v[s] for s in far), 0.0)
+        for s in far:
+            v[s] = 0.0
+    v_self = v[0] + (2 if spinful else 1) * dropped
     sep = grid.separation_index().tolist()
     rows, weights = [], []
     for p in range(grid.n_qubits):
@@ -72,7 +87,7 @@ def scalar_table(hs, include_noop):
             sp, sq = (p // 2, q // 2) if spinful else (p, q)
             for b in (0, 1):
                 if p == q:
-                    w = (v[0] / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0
+                    w = (v_self / 4.0 - t[0] / 2.0 - u[sp] / 2.0) / 2.0
                 elif b == 0:
                     w = v[sep[sq][sp]] / 8.0
                 elif spinful and p % 2 != q % 2:

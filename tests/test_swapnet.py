@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual.pauli import QubitOperator, qubit_operator_matrix
 from pwdual.statevector import circuit_matrix
-from pwdual.swapnet import build_full_schedule, hamiltonian_cycle, \
-    stagger_rounds, lower_diagonal_layer, dumps_schedule, snake_qubit, \
-    SwapSchedule
+from pwdual.swapnet import _cycle_positions, build_full_schedule, \
+    lower_diagonal_layer, dumps_schedule, snake_qubit, SwapSchedule
 
 
 def positions_adjacent(rows, cols, qa, qb):
@@ -20,9 +19,28 @@ def positions_adjacent(rows, cols, qa, qb):
     return abs(ra - rb) + abs(ca - cb) == 1
 
 
+def first_level_cycle(sched):
+    """The closed loop of the schedule's first level, read off its two
+    stagger layers: the left one pairs loop entries (2i, 2i + 1), and the
+    right one must pair (2i + 1, 2i + 2), wrapping round."""
+    left, right = (sched.pairs[sched.offsets[k]:sched.offsets[k + 1]]
+                   for k in (0, 1))
+    cycle = left.ravel().tolist()
+    assert right.tolist() == [[cycle[i], cycle[(i + 1) % len(cycle)]]
+                              for i in range(1, len(cycle), 2)]
+    return cycle
+
+
+def stagger_layers(sched):
+    """The first level's stagger layers, each a list of qubit pairs."""
+    k = sched.provenance[0]["step2_layers"]
+    return [sched.pairs[a:b].tolist()
+            for a, b in zip(sched.offsets[:k], sched.offsets[1:k + 1])]
+
+
 class TestHamiltonianCycle:
     def test_2x2_is_four_cycle(self):
-        cyc = hamiltonian_cycle(2, 2)
+        cyc = first_level_cycle(build_full_schedule(2, 2))
         assert sorted(cyc) == [0, 1, 2, 3]
         for i in range(4):
             assert positions_adjacent(2, 2, cyc[i], cyc[(i + 1) % 4])
@@ -30,42 +48,42 @@ class TestHamiltonianCycle:
     @pytest.mark.parametrize("rows,cols", [(4, 4), (2, 8), (8, 2), (2, 4),
                                            (4, 2), (8, 8)])
     def test_cycle_verifier(self, rows, cols):
-        cyc = hamiltonian_cycle(rows, cols)
+        cyc = first_level_cycle(build_full_schedule(rows, cols))
         n = rows * cols
         assert sorted(cyc) == list(range(n))
         for i in range(n):
             assert positions_adjacent(rows, cols, cyc[i], cyc[(i + 1) % n])
 
     def test_boustrophedon_4x4_starts_along_top_row(self):
-        cyc = hamiltonian_cycle(4, 4)
+        cyc = first_level_cycle(build_full_schedule(4, 4))
         assert cyc[:4] == [0, 1, 2, 3]
 
     def test_odd_cell_count_rejected(self):
         with pytest.raises(ValueError):
-            hamiltonian_cycle(1, 3)
+            _cycle_positions(1, 3)
 
 
 class TestStaggerRounds:
     @pytest.mark.parametrize("m_side", [(2, 2), (4, 4)])
     def test_positions_restored(self, m_side):
-        cyc = hamiltonian_cycle(*m_side)
-        lab = list(range(len(cyc)))
-        for layer in stagger_rounds(cyc):
+        sched = build_full_schedule(*m_side)
+        lab = list(range(sched.n_qubits))
+        for layer in stagger_layers(sched):
             for a, b in layer:
                 lab[a], lab[b] = lab[b], lab[a]
-        assert lab == list(range(len(cyc)))
+        assert lab == list(range(sched.n_qubits))
 
     def test_m2_single_pair(self):
-        layers = stagger_rounds([0, 1])
+        layers = stagger_layers(build_full_schedule(1, 2))
         met = {frozenset(p) for layer in layers for p in layer}
         assert met == {frozenset((0, 1))}
 
     def test_m16_opposite_parity_coverage(self):
-        cyc = hamiltonian_cycle(4, 4)
-        parity = {q: i % 2 for i, q in enumerate(cyc)}
+        sched = build_full_schedule(4, 4)
+        parity = {q: i % 2 for i, q in enumerate(first_level_cycle(sched))}
         lab = list(range(16))
         met = set()
-        for layer in stagger_rounds(cyc):
+        for layer in stagger_layers(sched):
             for a, b in layer:
                 met.add(frozenset((lab[a], lab[b])))
                 lab[a], lab[b] = lab[b], lab[a]
@@ -78,8 +96,9 @@ class TestStaggerRounds:
         assert len(met) == 8 * 8
 
     def test_layer_count_equals_cycle_length(self):
-        cyc = hamiltonian_cycle(4, 4)
-        assert len(stagger_rounds(cyc)) == 16
+        sched = build_full_schedule(4, 4)
+        assert len(stagger_layers(sched)) == 16
+        assert len(first_level_cycle(sched)) == 16
 
 
 class TestFullSchedule:

@@ -603,6 +603,68 @@ def block_slices(tree):
     return found
 
 
+def source_trees() -> dict:
+    """module file name -> parsed source, for every module of the
+    package."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+
+
+def top_level_readers(trees: dict, name: str) -> dict:
+    """module -> the top-level definitions that read ``name`` (a call, a
+    bare name, an attribute or an import), None for a module-level
+    statement such as an import."""
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if name_uses(node, name):
+                found.setdefault(module, set()).add(
+                    getattr(node, "name", None))
+    return found
+
+
+def test_one_builder_per_circuit_kind():
+    """Each circuit kind has one builder: the 1D transform is read only by
+    ``build_ffft_nd`` (1D grids included) and its own recursion, and the
+    stagger layers and the closed loop only by ``build_full_schedule``
+    (and the loop's own transposed case). A strategy name picks its step
+    builder only in ``trotter_step``; the direct-JW sweep's branch builds
+    its later steps from its one compile of the Pauli form."""
+    trees = source_trees()
+    assert top_level_readers(trees, "split_operator_step") == {
+        "__init__.py": {None}, "trotter.py": {"trotter_step"}}
+    assert top_level_readers(trees, "direct_jw_step") == {
+        "__init__.py": {None}, "cli.py": {None, "cmd_trotter_sweep"},
+        "trotter.py": {"trotter_step"}}
+    assert top_level_readers(trees, "_ffft_1d_ops") == {
+        "ffft.py": {"_ffft_1d_ops", "build_ffft_nd"}}
+    assert top_level_readers(trees, "_stagger_pairs") == {
+        "swapnet.py": {"build_full_schedule"}}
+    assert top_level_readers(trees, "_cycle_positions") == {
+        "swapnet.py": {"_cycle_positions", "build_full_schedule"}}
+
+
+def test_reader_scan_sees_calls_names_and_attributes():
+    trees = {"a.py": ast.parse(
+        "from .ffft import _ffft_1d_ops\n"
+        "def build(m):\n"
+        "    return _ffft_1d_ops(list(range(m)))\n"
+        "def table(m):\n"
+        "    return {1: ffft._ffft_1d_ops}[m]\n"
+        "def other():\n"
+        "    def inner(ops=_ffft_1d_ops):\n"
+        "        return ops\n"
+        "    return inner\n"
+        "def _ffft_1d_ops(positions):\n"
+        "    return []\n"), "b.py": ast.parse(
+        "class Maker:\n"
+        "    def run(self):\n"
+        "        return list(map(_ffft_1d_ops, []))\n"
+        "x = 1\n")}
+    assert top_level_readers(trees, "_ffft_1d_ops") == {
+        "a.py": {None, "build", "table", "other"}, "b.py": {"Maker"}}
+
+
 def test_one_number_block_view():
     """A full matrix is cut into particle-number blocks in one place,
     ``trotter.number_block_view``, and the Trotter sweep and the FFFT
@@ -627,19 +689,10 @@ def test_one_sector_algebra():
     single-particle matrix is read only by ``sector_transform`` (its
     Slater determinants), and the diagonal terms and mode phases only by
     the three gate emitters and the two per-state evaluators."""
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
+    trees = source_trees()
 
     def readers(name):
-        """module -> the top-level definitions that read ``name``, None
-        for a module-level statement such as an import."""
-        found = {}
-        for module, tree in trees.items():
-            for node in tree.body:
-                if name_uses(node, name):
-                    found.setdefault(module, set()).add(
-                        getattr(node, "name", None))
-        return found
+        return top_level_readers(trees, name)
 
     matrix = readers("circuit_matrix")
     matrix.pop("statevector.py", None)

@@ -12,11 +12,10 @@ from pwdual.pauli import QubitOperator, string_matrix, \
     qubit_operator_matrix, PRUNE_TOL
 from pwdual.statevector import Circuit, Gate, circuit_matrix, Statevector, \
     apply_circuit, expectation
-from pwdual.trotter import TrotterConfig, split_operator_step, \
-    direct_jw_step, measure_error_scaling, estimate_r, trotter_circuit, \
-    hopping_template_gates, group_qubit_terms, number_blocks, \
-    number_block_propagator, number_block_view, split_operator_blocks, \
-    _zz_gates
+from pwdual.trotter import split_operator_step, direct_jw_step, \
+    measure_error_scaling, estimate_r, trotter_step, hopping_template_gates, \
+    group_qubit_terms, number_blocks, number_block_propagator, \
+    number_block_view, split_operator_blocks, _zz_gates
 
 
 def spinful_jellium(omega=4.0):
@@ -212,8 +211,8 @@ class TestErrorScaling:
         steps = {}
 
         def step_fn(tau):
-            config = TrotterConfig(strategy, order, 1, tau)
-            steps[tau] = circuit_matrix(trotter_circuit(hs, config))
+            steps[tau] = circuit_matrix(trotter_step(hs, strategy, order,
+                                                     tau))
             return number_block_view(steps[tau])
 
         counts = {}
@@ -359,8 +358,8 @@ class TestFullEvolution:
         h_op = build_qubit(hs)
         t = 1.0
         r = 8
-        config = TrotterConfig(r=r, t=t)
-        circ = trotter_circuit(hs, config)
+        step = trotter_step(hs, "split_operator", 2, t / r)
+        circ = Circuit(n, step.gates * r)
         rng = np.random.default_rng(31)
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         amps /= np.linalg.norm(amps)
@@ -379,8 +378,8 @@ class TestFullEvolution:
         exact = exact_unitary(hs, 1.0)
         errs = {}
         for r in (4, 64):
-            circ = trotter_circuit(hs, TrotterConfig(strategy=strategy,
-                                                     r=r, t=1.0))
+            step = trotter_step(hs, strategy, 2, 1.0 / r)
+            circ = Circuit(hs.n_qubits, step.gates * r)
             errs[r] = np.linalg.norm(circuit_matrix(circ) - exact, 2)
         assert errs[64] < errs[4] / 100
 
@@ -394,12 +393,13 @@ class TestFullEvolution:
                            n_qubits=hs.n_qubits)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrotterConfig(strategy="magic")
+        # both are refused before any gate is built: a plane-wave set
+        # would be refused by the split-operator builder itself
+        hs = build_plane_wave(build_grid(1, 2, 4.0, spinful=True))
+        with pytest.raises(ValueError, match="unknown strategy 'magic'"):
+            trotter_step(hs, "magic", 2, 0.1)
         with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
-            TrotterConfig(order=3)
-        with pytest.raises(ValueError):
-            TrotterConfig(r=0)
+            trotter_step(hs, "split_operator", 3, 0.1)
 
 
 class TestDepthAudit:
