@@ -47,7 +47,7 @@ from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
 from .swapnet import build_full_schedule, dumps_schedule
 from .trotter import LEAK_TOL, ROUNDOFF_ERROR, SATURATED_ERROR, \
-    SPLIT_OPERATOR, direct_jw_step, fit_slope, measure_error_scaling, \
+    SPLIT_OPERATOR, fit_slope, measure_error_scaling, \
     estimate_r, number_block_propagator, number_block_view, \
     number_blocks, split_operator_blocks, trotter_step
 from .vqe import AnsatzSpec, Ansatz, optimize, prepare_reference, \
@@ -323,10 +323,11 @@ def cmd_trotter_sweep(run: Run) -> dict:
                              run.grid.cell.volume, t, task["epsilon"])
     with run.stage("build"):
         hs = run.hamiltonian()
-        # the step at the first r checks the strategy and the grid before
-        # any dense work
+        # the strategy, the order and the grid are checked, and the step
+        # at the first r built, before any dense work
+        step = trotter_step(hs, strategy, order)
         tau = t / (task["r_list"] or [1])[0]
-        first = trotter_step(hs, strategy, order, tau)
+        first = step(tau)
     run.counts["gates"] = len(first.gates)  # the same for every r
     with run.stage("matrix"):
         exact = number_block_propagator(hs, t)
@@ -348,14 +349,11 @@ def cmd_trotter_sweep(run: Run) -> dict:
                 return algebra(s), off
         else:
             # CNOT and H templates leave the number blocks between gates,
-            # so every r forms its own step matrix, later ones from one compile
-            qubit = build_qubit(hs)
-
+            # so every r forms its own step matrix
             def step_fn(s):
                 if s == tau:
                     return compiled, off
-                return number_block_view(circuit_matrix(direct_jw_step(
-                    qubit, s, order, hs.n_qubits)))
+                return number_block_view(circuit_matrix(step(s)))
         rows, slope = measure_error_scaling(step_fn, exact, task["r_list"], t,
                                             run.counts)
     lines = ["r,error"] + [f"{r},{fmt(e)}" for r, e in rows]

@@ -67,16 +67,9 @@ def transposition_phases(keys):
 
 def _cycle_positions(h: int, w: int):
     """Closed loop through an h x w block at the origin, consecutive entries
-    adjacent."""
-    if h * w % 2 != 0 or h * w < 2:
-        raise ValueError(f"no closed loop through a {h}x{w} block")
-    if h == 1 or w == 1:
-        if h * w != 2:
-            raise ValueError(f"no closed loop through a {h}x{w} block")
-        return [(0, 0), (h - 1, w - 1)]
-    if h % 2 != 0:
-        # odd h needs even w; walk the transposed construction
-        return [(r, c) for c, r in _cycle_positions(w, h)]
+    adjacent: along the top row, then snaking back through rows 1 to h - 1
+    and up column 0. Needs h even and w >= 2, as every sector that
+    ``build_full_schedule`` loops through has."""
     path = [(0, c) for c in range(w)]
     for i, r in enumerate(range(1, h)):
         cs = range(w - 1, 0, -1) if i % 2 == 0 else range(1, w)

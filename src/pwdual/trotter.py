@@ -200,7 +200,7 @@ def hopping_template_gates(p: int, q: int, theta: float):
 
 
 def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
-                   n_qubits: int = None, connectivity=None) -> Circuit:
+                   n_qubits: int = None) -> Circuit:
     """One grouped product-formula step over the Pauli form: single-Z layer,
     parallel ZZ rounds, then hopping templates in lexicographic order; the
     symmetric formula appends the factor blocks again in reverse order.
@@ -231,23 +231,22 @@ def direct_jw_step(op: QubitOperator, tau: float, order: int = 2,
         blocks += blocks[::-1]
     else:
         blocks = factor_blocks(tau)
-    return Circuit(n, gates + [g for block in blocks for g in block],
-                   connectivity)
+    return Circuit(n, gates + [g for block in blocks for g in block])
 
 
-def trotter_step(hs: HamiltonianSet, strategy: str, order: int, tau: float,
-                 connectivity=None) -> Circuit:
-    """One product-formula step of time tau by the named strategy: the one
-    place a strategy name picks its step builder. The strategy and the
-    order are checked before any gate is built."""
+def trotter_step(hs: HamiltonianSet, strategy: str, order: int):
+    """The product-formula step of the named strategy as a function of its
+    time tau: the one place a strategy name picks its step builder. The
+    strategy and the order are checked before any gate is built, and a
+    direct-JW step compiles the Pauli form here, once for every tau."""
     if strategy not in (SPLIT_OPERATOR, DIRECT_JW):
         raise ValueError(f"unknown strategy {strategy!r}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if strategy == SPLIT_OPERATOR:
-        return split_operator_step(hs, tau, order, connectivity)
-    return direct_jw_step(build_qubit(hs), tau, order, hs.n_qubits,
-                          connectivity)
+        return lambda tau: split_operator_step(hs, tau, order)
+    qubit = build_qubit(hs)
+    return lambda tau: direct_jw_step(qubit, tau, order, hs.n_qubits)
 
 
 @functools.lru_cache(maxsize=None)

@@ -179,7 +179,7 @@ def small_cases():
 
     def split_step_8():
         hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
-        circ = trotter_step(hs, "split_operator", 2, 0.1)
+        circ = trotter_step(hs, "split_operator", 2)(0.1)
         return lambda: circuit_matrix(circ)
 
     def wide_gate_8():
@@ -208,7 +208,7 @@ def small_cases():
 
     def block_view_8():
         hs = dual(4, spinful=True, nuclei=[((1.3,), 1.0)])
-        step = circuit_matrix(trotter_step(hs, "direct_jw", 2, 0.1))
+        step = circuit_matrix(trotter_step(hs, "direct_jw", 2)(0.1))
         return lambda: number_block_view(step, shift=1)
 
     def split_blocks_8():

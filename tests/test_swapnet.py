@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual.pauli import QubitOperator, qubit_operator_matrix
 from pwdual.statevector import circuit_matrix
-from pwdual.swapnet import _cycle_positions, build_full_schedule, \
+from pwdual.swapnet import build_full_schedule, \
     lower_diagonal_layer, dumps_schedule, snake_qubit, SwapSchedule
 
 
@@ -59,8 +59,11 @@ class TestHamiltonianCycle:
         assert cyc[:4] == [0, 1, 2, 3]
 
     def test_odd_cell_count_rejected(self):
-        with pytest.raises(ValueError):
-            _cycle_positions(1, 3)
+        # no closed loop: an odd cell count, and a 1 x n line with n > 2
+        with pytest.raises(ValueError, match="power-of-two"):
+            build_full_schedule(1, 3)
+        with pytest.raises(ValueError, match="no closed loop"):
+            build_full_schedule(1, 4)
 
 
 class TestStaggerRounds:

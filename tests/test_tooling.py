@@ -626,22 +626,20 @@ def top_level_readers(trees: dict, name: str) -> dict:
 def test_one_builder_per_circuit_kind():
     """Each circuit kind has one builder: the 1D transform is read only by
     ``build_ffft_nd`` (1D grids included) and its own recursion, and the
-    stagger layers and the closed loop only by ``build_full_schedule``
-    (and the loop's own transposed case). A strategy name picks its step
-    builder only in ``trotter_step``; the direct-JW sweep's branch builds
-    its later steps from its one compile of the Pauli form."""
+    stagger layers and the closed loop only by ``build_full_schedule``. A
+    strategy name picks its step builder only in ``trotter_step``, so no
+    other code reads either step builder."""
     trees = source_trees()
     assert top_level_readers(trees, "split_operator_step") == {
         "__init__.py": {None}, "trotter.py": {"trotter_step"}}
     assert top_level_readers(trees, "direct_jw_step") == {
-        "__init__.py": {None}, "cli.py": {None, "cmd_trotter_sweep"},
-        "trotter.py": {"trotter_step"}}
+        "__init__.py": {None}, "trotter.py": {"trotter_step"}}
     assert top_level_readers(trees, "_ffft_1d_ops") == {
         "ffft.py": {"_ffft_1d_ops", "build_ffft_nd"}}
     assert top_level_readers(trees, "_stagger_pairs") == {
         "swapnet.py": {"build_full_schedule"}}
     assert top_level_readers(trees, "_cycle_positions") == {
-        "swapnet.py": {"_cycle_positions", "build_full_schedule"}}
+        "swapnet.py": {"build_full_schedule"}}
 
 
 def test_reader_scan_sees_calls_names_and_attributes():

@@ -209,10 +209,10 @@ class TestErrorScaling:
         hs = build_dual(grid, NucleiSpec.build([((1.3,), 1.0)]))
         exact = exact_unitary(hs, 1.0)
         steps = {}
+        step = trotter_step(hs, strategy, order)
 
         def step_fn(tau):
-            steps[tau] = circuit_matrix(trotter_step(hs, strategy, order,
-                                                     tau))
+            steps[tau] = circuit_matrix(step(tau))
             return number_block_view(steps[tau])
 
         counts = {}
@@ -358,7 +358,7 @@ class TestFullEvolution:
         h_op = build_qubit(hs)
         t = 1.0
         r = 8
-        step = trotter_step(hs, "split_operator", 2, t / r)
+        step = trotter_step(hs, "split_operator", 2)(t / r)
         circ = Circuit(n, step.gates * r)
         rng = np.random.default_rng(31)
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
@@ -378,7 +378,7 @@ class TestFullEvolution:
         exact = exact_unitary(hs, 1.0)
         errs = {}
         for r in (4, 64):
-            step = trotter_step(hs, strategy, 2, 1.0 / r)
+            step = trotter_step(hs, strategy, 2)(1.0 / r)
             circ = Circuit(hs.n_qubits, step.gates * r)
             errs[r] = np.linalg.norm(circuit_matrix(circ) - exact, 2)
         assert errs[64] < errs[4] / 100
@@ -397,9 +397,9 @@ class TestFullEvolution:
         # would be refused by the split-operator builder itself
         hs = build_plane_wave(build_grid(1, 2, 4.0, spinful=True))
         with pytest.raises(ValueError, match="unknown strategy 'magic'"):
-            trotter_step(hs, "magic", 2, 0.1)
+            trotter_step(hs, "magic", 2)
         with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
-            trotter_step(hs, "split_operator", 3, 0.1)
+            trotter_step(hs, "split_operator", 3)
 
 
 class TestDepthAudit:
