@@ -183,10 +183,14 @@ def resolve(cfg: dict, name: str) -> dict:
     task = _fill(cfg["task"], command.task, "task block")
     if "expected_slope" in task and task["expected_slope"] is None:
         task["expected_slope"] = -float(task["order"])
-    # r_list is the one range no library function reads
-    if "r_list" in task and min(task["r_list"], default=1) < 1:
-        raise ConfigError(f"each r_list entry in task block must be at "
-                          f"least 1, got {min(task['r_list'])}")
+    if "r_list" in task:  # the one range no library function reads
+        r_list = task["r_list"]
+        if not r_list or len(set(r_list)) < len(r_list):
+            raise ConfigError(f"r_list in task block must be a non-empty "
+                              f"list of distinct step counts, got {r_list}")
+        if min(r_list) < 1:
+            raise ConfigError(f"each r_list entry in task block must be at "
+                              f"least 1, got {min(r_list)}")
     resolved = _fill({"seed": cfg["seed"]}, {"seed": 0}, "config root")
     if resolved["seed"] < 0:
         raise ConfigError(f"seed in config root must be non-negative, got "
@@ -326,7 +330,7 @@ def cmd_trotter_sweep(run: Run) -> dict:
         # the strategy, the order and the grid are checked, and the step
         # at the first r built, before any dense work
         step = trotter_step(hs, strategy, order)
-        tau = t / (task["r_list"] or [1])[0]
+        tau = t / task["r_list"][0]
         first = step(tau)
     run.counts["gates"] = len(first.gates)  # the same for every r
     with run.stage("matrix"):
@@ -363,7 +367,7 @@ def cmd_trotter_sweep(run: Run) -> dict:
     # whatever the outcome; a sweep exact to roundoff has nothing to fit
     fitted = [(r, e) for r, e in rows if ROUNDOFF_ERROR < e < SATURATED_ERROR]
     asymptotic = fit_slope(fitted)
-    exact = bool(rows) and all(e <= ROUNDOFF_ERROR for _, e in rows)
+    exact = all(e <= ROUNDOFF_ERROR for _, e in rows)
     if len(fitted) < 2 and not exact:
         failures.append(
             f"{len(fitted)} of {len(rows)} points have error between "

@@ -203,8 +203,12 @@ class DualCoefficients:
     * k2: k^2; inv_k2: 1/k^2 with the zero mode dropped (stored as 0)
     * structure: the nuclear structure factor sum_j zeta_j e^{i k . R_j}
     * t(r) = (1/2N) sum_nu k^2 cos(k . r), the hopping
-    * v(r) = (4 pi / Omega) sum_{nu != 0} cos(k . r) / k^2, the pair term
+    * v(r) = (4 pi / Omega) sum_{nu != 0} cos(k . r) / k^2, the pair term,
+      zero at separations farther than the truncation distance D
     * u(r) = -(4 pi / Omega) sum_{nu != 0, j} zeta_j cos(k . (R_j - r)) / k^2
+    * pair_kernel: the plane-wave pair kernel, whose transform is v;
+      inv_k2 itself without D, and nonzero at the zero mode with it
+    * dropped: the sequential sum, in site order, of the values D cuts
     """
 
     k2: np.ndarray
@@ -213,14 +217,20 @@ class DualCoefficients:
     t: np.ndarray
     v: np.ndarray
     u: np.ndarray
+    pair_kernel: np.ndarray
+    dropped: float
 
 
-def dual_coefficients(grid: ModeGrid, nuclei=None) -> DualCoefficients:
-    """The dual-basis coefficient table, one FFT per mode sum.
+def dual_coefficients(grid: ModeGrid, nuclei=None,
+                      truncated_D: float = None) -> DualCoefficients:
+    """The dual-basis coefficient table, one FFT per mode sum: the one
+    place the truncation distance D (minimum image) cuts the pair table.
 
     With r = p * L / M and nu = slot (mod M), k . r = 2 pi nu . p / M, so
     sum_nu f(nu) cos(k . r_p) is the real part of fftn(f)[p] for real f.
     """
+    if truncated_D is not None and truncated_D <= 0:
+        raise ValueError("truncation distance must be positive")
     nuclei = NucleiSpec.build(nuclei)
     M = grid.modes_per_axis
     axis = 2.0 * math.pi * np.fft.fftfreq(M, 1.0 / M) / grid.cell.length
@@ -233,13 +243,20 @@ def dual_coefficients(grid: ModeGrid, nuclei=None) -> DualCoefficients:
     scale = 4.0 * math.pi / grid.cell.volume
 
     def mode_sum(f):
-        return np.fft.fftn(f).real.ravel()
+        return np.fft.fftn(f.reshape(k2.shape)).real.ravel()
 
+    v, kernel, dropped = scale * mode_sum(inv_k2), inv_k2.ravel(), 0.0
+    if truncated_D is not None:
+        far = np.array([grid.min_image_distance((0,) * grid.dimension, p)
+                        > truncated_D for p in grid.site_vectors()])
+        cut = np.where(far, 0.0, v)
+        # v is even, so the inverse transform is the forward one over N
+        kernel = kernel + mode_sum(cut - v) / (scale * grid.n_spatial)
+        v, dropped = cut, sum(v[far].tolist(), 0.0)
     return DualCoefficients(
         k2.ravel(), inv_k2.ravel(), structure.ravel(),
-        mode_sum(k2) / (2.0 * grid.n_spatial),
-        scale * mode_sum(inv_k2),
-        -scale * mode_sum(structure * inv_k2))
+        mode_sum(k2) / (2.0 * grid.n_spatial), v,
+        -scale * mode_sum(structure * inv_k2), kernel, dropped)
 
 
 # -- plane-wave representation ----------------------------------------------
@@ -250,21 +267,16 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
                      constant: float = 0.0) -> HamiltonianSet:
     """Hamiltonian with momentum-indexed orbitals.
 
-    Orbital q carries the mode at slot ``grid.qubit_site_index(q)``. The
-    zero mode is excluded from both potentials; with a truncation distance D
-    every 1/k^2 kernel picks up a (1 - cos|k|D) factor.
+    Orbital q carries the mode at slot ``grid.qubit_site_index(q)``. U
+    reads the uncut 1/k^2, zero mode dropped; V reads every nonzero entry
+    of the table's pair kernel, whose transform is the dual pair table.
     """
     nuclei = NucleiSpec.build(nuclei)
     nuclei.validate_inside(grid)
-    if truncated_D is not None and truncated_D <= 0:
-        raise ValueError("truncation distance must be positive")
     omega = grid.cell.volume
     n_spatial = grid.n_spatial
     n_spin = grid.n_spin
-    coeffs = dual_coefficients(grid, nuclei)
-    kernel = coeffs.inv_k2
-    if truncated_D is not None:
-        kernel = kernel * (1.0 - np.cos(np.sqrt(coeffs.k2) * truncated_D))
+    coeffs = dual_coefficients(grid, nuclei, truncated_D)
 
     kinetic = FermionOperator()
     k2 = coeffs.k2.tolist()
@@ -279,7 +291,7 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
         # self-paired mode -M/2 the two pieces coincide and this reduces to
         # the single -(4 pi / Omega) e^{i k_{q-p} . R} / k^2 amplitude; on
         # that mode they symmetrize to a cosine, keeping U Hermitian.
-        amp = kernel * coeffs.structure
+        amp = coeffs.inv_k2 * coeffs.structure
         sep = grid.separation_index()
         u_pw = (-(2.0 * math.pi / omega)
                 * (amp[sep] + amp[sep.T].conj())).tolist()
@@ -292,8 +304,9 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
                         external.terms[key] = u_pw[slot_p][slot_q]
 
     interaction = FermionOperator()
-    pair = [(nu, (2.0 * math.pi / omega) * float(kernel[grid.mode_slot(nu)]))
-            for nu in grid.nu_list if any(nu)]
+    kernel = coeffs.pair_kernel.tolist()
+    pair = [(nu, (2.0 * math.pi / omega) * kernel[grid.mode_slot(nu)])
+            for nu in grid.nu_list if kernel[grid.mode_slot(nu)]]
     for qp in range(grid.n_qubits):
         for qq in range(grid.n_qubits):
             if qp == qq:
@@ -315,19 +328,6 @@ def build_plane_wave(grid: ModeGrid, nuclei=None,
 # -- dual representation ------------------------------------------------------
 
 
-def truncated_pairs(grid: ModeGrid, v: np.ndarray, truncated_D=None):
-    """The pair table ``v`` (over separation indices) with the separations
-    farther than D (minimum image) set to zero, and the sequential sum of
-    the values it drops in site order; ``v`` itself and 0.0 without a
-    truncation distance. The one place the cutoff is applied."""
-    if truncated_D is None:
-        return v, 0.0
-    origin = grid.index_site(0)
-    far = np.array([grid.min_image_distance(origin, grid.index_site(s))
-                    > truncated_D for s in range(grid.n_spatial)])
-    return np.where(far, 0.0, v), sum(v[far].tolist(), 0.0)
-
-
 def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
                constant: float = 0.0) -> HamiltonianSet:
     """Hamiltonian with lattice-site orbitals: hopping kinetic term, diagonal
@@ -335,11 +335,9 @@ def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
     than D (minimum image) are dropped."""
     nuclei = NucleiSpec.build(nuclei)
     nuclei.validate_inside(grid)
-    if truncated_D is not None and truncated_D <= 0:
-        raise ValueError("truncation distance must be positive")
     n_spatial = grid.n_spatial
     n_spin = grid.n_spin
-    coeffs = dual_coefficients(grid, nuclei)
+    coeffs = dual_coefficients(grid, nuclei, truncated_D)
     sep = grid.separation_index()
 
     kinetic = FermionOperator()
@@ -361,8 +359,7 @@ def build_dual(grid: ModeGrid, nuclei=None, truncated_D: float = None,
                 external.terms[_number_key(n_spin * p + spin)] = u[p]
 
     interaction = FermionOperator()
-    v_table, _ = truncated_pairs(grid, coeffs.v, truncated_D)
-    pair = v_table[sep].tolist()  # pair[p][q] = v(q - p)
+    pair = coeffs.v[sep].tolist()  # pair[p][q] = v(q - p)
     for q1 in range(grid.n_qubits):
         for q2 in range(q1 + 1, grid.n_qubits):
             v = pair[q2 // n_spin][q1 // n_spin]

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ModeGrid
-from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients, \
-    truncated_pairs
+from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
 from .pauli import QubitOperator, qubit_operator_matrix, require_bytes, \
     string_matrix
 from .serialize import fmt
@@ -112,10 +111,10 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     compiled operator), so the reconstruction identity against build_qubit
     is a real cross-check: Z_p gets (v(0)/4 - t(0)/2 - u(p)/2)/2 per
     branch, Z_p Z_q gets v(p - q)/8 per ordering, and the hopping string
-    from p to q gets t(q - p)/2. The pair table v is the one ``build_dual``
-    reads, cut off at the set's truncation distance; Z_p's form assumes
-    that v sums to zero over the sites, so the values the cutoff drops,
-    once per spin, go back into v(0).
+    from p to q gets t(q - p)/2. The table is the one ``build_dual`` reads,
+    its v cut off at the set's truncation distance; Z_p's form assumes
+    that the uncut v sums to zero over the sites, so the table's
+    ``dropped`` sum, once per spin, goes back into v(0).
     """
     if hs.representation != DUAL:
         raise ValueError("selection weights are defined on the dual "
@@ -125,9 +124,8 @@ def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:
     if n & (n - 1):
         raise ValueError("selection register needs a power-of-two orbital "
                          "count")
-    coeffs = dual_coefficients(grid, hs.nuclei)
-    t, u = coeffs.t, coeffs.u
-    v, dropped = truncated_pairs(grid, coeffs.v, hs.truncation)
+    coeffs = dual_coefficients(grid, hs.nuclei, hs.truncation)
+    t, u, v, dropped = coeffs.t, coeffs.u, coeffs.v, coeffs.dropped
     sep = grid.separation_index()  # sep[a, c]: index of c - a
     p, q, b = (a.ravel() for a in np.meshgrid(
         np.arange(n), np.arange(n), np.arange(2), indexing="ij"))

@@ -112,8 +112,9 @@ class SwapSchedule:
         return len(self.offsets) - 1
 
     def first_level_layer_count(self) -> int:
-        lev = self.provenance[0]
-        return lev["step2_layers"] + lev["step3_layers"]
+        # a one-qubit lattice has no levels
+        return sum(lev["step2_layers"] + lev["step3_layers"]
+                   for lev in self.provenance[:1])
 
     def replay(self):
         """Follow the labels through the swaps, qubit q starting with label

@@ -173,14 +173,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("r_list,got", [("[0, 2]", "0"),
                                             ("[-2, 4]", "-2"),
-                                            ("[2, -1.0]", "-1")])
+                                            ("[2, -1.0]", "-1"),
+                                            ("[]", "[]"),
+                                            ("[4, 4]", "[4, 4]"),
+                                            ("[4, 4, 8, 16]",
+                                             "[4, 4, 8, 16]")])
     def test_r_list_entry_below_one_exit_2(self, tmp_path, capsys, r_list,
                                            got):
-        """r = 0 divided by zero and r < 0 failed in a logarithm."""
+        """r = 0 divided by zero and r < 0 failed in a logarithm; an empty
+        list failed as a sweep with 0 of 0 points (exit 1), and a repeated
+        r was fitted twice, or alone, and passed."""
         assert run(tmp_path, "trotter-sweep", *SMALL,
                    f"task.r_list={r_list}") == 2
-        assert ("each r_list entry in task block must be at least 1, got "
-                + got) in capsys.readouterr().err
+        rule = ("r_list in task block must be a non-empty list of distinct "
+                "step counts" if got.startswith("[") else
+                "each r_list entry in task block must be at least 1")
+        assert f"{rule}, got {got}" in capsys.readouterr().err
 
     def test_integral_float_is_an_integer(self, tmp_path):
         assert run(tmp_path, "measure", *SMALL, "system.eta=1",
@@ -426,6 +434,25 @@ class TestCommands:
         assert (tmp_path / "run" / "hamiltonian_plane_wave.txt").exists()
         assert set(report["meta"]["stages"]) == {"build", "compile", "verify"}
 
+    @pytest.mark.parametrize("cell", [
+        ("system.modes_per_axis=4", "system.volume=4.0",
+         "system.spinful=true", "system.truncated_D=1.5"),
+        ("system.modes_per_axis=8", "system.volume=8.0",
+         "system.truncated_D=2.5"),
+        ("system.modes_per_axis=4", "system.volume=4.0",
+         "system.spinful=true", "system.truncated_D=1.5",
+         "system.nuclei=[[[1.3], 1.0]]"),
+    ])
+    def test_build_isospectral_under_truncation(self, tmp_path, cell):
+        """Both bases cut the same pair table; with a 1 - cos(|k| D)
+        plane-wave kernel these cells disagreed by 7.867, 23.97 and
+        7.563."""
+        assert run(tmp_path, "build", *cell,
+                   'task.representations=["dual","plane_wave"]') == 0
+        result = read_report(tmp_path, "build_report.json")["result"]
+        assert result["isospectrality_max_gap"] < 1e-9
+        assert result["failures"] == []
+
     def test_build_dual_pair_count(self, tmp_path):
         run(tmp_path, "build", *SMALL)
         report = read_report(tmp_path, "build_report.json")
@@ -479,6 +506,15 @@ class TestCommands:
         assert meta["counts"] == {"qubits": 16,
                                   "layers": report["result"]["depth"]}
         assert set(meta["stages"]) == {"build", "verify"}
+
+    def test_swapnet_one_qubit(self, tmp_path):
+        """A 1x1 lattice has an empty schedule with no levels; reading the
+        first level's layer count raised IndexError."""
+        assert run(tmp_path, "swapnet", "task.rows=1", "task.cols=1") == 0
+        result = read_report(tmp_path, "swapnet_report.json")["result"]
+        assert (result["pairs_covered"], result["pairs_total"],
+                result["depth"], result["first_level_layers"]) == (0, 0, 0, 0)
+        assert result["provenance"] == [] and result["failures"] == []
 
     def test_trotter_sweep_slope(self, tmp_path):
         code = run(tmp_path, "trotter-sweep", *SMALL, "system.spinful=true",

@@ -76,6 +76,17 @@ class TestPlaneWave:
         with pytest.raises(ValueError):
             build_plane_wave(grid, nuclei=[((9.0,), 1.0)])
 
+    def test_truncation_noop_beyond_diameter(self):
+        """A cutoff past the cell diameter cuts nothing, so the pair kernel
+        is 1/k^2 and the interaction keeps its bits."""
+        grid = build_grid(2, 4, 16.0, False)
+        diameter = max(
+            grid.min_image_distance((0, 0), p) for p in grid.site_vectors()
+        )
+        full = build_plane_wave(grid)
+        trunc = build_plane_wave(grid, truncated_D=diameter)
+        assert trunc.interaction.terms == full.interaction.terms
+
 
 class TestDual:
     def test_interaction_is_density_density(self):
@@ -139,6 +150,22 @@ class TestDual:
         nuclei = [((1.1,), 2.0)]
         dual = build_dual(grid, nuclei=nuclei)
         pw = build_plane_wave(grid, nuclei=nuclei)
+        assert np.max(np.abs(dual.spectrum() - pw.spectrum())) < 1e-9
+
+    @pytest.mark.parametrize("d,m,omega,spinful,D,nuclei", [
+        (1, 4, 4.0, True, 1.5, None),
+        (1, 8, 8.0, False, 2.5, None),
+        (2, 2, 4.0, True, 1.5, None),
+        (1, 4, 4.0, True, 1.5, [((1.3,), 1.0)]),
+    ])
+    def test_isospectral_with_truncation(self, d, m, omega, spinful, D,
+                                         nuclei):
+        """Both bases cut the same pair table at D; the plane-wave kernel
+        is its transform, zero mode included. A 1 - cos(|k| D) kernel
+        missed by 7.867, 23.97, 0.591 and 7.563."""
+        grid = build_grid(d, m, omega, spinful)
+        dual = build_dual(grid, nuclei=nuclei, truncated_D=D)
+        pw = build_plane_wave(grid, nuclei=nuclei, truncated_D=D)
         assert np.max(np.abs(dual.spectrum() - pw.spectrum())) < 1e-9
 
     def test_truncation_noop_beyond_diameter(self):

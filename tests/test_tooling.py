@@ -663,6 +663,38 @@ def test_reader_scan_sees_calls_names_and_attributes():
         "a.py": {None, "build", "table", "other"}, "b.py": {"Maker"}}
 
 
+def test_one_coulomb_cutoff():
+    """The truncation distance cuts the pair table in one place,
+    ``hamiltonian.dual_coefficients``: it is the only reader of
+    ``min_image_distance``, and the builders and the LCU weights read the
+    cut table from it. No second cutoff helper is left."""
+    trees = source_trees()
+    assert top_level_readers(trees, "min_image_distance") == {
+        "hamiltonian.py": {"dual_coefficients"}}
+    for path in sorted((ROOT / "src" / "pwdual").glob("*.py")):
+        assert "truncated_pairs" not in path.read_text(), path.name
+
+
+def test_cutoff_scan_sees_calls_names_and_attributes():
+    trees = {"a.py": ast.parse(
+        "def table(grid, p, q):\n"
+        "    return grid.min_image_distance(p, q)\n"
+        "def far(grid):\n"
+        "    dist = grid.min_image_distance\n"
+        "    return dist\n"
+        "def near(p):\n"
+        "    return min_image_distance(p, p)\n"
+        "def plain(grid):\n"
+        "    return grid.distance\n"), "b.py": ast.parse(
+        "class Grid:\n"
+        "    def min_image_distance(self, p, q):\n"
+        "        return 0.0\n"
+        "    def diameter(self, sites):\n"
+        "        return max(map(self.min_image_distance, sites, sites))\n")}
+    assert top_level_readers(trees, "min_image_distance") == {
+        "a.py": {"table", "far", "near"}, "b.py": {"Grid"}}
+
+
 def test_one_number_block_view():
     """A full matrix is cut into particle-number blocks in one place,
     ``trotter.number_block_view``, and the Trotter sweep and the FFFT
