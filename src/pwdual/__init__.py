@@ -10,8 +10,7 @@ against an exact statevector engine at small qubit counts.
 from .geometry import Cell, ModeGrid, build_grid
 from .fermion import FermionOperator, normal_order, jordan_wigner, \
     fermion_matrix
-from .pauli import QubitOperator, qubit_operator_matrix, \
-    self_inverse_decompose
+from .pauli import QubitOperator, qubit_operator_matrix
 from .hamiltonian import HamiltonianSet, NucleiSpec, build_plane_wave, \
     build_dual, build_qubit, build_finite_difference, norm_bounds
 from .statevector import Statevector, Gate, Circuit, apply_gate, \
@@ -23,6 +22,6 @@ from .trotter import split_operator_step, direct_jw_step, trotter_step, \
 from .lcu import LcuModel, build_weights, select_matrix, prepare_state, \
     taylor_segment
 from .measurement import MeasurementPlan, estimate_energy, shot_budget
-from .vqe import AnsatzSpec, prepare_reference, optimize, layer_train
+from .vqe import AnsatzSpec, prepare_reference, optimize
 
 __version__ = "0.1.0"

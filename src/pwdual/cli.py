@@ -183,14 +183,14 @@ def resolve(cfg: dict, name: str) -> dict:
     task = _fill(cfg["task"], command.task, "task block")
     if "expected_slope" in task and task["expected_slope"] is None:
         task["expected_slope"] = -float(task["order"])
-    if "r_list" in task:  # the one range no library function reads
-        r_list = task["r_list"]
-        if not r_list or len(set(r_list)) < len(r_list):
-            raise ConfigError(f"r_list in task block must be a non-empty "
-                              f"list of distinct step counts, got {r_list}")
-        if min(r_list) < 1:
-            raise ConfigError(f"each r_list entry in task block must be at "
-                              f"least 1, got {min(r_list)}")
+    for key, value in task.items():  # a list key lists distinct runs
+        if isinstance(value, list) and (
+                not value or len(set(value)) < len(value)):
+            raise ConfigError(f"{key} in task block must be a non-empty "
+                              f"list of distinct entries, got {value}")
+    if "r_list" in task and min(task["r_list"]) < 1:
+        raise ConfigError(f"each r_list entry in task block must be at "
+                          f"least 1, got {min(task['r_list'])}")
     resolved = _fill({"seed": cfg["seed"]}, {"seed": 0}, "config root")
     if resolved["seed"] < 0:
         raise ConfigError(f"seed in config root must be non-negative, got "
@@ -234,6 +234,10 @@ class Run:
             self.grid = build_grid(system["dimension"],
                                    system["modes_per_axis"],
                                    system["volume"], system["spinful"])
+            if not 1 <= self.eta <= self.grid.n_qubits:
+                raise ConfigError(f"system.eta must be from 1 to "
+                                  f"{self.grid.n_qubits} (the qubit count), "
+                                  f"got {self.eta}")
             self.nuclei = _parse_nuclei(system["nuclei"], self.grid)
             self.counts["qubits"] = self.grid.n_qubits
 

@@ -295,9 +295,3 @@ def block_matrix(states: np.ndarray, rows, cols, values) -> np.ndarray:
     out[np.searchsorted(states, rows), np.searchsorted(states, cols)] = values
     return out
 
-
-def total_number_operator(n_orbitals: int) -> FermionOperator:
-    op = FermionOperator()
-    for q in range(n_orbitals):
-        op += FermionOperator.number(q)
-    return op

@@ -17,8 +17,7 @@ shares with the previous basis in sorted order, and its terms draw from
 one distribution, each with its own seed. Seeds are master * 2^16 +
 counter: counter 0 (diagonal) and 1 (kinetic modes) of the plan seed, or
 a term's index among the sorted terms under the plan seed (``per_term``)
-or plan seed + 1 (``diagonal_uv_only``). ``phase_estimation`` is a
-budget-only mode (``BUDGET_MODES``) with no sampled estimator.
+or plan seed + 1 (``diagonal_uv_only``).
 """
 
 from __future__ import annotations
@@ -32,17 +31,19 @@ from .fermion import jordan_wigner
 from .ffft import build_ffft_nd
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, \
     diagonal_potential_values, kinetic_mode_values, norm_bounds
-from .pauli import QubitOperator
+from .pauli import QubitOperator, require_bytes
 from .statevector import Statevector, Gate, apply_circuit, apply_gate, \
     sample_bitstrings, _check_drift
 
 PER_TERM = "per_term"
 DIAGONAL_GROUPS = "diagonal_groups"
 DIAGONAL_UV_ONLY = "diagonal_uv_only"
-PHASE_ESTIMATION = "phase_estimation"
 
 STRATEGIES = (PER_TERM, DIAGONAL_GROUPS, DIAGONAL_UV_ONLY)
-BUDGET_MODES = STRATEGIES + (PHASE_ESTIMATION,)
+# arrays of one 8-byte entry per shot that one draw and the values of its
+# group hold at once: the keys, their order and sorted copy, the picks, the
+# samples and the bit and sort temporaries of the values
+SHOT_TEMPORARIES = 8
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ class MeasurementPlan:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            note = " (budget-only)" if self.strategy in BUDGET_MODES else ""
-            raise ValueError(f"unknown strategy {self.strategy!r}{note}; "
+            raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"choose from {STRATEGIES}")
         if self.shots < 2:
             raise ValueError("need at least 2 shots for a variance estimate")
@@ -121,10 +121,25 @@ def _per_term_samples(state, op, shots, seed, counts):
 
 def _group_samples(state, hs, plan, counts=None, qubit=None):
     """Per-shot values of each sampled group plus the exact offset;
-    ``qubit`` is the compiled ``build_qubit(hs)`` when the caller holds it."""
+    ``qubit`` is the compiled ``build_qubit(hs)`` when the caller holds it.
+    The dense budget refuses the shot count before the first draw."""
     counts = {} if counts is None else counts
     groups = []
     offset = hs.constant
+    # the operator whose terms are sampled one by one, and its seed
+    op, term_seed = QubitOperator(), plan.seed
+    if plan.strategy == DIAGONAL_UV_ONLY:
+        op, term_seed = jordan_wigner(hs.kinetic, hs.n_qubits), plan.seed + 1
+        offset += op.constant().real
+    elif plan.strategy == PER_TERM:
+        op = build_qubit(hs) if qubit is None else qubit
+        offset += op.constant().real - hs.constant  # constant already counted
+    held = len(op.terms) + {PER_TERM: 0, DIAGONAL_UV_ONLY: 1,
+                            DIAGONAL_GROUPS: 2}[plan.strategy]
+    # 8-byte words per shot: every group's values, one basis's rows and
+    # their stacked copy, and the temporaries of one draw and its values
+    require_bytes(8 * plan.shots * (3 * held + SHOT_TEMPORARIES),
+                  f"{plan.shots} shots of {plan.strategy}")
     if plan.strategy in (DIAGONAL_GROUPS, DIAGONAL_UV_ONLY):
         uv = _sample(state, counts, plan.shots, _batch_seed(plan.seed, 0))
         groups.append(diagonal_potential_values(hs, uv))
@@ -135,15 +150,7 @@ def _group_samples(state, hs, plan, counts=None, qubit=None):
                             _batch_seed(plan.seed, 1))
         groups.append(kinetic_mode_values(hs, t_samples))
     counts.update(pauli_terms=0, bases=len(groups))
-    if plan.strategy == DIAGONAL_UV_ONLY:
-        kin = jordan_wigner(hs.kinetic, hs.n_qubits)
-        offset += kin.constant().real
-        groups += _per_term_samples(state, kin, plan.shots, plan.seed + 1,
-                                    counts)
-    elif plan.strategy == PER_TERM:
-        op = build_qubit(hs) if qubit is None else qubit
-        offset += op.constant().real - hs.constant  # constant already counted
-        groups += _per_term_samples(state, op, plan.shots, plan.seed, counts)
+    groups += _per_term_samples(state, op, plan.shots, term_seed, counts)
     counts["shots_drawn"] = plan.shots * len(groups)
     return groups, offset
 
@@ -202,16 +209,14 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
 
     ``absolute`` reads ``precision`` as the energy tolerance; ``relative``
     reads it as tolerance per electron (the allowed absolute error grows
-    with eta, dividing the budget by eta^2). ``strategy`` is one of
-    BUDGET_MODES; the budget-only ``phase_estimation`` scales linearly in
-    1/precision instead of quadratically. Those two read ``qubit``, the
-    compiled ``build_qubit(hs)``, and compile it when it is None.
+    with eta, dividing the budget by eta^2). ``per_term`` reads ``qubit``,
+    the compiled ``build_qubit(hs)``, and compiles it when it is None.
     """
     if precision <= 0:
         raise ValueError("precision must be positive")
     if mode not in ("absolute", "relative"):
         raise ValueError(f"unknown mode {mode!r}")
-    if strategy not in BUDGET_MODES:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     bounds = norm_bounds(hs, eta)
     uv = bounds["max_u"] + bounds["max_v"]
@@ -221,13 +226,11 @@ def shot_budget(hs: HamiltonianSet, eta: int, precision: float,
             budget = (bounds["max_t"] ** 2 + uv ** 2) / precision ** 2
         elif strategy == DIAGONAL_UV_ONLY:
             budget = (bounds["triangle_t"] ** 2 + uv ** 2) / precision ** 2
-        else:  # per_term and phase_estimation read the compiled operator
+        else:  # per_term reads the compiled operator
             if qubit is None:
                 qubit = build_qubit(hs)
             coeff_sum = qubit.coefficient_norm(include_identity=False)
-            budget = coeff_sum / precision
-            if strategy == PER_TERM:
-                budget = budget ** 2
+            budget = (coeff_sum / precision) ** 2
         if mode == "relative":
             budget /= eta ** 2
     except (OverflowError, ZeroDivisionError):

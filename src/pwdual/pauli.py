@@ -11,9 +11,9 @@ each string is a pair of (x, z) masks held as rows of (rows, words) uint64
 arrays, and each row gives its product string and phase. ``_sum_equal``
 then sums equal strings into zeros, each in row order, with keys in the
 order the rows first reach them. Rows are laid out as the scalar loop
-visits them (left term outer, right term inner), so products, the
-Jordan-Wigner compile (``fermion.jordan_wigner``) and ``multiply_strings``
-give the keys, insertion order and coefficient bits of that loop.
+visits them (left term outer, right term inner), so products and the
+Jordan-Wigner compile (``fermion.jordan_wigner``) give the keys, insertion
+order and coefficient bits of that loop.
 """
 
 from __future__ import annotations
@@ -178,13 +178,6 @@ def pauli_string(pairs) -> tuple:
             raise ValueError(f"duplicate qubit {q} in Pauli string")
         d[int(q)] = letter
     return tuple(sorted(d.items()))
-
-
-def multiply_strings(a: tuple, b: tuple):
-    """Product of two Pauli strings: returns (phase, string)."""
-    n = 1 + max((q for q, _ in a + b), default=-1)
-    x, z, k = _mask_product(*_mask_arrays([a], n), *_mask_arrays([b], n))
-    return _I_POWERS[k[0]], _strings(x, z)[0]
 
 
 class TermSum:
@@ -357,23 +350,3 @@ def expectation_value(op: QubitOperator, state: np.ndarray) -> complex:
         for key, coeff in op.items()
     )
 
-
-def self_inverse_decompose(op: QubitOperator, tol=HERMITIAN_TOL):
-    """Split a Hermitian operator into signed nonnegative weights on
-    self-inverse Pauli strings.
-
-    Returns (terms, lam) where terms is a list of (weight, sign, string)
-    and lam is the sum of weights.
-    """
-    if not op.is_hermitian(tol):
-        raise ValueError("self-inverse decomposition needs a Hermitian operator")
-    terms = []
-    lam = 0.0
-    for key, coeff in op.items():
-        w = abs(coeff.real)
-        if w <= tol:
-            continue
-        sign = 1 if coeff.real > 0 else -1
-        terms.append((w, sign, key))
-        lam += w
-    return terms, lam

@@ -1,33 +1,26 @@
-"""Text round-trip for fermion and qubit operators and Hamiltonians. The
-circuit and state formats live in ``statevector`` (``dumps_circuit``,
-``dumps_state``) and the swap-schedule format in ``swapnet``
-(``dumps_schedule``).
+"""Text round-trip for fermion operators and Hamiltonians. The circuit
+format lives in ``statevector`` (``dumps_circuit``) and the swap-schedule
+format in ``swapnet`` (``dumps_schedule``).
 
 Operator lines: ``<re> <im> <factor>...`` with one term per line, factors
-``3^`` (raise orbital 3), ``3`` (lower), or ``X3``/``Y3``/``Z3``. Numbers
-print with 17 significant digits, which round-trips IEEE doubles exactly.
+``3^`` (raise orbital 3) or ``3`` (lower). Numbers print with 17
+significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
 
 from .fermion import FermionOperator, RAISE, LOWER
-from .pauli import QubitOperator, pauli_string
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _term_line(coeff, factors) -> str:
-    tail = (" " + " ".join(factors)) if factors else ""
-    return f"{fmt(coeff.real)} {fmt(coeff.imag)}{tail}"
-
-
 def dumps_fermion(op: FermionOperator) -> str:
     lines = []
     for key, coeff in op.items():
-        factors = [f"{q}^" if f == RAISE else f"{q}" for q, f in key]
-        lines.append(_term_line(coeff, factors))
+        factors = "".join(f" {q}^" if f == RAISE else f" {q}" for q, f in key)
+        lines.append(f"{fmt(coeff.real)} {fmt(coeff.imag)}{factors}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -122,18 +115,3 @@ def loads_hamiltonian(text: str):
         float(header["constant"]), header["representation"], grid,
         int(header["n_qubits"]), NucleiSpec.build(nuclei), truncation)
 
-
-def dumps_qubit(op: QubitOperator) -> str:
-    lines = []
-    for key, coeff in op.items():
-        factors = [f"{letter}{q}" for q, letter in key]
-        lines.append(_term_line(coeff, factors))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def loads_qubit(text: str) -> QubitOperator:
-    op = QubitOperator()
-    for coeff, tokens in _term_lines(text):
-        key = pauli_string((int(tok[1:]), tok[0]) for tok in tokens)
-        op.terms[key] = op.terms.get(key, 0.0) + coeff
-    return op

@@ -2,7 +2,7 @@
 
 Bit convention (fixed everywhere): basis-state index bit b_q is the
 occupation of qubit q, and qubit 0 is the least significant bit. All
-serialized states and bitstrings use this order.
+sampled bitstrings use this order.
 
 Sampling uses numpy's Philox counter-based generator (Philox4x64-10), so a
 fixed seed reproduces shot sequences across platforms.
@@ -597,30 +597,3 @@ def loads_circuit(text: str, n_qubits: int) -> Circuit:
                           dagger=dagger))
     return Circuit(n_qubits, gates)
 
-
-def dumps_state(state: Statevector) -> str:
-    from .serialize import fmt
-    lines = ["index,re,im"]
-    for i, a in enumerate(state.amplitudes):
-        lines.append(f"{i},{fmt(a.real)},{fmt(a.imag)}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_state(text: str) -> Statevector:
-    rows = [line for line in text.splitlines() if line and not
-            line.startswith("index")]
-    if not rows or len(rows) & (len(rows) - 1):
-        raise ValueError(f"state needs a power-of-two row count, got "
-                         f"{len(rows)}")
-    n = len(rows).bit_length() - 1
-    amps = np.zeros(len(rows), dtype=complex)
-    seen = set()
-    for row in rows:
-        idx, re, im = row.split(",")
-        idx = int(idx)
-        if idx in seen or not 0 <= idx < len(rows):
-            raise ValueError(f"state row index {idx} repeated or outside "
-                             f"0..{len(rows) - 1}")
-        seen.add(idx)
-        amps[idx] = complex(float(re), float(im))
-    return Statevector(n, amps)

@@ -1,8 +1,8 @@
 """Variational ground-state search for the dual-basis Hamiltonian: a
 mode-occupation reference rotated by the Fourier circuit (its amplitudes are
 determinants of the circuit's single-particle matrix), layered
-phase-rotation ansatz circuits, a derivative-free optimizer loop, and
-layer-by-layer training against an interaction ramp.
+phase-rotation ansatz circuits, and a derivative-free optimizer loop that
+a smaller ansatz's optimum can warm-start (``embed_parameters``).
 
 The optimizer runs the ansatz on the eta-electron sector (every ansatz
 gate conserves number): the site and pair phases are one phase vector, the
@@ -52,32 +52,17 @@ class AnsatzSpec:
 # -- reference state ----------------------------------------------------------
 
 
-def lowest_mode_occupation(grid: ModeGrid, eta: int, spin_pattern="paired"):
-    """Qubits to occupy for the eta lowest single-particle mode energies.
+def lowest_mode_occupation(grid: ModeGrid, eta: int) -> list:
+    """Qubits to occupy, ascending, for the eta lowest single-particle mode
+    energies; both spins of a mode fill before the next mode.
 
     Ties at the boundary break lexicographically in the mode vector and a
-    warning flags the open shell. ``spin_pattern``: "paired" fills both
-    spins of a mode before the next, "polarized" fills spin-up only, or an
-    explicit list of (mode vector, spin) pairs.
+    warning flags the open shell.
     """
     if eta > grid.n_qubits:
         raise ValueError(f"{eta} electrons exceed {grid.n_qubits} orbitals")
-    if isinstance(spin_pattern, str):
-        order = []
-        for nu in grid.modes_by_energy():
-            if grid.cell.spinful:
-                if spin_pattern == "paired":
-                    order.extend([(nu, UP), (nu, DOWN)])
-                elif spin_pattern == "polarized":
-                    order.append((nu, UP))
-                else:
-                    raise ValueError(f"unknown spin pattern {spin_pattern!r}")
-            else:
-                order.append((nu, None))
-    else:
-        order = list(spin_pattern)
-    if eta > len(order):
-        raise ValueError("spin pattern provides too few orbitals")
+    spins = (UP, DOWN) if grid.cell.spinful else (None,)
+    order = [(nu, spin) for nu in grid.modes_by_energy() for spin in spins]
     chosen = order[:eta]
     if eta and len(order) > eta:
         last = grid.k_squared(chosen[-1][0])
@@ -86,20 +71,16 @@ def lowest_mode_occupation(grid: ModeGrid, eta: int, spin_pattern="paired"):
             warnings.warn(
                 "degenerate mode shell at the boundary; filling by "
                 "lexicographic tiebreak", stacklevel=2)
-    qubits = []
-    for nu, spin in chosen:
-        slot = grid.mode_slot(nu)
-        qubits.append(grid.qubit_index(grid.index_site(slot), spin))
-    return sorted(qubits), chosen
+    return sorted(grid.qubit_index(grid.index_site(grid.mode_slot(nu)), spin)
+                  for nu, spin in chosen)
 
 
-def prepare_reference(grid: ModeGrid, eta: int,
-                      spin_pattern="paired") -> Statevector:
+def prepare_reference(grid: ModeGrid, eta: int) -> Statevector:
     """C^dag|J> for the Fourier circuit C and the state J that occupies the
     eta lowest modes: a kinetic-term eigenstate on the site basis. Its
     amplitudes <I|C^dag|J> = conj(<J|C|I>) are row J of
     ``sector_transform``, with no gate applied; its support is the sector."""
-    qubits, _ = lowest_mode_occupation(grid, eta, spin_pattern)
+    qubits = lowest_mode_occupation(grid, eta)
     n, dim = grid.n_qubits, math.comb(grid.n_qubits, eta)
     # the state, the sector's bit table, one row of minors and det's copy
     require_bytes(16 * 2 ** n + 24 * dim * n + 32 * dim * eta ** 2,
@@ -203,8 +184,7 @@ class SectorModel:
     conjugate of F's row J (``prepare_reference``), with no 2^n vector.
     """
 
-    def __init__(self, ansatz: Ansatz, hs: HamiltonianSet, eta: int,
-                 spin_pattern="paired"):
+    def __init__(self, ansatz: Ansatz, hs: HamiltonianSet, eta: int):
         n = ansatz.grid.n_qubits
         dim = math.comb(n, eta)
         # the Fourier matrix, one chunk of minors with the copy det takes,
@@ -214,7 +194,7 @@ class SectorModel:
                       + 12 * dim * (2 * n + n * (n - 1)),
                       f"the {eta}-electron sector of {n} qubits "
                       f"({dim} states)")
-        qubits, _ = lowest_mode_occupation(ansatz.grid, eta, spin_pattern)
+        qubits = lowest_mode_occupation(ansatz.grid, eta)
         self.ansatz = ansatz
         self.n_qubits = n
         self.states = sector_states(n, eta)
@@ -276,7 +256,7 @@ def sector_ground_energy(hs: HamiltonianSet, eta: int) -> float:
 
 
 def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
-             spin_pattern="paired", restarts: int = 4, maxiter: int = 600,
+             restarts: int = 4, maxiter: int = 600,
              initial_values=None, plan=None) -> OptimizeResult:
     """Simplex search over the ansatz parameters from a zero start plus
     seeded random restarts; the trace records the best energy so far, so it
@@ -301,7 +281,7 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
         raise ValueError(f"restarts and maxiter must be >= 1, got restarts="
                          f"{restarts}, maxiter={maxiter}")
     ansatz = Ansatz(spec, hs.grid)
-    model = SectorModel(ansatz, hs, eta, spin_pattern)
+    model = SectorModel(ansatz, hs, eta)
     e_ref = model.energy(model.reference, model.d_uv)
 
     trace = []
@@ -356,38 +336,3 @@ def embed_parameters(source: OptimizeResult, target: "Ansatz") -> np.ndarray:
             values[i] = lookup[name]
     return values
 
-
-def interaction_ramp(hs: HamiltonianSet, fraction: float) -> HamiltonianSet:
-    """T + U + fraction * V, for the adiabatic training schedule."""
-    return HamiltonianSet(hs.kinetic, hs.external,
-                          hs.interaction * fraction, hs.constant, DUAL,
-                          hs.grid, hs.n_qubits, hs.nuclei, hs.truncation)
-
-
-def layer_train(spec: AnsatzSpec, hs: HamiltonianSet, eta: int,
-                spin_pattern="paired", maxiter: int = 400) -> OptimizeResult:
-    """Train layer m against T + U + (m/M) V with earlier layers frozen,
-    then report the full-Hamiltonian energy of the assembled parameters."""
-    import scipy.optimize
-    ansatz = Ansatz(spec, hs.grid)
-    model = SectorModel(ansatz, hs, eta, spin_pattern)
-    values = np.zeros(ansatz.parameter_count)
-    for layer in range(spec.layers):
-        active = [i for i, (lay, _, _) in enumerate(ansatz.names)
-                  if lay == layer]
-        target = interaction_ramp(hs, (layer + 1) / spec.layers)
-        d_uv = diagonal_potential_values(target, model.states)
-
-        def objective(sub):
-            trial = values.copy()
-            trial[active] = sub
-            return model.energy(model.state(trial), d_uv)
-
-        res = scipy.optimize.minimize(
-            objective, values[active], method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
-        values[active] = res.x
-    final = model.energy(model.state(values), model.d_uv)
-    e_ref = model.energy(model.reference, model.d_uv)
-    return OptimizeResult(theta=values, energy=final,
-                          reference_energy=e_ref, names=list(ansatz.names))

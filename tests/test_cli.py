@@ -186,9 +186,27 @@ class TestConfig:
         assert run(tmp_path, "trotter-sweep", *SMALL,
                    f"task.r_list={r_list}") == 2
         rule = ("r_list in task block must be a non-empty list of distinct "
-                "step counts" if got.startswith("[") else
+                "entries" if got.startswith("[") else
                 "each r_list entry in task block must be at least 1")
         assert f"{rule}, got {got}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,item,got", [
+        ("build", "task.representations=[]", "[]"),
+        ("build", 'task.representations=["dual","dual"]',
+         "['dual', 'dual']"),
+        ("lcu-check", "task.orders=[]", "[]"),
+        ("lcu-check", "task.orders=[2,2]", "[2, 2]"),
+        ("lcu-check", "task.orders=[4, 2, 4.0]", "[4, 2, 4]"),
+    ])
+    def test_empty_or_repeated_list_exit_2(self, tmp_path, capsys, command,
+                                           item, got):
+        """An empty list built or checked nothing and passed; a repeated
+        representation was built twice and a repeated order reported
+        once."""
+        assert run(tmp_path, command, *SMALL, item) == 2
+        key = item.split("=")[0].split(".")[1]
+        assert f"{key} in task block must be a non-empty list of distinct " \
+            f"entries, got {got}" in capsys.readouterr().err
 
     def test_integral_float_is_an_integer(self, tmp_path):
         assert run(tmp_path, "measure", *SMALL, "system.eta=1",
@@ -288,6 +306,35 @@ class TestExitCodes:
         assert run(tmp_path, "measure", *SMALL,
                    "task.strategy=phase_estimation") == 2
         assert "unknown strategy 'phase_estimation'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(
+        name for name, spec in COMMANDS.items() if spec.system))
+    @pytest.mark.parametrize("eta", [0, 3])
+    def test_eta_outside_the_register_exit_2(self, tmp_path, capsys,
+                                             command, eta):
+        """On the default 2-qubit grid, 3 electrons were built, checked and
+        swept (trotter-sweep suggested an r for them) and 0 electrons were
+        optimized as the vacuum, all with exit 0."""
+        assert run(tmp_path, command, f"system.eta={eta}") == 2
+        assert f"system.eta must be from 1 to 2 (the qubit count), got " \
+            f"{eta}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["diagonal_groups", "per_term",
+                                          "diagonal_uv_only"])
+    def test_oversized_shot_count_exit_2(self, tmp_path, capsys, strategy):
+        # one draw's 3e9 random keys alone would need 22.4 GiB
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "measure", *SMALL, "task.shots=3000000000",
+                       f"task.strategy={strategy}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"3000000000 shots of {strategy} needs" in err
+        assert "limited to DENSE_BYTES_LIMIT" in err
+        assert peak < 16 * 2 ** 20
 
     def test_oversized_statevector_exit_2(self, tmp_path, capsys):
         # 40 qubits: the reference state alone would need 16 TiB

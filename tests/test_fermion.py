@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pwdual.fermion import FermionOperator, RAISE, LOWER, normal_order, \
-    jordan_wigner, fermion_matrix, total_number_operator
+    jordan_wigner, fermion_matrix
 from pwdual.pauli import QubitOperator, qubit_operator_matrix, \
-    self_inverse_decompose, multiply_strings, pauli_string, apply_string, \
-    string_matrix
+    apply_string, string_matrix
 
 
 def op(spec, coeff=1.0):
@@ -138,12 +137,17 @@ class TestHermiticity:
 
 class TestPauliAlgebra:
     def test_string_products(self):
-        phase, out = multiply_strings(pauli_string([(0, "X")]),
-                                      pauli_string([(0, "Y")]))
-        assert phase == 1j and out == ((0, "Z"),)
-        phase, out = multiply_strings(pauli_string([(0, "Z")]),
-                                      pauli_string([(0, "Z")]))
-        assert phase == 1 and out == ()
+        x, y, z = (QubitOperator.from_term([(0, p)]) for p in "XYZ")
+        assert (x * y).terms == {((0, "Z"),): 1j}
+        assert (z * z).terms == {(): 1}
+
+    @pytest.mark.parametrize("pairs,match", [
+        ([(3, "Q")], "bad Pauli letter"),
+        ([(3, "X"), (3, "Z")], "duplicate qubit"),
+    ])
+    def test_malformed_string_rejected(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            QubitOperator.from_term(pairs)
 
     def test_operator_product_matrix(self):
         rng = np.random.default_rng(3)
@@ -206,47 +210,10 @@ class TestTermSum:
         assert type(diff) is cls and diff.terms == {} and repr(diff) == "0"
 
 
-class TestSelfInverseDecompose:
-    def test_two_terms(self):
-        h = QubitOperator({(((0, "Z")),): 0.5})
-        h = QubitOperator()
-        h.terms[((0, "Z"),)] = 0.5
-        h.terms[((1, "X"),)] = -0.25
-        terms, lam = self_inverse_decompose(h)
-        assert lam == pytest.approx(0.75)
-        assert (0.5, 1, ((0, "Z"),)) in terms
-        assert (0.25, -1, ((1, "X"),)) in terms
-
-    def test_zero_operator(self):
-        terms, lam = self_inverse_decompose(QubitOperator())
-        assert terms == [] and lam == 0.0
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        h = QubitOperator()
-        for _ in range(6):
-            qs = rng.choice(4, size=2, replace=False)
-            key = tuple(sorted((int(q), "Z") for q in qs))
-            h.terms[key] = rng.normal()
-        terms, lam = self_inverse_decompose(h)
-        rebuilt = QubitOperator()
-        for w, sign, key in terms:
-            rebuilt.terms[key] = rebuilt.terms.get(key, 0.0) + sign * w
-        diff = (h - rebuilt).simplify()
-        assert not diff.terms
-        assert lam == pytest.approx(sum(abs(c) for c in h.terms.values()))
-
-    def test_rejects_non_hermitian(self):
-        h = QubitOperator()
-        h.terms[((0, "Z"),)] = 1j
-        with pytest.raises(ValueError):
-            self_inverse_decompose(h)
-
-
 class TestParticleNumber:
     def test_number_commutes_with_hopping(self):
         n = 4
-        big_n = fermion_matrix(total_number_operator(n), n)
+        big_n = np.diag(np.bitwise_count(np.arange(2 ** n)))
         hop = op("0^ 3") + op("3^ 0") + op("1^ 2", 0.5j) + op("2^ 1", -0.5j)
         mat = fermion_matrix(hop, n)
         assert np.max(np.abs(big_n @ mat - mat @ big_n)) < 1e-10

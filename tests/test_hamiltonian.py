@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwdual.fermion import FermionOperator, RAISE, LOWER, fermion_matrix, \
-    jordan_wigner, total_number_operator
+    jordan_wigner
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_plane_wave, build_dual, build_qubit, \
     build_finite_difference, norm_bounds, onsite_repulsion, NucleiSpec
@@ -186,7 +186,7 @@ class TestDual:
 
     def test_components_conserve_particle_number(self):
         hs = jellium_dual(1, 4, 4.0, False)
-        n_op = fermion_matrix(total_number_operator(hs.n_qubits), hs.n_qubits)
+        n_op = np.diag(np.bitwise_count(np.arange(2 ** hs.n_qubits)))
         for part in (hs.kinetic, hs.interaction):
             mat = fermion_matrix(part, hs.n_qubits)
             assert np.max(np.abs(n_op @ mat - mat @ n_op)) < 1e-10
@@ -340,29 +340,12 @@ class TestNormBounds:
                                "triangle_t", "triangle_h"}
 
 
-class TestSelfInverseSplit:
-    def test_qubit_jellium_weights_match_coefficient_sum(self):
-        from pwdual.pauli import self_inverse_decompose
-        hs = jellium_dual(1, 2, 4.0, False)
-        op = build_qubit(hs)
-        terms, lam = self_inverse_decompose(op)
-        independent = sum(abs(c) for c in op.terms.values())
-        assert lam == pytest.approx(independent, abs=1e-12)
-        rebuilt = {}
-        for w, sign, key in terms:
-            rebuilt[key] = rebuilt.get(key, 0.0) + sign * w
-        for key, coeff in op.terms.items():
-            assert rebuilt.get(key, 0.0) == pytest.approx(coeff.real,
-                                                          abs=1e-12)
-
-
 class TestParticleNumberAllRepresentations:
     @pytest.mark.parametrize("builder", [build_plane_wave, build_dual])
     def test_emitted_hamiltonians_commute_with_number(self, builder):
         grid = build_grid(1, 4, 4.0, False)
         hs = builder(grid, nuclei=[((0.8,), 1.0)])
-        n_op = fermion_matrix(total_number_operator(hs.n_qubits),
-                              hs.n_qubits)
+        n_op = np.diag(np.bitwise_count(np.arange(2 ** hs.n_qubits)))
         mat = fermion_matrix(hs.total(), hs.n_qubits)
         assert np.max(np.abs(n_op @ mat - mat @ n_op)) < 1e-10
 
@@ -370,8 +353,7 @@ class TestParticleNumberAllRepresentations:
         hs, _ = build_finite_difference((2, 1, 1), 1.0,
                                         nuclei=[((0.3, 0.2, 0.1), 2.0)],
                                         spinful=True)
-        n_op = fermion_matrix(total_number_operator(hs.n_qubits),
-                              hs.n_qubits)
+        n_op = np.diag(np.bitwise_count(np.arange(2 ** hs.n_qubits)))
         mat = fermion_matrix(hs.total(), hs.n_qubits)
         assert np.max(np.abs(n_op @ mat - mat @ n_op)) < 1e-10
 

@@ -10,7 +10,7 @@ from pwdual.hamiltonian import build_dual, build_plane_wave, build_qubit
 from pwdual.measurement import MeasurementPlan, estimate_energy, \
     empirical_variance, empirical_shot_requirement, shot_budget, \
     exact_group_variances, diagonal_potential_values, PER_TERM, \
-    DIAGONAL_GROUPS, DIAGONAL_UV_ONLY, PHASE_ESTIMATION, _batch_seed, \
+    DIAGONAL_GROUPS, DIAGONAL_UV_ONLY, _batch_seed, \
     _group_samples, _pauli_term_values, _per_term_samples
 from pwdual.pauli import QubitOperator
 from pwdual.statevector import Statevector, Circuit, Gate, apply_circuit, \
@@ -111,13 +111,6 @@ class TestEstimateEnergy:
         with pytest.raises(ValueError):
             MeasurementPlan("guess", 10, 0)
 
-    def test_rejects_budget_only_mode(self):
-        with pytest.raises(ValueError, match="budget-only"):
-            MeasurementPlan(PHASE_ESTIMATION, 10, 0)
-        with pytest.raises(ValueError,
-                           match="unknown strategy 'phase_estimation'"):
-            MeasurementPlan(PHASE_ESTIMATION, 10, 0)
-
 
 class TestDiagonalExactness:
     @pytest.mark.parametrize("m,spinful", [(2, True), (4, False)])
@@ -171,12 +164,6 @@ class TestShotBudget:
         pt = shot_budget(hs, 2, 0.1, strategy=PER_TERM)
         dg = shot_budget(hs, 2, 0.1, strategy=DIAGONAL_GROUPS)
         assert pt >= dg
-
-    def test_phase_estimation_linear(self):
-        hs = jellium()
-        b1 = shot_budget(hs, 2, 0.2, strategy=PHASE_ESTIMATION)
-        b2 = shot_budget(hs, 2, 0.1, strategy=PHASE_ESTIMATION)
-        assert b2 == pytest.approx(2 * b1)
 
     def test_diagonal_budgets_compile_nothing(self, monkeypatch):
         hs = jellium(4, spinful=True)

@@ -4,9 +4,8 @@ import pytest
 from pwdual.fermion import FermionOperator, RAISE, LOWER
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_plane_wave
-from pwdual.pauli import QubitOperator
-from pwdual.serialize import dumps_fermion, loads_fermion, dumps_qubit, \
-    loads_qubit, dumps_hamiltonian, loads_hamiltonian, fmt
+from pwdual.serialize import dumps_fermion, loads_fermion, \
+    dumps_hamiltonian, loads_hamiltonian, fmt
 
 
 def test_fermion_round_trip_bit_exact():
@@ -26,31 +25,10 @@ def test_fermion_factor_tokens():
     assert "3^ 3" in text
 
 
-def test_qubit_round_trip_bit_exact():
-    op = QubitOperator()
-    op.terms[((0, "X"), (2, "Z"))] = 0.1 + 0.2j
-    op.terms[((1, "Y"),)] = -1.0 / 7.0
-    op.terms[()] = 4.0
-    text = dumps_qubit(op)
-    back = loads_qubit(text)
-    assert back.terms == op.terms
-    assert dumps_qubit(back) == text
-
-
-@pytest.mark.parametrize("line,match", [
-    ("1 0 Q3", "bad Pauli letter"),
-    ("1 0 X3 Z3", "duplicate qubit"),
-])
-def test_qubit_malformed_term_rejected(line, match):
-    with pytest.raises(ValueError, match=match):
-        loads_qubit(line + "\n")
-
-
-@pytest.mark.parametrize("loads", [loads_fermion, loads_qubit])
 @pytest.mark.parametrize("text", ["1", "1 0\n2"])
-def test_term_line_without_imaginary_part_rejected(loads, text):
+def test_term_line_without_imaginary_part_rejected(text):
     with pytest.raises(ValueError, match="imaginary part"):
-        loads(text + "\n")
+        loads_fermion(text + "\n")
 
 
 def test_fmt_round_trips_doubles():

@@ -8,8 +8,7 @@ from pwdual.pauli import QubitOperator, qubit_operator_matrix, \
     _real_if_exact
 from pwdual.statevector import Statevector, Gate, Circuit, apply_gate, \
     apply_circuit, circuit_matrix, exact_evolve, expectation, \
-    sample_bitstrings, dumps_circuit, loads_circuit, dumps_state, \
-    loads_state, fk_gate, make_rng
+    sample_bitstrings, dumps_circuit, loads_circuit, fk_gate, make_rng
 
 
 def kron_embed(mat2q, t0, t1, n):
@@ -391,24 +390,6 @@ class TestRoundTrips:
         back = loads_circuit(text, 4)
         assert dumps_circuit(back) == text
         assert np.allclose(circuit_matrix(back), circuit_matrix(circ))
-
-    def test_state_csv(self):
-        rng = np.random.default_rng(2)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = Statevector(3, amps)
-        back = loads_state(dumps_state(state))
-        assert back.n_qubits == 3
-        assert np.array_equal(back.amplitudes, state.amplitudes)
-
-    @pytest.mark.parametrize("rows", [
-        ["0,1,0", "1,0,0", "2,0,0"],            # not a power of two
-        ["0,1,0", "0,0,0"],                     # repeated index
-        ["0,1,0", "2,0,0"],                     # index out of range
-    ])
-    def test_state_csv_malformed_rejected(self, rows):
-        with pytest.raises(ValueError):
-            loads_state("\n".join(["index,re,im"] + rows) + "\n")
 
 
 def test_fk_defining_conjugation():

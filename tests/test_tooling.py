@@ -752,3 +752,87 @@ def test_block_slice_scan_sees_gathers_and_masks():
         "    keep = m[order][:, order], s[:, None] * m, np.ix_(order, order)\n"
         "    return m[:, None] < 0, m[0, 1:] != m[None, 0]\n")
     assert block_slices(tree) == [(2, "a"), (4, "b"), (6, "c"), (7, "c")]
+
+
+def public_names(tree) -> list:
+    """Names of the public top-level functions, classes and assignments."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name):
+            found.append(node.target.id)
+    return [name for name in found if not name.startswith("_")]
+
+
+def unread_public_names(trees: dict, criteria) -> list:
+    """(module, name) of each public top-level name that no top-level
+    statement of the package reads, its own definition and the re-exports
+    of ``__init__.py`` aside, and that the ``criteria`` tree does not read."""
+    found = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for name in public_names(tree):
+            readers = top_level_readers(trees, name)
+            readers.pop("__init__.py", None)
+            readers.get(module, set()).discard(name)
+            if not any(readers.values()) and not name_uses(criteria, name):
+                found.append((module, name))
+    return found
+
+
+# the public names with no reader in the package or the criteria, and why
+# each stays
+PUBLIC_EXEMPT = {
+    ("measurement.py", "exact_group_variances"):
+        "the matrix-level variances the sampled estimator is checked "
+        "against, until an exact variance on the sector replaces them",
+    ("measurement.py", "empirical_variance"):
+        "the sampled single-shot variance checked against those",
+    ("serialize.py", "loads_hamiltonian"):
+        "reads the hamiltonian_<rep>.txt files that build writes",
+    ("statevector.py", "loads_circuit"):
+        "reads the ffft_circuit.txt file that ffft-check writes",
+}
+
+
+def test_every_public_name_has_a_reader():
+    """A public name of the package is read by a command (cli.py), by
+    another definition of the package or by an acceptance criterion; a name
+    that only unit tests read leaves the package, unless PUBLIC_EXEMPT
+    says why it stays."""
+    criteria = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    found = set(unread_public_names(source_trees(), criteria))
+    assert not found - set(PUBLIC_EXEMPT), "read only by unit tests: " \
+        f"{sorted(found - set(PUBLIC_EXEMPT))}"
+    assert not set(PUBLIC_EXEMPT) - found, "exempt but read: " \
+        f"{sorted(set(PUBLIC_EXEMPT) - found)}"
+
+
+def test_public_name_scan_sees_exports_recursion_and_criteria():
+    trees = {"__init__.py": ast.parse(
+        "from .a import used, helper, Shape\n"), "a.py": ast.parse(
+        "LIMIT = 4\n"
+        "def used(n):\n"
+        "    return n < LIMIT\n"
+        "def helper(n):\n"
+        "    return helper(n - 1) if n else 0\n"
+        "class Shape:\n"
+        "    size: int = 0\n"
+        "def _private():\n"
+        "    return 1\n"
+        "def checked():\n"
+        "    return 2\n"), "b.py": ast.parse(
+        "from .a import used\n"
+        "def run():\n"
+        "    return used(3)\n")}
+    criteria = ast.parse("from pwdual.a import checked\n"
+                         "def test_criterion():\n"
+                         "    assert checked() == 2\n")
+    assert unread_public_names(trees, criteria) == [
+        ("a.py", "helper"), ("a.py", "Shape"), ("b.py", "run")]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pwdual import ffft, vqe
 from pwdual.ffft import build_ffft_nd
-from pwdual.fermion import fermion_matrix, total_number_operator
+from pwdual.fermion import fermion_matrix
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_qubit, HamiltonianSet, \
     DUAL, NucleiSpec
@@ -17,19 +17,18 @@ from pwdual.pauli import DenseLimitError
 from pwdual.statevector import Statevector, apply_circuit, dumps_circuit, \
     expectation
 from pwdual.vqe import AnsatzSpec, Ansatz, prepare_reference, \
-    lowest_mode_occupation, optimize, layer_train, \
-    sector_ground_energy, interaction_ramp, embed_parameters, SectorModel, \
-    sector_states, sector_transform
+    lowest_mode_occupation, optimize, sector_ground_energy, \
+    embed_parameters, SectorModel, sector_states, sector_transform
 
 
 def jellium_m4():
     return build_dual(build_grid(1, 4, 4.0))
 
 
-def pushed_reference(grid, eta, spin_pattern="paired"):
+def pushed_reference(grid, eta):
     """The reference built gate by gate: the mode-occupation product state
     pushed through every gate of the inverse Fourier circuit."""
-    qubits, _ = lowest_mode_occupation(grid, eta, spin_pattern)
+    qubits = lowest_mode_occupation(grid, eta)
     bits = [1 if q in set(qubits) else 0 for q in range(grid.n_qubits)]
     product = Statevector.basis_state(grid.n_qubits, bits)
     rotation = build_ffft_nd(grid).inverse()
@@ -77,13 +76,11 @@ class TestReference:
         with pytest.warns(UserWarning, match="degenerate"):
             lowest_mode_occupation(grid, 2)
 
-    def test_spin_patterns(self):
+    def test_fills_both_spins_of_a_mode_first(self):
         grid = build_grid(1, 2, 4.0, spinful=True)
-        paired, chosen = lowest_mode_occupation(grid, 2, "paired")
-        assert chosen[0][0] == chosen[1][0]  # both spins of the lowest mode
-        polar, chosen = lowest_mode_occupation(grid, 2, "polarized")
-        assert all(spin == "up" for _, spin in chosen)
-        assert all(q % 2 == 0 for q in polar)
+        up, down = lowest_mode_occupation(grid, 2)
+        assert grid.qubit_site_index(up) == grid.qubit_site_index(down)
+        assert not grid.same_spin(up, down)
 
     def test_too_many_electrons(self):
         grid = build_grid(1, 2, 4.0)
@@ -91,24 +88,22 @@ class TestReference:
             prepare_reference(grid, 3)
 
     # 1D and 2D, spinless and spinful, a degenerate shell (1D M=4 with two
-    # electrons), eta = 0 and eta = n, and both spin patterns
+    # electrons), an open spin shell (spinful, eta = 3), eta = 0 and eta = n
     @pytest.mark.filterwarnings("ignore:degenerate")
-    @pytest.mark.parametrize("grid_args,eta,pattern", [
-        ((1, 4, 4.0, False), 2, "paired"),
-        ((1, 4, 4.0, True), 3, "paired"),
-        ((1, 4, 4.0, True), 3, "polarized"),
-        ((2, 2, 4.0, True), 3, "paired"),
-        ((2, 2, 4.0, False), 0, "paired"),
-        ((1, 8, 8.0, False), 8, "paired"),
-        ((1, 2, 4.0, True), 4, "paired"),
-        ((2, 4, 4.0, False), 4, "paired"),
-        ((1, 8, 8.0, True), 4, "paired"),
+    @pytest.mark.parametrize("grid_args,eta", [
+        ((1, 4, 4.0, False), 2),
+        ((1, 4, 4.0, True), 3),
+        ((2, 2, 4.0, True), 3),
+        ((2, 2, 4.0, False), 0),
+        ((1, 8, 8.0, False), 8),
+        ((1, 2, 4.0, True), 4),
+        ((2, 4, 4.0, False), 4),
+        ((1, 8, 8.0, True), 4),
     ])
-    def test_equals_the_gate_by_gate_reference(self, grid_args, eta,
-                                               pattern):
+    def test_equals_the_gate_by_gate_reference(self, grid_args, eta):
         grid = build_grid(*grid_args)
-        state = prepare_reference(grid, eta, pattern)
-        pushed = pushed_reference(grid, eta, pattern)
+        state = prepare_reference(grid, eta)
+        pushed = pushed_reference(grid, eta)
         # the vacuum phase included: no global phase is divided out
         assert np.max(np.abs(state.amplitudes - pushed.amplitudes)) < 1e-14
         assert np.array_equal(state.support,
@@ -186,8 +181,7 @@ class TestAnsatz:
         rng = np.random.default_rng(8)
         circ = ansatz.circuit(rng.normal(size=ansatz.parameter_count))
         out = apply_circuit(ref, circ)
-        n_mat = fermion_matrix(total_number_operator(grid.n_qubits),
-                               grid.n_qubits)
+        n_mat = np.diag(np.bitwise_count(np.arange(2 ** grid.n_qubits)))
         val = np.real(out.amplitudes.conj() @ n_mat @ out.amplitudes)
         assert val == pytest.approx(2.0, abs=1e-10)
 
@@ -268,32 +262,6 @@ class TestSampledObjective:
         exact = optimize(AnsatzSpec(), hs, eta=2, seed=3, restarts=2,
                          maxiter=150)
         assert abs(noisy.energy - exact.energy) < 0.2
-
-
-@pytest.mark.filterwarnings("ignore:degenerate")
-class TestLayerTrain:
-    def test_single_layer_matches_optimize_target(self):
-        hs = jellium_m4()
-        res = layer_train(AnsatzSpec(layers=1), hs, eta=2)
-        assert res.energy <= res.reference_energy + 1e-12
-
-    def test_ramp_endpoints(self):
-        hs = jellium_m4()
-        h0 = interaction_ramp(hs, 0.0)
-        assert h0.interaction.simplify().terms == {}
-        h1 = interaction_ramp(hs, 1.0)
-        for key, coeff in hs.interaction.terms.items():
-            assert h1.interaction.terms[key] == pytest.approx(coeff)
-
-    def test_layered_beats_half_of_random_baseline(self):
-        hs = jellium_m4()
-        e_exact = sector_ground_energy(hs, 2)
-        trained = layer_train(AnsatzSpec(layers=2), hs, eta=2)
-        joint = optimize(AnsatzSpec(layers=2), hs, eta=2, seed=2, restarts=2,
-                         maxiter=300)
-        gap_trained = trained.energy - e_exact
-        gap_joint = max(joint.energy - e_exact, 1e-12)
-        assert gap_trained <= 2.0 * gap_joint + 1e-6
 
 
 # -- the eta-electron sector --------------------------------------------------
