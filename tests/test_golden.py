@@ -39,6 +39,11 @@ def gate_sequence(circ) -> str:
      "607ea1a4a1d50f947c96617b06184c67bc2c70fe4e0be44c41b05e041851d50a"),
     ((2, 4, 16.0, False), ("planar", 4, 4),
      "1a1bd7d5e75e494bb4284b4853445f142608c663ab89b68f5f960a7f69e75c78"),
+    # the construct benchmark's 16x16 planar transform (34,048 gates)
+    ((2, 16, 256.0, False), ("planar", 16, 16),
+     "21afa396afea7d8bae9f0fcc66b5e176d9f403217cdc5d14255dfc9e3c37ee8d"),
+    ((3, 4, 64.0, False), None,
+     "ed75d84a12f6531e8e9e15110243999dbee300c777a62004f3985be3bd18a621"),
 ])
 def test_ffft_text(grid, connectivity, digest):
     circ = build_ffft_nd(build_grid(*grid), connectivity=connectivity)
@@ -96,6 +101,20 @@ def test_planar_split_step_text():
     assert len(circ.gates) == 20705
     assert sha(dumps_circuit(circ)) == \
         "0e06a6e3f023215975a2ec2985d412c4c2dca7f4c69b4c745d3886193d98ec70"
+
+
+def test_planar_split_step_inverse():
+    """The inverse of the construct benchmark's planar step: reversed
+    order, negated angles and flipped dagger flags."""
+    hs = build_dual(build_grid(1, 64, 64.0),
+                    NucleiSpec.build([((17.3,), 1.0)]))
+    circ = split_operator_step(hs, 0.1,
+                               connectivity=("planar", 8, 8)).inverse()
+    assert len(circ.gates) == 20705
+    assert gate_sequence(circ) == \
+        "8dcc5e9f5de4a324ef046674bf536b2f20a3b026d202cfc679500a3f8c5584fa"
+    assert sha(dumps_circuit(circ)) == \
+        "796f070e22be4f0e8bcd1156d9adcc04fa38ff9ad817a0e882fdb76edf3499c2"
 
 
 def test_planar_split_step_gates():
