@@ -18,11 +18,14 @@ into spin blocks, transforming each block, and sorting back.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .geometry import ModeGrid
 from .pauli import require_bytes
-from .statevector import Circuit, Gate, fk_gate
+from .statevector import KIND_CODE, Circuit, Gate, GateColumns, \
+    gate_columns
 from .swapnet import _is_power_of_two, transposition_phases
 
 # entries of a two-qubit matrix that mix the 0-, 1- and 2-particle blocks
@@ -30,12 +33,31 @@ _OUTSIDE_BLOCKS = np.array([[0, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1],
                             [1, 1, 1, 0]], dtype=bool)
 
 
-def _fswap_sort(positions, keys):
-    """Fermionic swaps (application order) moving the orbital at slot i to
-    slot ``keys[i]``; ``positions`` maps slot -> qubit. Fermionic swaps are
-    self-inverse, so the reversed list undoes the move."""
-    return [Gate("FSWAP", (positions[i], positions[i + 1]))
-            for phase in transposition_phases(keys) for i in phase]
+def _swaps(keys):
+    """(kind, pairs, angle) columns of the fermionic swaps of slots
+    (i, i + 1), in application order, that move the orbital at slot i to
+    slot ``keys[i]``, on qubits 0, 1, ...; fermionic swaps are
+    self-inverse, so the reversed columns undo the move."""
+    slots = np.fromiter(chain.from_iterable(transposition_phases(keys)),
+                        dtype=np.int64)
+    return (np.full(len(slots), KIND_CODE["FSWAP"]),
+            slots[:, None] + np.arange(2), np.zeros(len(slots)))
+
+
+def _stack(pieces, shift=0):
+    """(kind, pairs, angle) columns of the pieces in order, the pairs
+    moved up by ``shift`` qubits; a piece is such columns."""
+    kind, pairs, angle = (np.concatenate(column) for column in zip(*pieces))
+    return kind, pairs + shift, angle
+
+
+def _reversed(piece):
+    return tuple(column[::-1] for column in piece)
+
+
+def _piece(columns: GateColumns):
+    """(kind, pairs, angle) columns of two-qubit GateColumns."""
+    return columns.kind, columns.targets.reshape(-1, 2), columns.angle
 
 
 def _even_odd_keys(m):
@@ -44,30 +66,34 @@ def _even_odd_keys(m):
     return [j // 2 + (j % 2) * (m // 2) for j in range(m)]
 
 
-def _ffft_1d_ops(positions):
-    """Gate list (application order) for one 1D transform over ``positions``.
+def _ffft_1d_ops(positions) -> GateColumns:
+    """Gates (application order) of one 1D transform over ``positions``
+    (slot -> qubit), as columns.
 
     Steps follow the decimation data flow: even/odd sort, half transforms,
     riffle, butterfly layer, output sort. The single-particle matrices of
-    the steps then compose right-to-left into the mode transform.
+    the steps then compose right-to-left into the mode transform. The half
+    transform is made once, on slots 0..M/2-1, and moved onto each half.
     """
     m = len(positions)
-    if m == 1:
-        return []
     half = m // 2
-    ops = _fswap_sort(positions, _even_odd_keys(m))
-    ops += _ffft_1d_ops(positions[:half])
-    ops += _ffft_1d_ops(positions[half:])
-    # riffle: [E0..E_{m/2-1}, O0..O_{m/2-1}] -> [E0, O0, E1, O1, ...]
-    ops += _fswap_sort(positions, [2 * j if j < half else 2 * (j - half) + 1
-                                   for j in range(m)])
-    # one butterfly layer: pair (2j, 2j+1) combines E_j with O_j
-    for j in range(half):
-        ops.append(fk_gate(j, m, positions[2 * j], positions[2 * j + 1]))
-    # outputs sit as [c_0, c_{m/2}, c_1, c_{1+m/2}, ...]; restore mode order
-    ops += _fswap_sort(positions, [x for j in range(half)
-                                   for x in (j, half + j)])
-    return ops
+    if m == 1:
+        return gate_columns("FK", np.zeros((0, 2), dtype=np.int64))
+    sub = _piece(_ffft_1d_ops(list(range(half))))
+    j = np.arange(half)
+    kind, pairs, angle = _stack([
+        _swaps(_even_odd_keys(m)), sub, _stack([sub], half),
+        # riffle: [E0..E_{m/2-1}, O0..O_{m/2-1}] -> [E0, O0, E1, O1, ...]
+        _swaps([2 * i if i < half else 2 * (i - half) + 1
+                for i in range(m)]),
+        # one butterfly layer: pair (2j, 2j+1) combines E_j with O_j under
+        # the twiddle exp(-2 pi i j / M)
+        (np.full(half, KIND_CODE["FK"]), 2 * j[:, None] + np.arange(2),
+         2.0 * np.pi * j / m),
+        # outputs sit as [c_0, c_{m/2}, c_1, c_{1+m/2}, ...]; restore mode
+        # order
+        _swaps([x for i in range(half) for x in (i, half + i)])])
+    return gate_columns(kind, np.asarray(positions)[pairs], angle)
 
 
 def _axis_keys(grid: ModeGrid, axis):
@@ -86,36 +112,30 @@ def _axis_keys(grid: ModeGrid, axis):
 def build_ffft_nd(grid: ModeGrid, connectivity=None) -> Circuit:
     """Axis-by-axis transform on a d-dimensional grid, with fermionic-swap
     relabelings between axes; spinful grids sort the interleaved spins into
-    blocks (all up, then all down), transform each block, and sort back."""
+    blocks (all up, then all down), transform each block, and sort back.
+
+    Built as columns: the 1D transform is made once, on qubits 0..M-1,
+    and tiled over the lines of each axis; each axis sort is made once
+    and serves both spin blocks."""
     m = grid.modes_per_axis
     if not _is_power_of_two(m):
         raise ValueError(f"modes per axis must be a power of two, got {m}")
     n_spatial = grid.n_spatial
-    axis_keys = [_axis_keys(grid, axis)
-                 for axis in range(grid.dimension - 1, -1, -1)]
-
-    def spatial_ops(offset):
-        """Gates for one spin sector occupying positions
-        [offset, offset + n_spatial)."""
-        sector = []
-        positions = list(range(offset, offset + n_spatial))
-        for keys in axis_keys:
-            to_axis = _fswap_sort(positions, keys)
-            sector += to_axis
-            for run in range(0, n_spatial, m):
-                sector += _ffft_1d_ops(positions[run:run + m])
-            sector += to_axis[::-1]
-        return sector
-
+    kind, pairs, angle = _piece(_ffft_1d_ops(list(range(m))))
+    lines = np.arange(0, n_spatial, m)
+    tiled = (np.tile(kind, len(lines)),
+             (pairs + lines[:, None, None]).reshape(-1, 2),
+             np.tile(angle, len(lines)))
+    pieces = []
+    for axis in range(grid.dimension - 1, -1, -1):
+        to_axis = _swaps(_axis_keys(grid, axis))
+        pieces += [to_axis, tiled, _reversed(to_axis)]
+    sector = _stack(pieces)
     if grid.cell.spinful:
-        to_blocks = _fswap_sort(range(2 * n_spatial),
-                                _even_odd_keys(2 * n_spatial))
-        ops = to_blocks + spatial_ops(0) + spatial_ops(n_spatial) \
-            + to_blocks[::-1]
-    else:
-        ops = spatial_ops(0)
-
-    return Circuit(grid.n_qubits, ops, connectivity)
+        to_blocks = _swaps(_even_odd_keys(2 * n_spatial))
+        sector = _stack([to_blocks, sector, _stack([sector], n_spatial),
+                         _reversed(to_blocks)])
+    return Circuit.join(grid.n_qubits, [gate_columns(*sector)], connectivity)
 
 
 def mode_ladder_operator(grid: ModeGrid, nu, spin=None):

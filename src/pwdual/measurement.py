@@ -119,20 +119,34 @@ def _per_term_samples(state, op, shots, seed, counts):
     return out
 
 
-def _group_samples(state, hs, plan, counts=None, qubit=None):
+def _compile(hs, strategy: str):
+    """What ``strategy`` compiles from ``hs`` before it samples: the
+    operator whose terms are sampled one by one (``build_qubit(hs)`` for
+    per_term, ``jordan_wigner`` of the kinetic term for diagonal_uv_only)
+    or, for diagonal_groups, the mode rotation ``build_ffft_nd``."""
+    if strategy == PER_TERM:
+        return build_qubit(hs)
+    if strategy == DIAGONAL_UV_ONLY:
+        return jordan_wigner(hs.kinetic, hs.n_qubits)
+    return build_ffft_nd(hs.grid)
+
+
+def _group_samples(state, hs, plan, counts=None, compiled=None):
     """Per-shot values of each sampled group plus the exact offset;
-    ``qubit`` is the compiled ``build_qubit(hs)`` when the caller holds it.
-    The dense budget refuses the shot count before the first draw."""
+    ``compiled`` is ``_compile(hs, plan.strategy)`` when the caller holds
+    it. The dense budget refuses the shot count before the first draw."""
     counts = {} if counts is None else counts
+    if compiled is None:
+        compiled = _compile(hs, plan.strategy)
     groups = []
     offset = hs.constant
     # the operator whose terms are sampled one by one, and its seed
     op, term_seed = QubitOperator(), plan.seed
     if plan.strategy == DIAGONAL_UV_ONLY:
-        op, term_seed = jordan_wigner(hs.kinetic, hs.n_qubits), plan.seed + 1
+        op, term_seed = compiled, plan.seed + 1
         offset += op.constant().real
     elif plan.strategy == PER_TERM:
-        op = build_qubit(hs) if qubit is None else qubit
+        op = compiled
         offset += op.constant().real - hs.constant  # constant already counted
     held = len(op.terms) + {PER_TERM: 0, DIAGONAL_UV_ONLY: 1,
                             DIAGONAL_GROUPS: 2}[plan.strategy]
@@ -144,8 +158,7 @@ def _group_samples(state, hs, plan, counts=None, qubit=None):
         uv = _sample(state, counts, plan.shots, _batch_seed(plan.seed, 0))
         groups.append(diagonal_potential_values(hs, uv))
     if plan.strategy == DIAGONAL_GROUPS:
-        rotation = build_ffft_nd(hs.grid)
-        rotated = apply_circuit(state, rotation)
+        rotated = apply_circuit(state, compiled)
         t_samples = _sample(rotated, counts, plan.shots,
                             _batch_seed(plan.seed, 1))
         groups.append(kinetic_mode_values(hs, t_samples))
@@ -157,7 +170,7 @@ def _group_samples(state, hs, plan, counts=None, qubit=None):
 
 def estimate_energy(state: Statevector, hs: HamiltonianSet,
                     plan: MeasurementPlan, counts: dict = None,
-                    qubit: QubitOperator = None):
+                    compiled=None):
     """Unbiased energy estimate and its standard error.
 
     Groups are sampled independently; the estimate is the sum of group
@@ -166,12 +179,15 @@ def estimate_energy(state: Statevector, hs: HamiltonianSet,
     (one distribution per distinct basis of each group), ``shots_drawn``,
     ``support`` (basis states of the largest distribution drawn from) and
     ``dense_draws`` (distributions drawn from a state without a support).
-    ``per_term`` reads ``qubit``, the compiled ``build_qubit(hs)``, and
-    compiles it when it is None.
+    ``compiled`` is what the strategy compiles from ``hs``: the operator
+    ``build_qubit(hs)`` for per_term, ``jordan_wigner(hs.kinetic)`` for
+    diagonal_uv_only, the mode rotation ``build_ffft_nd(hs.grid)`` for
+    diagonal_groups. It is compiled here when None; a caller that
+    estimates many times compiles it once (``_compile``).
     """
     if hs.representation != DUAL:
         raise ValueError("estimators are defined on the dual representation")
-    groups, offset = _group_samples(state, hs, plan, counts, qubit)
+    groups, offset = _group_samples(state, hs, plan, counts, compiled)
     estimate = offset + sum(float(np.mean(g)) for g in groups)
     variance = sum(float(np.var(g, ddof=1)) / len(g) for g in groups)
     return estimate, math.sqrt(variance)

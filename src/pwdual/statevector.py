@@ -4,6 +4,14 @@ Bit convention (fixed everywhere): basis-state index bit b_q is the
 occupation of qubit q, and qubit 0 is the least significant bit. All
 sampled bitstrings use this order.
 
+Circuits store their gates as columns (GateColumns: kind codes, flat
+targets with per-gate offsets, angles, Pauli letters by index into a
+table, dagger flags); ``Circuit.gates`` is the tuple of Gate records made
+from them the first time it is read. Each gate is checked once, by
+``_check_gates``, when the circuit that first holds it is made:
+``Circuit.join`` carries the check of the circuits it joins and reads only
+the new gates, and ``Circuit.inverse`` reads none.
+
 Sampling uses numpy's Philox counter-based generator (Philox4x64-10), so a
 fixed seed reproduces shot sequences across platforms.
 """
@@ -13,8 +21,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -135,9 +143,161 @@ class Gate(NamedTuple):
         return m.conj().T if self.dagger else m
 
 
-def fk_gate(k: int, m_modes: int, p: int, q: int) -> Gate:
-    """Butterfly gate with twiddle exp(-2*pi*i*k/M) acting on orbitals (p, q)."""
-    return Gate("FK", (p, q), angle=2.0 * np.pi * k / m_modes)
+# a kind's code is its index in GATE_KINDS
+KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+_KIND_NAMES = tuple(GATE_KINDS)
+_PEXP = KIND_CODE["PEXP"]
+# targets of each kind by code, 0 for PEXP (one per letter), and the
+# kinds whose inverse negates the angle or flips the dagger flag
+_ARITY = np.array([spec.arity or 0 for spec in GATE_KINDS.values()])
+_NEGATES = np.array([spec.inverse == _NEGATE for spec in GATE_KINDS.values()])
+_DAGGERS = np.array([spec.inverse == _DAGGER for spec in GATE_KINDS.values()])
+
+
+class GateColumns(NamedTuple):
+    """Gates as columns: gate i is kind ``kind[i]`` (its KIND_CODE) on
+    ``targets[offsets[i]:offsets[i + 1]]`` at ``angle[i]``, with the Pauli
+    letters ``letter_table[letters[i]]`` and the dagger flag ``dagger[i]``."""
+
+    kind: np.ndarray
+    offsets: np.ndarray
+    targets: np.ndarray
+    angle: np.ndarray
+    letters: np.ndarray
+    letter_table: tuple
+    dagger: np.ndarray
+
+    def gate(self, i: int) -> Gate:
+        """The record of gate i; a code outside GATE_KINDS stays a code."""
+        code = int(self.kind[i])
+        start, stop = self.offsets[i:i + 2]
+        return Gate(_KIND_NAMES[code] if 0 <= code < len(_KIND_NAMES)
+                    else code, tuple(self.targets[start:stop].tolist()),
+                    float(self.angle[i]), self.letter_table[self.letters[i]],
+                    bool(self.dagger[i]))
+
+    def records(self) -> tuple:
+        """Every gate as a record. Equal gates share one record; a gate is
+        its row of kind, letters, dagger flag, angle bits (so 0.0 and -0.0
+        stay apart) and targets."""
+        sizes = np.diff(self.offsets)
+        rows = np.full((len(sizes), 4 + sizes.max(initial=0)), -1,
+                       dtype=np.int64)
+        rows[:, 0], rows[:, 1], rows[:, 2] = \
+            self.kind, self.letters, self.dagger
+        rows[:, 3] = self.angle.view(np.int64)
+        gate = np.repeat(np.arange(len(sizes)), sizes)
+        rows[gate, 4 + np.arange(len(gate)) - self.offsets[gate]] = \
+            self.targets
+        _, first, at = np.unique(
+            rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+        # one record per distinct gate, made without a Python-level call
+        flat = self.targets.tolist()
+        spans = map(slice, self.offsets[first].tolist(),
+                    self.offsets[first + 1].tolist())
+        distinct = list(map(tuple.__new__, repeat(Gate), zip(
+            map(_KIND_NAMES.__getitem__, self.kind[first].tolist()),
+            map(tuple, map(flat.__getitem__, spans)),
+            self.angle[first].tolist(),
+            map(self.letter_table.__getitem__, self.letters[first].tolist()),
+            self.dagger[first].tolist())))
+        return tuple(map(distinct.__getitem__, at.tolist()))
+
+    def inverse(self) -> "GateColumns":
+        """The gates in reverse order, each one's Gate.inverse."""
+        kind = self.kind[::-1]
+        sizes = np.diff(self.offsets)[::-1]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        at = np.repeat(self.offsets[-2::-1] - offsets[:-1], sizes) \
+            + np.arange(offsets[-1])
+        angle = self.angle[::-1]
+        return GateColumns(kind, offsets, self.targets[at],
+                           np.where(_NEGATES[kind], -angle, angle),
+                           self.letters[::-1], self.letter_table,
+                           self.dagger[::-1] ^ _DAGGERS[kind])
+
+
+def gate_columns(kind, targets, angle=0.0, letters=0,
+                 letter_table=("",)) -> GateColumns:
+    """New gates of one arity as columns (for ``Circuit.join``): ``targets``
+    a (gates, arity) integer array; ``kind`` a kind name or each gate's
+    KIND_CODE; ``angle`` and ``letters`` (an index into ``letter_table``)
+    one value for all gates or one per gate. Targets that are not integers
+    raise TypeError: columns hold integers."""
+    targets = np.asarray(targets).astype(np.int64, casting="same_kind")
+    count, arity = targets.shape
+    kind = KIND_CODE[kind] if isinstance(kind, str) else kind
+    return GateColumns(
+        np.broadcast_to(kind, count).astype(np.int8),
+        arity * np.arange(count + 1), targets.reshape(-1),
+        np.broadcast_to(angle, count).astype(float),
+        np.broadcast_to(letters, count).astype(np.int32),
+        tuple(letter_table), np.zeros(count, dtype=bool))
+
+
+def _records_columns(records) -> GateColumns:
+    """Checked Gate records as columns."""
+    if not records:
+        return gate_columns("H", np.zeros((0, 1), dtype=np.int64))
+    kinds, targets, angles, letters, daggers = zip(*records)
+    letters = [s or "" for s in letters]  # the rules let falsy mean none
+    table = dict.fromkeys([""] + letters)
+    code = {s: i for i, s in enumerate(table)}
+    sizes = np.fromiter(map(len, targets), dtype=np.int64, count=len(kinds))
+    return GateColumns(
+        np.array([KIND_CODE[k] for k in kinds], dtype=np.int8),
+        np.concatenate([[0], np.cumsum(sizes)]),
+        np.fromiter(chain.from_iterable(targets), dtype=np.int64,
+                    count=int(sizes.sum())),
+        np.array(angles, dtype=float),
+        np.array([code[s] for s in letters], dtype=np.int32), tuple(table),
+        np.array(daggers, dtype=bool))
+
+
+def _concat(blocks) -> GateColumns:
+    """The gates of ``blocks`` in order, in new arrays."""
+    blocks = list(blocks) or [_records_columns(())]
+    table = {}
+    for block in blocks:
+        table.update(dict.fromkeys(block.letter_table))
+    code = {s: i for i, s in enumerate(table)}
+    ends = np.cumsum([0] + [len(b.targets) for b in blocks])
+    return GateColumns(
+        np.concatenate([b.kind for b in blocks], dtype=np.int8),
+        np.concatenate([[0]] + [b.offsets[1:] + end
+                                for b, end in zip(blocks, ends)]),
+        np.concatenate([b.targets for b in blocks], dtype=np.int64),
+        np.concatenate([b.angle for b in blocks], dtype=float),
+        np.concatenate([np.array([code[s] for s in b.letter_table],
+                                 dtype=np.int32)[b.letters]
+                        for b in blocks]),
+        tuple(table), np.concatenate([b.dagger for b in blocks], dtype=bool))
+
+
+def _rule_breakers(columns: GateColumns) -> np.ndarray:
+    """Indices of the gates that break a gate rule of ``_check_gates``:
+    an unknown kind code, letters, target count, a repeated target or an
+    angle that is not finite."""
+    kind = columns.kind.astype(np.intp)
+    known = (kind >= 0) & (kind < len(_KIND_NAMES))
+    table = columns.letter_table
+    pauli = np.array([bool(s) and not s.strip("XYZ") for s in table])
+    length = np.array([len(s) for s in table])
+    pexp = kind == _PEXP
+    sizes = np.diff(columns.offsets)
+    letters = columns.letters
+    bad = ~known | ~np.isfinite(columns.angle) \
+        | ~np.where(pexp, pauli[letters], length[letters] == 0) \
+        | (sizes != np.where(pexp, length[letters],
+                             _ARITY[np.where(known, kind, 0)]))
+    targets, starts = columns.targets, columns.offsets[:-1]
+    two = np.flatnonzero(sizes == 2)
+    bad[two] |= targets[starts[two]] == targets[starts[two] + 1]
+    for i in np.flatnonzero(sizes > 2).tolist():
+        bad[i] |= len(set(targets[starts[i]:starts[i] + sizes[i]].tolist())) \
+            < sizes[i]
+    return np.flatnonzero(bad)
 
 
 def _check_gates(gates, n: int, connectivity: tuple = None):
@@ -145,13 +305,24 @@ def _check_gates(gates, n: int, connectivity: tuple = None):
     each gate has a kind of GATE_KINDS, Pauli letters X, Y, Z on PEXP only,
     as many distinct targets as it takes and a finite angle; each target
     is an integer in range(n); and on a ("planar", rows, cols) lattice of
-    n sites each multi-qubit gate acts on neighbours. A gate must hash;
-    equal gates pass or fail alike, so the gate and lattice rules run once
-    per distinct gate, in order of first appearance; the integer test
-    reads every target, since 1.0 equals 1."""
-    distinct = list(dict.fromkeys(gates))
-    for g in distinct:
-        kind, targets, angle, letters, _ = g
+    n sites each multi-qubit gate acts on neighbours.
+
+    ``gates`` are Gate records or GateColumns. A record must hash; equal
+    records pass or fail alike, so the gate and lattice rules run once per
+    distinct record, in order of first appearance; the integer test reads
+    every target, since 1.0 equals 1. Columns hold integer targets; array
+    tests find the gates that break a gate rule or the lattice, and the
+    record of the first names it."""
+    if isinstance(gates, GateColumns):
+        columns, targets = gates, gates.targets
+        named = columns.gate
+        suspects = map(named, _rule_breakers(columns).tolist())
+    else:
+        columns, targets = None, None
+        suspects = distinct = list(dict.fromkeys(gates))
+        named = distinct.__getitem__
+    for g in suspects:
+        kind, qubits, angle, letters, _ = g
         spec = GATE_KINDS.get(kind)
         if spec is None:
             raise ValueError(f"unknown gate kind {kind!r}")
@@ -163,21 +334,24 @@ def _check_gates(gates, n: int, connectivity: tuple = None):
             arity = len(letters)
         elif letters:
             raise ValueError(f"{kind} takes no Pauli letters")
-        if len(targets) != arity:
+        if len(qubits) != arity:
             raise ValueError(f"{kind} needs {arity} targets, got "
-                             f"{len(targets)}")
-        if arity > 1 and len(set(targets)) != arity:
+                             f"{len(qubits)}")
+        if arity > 1 and len(set(qubits)) != arity:
             raise ValueError(f"repeated target in {g}")
         if not math.isfinite(angle):
             raise ValueError(f"angle of {g} is not finite")
-    targets = [g.targets for g in gates]
-    try:
-        used = set(map(operator.index, chain.from_iterable(targets)))
-        inside = not used or 0 <= min(used) and max(used) < n
-    except TypeError:  # a target that is not an integer
-        inside = False
+    if columns is None:
+        targets = list(chain.from_iterable(g.targets for g in gates))
+        try:
+            used = set(map(operator.index, targets))
+            inside = not used or 0 <= min(used) and max(used) < n
+        except TypeError:  # a target that is not an integer
+            inside = False
+    else:
+        inside = not targets.size or 0 <= targets.min() and targets.max() < n
     if not inside:  # name the first target that is not an integer in range
-        for t in chain.from_iterable(targets):
+        for t in targets:
             try:
                 inside = 0 <= operator.index(t) < n
             except TypeError:
@@ -194,66 +368,157 @@ def _check_gates(gates, n: int, connectivity: tuple = None):
         raise ValueError(f"planar lattice {rows}x{cols} has {rows * cols}"
                          f" sites, not {n} qubits")
     from .swapnet import snake_position
-    targets = [g.targets for g in distinct]
-    sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
-    # every target is by now an integer in range(n)
-    flat = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
+    if columns is None:  # every target is by now an integer in range(n)
+        columns = _records_columns(distinct)
+    sizes = np.diff(columns.offsets)
     wide = np.flatnonzero(sizes > 2)
     wide = wide[0] if wide.size else len(sizes)
     two = np.flatnonzero(sizes[:wide] == 2)
-    start = np.cumsum(sizes) - sizes
-    pairs = flat[start[two, None] + np.arange(2)]
+    pairs = columns.targets[columns.offsets[two, None] + np.arange(2)]
     r, c = snake_position(cols, np.arange(n, dtype=np.int64))
     far = np.flatnonzero(np.abs(np.diff(r[pairs]))
                          + np.abs(np.diff(c[pairs])) != 1)
     if far.size:
         (r1, r2), (c1, c2) = r[pairs[far[0]]].tolist(), \
             c[pairs[far[0]]].tolist()
-        raise ValueError(f"gate {distinct[two[far[0]]]} acts on non-adjacent "
+        raise ValueError(f"gate {named(two[far[0]])} acts on non-adjacent "
                          f"grid sites ({r1},{c1})-({r2},{c2})")
     if wide < len(sizes):
         raise ValueError(f"planar circuit holds >2-qubit gate "
-                         f"{distinct[wide]}")
+                         f"{named(wide)}")
 
 
-@dataclass(frozen=True)
+def _assemble(n_qubits: int, columns: GateColumns, connectivity: tuple,
+              circuit: "Circuit" = None) -> "Circuit":
+    """``circuit`` (a new Circuit by default) holding ``columns`` as they
+    are, read-only, with no check: the one way to make a Circuit whose
+    gates ``_check_gates`` does not read here. Its callers pass gates it
+    has read (``Circuit``, ``Circuit.join``) or their inverses."""
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    circuit = object.__new__(Circuit) if circuit is None else circuit
+    for name, value in (("n_qubits", n_qubits), ("columns", columns),
+                        ("connectivity", connectivity), ("_gates", None)):
+        object.__setattr__(circuit, name, value)
+    return circuit
+
+
 class Circuit:
-    """Immutable gate sequence with optional planar-grid connectivity,
-    validated once, when it is made (``check_connectivity``).
+    """Immutable gate sequence with optional planar-grid connectivity.
 
     connectivity is None (all-to-all) or ("planar", rows, cols) with
     rows * cols == n_qubits; planar qubits are laid out along a
     boustrophedon path (swapnet.snake_qubit) so that chain-adjacent qubit
     labels are always grid-adjacent.
+
+    The gates are stored once, as read-only GateColumns; ``gates`` is the
+    tuple of their records, made the first time it is read. Each gate is
+    checked once (``_check_gates``): ``Circuit(n, gates, connectivity)``
+    checks its Gate records, ``Circuit.join`` only the gates that no
+    checked part carries, and ``inverse`` none.
     """
 
-    n_qubits: int
-    gates: tuple = ()
-    connectivity: tuple = None
+    __slots__ = ("n_qubits", "columns", "connectivity", "_gates")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        self.check_connectivity()
+    def __init__(self, n_qubits: int, gates=(), connectivity: tuple = None):
+        """A circuit of ``gates``, Gate records or GateColumns, checked."""
+        if not isinstance(gates, GateColumns):
+            gates = tuple(gates)
+        _check_gates(gates, n_qubits, connectivity)
+        _assemble(n_qubits, _concat([gates]) if isinstance(
+            gates, GateColumns) else _records_columns(gates), connectivity,
+            self)
+
+    @classmethod
+    def join(cls, n_qubits: int, parts, connectivity: tuple = None):
+        """The gates of ``parts`` in order, as one circuit. A part is a
+        Circuit, Gate records or GateColumns (``gate_columns``). A Circuit
+        on this register keeps its check when its lattice is this one's,
+        or when this circuit is all-to-all; every other gate is new, and
+        ``_check_gates`` reads the new gates together, so the first
+        offender is named as the whole gate list would name it."""
+        blocks, new = [], []
+        for part in parts:
+            if isinstance(part, Circuit):
+                if part.n_qubits == n_qubits and connectivity in (
+                        None, part.connectivity):
+                    blocks.append(part.columns)
+                    continue
+                part = part.columns
+            elif not isinstance(part, GateColumns):
+                part = tuple(part)
+            blocks.append(part)
+            new.append(part)
+        if all(isinstance(part, GateColumns) for part in new):
+            joined = _concat(blocks)
+            _check_gates(joined if len(new) == len(blocks) else _concat(new),
+                         n_qubits, connectivity)
+            return _assemble(n_qubits, joined, connectivity)
+        # records among them: check every new gate as a record
+        _check_gates([g for part in new for g in (
+            part.records() if isinstance(part, GateColumns) else part)],
+            n_qubits, connectivity)
+        return _assemble(n_qubits, _concat(
+            b if isinstance(b, GateColumns) else _records_columns(b)
+            for b in blocks), connectivity)
+
+    def __setattr__(self, name, _value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def gates(self) -> tuple:
+        if self._gates is None:
+            object.__setattr__(self, "_gates", self.columns.records())
+        return self._gates
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.n_qubits, self.connectivity, self.gates) == \
+            (other.n_qubits, other.connectivity, other.gates)
+
+    def __hash__(self):
+        return hash((self.n_qubits, self.gates, self.connectivity))
+
+    def __repr__(self):
+        return (f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, "
+                f"connectivity={self.connectivity!r})")
+
+    def __reduce__(self):
+        return _assemble, (self.n_qubits, self.columns, self.connectivity)
 
     def inverse(self) -> "Circuit":
-        return Circuit(self.n_qubits,
-                       [g.inverse() for g in reversed(self.gates)],
-                       self.connectivity)
+        """Gates in reverse order, each inverted; valid as this circuit
+        is, so not checked again."""
+        return _assemble(self.n_qubits, self.columns.inverse(),
+                         self.connectivity)
 
     def depth(self) -> int:
-        """Greedy layering: gates sharing a qubit may not share a layer."""
+        """Greedy layering: gates sharing a qubit may not share a layer.
+        One pass over the target column."""
         level = [0] * self.n_qubits
-        depth = 0
-        for g in self.gates:
-            layer = 1 + max(level[t] for t in g.targets)
-            for t in g.targets:
-                level[t] = layer
-            depth = max(depth, layer)
-        return depth
+        flat, offsets = self.columns.targets.tolist(), \
+            self.columns.offsets.tolist()
+        for start, stop in zip(offsets, offsets[1:]):
+            if stop - start == 1:
+                level[flat[start]] += 1
+            elif stop - start == 2:
+                p, q = flat[start], flat[start + 1]
+                level[p] = level[q] = max(level[p], level[q]) + 1
+            else:
+                layer = 1 + max(level[t] for t in flat[start:stop])
+                for t in flat[start:stop]:
+                    level[t] = layer
+        return max(level, default=0)
 
     def check_connectivity(self):
-        """``_check_gates`` on this circuit's gates, register and lattice."""
-        _check_gates(self.gates, self.n_qubits, self.connectivity)
+        """``_check_gates`` on this circuit's gates, register and lattice
+        again."""
+        _check_gates(self.columns, self.n_qubits, self.connectivity)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import Circuit, Gate
+from .statevector import KIND_CODE, Circuit, gate_columns
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -305,12 +305,14 @@ def lower_diagonal_layer(pair_phases: dict, schedule: SwapSchedule):
     _, first = np.unique(a * n + b, return_index=True)
     angle = np.zeros(len(labels))
     angle[meets[first]] = table[a[first], b[first]]
-    gates, swap_gate = [], {}
-    for edge, phi in zip(map(tuple, schedule.pairs.tolist()), angle.tolist()):
-        if phi:
-            gates.append(Gate("PEXP", edge, angle=phi, letters="ZZ"))
-        if edge not in swap_gate:  # gates are immutable, so one per edge
-            swap_gate[edge] = Gate("SWAP", edge)
-        gates.append(swap_gate[edge])
-    return Circuit(n, gates, ("planar", schedule.rows, schedule.cols)), \
-        final_labels.tolist()
+    # each swap, after its pair's rotation when it carries one
+    zz = angle != 0
+    swap = np.repeat(np.arange(len(zz)), 1 + zz)
+    rotation = np.zeros(len(swap), dtype=bool)
+    rotation[np.cumsum(1 + zz)[zz] - 2] = True
+    kind = np.where(rotation, KIND_CODE["PEXP"], KIND_CODE["SWAP"])
+    gates = gate_columns(kind, schedule.pairs[swap],
+                         np.where(rotation, angle[swap], 0.0), rotation,
+                         ("", "ZZ"))
+    return Circuit.join(n, [gates], ("planar", schedule.rows,
+                                     schedule.cols)), final_labels.tolist()

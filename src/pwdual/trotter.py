@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .ffft import _minor_rows, build_ffft_nd, sector_transform
 from .hamiltonian import HamiltonianSet, DUAL, build_qubit, diagonal_terms, \
     diagonal_potential_values, kinetic_mode_values, mode_phases
 from .pauli import QubitOperator, require_bytes
-from .statevector import Circuit, Gate
+from .statevector import GATE_KINDS, Circuit, Gate, gate_columns
 from .swapnet import build_full_schedule, lower_diagonal_layer, \
     transposition_phases
 
@@ -35,10 +36,19 @@ STEP_COUNT_CONSTANT = 1.0
 
 
 def _diagonal_potential_gates(hs: HamiltonianSet, tau: float):
-    """Exact gates for exp(-i (U + V) tau): number phases and pair phases."""
+    """Exact gates for exp(-i (U + V) tau): number phases and pair phases,
+    as columns."""
     external, interaction = diagonal_terms(hs)
-    return [Gate("PHASEN", (q,), angle=-u * tau) for q, u in external] \
-        + [Gate("CPHASE", pair, angle=-v * tau) for pair, v in interaction]
+    return [_phase_columns("PHASEN", [(q,) for q, _ in external],
+                           [-u * tau for _, u in external]),
+            _phase_columns("CPHASE", [pair for pair, _ in interaction],
+                           [-v * tau for _, v in interaction])]
+
+
+def _phase_columns(kind: str, targets, angles):
+    """``gate_columns`` of ``kind`` on each target tuple at its angle."""
+    return gate_columns(kind, np.array(targets, dtype=np.int64).reshape(
+        -1, GATE_KINDS[kind].arity), angles)
 
 
 def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
@@ -47,9 +57,10 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
     Pair phases run through the swap schedule as exp(-i phi ZZ) rotations;
     a chain sort undoes the schedule's final label permutation so later
     layers see qubits in place. Single-qubit corrections and the accumulated
-    global phase are emitted up front.
+    global phase are emitted up front. Returns the parts for
+    ``Circuit.join``: the new gates as columns, the lowered layer as its
+    checked circuit.
     """
-    gates = []
     z_angle = {}      # coefficient of Z_q in (U + V) tau
     global_phase = 0.0
     pair_phases = {}
@@ -65,23 +76,24 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
         z_angle[q1] = z_angle.get(q1, 0.0) - theta / 4.0
         z_angle[q2] = z_angle.get(q2, 0.0) - theta / 4.0
         pair_phases[(q1, q2)] = pair_phases.get((q1, q2), 0.0) + theta / 4.0
-    gates.append(Gate("GPHASE", (0,), angle=global_phase))
-    for q, ang in sorted(z_angle.items()):
-        # exp(+i ang Z) = RZ(-2 ang)
-        gates.append(Gate("RZ", (q,), angle=2.0 * ang))
-    circ, final_labels = lower_diagonal_layer(pair_phases, schedule)
-    gates += circ.gates
+    # exp(+i ang Z) = RZ(-2 ang)
+    z_gates = sorted(z_angle.items())
+    lowered, final_labels = lower_diagonal_layer(pair_phases, schedule)
     # chain-adjacent qubits are lattice neighbors along the snake path
-    gates.extend(Gate("SWAP", (i, i + 1))
-                 for phase in transposition_phases(final_labels)
-                 for i in phase)
-    return gates
+    swaps = np.fromiter(chain.from_iterable(
+        transposition_phases(final_labels)), dtype=np.int64)
+    return [_phase_columns("GPHASE", [(0,)], [global_phase]),
+            _phase_columns("RZ", [(q,) for q, _ in z_gates],
+                           [2.0 * ang for _, ang in z_gates]),
+            lowered, gate_columns("SWAP", swaps[:, None] + np.arange(2))]
 
 
 def _kinetic_mode_gates(hs: HamiltonianSet, tau: float):
     """exp(-i T_diag tau) in the momentum frame: one phase per orbital
-    that ``mode_phases`` keeps."""
-    return [Gate("PHASEN", (q,), angle=-e * tau) for q, e in mode_phases(hs)]
+    that ``mode_phases`` keeps, as columns."""
+    phases = mode_phases(hs)
+    return _phase_columns("PHASEN", [(q,) for q, _ in phases],
+                          [-e * tau for _, e in phases])
 
 
 def split_operator_step(hs: HamiltonianSet, tau: float, order: int = 2,
@@ -92,31 +104,33 @@ def split_operator_step(hs: HamiltonianSet, tau: float, order: int = 2,
     mode rotation, exp(-i(U+V)tau/2). The potential block is exact (diagonal),
     so all step error comes from the kinetic/potential split. With planar
     connectivity the pair phases are lowered through a swap schedule and the
-    whole step is emitted on lattice-adjacent gates.
+    whole step is emitted on lattice-adjacent gates. The transform, its
+    inverse and each potential block are checked once, where they are
+    made; the step checks only the kinetic phases.
     """
     if hs.representation != DUAL:
         raise ValueError("split-operator steps need the dual representation")
-    grid = hs.grid
-    ffft = build_ffft_nd(grid, connectivity=connectivity)
+    n = hs.n_qubits
+    ffft = build_ffft_nd(hs.grid, connectivity=connectivity)
 
     if connectivity is not None:
         _, rows, cols = connectivity
         schedule = build_full_schedule(rows, cols)
-        potential = lambda s: _planar_potential_gates(hs, s, schedule)
+        parts = lambda s: _planar_potential_gates(hs, s, schedule)
     else:
-        potential = lambda s: _diagonal_potential_gates(hs, s)
+        parts = lambda s: _diagonal_potential_gates(hs, s)
+    potential = lambda s: Circuit.join(n, parts(s), connectivity)
 
     # exp(-iT tau) = C^dag exp(-iT_diag tau) C with C the mode rotation
-    kinetic = [*ffft.gates, *_kinetic_mode_gates(hs, tau),
-               *ffft.inverse().gates]
+    kinetic = [ffft, _kinetic_mode_gates(hs, tau), ffft.inverse()]
     if order == 2:
-        half = potential(tau / 2.0)  # gates are immutable: emit it twice
-        gates = half + kinetic + half
+        half = potential(tau / 2.0)
+        steps = [half, *kinetic, half]
     elif order == 1:
-        gates = potential(tau) + kinetic
+        steps = [potential(tau), *kinetic]
     else:
         raise ValueError("order must be 1 or 2")
-    return Circuit(hs.n_qubits, gates, connectivity)
+    return Circuit.join(n, steps, connectivity)
 
 
 # -- direct Pauli-term stepping ------------------------------------------------

@@ -24,7 +24,7 @@ from .ffft import _minor_rows, build_ffft_nd, sector_transform
 from .geometry import ModeGrid, UP, DOWN
 from .hamiltonian import HamiltonianSet, DUAL, diagonal_potential_values, \
     kinetic_mode_values
-from .measurement import estimate_energy
+from .measurement import _compile, estimate_energy
 from .pauli import require_bytes
 from .statevector import Statevector, Circuit, Gate
 
@@ -150,23 +150,23 @@ class Ansatz:
         if len(values) != len(self.names):
             raise ValueError("parameter vector length mismatch")
         n = self.grid.n_qubits
-        gates = []
+        parts = []  # the transforms join as the checked circuits they are
         for site, pair, mode in self.layout:
-            for q in range(n):
-                # exp(i theta Z)
-                gates.append(Gate("RZ", (q,), angle=-2.0 * values[site[q]]))
+            # exp(i theta Z)
+            gates = [Gate("RZ", (q,), angle=-2.0 * values[site[q]])
+                     for q in range(n)]
             for (a, b), i in zip(self.pairs, pair):
                 theta = values[i]
                 if theta:
                     # exp(i theta ZZ)
                     gates.append(Gate("PEXP", (a, b), angle=-theta,
                                       letters="ZZ"))
+            parts.append(gates)
             if not self.spec.minimal:
-                gates += self.ffft_inverse.gates
-                gates += [Gate("RZ", (q,), angle=-2.0 * values[mode[q]])
-                          for q in range(n)]
-                gates += self.ffft.gates
-        return Circuit(n, gates)
+                parts += [self.ffft_inverse,
+                          [Gate("RZ", (q,), angle=-2.0 * values[mode[q]])
+                           for q in range(n)], self.ffft]
+        return Circuit.join(n, parts)
 
 
 # -- the eta-electron sector -------------------------------------------------
@@ -283,6 +283,8 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     ansatz = Ansatz(spec, hs.grid)
     model = SectorModel(ansatz, hs, eta)
     e_ref = model.energy(model.reference, model.d_uv)
+    # what the sampled objective compiles, once for every evaluation
+    compiled = None if plan is None else _compile(hs, plan.strategy)
 
     trace = []
     state = {"best": math.inf, "evals": 0}
@@ -295,7 +297,8 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
             shot_plan = replace(plan, seed=plan.seed + state["evals"])
             sampled = Statevector.on_support(model.n_qubits, model.states,
                                              prepared)
-            energy, _ = estimate_energy(sampled, hs, shot_plan)
+            energy, _ = estimate_energy(sampled, hs, shot_plan,
+                                        compiled=compiled)
         state["evals"] += 1
         state["best"] = min(state["best"], energy)
         trace.append(state["best"])

@@ -9,7 +9,7 @@ from pwdual.ffft import _ffft_1d_ops, build_ffft_nd, mode_ladder_operator, \
     single_particle_transform, fswap_properties_report
 from pwdual.geometry import build_grid
 from pwdual.hamiltonian import build_dual, build_plane_wave
-from pwdual.statevector import Circuit, Gate, circuit_matrix, fk_gate
+from pwdual.statevector import Circuit, Gate, circuit_matrix
 
 
 def reference_single_particle_transform(circuit, n_orbitals):
@@ -39,14 +39,14 @@ def dft_matrix(m):
 
 class TestButterfly:
     def test_k0_is_ladder_hadamard(self):
-        u = circuit_matrix(Circuit(2, [fk_gate(0, 2, 0, 1)]))
+        u = circuit_matrix(Circuit(2, [Gate("FK", (0, 1), angle=0.0)]))
         adag_p = fermion_matrix(FermionOperator.raising(0), 2)
         adag_q = fermion_matrix(FermionOperator.raising(1), 2)
         assert np.allclose(u.conj().T @ adag_p @ u,
                            (adag_p + adag_q) / np.sqrt(2))
 
     def test_k0_vacuum_up_to_phase(self):
-        u = circuit_matrix(Circuit(2, [fk_gate(0, 2, 0, 1)]))
+        u = circuit_matrix(Circuit(2, [Gate("FK", (0, 1), angle=0.0)]))
         vac = np.zeros(4)
         vac[0] = 1.0
         out = u @ vac
@@ -54,7 +54,8 @@ class TestButterfly:
 
     def test_half_period_twiddle_is_minus_one(self):
         m = 8
-        u = circuit_matrix(Circuit(2, [fk_gate(m // 2, m, 0, 1)]))
+        twiddle = 2.0 * np.pi * (m // 2) / m
+        u = circuit_matrix(Circuit(2, [Gate("FK", (0, 1), angle=twiddle)]))
         adag_p = fermion_matrix(FermionOperator.raising(0), 2)
         adag_q = fermion_matrix(FermionOperator.raising(1), 2)
         assert np.allclose(u.conj().T @ adag_p @ u,

@@ -1,5 +1,6 @@
 """Property tests of the circuit primitives: the odd-even transposition
-sort, the gate table and its text format, and gate validation."""
+sort, the gate table and its text format, gate validation, and the
+columns a Circuit stores its gates in."""
 
 import re
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwdual.statevector import GATE_KINDS, Circuit, Gate, Statevector, \
-    apply_circuit, apply_gate, circuit_matrix, dumps_circuit, loads_circuit
+    apply_circuit, apply_gate, circuit_matrix, dumps_circuit, gate_columns, \
+    loads_circuit
 from pwdual.swapnet import snake_position, snake_qubit, \
     transposition_phases
 
@@ -235,3 +237,80 @@ def test_check_names_the_gate_by_gate_first_offender(gates, planar):
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(lone)}$"):
                 apply_gate(Statevector.basis_state(4, 0), g)
+
+
+# -- the columns of a Circuit --------------------------------------------------
+
+
+def well_formed(gates, connectivity=None):
+    """The gates that pass every rule on their own."""
+    return [g for g in gates
+            if gate_by_gate_error([g], 4, connectivity) is None]
+
+
+def greedy_depth(gates, n):
+    level = [0] * n
+    for g in gates:
+        layer = 1 + max(level[t] for t in g.targets)
+        for t in g.targets:
+            level[t] = layer
+    return max(level, default=0)
+
+
+def as_columns(g):
+    """One gate as a GateColumns part, when columns can hold it."""
+    return gate_columns(g.kind, [g.targets], g.angle, 1, ("", g.letters))
+
+
+def fits_columns(g):
+    return g.kind in GATE_KINDS and all(type(t) is int for t in g.targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lists(), st.booleans())
+def test_records_round_trip_through_columns(gates, planar):
+    connectivity = ("planar", 2, 2) if planar else None
+    gates = well_formed(gates, connectivity)
+    circ = Circuit(4, gates, connectivity)
+    assert circ.gates == tuple(gates)
+    assert circ.depth() == greedy_depth(gates, 4)
+    inverse = Circuit(4, [g.inverse() for g in reversed(gates)],
+                      connectivity)
+    assert circ.inverse() == inverse
+    assert dumps_circuit(circ.inverse()) == dumps_circuit(inverse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_lists(), gate_lists(), st.booleans())
+def test_join_checks_only_the_new_gates(first, second, planar):
+    """A checked part is carried; the new gates, as records or as
+    columns, raise what a gate-by-gate reading of the whole list finds."""
+    connectivity = ("planar", 2, 2) if planar else None
+    checked = Circuit(4, well_formed(first, connectivity), connectivity)
+    want = gate_by_gate_error([*checked.gates, *second], 4, connectivity)
+    parts = [[checked, second]]
+    if all(map(fits_columns, second)):
+        parts.append([checked, *map(as_columns, second)])
+    for part in parts:
+        if want is None:
+            joined = Circuit.join(4, part, connectivity)
+            assert joined.gates == checked.gates + tuple(second)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                Circuit.join(4, part, connectivity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lists())
+def test_all_to_all_part_is_checked_in_a_planar_join(gates):
+    part = Circuit(4, well_formed(gates))
+    planar = ("planar", 2, 2)
+    want = gate_by_gate_error(part.gates, 4, planar)
+    if want is None:
+        assert Circuit.join(4, [part], planar).gates == part.gates
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            Circuit.join(4, [part], planar)
+    # a planar part inside an all-to-all circuit keeps its check
+    lattice = Circuit(4, well_formed(gates, planar), planar)
+    assert Circuit.join(4, [lattice]).gates == lattice.gates

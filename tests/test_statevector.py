@@ -8,7 +8,7 @@ from pwdual.pauli import QubitOperator, qubit_operator_matrix, \
     _real_if_exact
 from pwdual.statevector import Statevector, Gate, Circuit, apply_gate, \
     apply_circuit, circuit_matrix, exact_evolve, expectation, \
-    sample_bitstrings, dumps_circuit, loads_circuit, fk_gate, make_rng
+    sample_bitstrings, dumps_circuit, loads_circuit, make_rng
 
 
 def kron_embed(mat2q, t0, t1, n):
@@ -396,7 +396,7 @@ def test_fk_defining_conjugation():
     """F_k pulls ladder operators through with the twiddle phase."""
     from pwdual.fermion import FermionOperator, fermion_matrix
     for m, k in [(2, 0), (4, 1), (4, 2), (8, 3)]:
-        gate = fk_gate(k, m, 0, 1)
+        gate = Gate("FK", (0, 1), angle=2.0 * np.pi * k / m)
         u = circuit_matrix(Circuit(2, [gate]))
         adag_p = fermion_matrix(FermionOperator.raising(0), 2)
         adag_q = fermion_matrix(FermionOperator.raising(1), 2)

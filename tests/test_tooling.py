@@ -345,13 +345,50 @@ def connectivity_checks(tree):
             == "check_connectivity"]
 
 
+def circuit_bypasses(tree):
+    """Lines that make or fill a Circuit past ``_check_gates``: a read or
+    an import of the unchecked path ``_assemble``, a ``__new__`` call that
+    names Circuit, an ``object.__setattr__`` call on anything but
+    ``self``, and a class derived from Circuit."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "_assemble" for alias in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and getattr(
+                node, "id", getattr(node, "attr", None)) == "_assemble":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "Circuit"
+                for base in node.bases):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            first = getattr(node.args[0], "id", None) if node.args else None
+            if node.func.attr == "__new__" and "Circuit" in (owner, first) \
+                    or node.func.attr == "__setattr__" \
+                    and owner == "object" and first != "self":
+                found.append(node.lineno)
+    return found
+
+
 def test_circuits_validate_themselves():
-    """A Circuit checks its targets and lattice when it is made, so no
-    builder outside statevector.py calls ``check_connectivity``."""
-    found = {path.name: connectivity_checks(ast.parse(path.read_text()))
-             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))}
-    assert len(found.pop("statevector.py")) == 1  # Circuit.__post_init__
+    """A Circuit checks its new gates when it is made (``_check_gates`` in
+    ``Circuit`` and ``Circuit.join``), so no builder calls
+    ``check_connectivity``. The one way to make a Circuit whose gates
+    ``_check_gates`` does not read there, ``_assemble``, is used only by
+    Circuit's own methods in statevector.py; no other module names it,
+    makes a Circuit with ``__new__``, sets another object's attribute with
+    ``object.__setattr__`` or derives from Circuit."""
+    trees = source_trees()
+    found = {name: connectivity_checks(tree) for name, tree in trees.items()}
     assert not any(found.values()), f"hand-placed checks: {found}"
+    assert top_level_readers(trees, "_assemble") == {
+        "statevector.py": {"Circuit"}}
+    bypasses = {name: circuit_bypasses(tree) for name, tree in trees.items()}
+    assert bypasses.pop("statevector.py")  # _assemble and its callers
+    assert not any(bypasses.values()), f"unchecked circuits: {bypasses}"
 
 
 def test_connectivity_scan_sees_methods_and_names():
@@ -362,6 +399,21 @@ def test_connectivity_scan_sees_methods_and_names():
         "check = circ.check_connectivity\n"
         "circ.check_targets()\n")
     assert connectivity_checks(tree) == [1, 2, 3]
+
+
+def test_bypass_scan_sees_new_setattr_subclasses_and_the_path():
+    tree = ast.parse(
+        "from .statevector import Circuit, _assemble\n"
+        "circ = object.__new__(Circuit)\n"
+        "object.__setattr__(circ, 'columns', cols)\n"
+        "statevector._assemble(4, cols, None)\n"
+        "class Loose(statevector.Circuit):\n"
+        "    pass\n"
+        "other = Circuit.__new__(cls)\n"
+        "object.__setattr__(self, 'nu_list', nu)\n"
+        "grid = object.__new__(ModeGrid)\n"
+        "circ = Circuit.join(4, parts)\n")
+    assert sorted(circuit_bypasses(tree)) == [1, 2, 3, 4, 5, 7]
 
 
 # one pattern per gate rule, matched against each raise's unparsed message

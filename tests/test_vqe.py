@@ -263,6 +263,26 @@ class TestSampledObjective:
                          maxiter=150)
         assert abs(noisy.energy - exact.energy) < 0.2
 
+    @pytest.mark.parametrize("strategy,compiler", [
+        ("per_term", "build_qubit"), ("diagonal_uv_only", "jordan_wigner"),
+        ("diagonal_groups", "build_ffft_nd")])
+    def test_compiles_once_per_run(self, monkeypatch, strategy, compiler):
+        """Each evaluation draws fresh shots from the operator or rotation
+        the strategy compiles, and a run compiles it once."""
+        from pwdual import measurement
+        from pwdual.measurement import MeasurementPlan
+        calls = {}
+        for name in ("build_qubit", "jordan_wigner", "build_ffft_nd"):
+            def counted(*args, _name=name, _real=getattr(measurement, name),
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(measurement, name, counted)
+        res = optimize(AnsatzSpec(), jellium_m4(), eta=2, seed=5, restarts=1,
+                       maxiter=20, plan=MeasurementPlan(strategy, 200, 17))
+        assert res.evaluations > 20
+        assert calls == {compiler: 1}
+
 
 # -- the eta-electron sector --------------------------------------------------
 
