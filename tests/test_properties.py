@@ -239,7 +239,7 @@ def test_check_names_the_gate_by_gate_first_offender(gates, planar):
                 apply_gate(Statevector.basis_state(4, 0), g)
 
 
-# -- the columns of a Circuit --------------------------------------------------
+# -- the columns of a Circuit -------------------------------------------------
 
 
 def well_formed(gates, connectivity=None):
@@ -267,13 +267,19 @@ def fits_columns(g):
 
 
 @settings(max_examples=200, deadline=None)
+@given(gate_lists())
+def test_depth_matches_a_greedy_recount(gates):
+    gates = well_formed(gates)
+    assert Circuit(4, gates).depth() == greedy_depth(gates, 4)
+
+
+@settings(max_examples=200, deadline=None)
 @given(gate_lists(), st.booleans())
 def test_records_round_trip_through_columns(gates, planar):
     connectivity = ("planar", 2, 2) if planar else None
     gates = well_formed(gates, connectivity)
     circ = Circuit(4, gates, connectivity)
     assert circ.gates == tuple(gates)
-    assert circ.depth() == greedy_depth(gates, 4)
     inverse = Circuit(4, [g.inverse() for g in reversed(gates)],
                       connectivity)
     assert circ.inverse() == inverse
