@@ -41,7 +41,7 @@ from .lcu import build_weights, prepare_state, taylor_errors, \
     dump_weights, SEGMENT_LIMIT
 from .measurement import MeasurementPlan, estimate_energy, shot_budget, \
     DIAGONAL_GROUPS, PER_TERM
-from .pauli import DenseLimitError
+from .pauli import DenseLimitError, coefficient_gap
 from .serialize import fmt, dumps_hamiltonian
 from .statevector import apply_circuit, circuit_matrix, dumps_circuit, \
     expectation
@@ -297,7 +297,7 @@ def cmd_build(run: Run) -> dict:
         with run.stage("compile"):
             qub = build_qubit(sets[DUAL])
         run.counts["fermion_terms"] = len(sets[DUAL].total().terms)
-        run.counts["pauli_terms"] = len(qub.terms)
+        run.counts["pauli_terms"] = len(qub)
         result["norm_bounds"] = {
             **norm_bounds(sets[DUAL], run.eta),
             "lam": qub.coefficient_norm(include_identity=True)}
@@ -475,12 +475,7 @@ def cmd_lcu_check(run: Run) -> dict:
         qub = build_qubit(hs)
     with run.stage("verify"):
         rec = model.reconstruction()
-        worst = 0.0
-        for key in set(rec.terms) | set(qub.terms):
-            if key == ():
-                continue
-            worst = max(worst, abs(rec.terms.get(key, 0)
-                                   - qub.terms.get(key, 0)))
+        worst = coefficient_gap(rec, qub)
         prep = prepare_state(model)
         lam = model.lam
         indices, weights = model.selection_table()
@@ -502,7 +497,7 @@ def cmd_lcu_check(run: Run) -> dict:
                 f"Lambda*|t| = {fmt(lam_t)} is past the single-segment "
                 f"limit ln 2 = {fmt(SEGMENT_LIMIT)}")
     run.counts.update(fermion_terms=len(hs.total().terms),
-                      pauli_terms=len(qub.terms), weights=len(model.weights))
+                      pauli_terms=len(qub), weights=len(model.weights))
     return {
         "lam": lam,
         "term_count": len(model.weights),

@@ -18,7 +18,6 @@ into spin blocks, transforming each block, and sorting back.
 
 from __future__ import annotations
 
-from itertools import chain
 
 import numpy as np
 
@@ -26,22 +25,27 @@ from .geometry import ModeGrid
 from .pauli import require_bytes
 from .statevector import KIND_CODE, Circuit, Gate, GateColumns, \
     gate_columns
-from .swapnet import _is_power_of_two, transposition_phases
+from .swapnet import _is_power_of_two, _odd_even_swaps
 
 # entries of a two-qubit matrix that mix the 0-, 1- and 2-particle blocks
 _OUTSIDE_BLOCKS = np.array([[0, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1],
                             [1, 1, 1, 0]], dtype=bool)
 
 
-def _swaps(keys):
+def _swaps(*orders):
     """(kind, pairs, angle) columns of the fermionic swaps of slots
     (i, i + 1), in application order, that move the orbital at slot i to
-    slot ``keys[i]``, on qubits 0, 1, ...; fermionic swaps are
-    self-inverse, so the reversed columns undo the move."""
-    slots = np.fromiter(chain.from_iterable(transposition_phases(keys)),
-                        dtype=np.int64)
-    return (np.full(len(slots), KIND_CODE["FSWAP"]),
-            slots[:, None] + np.arange(2), np.zeros(len(slots)))
+    slot ``keys[i]``, on qubits 0, 1, ...; one piece per key list, the
+    lists of one length sorted together. Fermionic swaps are self-inverse,
+    so the reversed columns undo the move."""
+    swapped = _odd_even_swaps(np.array(orders, dtype=np.int64))
+    pieces = []
+    for row in range(len(orders)):
+        phase, j = np.nonzero(swapped[:, row])
+        slots = 2 * j + phase % 2
+        pieces.append((np.full(len(slots), KIND_CODE["FSWAP"]),
+                       slots[:, None] + np.arange(2), np.zeros(len(slots))))
+    return pieces
 
 
 def _stack(pieces, shift=0):
@@ -81,18 +85,20 @@ def _ffft_1d_ops(positions) -> GateColumns:
         return gate_columns("FK", np.zeros((0, 2), dtype=np.int64))
     sub = _piece(_ffft_1d_ops(list(range(half))))
     j = np.arange(half)
-    kind, pairs, angle = _stack([
-        _swaps(_even_odd_keys(m)), sub, _stack([sub], half),
+    split, riffle, restore = _swaps(
+        _even_odd_keys(m),
         # riffle: [E0..E_{m/2-1}, O0..O_{m/2-1}] -> [E0, O0, E1, O1, ...]
-        _swaps([2 * i if i < half else 2 * (i - half) + 1
-                for i in range(m)]),
+        [2 * i if i < half else 2 * (i - half) + 1 for i in range(m)],
+        # outputs sit as [c_0, c_{m/2}, c_1, c_{1+m/2}, ...]; restore mode
+        # order
+        [x for i in range(half) for x in (i, half + i)])
+    kind, pairs, angle = _stack([
+        split, sub, _stack([sub], half), riffle,
         # one butterfly layer: pair (2j, 2j+1) combines E_j with O_j under
         # the twiddle exp(-2 pi i j / M)
         (np.full(half, KIND_CODE["FK"]), 2 * j[:, None] + np.arange(2),
          2.0 * np.pi * j / m),
-        # outputs sit as [c_0, c_{m/2}, c_1, c_{1+m/2}, ...]; restore mode
-        # order
-        _swaps([x for i in range(half) for x in (i, half + i)])])
+        restore])
     return gate_columns(kind, np.asarray(positions)[pairs], angle)
 
 
@@ -128,11 +134,11 @@ def build_ffft_nd(grid: ModeGrid, connectivity=None) -> Circuit:
              np.tile(angle, len(lines)))
     pieces = []
     for axis in range(grid.dimension - 1, -1, -1):
-        to_axis = _swaps(_axis_keys(grid, axis))
+        to_axis, = _swaps(_axis_keys(grid, axis))
         pieces += [to_axis, tiled, _reversed(to_axis)]
     sector = _stack(pieces)
     if grid.cell.spinful:
-        to_blocks = _swaps(_even_odd_keys(2 * n_spatial))
+        to_blocks, = _swaps(_even_odd_keys(2 * n_spatial))
         sector = _stack([to_blocks, sector, _stack([sector], n_spatial),
                          _reversed(to_blocks)])
     return Circuit.join(grid.n_qubits, [gate_columns(*sector)], connectivity)

@@ -380,7 +380,7 @@ def build_qubit(hs: HamiltonianSet) -> QubitOperator:
                          "representation")
     op = jordan_wigner(hs.total(), hs.n_qubits)
     if hs.constant:
-        op += QubitOperator.identity(hs.constant)
+        op.add_constant(hs.constant)
     return op.simplify()
 
 

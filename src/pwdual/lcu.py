@@ -28,8 +28,8 @@ import numpy as np
 
 from .geometry import ModeGrid
 from .hamiltonian import HamiltonianSet, DUAL, dual_coefficients
-from .pauli import QubitOperator, qubit_operator_matrix, require_bytes, \
-    string_matrix
+from .pauli import PRUNE_TOL, QubitOperator, qubit_operator_matrix, \
+    require_bytes, string_matrix, _spans, _sum_equal, _words
 from .serialize import fmt
 from .statevector import Statevector, evolve_bytes, exact_evolve
 
@@ -95,13 +95,39 @@ class LcuModel:
         return (1 if self.weights[row] >= 0 else -1), self._string(p, q, b)
 
     def reconstruction(self) -> QubitOperator:
-        """Signed weighted sum over every branch, identity no-ops included."""
-        out = QubitOperator()
-        terms = out.terms
-        for key, w in zip(map(self._string, *self.index.T.tolist()),
-                          self.weights.tolist()):
-            terms[key] = terms.get(key, 0.0) + w
-        return out.simplify()
+        """Signed weighted sum over every branch, identity no-ops included,
+        as float64 columns: the weights of one string summed into zeros in
+        table order, strings in the order the table first reaches them.
+
+        Each row's string is read from (p, q, b) alone, as a class code
+        (Z_p, Z_lo Z_hi, X or Y parity string, no-op) with its ends, so
+        equal strings are equal codes; masks are made only for the strings
+        that survive pruning."""
+        n = self.n_system
+        p, q, b = self.index.T
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        z, zz, x_end, y_end, noop = range(5)
+        kind = np.select([p == q, b == 0,
+                          np.logical_not(self.grid.same_spin(p, q)), p > q],
+                         [z, zz, noop, x_end], y_end)
+        lo, hi = (np.where(kind == noop, 0, a) for a in (lo, hi))
+        first, sums = _sum_equal(((kind * n + lo) * n + hi)[:, None],
+                                 self.weights)
+        keep = np.abs(sums) > PRUNE_TOL
+        kind, lo, hi = (a[first[keep]] for a in (kind, lo, hi))
+        words = _words(n)
+        ends = _spans(lo, lo + 1, words) | _spans(hi, hi + 1, words)
+        hop = (kind == x_end) | (kind == y_end)
+        # the Z chain of a parity string: between its ends for X, through
+        # them for Y = iXZ; a lone Z_p; none for ZZ (its ends) and no-ops
+        start = np.where(kind == x_end, lo + 1, lo)
+        stop = np.select([kind == z, kind == x_end, kind == y_end],
+                         [lo + 1, hi, hi + 1], lo)
+        return QubitOperator._from_masks(
+            np.where(hop[:, None], ends, 0),
+            _spans(start, stop, words) | np.where((kind == zz)[:, None],
+                                                  ends, 0),
+            sums[keep])
 
 
 def build_weights(hs: HamiltonianSet, include_noop: bool = True) -> LcuModel:

@@ -148,7 +148,7 @@ def _group_samples(state, hs, plan, counts=None, compiled=None):
     elif plan.strategy == PER_TERM:
         op = compiled
         offset += op.constant().real - hs.constant  # constant already counted
-    held = len(op.terms) + {PER_TERM: 0, DIAGONAL_UV_ONLY: 1,
+    held = len(op) + {PER_TERM: 0, DIAGONAL_UV_ONLY: 1,
                             DIAGONAL_GROUPS: 2}[plan.strategy]
     # 8-byte words per shot: every group's values, one basis's rows and
     # their stacked copy, and the temporaries of one draw and its values

@@ -2,9 +2,20 @@
 
 A PauliString is a sorted tuple of (qubit, letter) pairs with letter in
 {X, Y, Z}; identity factors are omitted, the empty tuple is the identity.
-QubitOperator is a TermSum, a dict from PauliString to complex coefficient
-with deterministic iteration order; fermion.FermionOperator shares the
-same base.
+QubitOperator is a TermSum; fermion.FermionOperator shares the same base.
+
+A QubitOperator made by an array kernel (a product, the Jordan-Wigner
+compile, the LCU reconstruction) is stored as columns: (rows, words) uint64
+x and z masks, one distinct string a row, and one coefficient array whose
+dtype the kernel chose (complex128, or float64 for the reconstruction). Its
+``terms`` dict from PauliString to coefficient is a view made on first read
+by ``_term_dict``, the one place masks become tuples; from then on the dict
+owns the operator and the columns are dropped, so exactly one form holds
+the data and writes through ``terms`` stay. Operators built from keys (the
+constructor, ``from_term``) are dict-owned from the start. Length,
+``constant``, ``simplify``, ``n_qubits``, ``coefficient_norm`` and products
+read the columns and leave the dict unmade; ``items()``, text and the dense
+kernels read the view.
 
 Strings are multiplied in batches by one array kernel, ``_mask_product``:
 each string is a pair of (x, z) masks held as rows of (rows, words) uint64
@@ -18,7 +29,6 @@ order and coefficient bits of that loop.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -104,23 +114,46 @@ def _mask_arrays(keys: list, n_qubits: int) -> tuple:
     return _pack(codes >> 1), _pack(codes & 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_table(width: int) -> np.ndarray:
-    """[code, q] -> the (q, letter) pair, shared by every string built."""
-    table = np.empty((len(_LETTERS), width), dtype=object)
-    for code, letter in enumerate(_LETTERS):
-        for q in range(width):
-            table[code, q] = (q, letter)
-    return table
-
-
-def _strings(x: np.ndarray, z: np.ndarray) -> list:
-    """The string of each row of a pair of mask arrays."""
+def _term_dict(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> dict:
+    """The tuple-keyed dict of columns: the one place masks become
+    (qubit, letter) tuples. Values keep the type of ``coeffs.tolist()``."""
     codes = 2 * _unpack(x) + _unpack(z)
+    table = np.empty((len(_LETTERS), codes.shape[1]), dtype=object)
+    for code, letter in enumerate(_LETTERS):
+        for q in range(codes.shape[1]):
+            table[code, q] = (q, letter)
     rows, qubits = np.nonzero(codes)
-    pairs = _pair_table(codes.shape[1])[codes[rows, qubits], qubits].tolist()
+    pairs = table[codes[rows, qubits], qubits].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=len(codes))).tolist()
-    return [tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)]
+    return dict(zip((tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)),
+                    coeffs.tolist()))
+
+
+def _resize(masks: np.ndarray, words: int) -> np.ndarray:
+    """Mask arrays cut or zero-padded to ``words`` words; a cut word must
+    be empty."""
+    if masks.shape[1] >= words:
+        return masks[:, :words]
+    return np.pad(masks, ((0, 0), (0, words - masks.shape[1])))
+
+
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+
+def _spans(start: np.ndarray, stop: np.ndarray, words: int) -> np.ndarray:
+    """(rows, words) uint64 masks, row r with bits start[r]..stop[r] - 1
+    set; none where stop[r] <= start[r]."""
+    base = 64 * np.arange(words)
+
+    def below(at):
+        return _LOW_BITS[np.clip(at[:, None] - base, 0, 64)]
+    return below(stop) & ~below(start)
+
+
+def _magnitude(coeffs: np.ndarray) -> np.ndarray:
+    """Python's abs of each coefficient, bit for bit: hypot for complex
+    values (numpy's complex abs may round differently), fabs for real."""
+    return np.hypot(coeffs.real, coeffs.imag)
 
 
 def _mask_product(x1, z1, x2, z2) -> tuple:
@@ -151,7 +184,7 @@ def _sum_equal(keys: np.ndarray, values: np.ndarray) -> tuple:
     """Sum the values of equal rows of a 2-D uint64 key array into zeros,
     each in row order, with keys numbered in the order rows first reach
     them: the scalar ``acc[k] = acc.get(k, 0.0) + v``. Returns (the first
-    row of each key, the sums)."""
+    row of each key, the sums), the sums in the dtype of ``values``."""
     order = np.lexsort(keys.T)  # stable: equal keys keep their row order
     ordered = keys[order]
     new = np.ones(len(order), dtype=bool)
@@ -160,9 +193,11 @@ def _sum_equal(keys: np.ndarray, values: np.ndarray) -> tuple:
     reach = np.argsort(first)
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.argsort(reach)[np.cumsum(new) - 1]
-    sums = np.empty(len(first), dtype=complex)
     # bincount adds each weight onto 0.0 in row order, as the scalar sum
     # adds each part of a complex value
+    if not np.iscomplexobj(values):
+        return first[reach], np.bincount(group, values, len(first))
+    sums = np.empty(len(first), dtype=complex)
     sums.real = np.bincount(group, values.real, len(first))
     sums.imag = np.bincount(group, values.imag, len(first))
     return first[reach], sums
@@ -241,13 +276,31 @@ class TermSum:
 
 
 class QubitOperator(TermSum):
-    """Weighted sum of Pauli strings."""
+    """Weighted sum of Pauli strings.
+
+    One of two forms owns the operator at any time: columns (x and z mask
+    arrays and a coefficient array, as the array kernels make them) or the
+    tuple-keyed ``terms`` dict. The first read of ``terms`` turns columns
+    into the dict, which owns the operator from then on, so a write through
+    ``terms`` is never lost. Length, constant, pruning, register extent,
+    coefficient norm and products read the columns without making the dict.
+    """
 
     def __init__(self, terms=None):
         super().__init__()
         if terms:
             for key, coeff in dict(terms).items():
                 self.terms[pauli_string(key)] = complex(coeff)
+
+    @property
+    def terms(self) -> dict:
+        if self._columns is not None:
+            self._terms, self._columns = _term_dict(*self._columns), None
+        return self._terms
+
+    @terms.setter
+    def terms(self, terms: dict):
+        self._terms, self._columns = terms, None
 
     @classmethod
     def from_term(cls, pairs, coeff=1.0):
@@ -261,27 +314,83 @@ class QubitOperator(TermSum):
 
     @classmethod
     def _from_masks(cls, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
+        """The operator owned by columns: rows of (rows, words) uint64 masks,
+        distinct strings, and their coefficients in that order."""
         op = cls()
-        op.terms = dict(zip(_strings(x, z), coeffs.tolist()))
+        op._terms, op._columns = None, (x, z, coeffs)
         return op
+
+    def _arrays(self, words: int) -> tuple:
+        """(x, z, coeffs) on ``words`` mask words, read from whichever form
+        owns the operator; the dict form gives complex coefficients."""
+        if self._columns is None:
+            x, z = _mask_arrays(list(self._terms), 64 * words)
+            return x, z, np.fromiter(self._terms.values(), dtype=complex,
+                                     count=len(x))
+        x, z, coeffs = self._columns
+        return _resize(x, words), _resize(z, words), coeffs
+
+    def _identity_rows(self) -> np.ndarray:
+        x, z, _ = self._columns
+        return np.flatnonzero(~(x | z).any(axis=1))
+
+    def __len__(self) -> int:
+        if self._columns is None:
+            return len(self._terms)
+        return len(self._columns[2])
+
+    def copy(self):
+        if self._columns is None:
+            return super().copy()
+        return QubitOperator._from_masks(*self._columns)
+
+    def simplify(self, tol=PRUNE_TOL):
+        if self._columns is None:
+            return super().simplify(tol)
+        x, z, coeffs = self._columns
+        keep = _magnitude(coeffs) > tol
+        if not keep.all():
+            self._columns = (x[keep], z[keep], coeffs[keep])
+        return self
+
+    def add_constant(self, coeff):
+        """Add ``coeff`` times the identity in place, as ``self +=
+        QubitOperator.identity(coeff)`` does; returns self."""
+        if self._columns is None:
+            self += QubitOperator.identity(coeff)
+            return self
+        x, z, coeffs = self._columns
+        at = self._identity_rows()
+        if at.size:
+            coeffs = coeffs.astype(complex)
+            coeffs[at[0]] += complex(coeff)
+        else:
+            x, z = (np.vstack([m, np.zeros_like(m[:1])]) for m in (x, z))
+            coeffs = np.append(coeffs, 0.0 + complex(coeff))
+        self._columns = (x, z, coeffs)
+        return self
 
     def _product_with(self, other):
         """Every left term times every right term, left outer, summed in
         the order products first reach each string."""
-        n = max(self.n_qubits(), other.n_qubits())
-        (xa, za), (xb, zb) = (_mask_arrays(list(op.terms), n)
-                              for op in (self, other))
+        words = _words(max(self.n_qubits(), other.n_qubits()))
+        xa, za, ca = self._arrays(words)
+        xb, zb, cb = other._arrays(words)
         left = np.repeat(np.arange(len(xa)), len(xb))
         right = np.tile(np.arange(len(xb)), len(xa))
         x, z, k = _mask_product(xa[left], za[left], xb[right], zb[right])
-        ca, cb = (np.fromiter(op.terms.values(), dtype=complex,
-                              count=len(op.terms)) for op in (self, other))
         first, sums = _sum_equal(np.hstack([x, z]),
                                  _times(_times(ca[left], cb[right]),
                                         _I_POWER_ARRAY[k]))
         return QubitOperator._from_masks(x[first], z[first], sums)
 
-    n_qubits = TermSum._extent
+    def n_qubits(self) -> int:
+        if self._columns is None:
+            return self._extent()
+        x, z, _ = self._columns
+        used = np.bitwise_or.reduce(x | z, axis=0).tolist()
+        return max((64 * w + word.bit_length()
+                    for w, word in enumerate(used) if word), default=0)
 
     def is_hermitian(self, tol=HERMITIAN_TOL) -> bool:
         return all(abs(c.imag) <= tol for c in self.terms.values())
@@ -292,17 +401,42 @@ class QubitOperator(TermSum):
         return out
 
     def constant(self) -> complex:
-        return self.terms.get((), 0.0)
+        if self._columns is None:
+            return self._terms.get((), 0.0)
+        at = self._identity_rows()
+        return self._columns[2][at[0]].item() if at.size else 0.0
 
     def coefficient_norm(self, include_identity=True) -> float:
-        """Sum of absolute coefficients."""
-        return sum(
-            abs(c) for k, c in self.terms.items() if include_identity or k != ()
-        )
+        """Sum of absolute coefficients, added in term order."""
+        if self._columns is None:
+            return sum(abs(c) for k, c in self._terms.items()
+                       if include_identity or k != ())
+        magnitudes = _magnitude(self._columns[2])
+        if not include_identity:
+            magnitudes = np.delete(magnitudes, self._identity_rows())
+        return sum(magnitudes.tolist())
 
     @staticmethod
     def _label(key) -> str:
         return " ".join(f"{letter}{q}" for q, letter in key) or "I"
+
+
+def coefficient_gap(a: QubitOperator, b: QubitOperator) -> float:
+    """The largest |a_P - b_P| over the non-identity strings P of either
+    operator, a string one lacks counting as zero there; 0.0 when there is
+    none. One grouping over both operators' columns, with the scalar
+    ``abs(a.get(P, 0) - b.get(P, 0))`` bits."""
+    words = _words(max(a.n_qubits(), b.n_qubits()))
+    xa, za, ca = a._arrays(words)
+    xb, zb, cb = b._arrays(words)
+    keys = np.vstack([np.hstack([xa, za]), np.hstack([xb, zb])])
+    strings, group = np.unique(keys, axis=0, return_inverse=True)
+    values = np.zeros((2, len(strings)), dtype=complex)
+    values[0, group[:len(ca)]] = ca
+    values[1, group[len(ca):]] = cb
+    gaps = _magnitude(values[0] - values[1])
+    gaps[~strings.any(axis=1)] = 0.0  # the identity
+    return max(0.0, float(gaps.max())) if gaps.size else 0.0
 
 
 def _permutation(key: tuple, dim: int) -> tuple:

@@ -44,6 +44,34 @@ def snake_position(cols: int, qubit):
     return r, snake_qubit(cols, r, c) - r * cols
 
 
+def _odd_even_swaps(arr: np.ndarray) -> np.ndarray:
+    """Odd-even transposition sort of each row of ``arr`` (rows, n), in
+    place, every pair of a phase compared and swapped at once. Returns
+    flags (phases, rows, n // 2): [k, r, j] is set when phase k swaps
+    positions (i, i + 1) of row r, i = 2 j + k mod 2; phases run up to the
+    last one that swaps."""
+    n = arr.shape[1]
+    # the left and right ends of the pairs of each phase parity
+    ends = [(arr[:, s:n - 1:2], arr[:, s + 1::2][:, :len(range(s, n - 1, 2))])
+            for s in (0, 1)]
+    swapped = np.zeros((n, len(arr), n // 2), dtype=bool)
+    low = np.empty((len(arr), n // 2), dtype=arr.dtype)
+    last = -1  # the last phase that swapped
+    for k in range(n):  # n phases sort any row
+        if k > last + 2:
+            break  # two phases in a row found every pair in order
+        left, right = ends[k % 2]
+        out = swapped[k, :, :left.shape[1]]
+        np.greater(left, right, out=out)
+        if out.any():
+            smaller = low[:, :left.shape[1]]
+            np.minimum(left, right, out=smaller)
+            np.maximum(left, right, out=right)
+            left[...] = smaller
+            last = k
+    return swapped[:last + 1]
+
+
 def transposition_phases(keys):
     """Odd-even transposition sort of ``keys`` into nondecreasing order.
 
@@ -53,16 +81,11 @@ def transposition_phases(keys):
     empty phases are kept, so phase k always has parity k mod 2. At most
     len(keys) phases.
     """
-    arr = list(keys)
-    goal = sorted(arr)
-    phases = []
-    while arr != goal:
-        phase = [i for i in range(len(phases) % 2, len(arr) - 1, 2)
-                 if arr[i] > arr[i + 1]]
-        for i in phase:
-            arr[i], arr[i + 1] = arr[i + 1], arr[i]
-        phases.append(phase)
-    return phases
+    swapped = _odd_even_swaps(np.array(keys).reshape(1, -1))
+    k, _, j = np.nonzero(swapped)
+    flat = (2 * j + k % 2).tolist()
+    stops = np.cumsum(np.bincount(k, minlength=len(swapped))).tolist()
+    return [flat[a:b] for a, b in zip([0] + stops, stops)]
 
 
 def _cycle_positions(h: int, w: int):
@@ -205,8 +228,8 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
 
         # color division: sort each line of each sector so the even parity
         # class fills the leading half sector; every sector's lines share
-        # the relative pattern, so each relative line sorts once and phase
-        # k of every line shares layer k
+        # the relative pattern, so the relative lines sort once, together,
+        # and phase k of every line shares layer k
         parity = np.empty((h, w), dtype=np.int64)
         parity[cycle[:, 0], cycle[:, 1]] = np.arange(len(cycle)) % 2
         if w >= h:  # vertical split, sort rows
@@ -215,16 +238,15 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
         else:  # horizontal split, sort columns
             lines = [[(r, c) for r in range(h)] for c in range(w)]
             half, h = (h // 2, 0), h // 2
-        line_phases = [transposition_phases([parity[p] for p in line])
-                       for line in lines]
+        line_at = np.array(lines)  # (lines, length, 2) positions
+        swapped = _odd_even_swaps(parity[line_at[..., 0], line_at[..., 1]])
         step3 = 0
-        for k in range(max(map(len, line_phases))):
-            moves = [(line[i], line[i + 1])
-                     for line, phases in zip(lines, line_phases)
-                     if k < len(phases) for i in phases[k]]
-            if moves:
-                rel_a, rel_b = zip(*moves)
-                layers.append((shifted(origins, rel_a, rel_b), False))
+        for k, flags in enumerate(swapped):
+            line, j = np.nonzero(flags)
+            if line.size:
+                i = 2 * j + k % 2
+                layers.append((shifted(origins, line_at[line, i],
+                                       line_at[line, i + 1]), False))
                 step3 += 1
         provenance.append({**level, "step2_layers": len(cycle),
                            "step3_layers": step3})
@@ -240,17 +262,27 @@ def build_full_schedule(rows: int, cols: int) -> SwapSchedule:
     return sched
 
 
-def _phase_table(pair_phases: dict, n: int) -> np.ndarray:
+def _phase_table(pair_phases, n: int) -> np.ndarray:
     """Symmetric n x n table of the phases given for each unordered label
-    pair, summed; raises on an entry that names one label twice or a label
-    outside the n labels."""
-    table = np.zeros((n, n))
-    for (a, b), phi in pair_phases.items():
+    pair, each added onto zeros in the order given; raises on the first
+    entry that names one label twice or a label outside the n labels.
+    ``pair_phases`` is a dict {(a, b): phase} or a (pairs, phases) pair of
+    arrays, pairs of shape (k, 2)."""
+    if isinstance(pair_phases, dict):
+        pairs = np.array(list(pair_phases), dtype=np.int64).reshape(-1, 2)
+        phases = np.fromiter(pair_phases.values(), dtype=float,
+                             count=len(pairs))
+    else:
+        pairs, phases = pair_phases
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        a, b = pairs[bad.argmax()].tolist()
         if a == b:
             raise ValueError(f"pair {a, b} is not a pair")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair {a, b} names a label outside 0..{n - 1}")
-        table[min(a, b), max(a, b)] += phi
+        raise ValueError(f"pair {a, b} names a label outside 0..{n - 1}")
+    table = np.zeros((n, n))
+    np.add.at(table, (lo, hi), phases)
     return table + table.T
 
 
@@ -285,7 +317,8 @@ def dumps_schedule(schedule: SwapSchedule, pair_phases: dict = None) -> str:
 def lower_diagonal_layer(pair_phases: dict, schedule: SwapSchedule):
     """Compile exp(-i sum phi_ab Z_a Z_b) onto the lattice.
 
-    ``pair_phases`` maps unordered label pairs (a, b) to phases phi_ab. Each
+    ``pair_phases`` maps unordered label pairs (a, b) to phases phi_ab, as
+    a dict or as a (pairs, phases) pair of arrays (``_phase_table``). Each
     pair's rotation is applied exactly once, at the first interact swap
     that brings the labels adjacent, just before that swap. Returns
     (circuit, final_labels) where final_labels[q] is the label sitting on

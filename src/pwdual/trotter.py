@@ -61,30 +61,27 @@ def _planar_potential_gates(hs: HamiltonianSet, tau: float, schedule):
     ``Circuit.join``: the new gates as columns, the lowered layer as its
     checked circuit.
     """
-    z_angle = {}      # coefficient of Z_q in (U + V) tau
-    global_phase = 0.0
-    pair_phases = {}
     external, interaction = diagonal_terms(hs)
-    for q, u in external:
-        # n = (I - Z)/2
-        z_angle[q] = z_angle.get(q, 0.0) - u * tau / 2.0
-        global_phase += -u * tau / 2.0
-    for (q1, q2), v in interaction:
-        theta = v * tau
-        # n n = (I - Z - Z + ZZ)/4
-        global_phase += -theta / 4.0
-        z_angle[q1] = z_angle.get(q1, 0.0) - theta / 4.0
-        z_angle[q2] = z_angle.get(q2, 0.0) - theta / 4.0
-        pair_phases[(q1, q2)] = pair_phases.get((q1, q2), 0.0) + theta / 4.0
+    pairs = np.array([pair for pair, _ in interaction],
+                     dtype=np.int64).reshape(-1, 2)
+    # n = (I - Z)/2 and n n = (I - Z - Z + ZZ)/4: each term's share of the
+    # Z angles and of the global phase, in term order
+    half = np.array([u for _, u in external]) * tau / 2.0
+    quarter = np.array([v for _, v in interaction]) * tau / 4.0
+    targets = np.concatenate([np.array([q for q, _ in external],
+                                       dtype=np.int64), pairs.ravel()])
+    z_angle = np.zeros(hs.n_qubits)  # coefficient of Z_q in (U + V) tau
+    np.add.at(z_angle, targets, -np.concatenate([half, np.repeat(quarter, 2)]))
+    z_qubits = np.unique(targets)
+    global_phase = np.add.accumulate(np.concatenate([[0.0], -half,
+                                                     -quarter]))[-1]
     # exp(+i ang Z) = RZ(-2 ang)
-    z_gates = sorted(z_angle.items())
-    lowered, final_labels = lower_diagonal_layer(pair_phases, schedule)
+    lowered, final_labels = lower_diagonal_layer((pairs, quarter), schedule)
     # chain-adjacent qubits are lattice neighbors along the snake path
     swaps = np.fromiter(chain.from_iterable(
         transposition_phases(final_labels)), dtype=np.int64)
     return [_phase_columns("GPHASE", [(0,)], [global_phase]),
-            _phase_columns("RZ", [(q,) for q, _ in z_gates],
-                           [2.0 * ang for _, ang in z_gates]),
+            _phase_columns("RZ", z_qubits, 2.0 * z_angle[z_qubits]),
             lowered, gate_columns("SWAP", swaps[:, None] + np.arange(2))]
 
 

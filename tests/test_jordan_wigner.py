@@ -175,3 +175,41 @@ def test_dual_hamiltonian_equals_reference(dimension, m, spinful, n_nuclei):
     want = reference_jordan_wigner(hs.total(), hs.n_qubits)
     want += QubitOperator.identity(hs.constant)
     assert_identical(build_qubit(hs), want.simplify())
+
+
+class TestColumnsAndView:
+    def test_write_through_terms_after_a_kernel_is_kept(self):
+        hs = build_dual(build_grid(1, 4, 4.0, spinful=True))
+        op = build_qubit(hs)
+        n, constant = len(op), op.constant()
+        assert op.n_qubits() == 8
+        op.terms[((7, "X"),)] = 0.25
+        op.terms[()] += 1.0
+        assert len(op) == n + 1
+        assert op.constant() == constant + 1.0
+        assert (((7, "X"),), 0.25) in op.items()
+        assert op.copy().items() == op.items()
+        op.simplify()
+        assert len(op) == n + 1
+
+    def test_columns_answer_without_the_view(self):
+        hs = build_dual(build_grid(2, 4, 16.0))
+        op, ref = build_qubit(hs), build_qubit(hs)
+        assert len(op) == len(ref.terms)
+        assert op.constant() == ref.terms.get((), 0.0)
+        assert op.n_qubits() == max(q for key in ref.terms for q, _ in key) + 1
+        for include in (True, False):
+            assert op.coefficient_norm(include).hex() == sum(
+                abs(c) for k, c in ref.terms.items()
+                if include or k != ()).hex()
+        assert op._columns is not None  # nothing above made the view
+
+    def test_add_constant_matches_the_dict_sum(self):
+        hs = build_dual(build_grid(1, 4, 4.0))
+        for op in (jordan_wigner(hs.total(), 4), QubitOperator()):
+            ref = QubitOperator()
+            ref.terms = dict(op.copy().terms)
+            ref += QubitOperator.identity(0.3)
+            op.add_constant(0.3)
+            assert repr(list(op.terms.items())) == \
+                repr(list(ref.terms.items()))

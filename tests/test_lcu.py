@@ -10,7 +10,8 @@ from pwdual.hamiltonian import NucleiSpec, build_dual, build_qubit, \
 from pwdual import lcu, statevector
 from pwdual.lcu import build_weights, select_matrix, prepare_state, \
     taylor_errors, taylor_segment, dump_weights, LcuModel
-from pwdual.pauli import PRUNE_TOL, qubit_operator_matrix
+from pwdual.pauli import PRUNE_TOL, QubitOperator, coefficient_gap, \
+    qubit_operator_matrix
 from pwdual.statevector import Statevector, exact_evolve
 
 
@@ -140,6 +141,52 @@ class TestArrayTable:
         got = [(key, type(c), c.hex())
                for key, c in model.reconstruction().terms.items()]
         assert got == want
+
+
+def dict_gap(a, b):
+    """The reconstruction gap as a loop over the union of both key sets."""
+    worst = 0.0
+    for key in set(a.terms) | set(b.terms):
+        if key == ():
+            continue
+        worst = max(worst, abs(a.terms.get(key, 0) - b.terms.get(key, 0)))
+    return worst
+
+
+class TestColumnGap:
+    @settings(max_examples=30, deadline=None)
+    @given(weight_cases(), st.floats(-1e-3, 1e-3), st.integers(0, 2 ** 16))
+    def test_equals_the_dict_loop_bit_for_bit(self, case, nudge, pick):
+        # columns on both sides, then with one string of the compile
+        # nudged, dropped or added, as a dict-owned operator
+        hs, include_noop = case
+        rec = build_weights(hs, include_noop).reconstruction()
+        qub = build_qubit(hs)
+        got = coefficient_gap(rec, qub)
+        want = dict_gap(build_weights(hs, include_noop).reconstruction(),
+                        build_qubit(hs))
+        assert got.hex() == want.hex()
+        edited = build_qubit(hs)
+        keys = list(edited.terms)
+        key = keys[pick % len(keys)]
+        if pick % 3 == 0:
+            edited.terms[key] += nudge
+        elif pick % 3 == 1:
+            del edited.terms[key]
+        else:
+            edited.terms[((hs.n_qubits - 1, "X"),)] = nudge
+        got = coefficient_gap(build_weights(hs, include_noop).reconstruction(),
+                              edited)
+        assert got.hex() == dict_gap(rec, edited).hex()
+
+    def test_column_and_view_types(self):
+        # a float64 reconstruction and a complex compile keep their value
+        # types through the view
+        hs = jellium(4, spinful=True)
+        rec, qub = build_weights(hs).reconstruction(), build_qubit(hs)
+        assert {type(c) for c in rec.terms.values()} == {float}
+        assert {type(c) for c in qub.terms.values()} == {complex}
+        assert isinstance(rec.constant(), float)
 
 
 class TestBuildWeights:

@@ -29,6 +29,25 @@ def test_transposition_phases_sort(keys):
     assert arr == sorted(keys)
 
 
+def scalar_odd_even(keys):
+    """Odd-even transposition sort one comparison at a time: the swapped
+    positions of each phase until the keys are sorted."""
+    arr, phases = list(keys), []
+    while arr != sorted(arr):
+        phase = []
+        for i in range(len(phases) % 2, len(arr) - 1, 2):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                phase.append(i)
+        phases.append(phase)
+    return phases
+
+
+@given(st.lists(st.integers(-3, 3), max_size=70))
+def test_transposition_phases_equal_the_scalar_sort(keys):
+    assert transposition_phases(keys) == scalar_odd_even(keys)
+
+
 @given(st.integers(1, 9), st.integers(1, 9), st.data())
 def test_snake_position_inverts_snake_qubit(rows, cols, data):
     r = data.draw(st.integers(0, rows - 1))
