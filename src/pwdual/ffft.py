@@ -18,7 +18,6 @@ into spin blocks, transforming each block, and sorting back.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .geometry import ModeGrid
