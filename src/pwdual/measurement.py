@@ -72,10 +72,9 @@ def _basis_gate(q: int, letter: str) -> Gate:
 
 
 def _pauli_term_values(key, samples: np.ndarray):
-    values = np.ones(len(samples), dtype=float)
-    for q, _ in key:
-        values *= 1.0 - 2.0 * ((samples >> q) & 1)
-    return values
+    """+-1.0 per shot: the parity of the term's qubits in each sample."""
+    mask = sum(1 << q for q, _ in key)
+    return 1.0 - 2.0 * (np.bitwise_count(samples & mask) & 1)
 
 
 def _sample(state: Statevector, counts: dict, shots: int, seed):

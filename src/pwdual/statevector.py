@@ -633,7 +633,8 @@ def _apply_on_support(amps: np.ndarray, m: np.ndarray, targets, n: int,
     _combine(m, amps[index], rows, np.empty_like(rows[0]))
     out = np.zeros(amps.shape, dtype=amps.dtype)
     out[index] = rows
-    return out, np.sort(index[rows != 0])
+    # each row of index ascends, so a stable sort merges 2^k sorted runs
+    return out, np.sort(index[rows != 0], kind="stable")
 
 
 def _run_gate(state: Statevector, gate: Gate) -> Statevector:

@@ -255,6 +255,72 @@ def sector_ground_energy(hs: HamiltonianSet, eta: int) -> float:
     return float(min(lowest))
 
 
+def _simplex_search(fun, x0, maxiter: int, xatol: float = 1e-8,
+                    fatol: float = 1e-10):
+    """Nelder-Mead simplex minimization of ``fun`` from ``x0``: (x, f(x),
+    done), done False when ``maxiter`` iterations ran out before the simplex
+    fell within xatol of its best vertex and its values within fatol.
+
+    A step-for-step port of scipy 1.17's ``minimize(method="Nelder-Mead")``
+    without bounds, callback or adaptive coefficients: reflection 1,
+    expansion 2, contraction and shrink 1/2, and the initial simplex that
+    scales each nonzero entry by 1.05 and sets each zero one to 0.00025.
+    Every arithmetic step and sort is scipy's, so ``fun`` sees the same
+    points, bit for bit, in the same order. Unlike scipy it passes its own
+    arrays, so ``fun`` must not write to its argument.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([fun(v) for v in sim], dtype=float)
+    # scipy sorts the first simplex twice; both sorts stay, since argsort
+    # (not stable) need not leave the ties of a sorted array in place
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and \
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = fun(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = fun(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = fun(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), iterations < maxiter
+
+
 def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
              restarts: int = 4, maxiter: int = 600,
              initial_values=None, plan=None) -> OptimizeResult:
@@ -271,9 +337,10 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     derived seed, deterministic per run); exact-mode guarantees such as the
     variational floor then hold only statistically. Either way the state
     is computed on the eta-electron sector (``SectorModel``), whose
-    Fourier matrix must fit in DENSE_BYTES_LIMIT.
+    Fourier matrix must fit in DENSE_BYTES_LIMIT. Each start runs
+    ``_simplex_search``, which evaluates the same points as scipy's
+    ``minimize(method="Nelder-Mead")`` with the same options.
     """
-    import scipy.optimize
     if hs.representation != DUAL:
         raise ValueError("the variational loop works on the dual "
                          "representation")
@@ -315,14 +382,12 @@ def optimize(spec: AnsatzSpec, hs: HamiltonianSet, eta: int, seed: int = 0,
     best_e = objective(starts[0])
     exhausted = False
     for x0 in starts:
-        res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
-        if not res.success:
+        x, fx, done = _simplex_search(objective, x0, maxiter)
+        if not done:
             exhausted = True
-        if res.fun < best_e:
-            best_e = float(res.fun)
-            best_x = np.asarray(res.x)
+        if fx < best_e:
+            best_e = float(fx)
+            best_x = x
     return OptimizeResult(theta=best_x, energy=best_e,
                           reference_energy=e_ref, trace=trace,
                           evaluations=state["evals"], names=list(ansatz.names),

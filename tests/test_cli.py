@@ -975,8 +975,6 @@ class TestResolvedEcho:
         assert "swapnet reads no system block" in capsys.readouterr().err
 
 
-HEAVY_SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.optimize",
-               "scipy.linalg")
 # each command at its defaults, and build's isospectrality check
 SCIPY_CASES = {**{command: [command] for command in COMMANDS},
                "build-dual-and-plane-wave": [
@@ -988,17 +986,17 @@ SCIPY_CASES = {**{command: [command] for command in COMMANDS},
                                      *SCIPY_CASES])
 def test_commands_load_only_the_scipy_they_run(tmp_path, command):
     """Each case in a fresh interpreter: the package, its CLI and every
-    command but ``vqe-jellium`` load none of scipy's heavy submodules (the
-    exact spectra and the FFFT check are numpy alone); ``vqe-jellium``
-    loads ``scipy.optimize`` and no graph code; every command exits 0."""
+    command, ``vqe-jellium`` included, load no scipy module, not even the
+    bare ``scipy`` package (the exact spectra, the FFFT check and the
+    simplex search are numpy alone); every command exits 0."""
     if command.startswith("import "):
         body = f"{command}\ncode = 0"
     else:
         argv = SCIPY_CASES[command] + ["--out", str(tmp_path)]
         body = f"from pwdual.cli import main\ncode = main({argv!r})"
     script = (f"import json, sys\n{body}\n"
-              f"print(json.dumps([code, sorted(set(sys.modules) & "
-              f"{set(HEAVY_SCIPY)!r})]))")
+              f"print(json.dumps([code, sorted(m for m in sys.modules "
+              f"if m.split('.')[0] == 'scipy')]))")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                OPENBLAS_NUM_THREADS="1")
@@ -1007,8 +1005,4 @@ def test_commands_load_only_the_scipy_they_run(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    if command == "vqe-jellium":
-        assert "scipy.optimize" in loaded
-        assert "scipy.sparse.csgraph" not in loaded, loaded
-    else:
-        assert loaded == [], f"{command} loads {loaded}"
+    assert loaded == [], f"{command} loads {loaded}"

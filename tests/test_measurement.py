@@ -305,6 +305,23 @@ def test_grouped_strategies_equal_reference(grid, strategy, state_seed, seed):
     assert all(np.array_equal(g, w) for g, w in zip(groups, want))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ")),
+    st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=50))))
+def test_term_values_equal_per_qubit_product(case):
+    """The parity form of each shot's eigenvalue equals the product of
+    one +-1 factor per qubit of the term, exactly."""
+    letters, samples = case
+    key = tuple(sorted(letters.items()))
+    samples = np.array(samples, dtype=np.int64)
+    want = np.ones(len(samples))
+    for q, _ in key:
+        want *= 1.0 - 2.0 * ((samples >> q) & 1)
+    got = _pauli_term_values(key, samples)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("m,spinful", [(2, True), (4, False), (4, True)])
 def test_potential_values_equal_per_sample_evaluation(m, spinful):
     hs = jellium(m, spinful)

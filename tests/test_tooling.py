@@ -126,6 +126,37 @@ def test_budget_scan_sees_caps_reads_and_imports():
         (7, "DENSE_BYTES_LIMIT read")]
 
 
+def scipy_imports(tree):
+    """Lines of each ``import scipy...`` or ``from scipy... import``, at
+    any depth (function bodies included)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and node.module.split(".")[0] == "scipy"]
+
+
+def test_package_imports_no_scipy():
+    """scipy is a test-only dependency (pyproject's ``test`` extra), so no
+    module of the package imports it, on any path."""
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "pwdual").glob("*.py"))
+             for line in scipy_imports(ast.parse(path.read_text()))]
+    assert not found, "\n".join(found)
+
+
+def test_scipy_scan_sees_nested_from_and_aliased_imports():
+    tree = ast.parse(
+        "import numpy, scipy\n"
+        "from . import scipyish\n"
+        "from .scipy import x\n"
+        "def f():\n"
+        "    import scipy.optimize as so\n"
+        "    from scipy.linalg import expm\n"
+        "    import scipyx\n")
+    assert scipy_imports(tree) == [1, 5, 6]
+
+
 def support_constructions(tree):
     """Lines of each ``Statevector(...)`` call that may pass a support: a
     third positional argument, a ``support=`` keyword, or a ``*`` or

@@ -284,6 +284,91 @@ class TestSampledObjective:
         assert calls == {compiler: 1}
 
 
+# -- the simplex search against scipy's ----------------------------------------
+
+
+def simplex_objective(kind: str, n: int, seed: int):
+    """One test objective on R^n: a random convex quadratic, Rosenbrock, a
+    staircase whose plateaus tie the simplex values, or a shallow bowl the
+    search settles into within xatol and fatol well before 400 steps."""
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        b = rng.normal(size=(n, n))
+        a, c = b @ b.T + np.eye(n), rng.normal(size=n)
+        return lambda x: float((x - c) @ a @ (x - c))
+    if kind == "rosenbrock":
+        return lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2)
+                               + np.sum((1.0 - x) ** 2))
+    if kind == "plateau":
+        return lambda x: float(np.floor(4.0 * np.sum(np.abs(x))) / 4.0)
+    return lambda x: float(1e-3 * (x @ x))
+
+
+def recording(fun):
+    """``fun`` and the list of the bytes of each point it is called at."""
+    points = []
+
+    def wrapped(x):
+        points.append(x.tobytes())
+        return fun(x)
+    return wrapped, points
+
+
+def assert_simplex_matches_scipy(fun, x0, maxiter):
+    """``_simplex_search`` and scipy's Nelder-Mead with the options
+    ``optimize`` passes evaluate the same points and return the same bits;
+    ``done`` is scipy's ``success``."""
+    import scipy.optimize
+    mine, mine_points = recording(fun)
+    theirs, their_points = recording(fun)
+    x, fx, done = vqe._simplex_search(mine, x0, maxiter)
+    res = scipy.optimize.minimize(
+        theirs, x0, method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
+    assert len(mine_points) == len(their_points) == res.nfev
+    assert mine_points == their_points
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(fx).tobytes() == np.float64(res.fun).tobytes()
+    assert done == res.success
+    return done
+
+
+@st.composite
+def simplex_cases(draw, dims):
+    n = draw(st.integers(*dims))
+    entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    x0 = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    # both kinds of initial step: a zero entry and a scaled nonzero one
+    x0[draw(st.integers(0, n - 1))] = 0.0
+    if n > 1:
+        x0[draw(st.integers(0, n - 1))] = draw(st.floats(0.1, 2.0))
+    kind = draw(st.sampled_from(["quadratic", "rosenbrock", "plateau",
+                                 "bowl"]))
+    fun = simplex_objective(kind, n, draw(st.integers(0, 2 ** 16)))
+    return fun, x0, draw(st.integers(1, 400))
+
+
+class TestSimplexSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(simplex_cases((1, 8)))
+    def test_matches_scipy_bit_for_bit(self, case):
+        assert_simplex_matches_scipy(*case)
+
+    @settings(max_examples=15, deadline=None)
+    @given(simplex_cases((17, 24)))
+    def test_matches_scipy_past_the_small_sort(self, case):
+        """More than 16 values: argsort leaves insertion sort, so the
+        tie order of the plateau objective is its main sort's."""
+        assert_simplex_matches_scipy(*case)
+
+    def test_converges_early_and_runs_out(self):
+        x0 = np.array([0.0, 0.7, 0.0])
+        bowl = simplex_objective("bowl", 3, 0)
+        assert assert_simplex_matches_scipy(bowl, x0, 400)
+        assert not assert_simplex_matches_scipy(bowl, x0, 20)
+        assert not assert_simplex_matches_scipy(bowl, x0, 1)
+
+
 # -- the eta-electron sector --------------------------------------------------
 
 TI = "translation_invariant"
